@@ -2,14 +2,15 @@
 # vet), build, tests, the race detector over the concurrency-bearing packages
 # (compile cache + single-flight, parallel sweeps, the sharded loop
 # scheduler, pooled interpreter frames, the lock-free machine counters,
-# the observability sinks, the backend registry), a bounded fuzz smoke
-# over the vm, scheduler, and conformance property targets, the
+# the observability sinks, the backend registry, the baseline count
+# proof), a bounded fuzz smoke over the vm, scheduler, conformance and
+# count-invariance property targets, the
 # grammar-driven conformance suite, the persistent-cache cold/warm gate,
 # the native-vs-vm differential, the adaptive-planner cold/warm gate, the
 # benchmark regression diff, and the package-documentation check.
 
 GO ?= go
-RACE_PKGS := ./internal/core ./internal/bench ./internal/kernelc ./internal/vm ./internal/obs ./internal/loopdep ./internal/backend/... ./internal/server ./internal/plan
+RACE_PKGS := ./internal/core ./internal/bench ./internal/kernelc ./internal/vm ./internal/obs ./internal/loopdep ./internal/backend/... ./internal/server ./internal/plan ./internal/hotspot
 FUZZTIME ?= 5s
 
 .PHONY: ci lint fmt vet build test race fuzz conform bench benchsmoke benchdiff cachepersist nativediff plancheck servecheck docs
@@ -50,6 +51,8 @@ fuzz:
 	done
 	@echo "fuzz FuzzSpecCanonicalize ($(FUZZTIME))"; \
 	$(GO) test -run xxx -fuzz "^FuzzSpecCanonicalize$$" -fuzztime $(FUZZTIME) ./internal/server
+	@echo "fuzz FuzzCountKeySound ($(FUZZTIME))"; \
+	$(GO) test -run xxx -fuzz "^FuzzCountKeySound$$" -fuzztime $(FUZZTIME) ./internal/hotspot
 
 # conform is the verifier/executor conformance gate: 500 grammar-drawn
 # kernels (well-formed plus every defect class) must classify exactly as

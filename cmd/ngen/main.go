@@ -379,6 +379,11 @@ func printStats(s *bench.Suite, tr *obs.Tracer, reg *obs.Registry) {
 		fmt.Printf("Sweep workers:  %d (last sweep), %d points measured\n",
 			w, snap.Counters["bench.points"])
 	}
+	hits, misses := snap.Gauges["bench.baseline.memo.hits"], snap.Gauges["bench.baseline.memo.misses"]
+	if bypassed := snap.Gauges["bench.baseline.memo.bypassed"]; hits+misses+bypassed > 0 {
+		fmt.Printf("Baseline memo:  %d executions reused, %d executed and stored, %d executed unmemoized\n",
+			hits, misses, bypassed)
+	}
 
 	// Heaviest dynamic ops across all sweeps and validation runs.
 	type opCount struct {

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hotspot"
-	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -72,7 +71,10 @@ type Suite struct {
 	MaxRunLinear int
 	MaxRunCubic  int
 	// Reps is the ScalaMeter-style repetition count; the median
-	// estimate is reported.
+	// estimate is reported. The model prices every rep, but a baseline
+	// (HotSpot) execution whose counts hotspot.CountKey proves invariant
+	// runs once per sweep worker and key: later reps, and later
+	// extrapolated points at the same run size, reuse its counts.
 	Reps int
 	// Workers bounds how many size points a sweep measures
 	// concurrently, each on a private forked runtime. 1 (the default)
@@ -114,6 +116,10 @@ type Suite struct {
 	// Points complete concurrently when Workers > 1, so
 	// implementations must be safe for concurrent use.
 	OnPointDone func(sweep string, i int, pts []PointCkpt)
+
+	// baselineMemo totals every sweep worker's count-memo outcomes,
+	// merged after each sweep's barrier like SweepCounts.
+	baselineMemo memoStats
 }
 
 // NewSuite builds the default Haswell suite.
@@ -138,7 +144,8 @@ func (s *Suite) Attach(tr *obs.Tracer, reg *obs.Registry) {
 }
 
 // PublishMetrics pushes every accumulated statistic into the attached
-// registry: compile-cache and frame-pool state via the runtime, and the
+// registry: compile-cache and frame-pool state via the runtime, the
+// baseline count-memo totals under bench.baseline.memo.*, and the
 // merged sweep instruction counts (plus any counts on the suite's own
 // machine, e.g. from the cache-validation run) under vm.op.*.
 // Idempotent — call it right before snapshotting. No-op when no
@@ -148,6 +155,9 @@ func (s *Suite) PublishMetrics() {
 		return
 	}
 	s.RT.PublishMetrics()
+	s.Metrics.Gauge("bench.baseline.memo.hits").Set(s.baselineMemo.hits)
+	s.Metrics.Gauge("bench.baseline.memo.misses").Set(s.baselineMemo.misses)
+	s.Metrics.Gauge("bench.baseline.memo.bypassed").Set(s.baselineMemo.bypassed)
 	merged := s.SweepCounts.Clone()
 	merged.Merge(s.RT.Machine.Counts)
 	merged.Publish(s.Metrics, "vm.op.")
@@ -157,11 +167,6 @@ func (s *Suite) PublishMetrics() {
 func median(xs []float64) float64 {
 	sort.Float64s(xs)
 	return xs[len(xs)/2]
-}
-
-// loadJava loads a scalar method into the simulated JVM.
-func (s *Suite) loadJava(f *ir.Func) (*hotspot.Method, error) {
-	return s.JVM.Load(f)
 }
 
 // Speedup returns the maximum ratio comp/base across common sizes — the

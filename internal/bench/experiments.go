@@ -91,11 +91,7 @@ func (s *Suite) Fig6a(sizes []int) ([]Series, error) {
 		staged.Points[i] = p
 
 		q, err := w.measureJava(jm, jb.n, jb.runN, kernels.SaxpyFlops, jb.footprint,
-			func(rn int) error {
-				_, err := jm.InvokeAt(hotspot.TierC2, vm.PtrValue(jb.a, 0),
-					vm.PtrValue(jb.b, 0), vm.F32Value(2.5), vm.IntValue(rn))
-				return err
-			})
+			[]vm.Value{vm.PtrValue(jb.a, 0), vm.PtrValue(jb.b, 0), vm.F32Value(2.5), vm.IntValue(jb.runN)})
 		if err != nil {
 			return err
 		}
@@ -171,16 +167,12 @@ func (s *Suite) Fig6b(sizes []int) ([]Series, error) {
 		}
 		staged.Points[i] = p
 
+		args := []vm.Value{vm.PtrValue(jb.a, 0), vm.PtrValue(jb.b, 0), vm.PtrValue(jb.c, 0), vm.IntValue(jb.runN)}
 		for _, jv := range []struct {
 			m   *hotspot.Method
 			ser *Series
 		}{{jt, &triple}, {jbm, &blocked}} {
-			q, err := w.measureJava(jv.m, jb.n, jb.runN, kernels.MMMFlops, jb.footprint,
-				func(rn int) error {
-					_, err := jv.m.InvokeAt(hotspot.TierC2, vm.PtrValue(jb.a, 0),
-						vm.PtrValue(jb.b, 0), vm.PtrValue(jb.c, 0), vm.IntValue(rn))
-					return err
-				})
+			q, err := w.measureJava(jv.m, jb.n, jb.runN, kernels.MMMFlops, jb.footprint, args)
 			if err != nil {
 				return err
 			}
@@ -210,7 +202,7 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 		bits          int
 		java          bool
 		n, runN       int
-		data          dotData
+		args          []vm.Value
 	}
 	var jobs []job
 	// Java series occupy out[0..3], staged out[4..7] — the serial
@@ -223,7 +215,7 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 		for pi, n := range sizes {
 			runN := capSize(n, s.MaxRunLinear)
 			jobs = append(jobs, job{series: si, point: pi, bits: bits, java: true,
-				n: n, runN: runN, data: makeJavaDotData(bits, runN, rng)})
+				n: n, runN: runN, args: javaDotArgs(bits, runN, rng)})
 		}
 	}
 	for si, bits := range bitsList {
@@ -233,7 +225,7 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 		for pi, n := range sizes {
 			runN := capSize(n, s.MaxRunLinear)
 			jobs = append(jobs, job{series: len(bitsList) + si, point: pi, bits: bits,
-				n: n, runN: runN, data: makeDotData(bits, runN, rng)})
+				n: n, runN: runN, args: dotArgs(bits, runN, rng)})
 		}
 	}
 
@@ -257,10 +249,7 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 				return err
 			}
 			p, err := w.measureJava(m, jb.n, jb.runN, kernels.DotOps,
-				dotFootprint(jb.bits, jb.n), func(rn int) error {
-					_, err := m.InvokeAt(hotspot.TierC2, jb.data.args(rn)...)
-					return err
-				})
+				dotFootprint(jb.bits, jb.n), jb.args)
 			if err != nil {
 				return err
 			}
@@ -275,8 +264,8 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 			return err
 		}
 		p, err := w.measureStaged(kn, jb.n, jb.runN, kernels.DotOps,
-			dotFootprint(jb.bits, jb.n), func(rn int) error {
-				_, err := kn.CallValues(jb.data.args(rn)...)
+			dotFootprint(jb.bits, jb.n), func(int) error {
+				_, err := kn.CallValues(jb.args...)
 				return err
 			})
 		if err != nil {
@@ -306,54 +295,43 @@ func dotFootprint(bits, n int) int {
 	}
 }
 
-// dotData builds the quantized inputs for one precision at a size.
-type dotData struct {
-	args func(rn int) []vm.Value
-}
-
-func makeDotData(bits, runN int, rng *vm.Xorshift) dotData {
+// dotArgs builds the staged kernel's arguments for one precision at a
+// run size: the quantized inputs and the element count.
+func dotArgs(bits, runN int, rng *vm.Xorshift) []vm.Value {
 	a := randSlice(runN, 7)
 	b := randSlice(runN, 8)
 	switch bits {
 	case 32:
 		ab, bb := vm.PinF32(a), vm.PinF32(b)
-		return dotData{args: func(rn int) []vm.Value {
-			return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), vm.IntValue(rn)}
-		}}
+		return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), vm.IntValue(runN)}
 	case 16:
 		ha, hb := quant.EncodeF16(a), quant.EncodeF16(b)
 		ab, bb := vm.PinU16(ha.Data), vm.PinU16(hb.Data)
-		return dotData{args: func(rn int) []vm.Value {
-			return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), vm.IntValue(rn)}
-		}}
+		return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), vm.IntValue(runN)}
 	case 8:
 		qa, qb := quant.QuantizeQ8(a, rng), quant.QuantizeQ8(b, rng)
 		inv := vm.F32Value(1 / (qa.Scale * qb.Scale))
 		ab, bb := vm.PinI8(qa.Data), vm.PinI8(qb.Data)
-		return dotData{args: func(rn int) []vm.Value {
-			return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), inv, vm.IntValue(rn)}
-		}}
+		return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), inv, vm.IntValue(runN)}
 	default:
 		qa, qb := quant.QuantizeQ4(a, rng), quant.QuantizeQ4(b, rng)
 		inv := vm.F32Value(1 / (qa.Scale * qb.Scale))
 		ab, bb := vm.PinU8(qa.Data), vm.PinU8(qb.Data)
 		lut := vm.PinI8(kernels.DecodeLUT4())
-		return dotData{args: func(rn int) []vm.Value {
-			return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0),
-				vm.PtrValue(lut, 0), inv, vm.IntValue(rn)}
-		}}
+		return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0),
+			vm.PtrValue(lut, 0), inv, vm.IntValue(runN)}
 	}
 }
 
-// makeJavaDotData adapts dot data to the Java kernels' signatures (the
+// javaDotArgs adapts dotArgs to the Java kernels' signatures (the
 // 16-bit Java path uses quantized shorts, and the 4-bit path has no
 // LUT parameter).
-func makeJavaDotData(bits, runN int, rng *vm.Xorshift) dotData {
+func javaDotArgs(bits, runN int, rng *vm.Xorshift) []vm.Value {
 	a := randSlice(runN, 7)
 	b := randSlice(runN, 8)
 	switch bits {
 	case 32, 8:
-		return makeDotData(bits, runN, rng)
+		return dotArgs(bits, runN, rng)
 	case 16:
 		sa, sb := quant.Scale(a, 16), quant.Scale(b, 16)
 		qa := make([]int16, runN)
@@ -364,15 +342,11 @@ func makeJavaDotData(bits, runN int, rng *vm.Xorshift) dotData {
 		}
 		inv := vm.F32Value(1 / (sa * sb))
 		ab, bb := vm.PinI16(qa), vm.PinI16(qb)
-		return dotData{args: func(rn int) []vm.Value {
-			return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), inv, vm.IntValue(rn)}
-		}}
+		return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), inv, vm.IntValue(runN)}
 	default:
 		qa, qb := quant.QuantizeQ4(a, rng), quant.QuantizeQ4(b, rng)
 		inv := vm.F32Value(1 / (qa.Scale * qb.Scale))
 		ab, bb := vm.PinU8(qa.Data), vm.PinU8(qb.Data)
-		return dotData{args: func(rn int) []vm.Value {
-			return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), inv, vm.IntValue(rn)}
-		}}
+		return []vm.Value{vm.PtrValue(ab, 0), vm.PtrValue(bb, 0), inv, vm.IntValue(runN)}
 	}
 }

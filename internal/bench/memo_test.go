@@ -1,0 +1,183 @@
+package bench
+
+import (
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/cachesim"
+	"repro/internal/core"
+	"repro/internal/dsl"
+	"repro/internal/hotspot"
+	"repro/internal/ir"
+	"repro/internal/kernels"
+	"repro/internal/vm"
+)
+
+// memoSuite is a small suite whose sweeps exercise the baseline count
+// memo: three reps per point, and run-size caps low enough that the
+// larger sizes extrapolate from a shared run size.
+func memoSuite(workers int) *Suite {
+	s := NewSuite()
+	s.MaxRunLinear = 1 << 9
+	s.MaxRunCubic = 16
+	s.Reps = 3
+	s.Workers = workers
+	return s
+}
+
+var memoSizes = map[string][]int{
+	"fig6a": {64, 256, 512, 1024, 2048},
+	"fig6b": {8, 16, 32, 48},
+	"fig7":  {128, 512, 1024, 4096},
+}
+
+// directCounts executes every staged Call and Java InvokeAt that a sweep
+// of figure over sizes performs — every point, every rep — on fresh
+// machines, without the harness or its memo, and sums their counts.
+func directCounts(t *testing.T, s *Suite, figure string, sizes []int) vm.Counter {
+	t.Helper()
+	rt := core.DefaultRuntime()
+	jvm := hotspot.NewVM(s.JVM.Arch)
+	fs := rt.Arch.Features
+	total := vm.Counter{}
+	reps := func(m *vm.Machine, run func() (vm.Value, error)) {
+		for r := 0; r < s.Reps; r++ {
+			m.Counts.Reset()
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+			total.Merge(m.Counts)
+		}
+	}
+	compile := func(k *dsl.Kernel, err error) *core.Kernel {
+		if err == nil {
+			var kn *core.Kernel
+			if kn, err = rt.Compile(k); err == nil {
+				return kn
+			}
+		}
+		t.Fatal(err)
+		return nil
+	}
+	java := func(f *ir.Func, err error, args ...vm.Value) {
+		var m *hotspot.Method
+		if err == nil {
+			m, err = jvm.Load(f)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps(jvm.Machine, func() (vm.Value, error) { return m.InvokeAt(hotspot.TierC2, args...) })
+	}
+	switch figure {
+	case "fig6a":
+		kn := compile(kernels.StagedSaxpy(fs), nil)
+		for _, n := range sizes {
+			runN := capSize(n, s.MaxRunLinear)
+			a, b := vm.PinF32(randSlice(runN, 1)), vm.PinF32(randSlice(runN, 2))
+			reps(rt.Machine, func() (vm.Value, error) { return kn.Call(a, b, float32(2.5), runN) })
+			java(kernels.JavaSaxpy(fs), nil, vm.PtrValue(a, 0), vm.PtrValue(b, 0),
+				vm.F32Value(2.5), vm.IntValue(runN))
+		}
+	case "fig6b":
+		kn := compile(kernels.StagedMMM(fs), nil)
+		for _, n := range sizes {
+			runN := capSize(n, s.MaxRunCubic)
+			a := vm.PinF32(randSlice(runN*runN, 3))
+			b := vm.PinF32(randSlice(runN*runN, 4))
+			c := vm.PinF32(make([]float32, runN*runN))
+			reps(rt.Machine, func() (vm.Value, error) { return kn.Call(a, b, c, runN) })
+			args := []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.PtrValue(c, 0), vm.IntValue(runN)}
+			java(kernels.JavaMMMTriple(fs), nil, args...)
+			java(kernels.JavaMMMBlocked(fs), nil, args...)
+		}
+	case "fig7":
+		// Each series draws its quantization noise from its own RNG
+		// across the sizes in order, as Fig7 does.
+		for _, bits := range []int{32, 16, 8, 4} {
+			rng := vm.NewXorshift(4321)
+			for _, n := range sizes {
+				f, err := kernels.JavaDot(bits, fs)
+				java(f, err, javaDotArgs(bits, capSize(n, s.MaxRunLinear), rng)...)
+			}
+		}
+		for _, bits := range []int{32, 16, 8, 4} {
+			kn := compile(kernels.StagedDot(bits, fs))
+			rng := vm.NewXorshift(1234)
+			for _, n := range sizes {
+				args := dotArgs(bits, capSize(n, s.MaxRunLinear), rng)
+				reps(rt.Machine, func() (vm.Value, error) { return kn.CallValues(args...) })
+			}
+		}
+	}
+	return total
+}
+
+// TestSweepCountsMatchDirectExecution: with the baseline memo reusing
+// counts across reps and extrapolated points, every figure's
+// SweepCounts still equal the sum of direct executions of every point
+// and rep, at one and two sweep workers — and the memo did reuse.
+func TestSweepCountsMatchDirectExecution(t *testing.T) {
+	for _, figure := range FigureNames() {
+		for _, workers := range []int{1, 2} {
+			s := memoSuite(workers)
+			if _, err := s.RunFigure(figure, memoSizes[figure]); err != nil {
+				t.Fatal(err)
+			}
+			want := directCounts(t, s, figure, memoSizes[figure])
+			if !reflect.DeepEqual(s.SweepCounts, want) {
+				t.Fatalf("%s -j %d: SweepCounts differ from direct execution\nsweep:  %v\ndirect: %v",
+					figure, workers, s.SweepCounts, want)
+			}
+			st := s.baselineMemo
+			if st.hits == 0 || st.misses == 0 || st.bypassed != 0 {
+				t.Errorf("%s -j %d: memo %+v, want hits and misses and no bypasses", figure, workers, st)
+			}
+		}
+	}
+}
+
+// TestBaselineMemoBypassedUnderCacheSim: an attached cache simulator
+// sees every access, so the memo steps aside and every rep executes.
+func TestBaselineMemoBypassedUnderCacheSim(t *testing.T) {
+	s := memoSuite(1)
+	w := s.newWorker(0)
+	w.jvm.Machine.Cache = cachesim.NewHaswellHierarchy()
+	m, err := w.method("java-saxpy", func() (*ir.Func, error) {
+		return kernels.JavaSaxpy(s.RT.Arch.Features), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := vm.PinF32(randSlice(64, 1)), vm.PinF32(randSlice(64, 2))
+	args := []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(64)}
+	if _, err := w.measureJava(m, 64, 64, kernels.SaxpyFlops, 512, args); err != nil {
+		t.Fatal(err)
+	}
+	if w.memoN != (memoStats{bypassed: int64(s.Reps)}) {
+		t.Errorf("memo %+v, want %d bypassed executions", w.memoN, s.Reps)
+	}
+}
+
+// TestFiguresMatchCommittedOutput: the full-axis figure tables, built
+// with the memo in place, are still contained verbatim in the committed
+// `ngen all` output.
+func TestFiguresMatchCommittedOutput(t *testing.T) {
+	ref, err := os.ReadFile("../../results/ngen_all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSuite()
+	s.Workers = 2
+	for _, figure := range FigureNames() {
+		text, err := s.RunFigure(figure, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(ref), text) {
+			t.Errorf("%s table is not in results/ngen_all.txt:\n%s", figure, text)
+		}
+	}
+}

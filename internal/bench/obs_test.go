@@ -9,7 +9,10 @@ import (
 	"repro/internal/obs"
 )
 
-var workersAttr = regexp.MustCompile(`workers=\d+`)
+var (
+	workersAttr = regexp.MustCompile(`workers=\d+`)
+	memoAttr    = regexp.MustCompile(`memo=\w+`)
+)
 
 // tracedRun measures a small Fig6a sweep with observability attached
 // and returns the structural skeleton, the registry snapshot, and the
@@ -28,10 +31,13 @@ func tracedRun(t *testing.T, workers int) (string, obs.Snapshot, map[string]int6
 	// The once-per-worker compile spans land under whichever point each
 	// worker measured first — the single scheduling-dependent part of
 	// the tree (see forEachPoint). The sweep span's workers attribute
-	// reports the actual worker count, so normalize it. Everything else
-	// must be identical.
+	// reports the actual worker count, and whether a hotspot.invoke hits
+	// the per-worker count memo depends on which worker measured the
+	// points before it, so normalize both. Everything else must be
+	// identical.
 	skel := tr.Skeleton(func(name string) bool { return name == "ngen.compile" })
 	skel = workersAttr.ReplaceAllString(skel, "workers=W")
+	skel = memoAttr.ReplaceAllString(skel, "memo=M")
 	counts := map[string]int64{}
 	for k, v := range s.SweepCounts {
 		counts[k] = v
@@ -56,6 +62,9 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	if !strings.Contains(skel1, "call:saxpy") {
 		t.Fatalf("kernel call spans missing:\n%s", skel1)
 	}
+	if !strings.Contains(skel1, "hotspot.invoke [tier=C2 memo=M]") {
+		t.Fatalf("baseline invoke spans missing:\n%s", skel1)
+	}
 
 	if !reflect.DeepEqual(counts1, counts8) {
 		t.Fatalf("merged sweep counters differ:\n-j1: %v\n-j8: %v", counts1, counts8)
@@ -74,6 +83,16 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	c8 := snap8.Counters["ngen.cache.hit"] + snap8.Counters["ngen.cache.miss"]
 	if c1 < 1 || c8 < c1 {
 		t.Errorf("compile calls: -j1=%d -j8=%d (want ≥1, per-worker ≥ serial)", c1, c8)
+	}
+
+	// Every baseline execution is either reused or executed; which one
+	// depends on the worker count, the total does not.
+	memo := func(snap obs.Snapshot) int64 {
+		return snap.Gauges["bench.baseline.memo.hits"] + snap.Gauges["bench.baseline.memo.misses"] +
+			snap.Gauges["bench.baseline.memo.bypassed"]
+	}
+	if a, b := memo(snap1), memo(snap8); a != b || a == 0 {
+		t.Errorf("baseline executions: -j1=%d -j8=%d (want equal, nonzero)", a, b)
 	}
 
 	// The merged vm.op.* gauges must mirror the sweep counters exactly

@@ -39,6 +39,26 @@ type sweepWorker struct {
 	est    *machine.Estimator
 	perfs  []float64
 	scaled vm.Counter
+
+	// memo maps a baseline execution's hotspot.CountKey to its counts:
+	// an execution whose counts are proven invariant runs once per
+	// worker, and later reps and extrapolated points with the same key
+	// reuse its counter. It lives and dies with the sweep.
+	memo  map[string]vm.Counter
+	memoN memoStats
+}
+
+// memoStats tallies what the baseline count memo did with each
+// execution: reused counts (hits), executed and stored (misses), or
+// executed without the memo (bypassed).
+type memoStats struct {
+	hits, misses, bypassed int64
+}
+
+func (m *memoStats) add(o memoStats) {
+	m.hits += o.hits
+	m.misses += o.misses
+	m.bypassed += o.bypassed
 }
 
 func (s *Suite) newWorker(id int) *sweepWorker {
@@ -53,6 +73,7 @@ func (s *Suite) newWorker(id int) *sweepWorker {
 		est:     machine.NewEstimator(s.RT.Arch),
 		perfs:   make([]float64, 0, s.Reps),
 		scaled:  vm.Counter{},
+		memo:    map[string]vm.Counter{},
 	}
 }
 
@@ -130,17 +151,21 @@ func (w *sweepWorker) scaleCounts(c vm.Counter, factor float64) vm.Counter {
 }
 
 // measureJava runs a HotSpot method at C2 steady state on this worker's
-// JVM, scales to n, and returns the modeled performance.
+// JVM with args (sized for runN), scales to n, and returns the modeled
+// performance. The model prices every rep; the execution behind a rep
+// is skipped when the memo already holds counts under the same proven
+// count key (see invokeJava).
 func (w *sweepWorker) measureJava(m *hotspot.Method, n, runN int, flops func(int) int64,
-	footprint int, run func(runN int) error) (Point, error) {
+	footprint int, args []vm.Value) (Point, error) {
+	key, memo := m.CountKey(hotspot.TierC2, args)
+	memo = memo && w.jvm.Machine.Cache == nil
 	perfs := w.perfs[:0]
 	var rep machine.Report
 	for r := 0; r < w.s.Reps; r++ {
-		w.jvm.Machine.Counts.Reset()
-		if err := run(runN); err != nil {
+		counts, err := w.invokeJava(m, key, memo, args)
+		if err != nil {
 			return Point{}, err
 		}
-		counts := w.jvm.Machine.Counts
 		w.total.Merge(counts)
 		if runN != n {
 			counts = w.scaleCounts(counts, float64(flops(n))/float64(flops(runN)))
@@ -150,6 +175,38 @@ func (w *sweepWorker) measureJava(m *hotspot.Method, n, runN int, flops func(int
 	}
 	w.perfs = perfs[:0]
 	return Point{N: n, Perf: median(perfs), Bound: rep.Bound, Level: rep.Level}, nil
+}
+
+// invokeJava returns the counts of one C2 execution of m on args,
+// traced as a hotspot.invoke span under the current point. With memo
+// set (key proven by hotspot.CountKey) a stored counter is returned
+// without executing, and a fresh execution's counts are stored; the
+// returned counter is read-only either way.
+func (w *sweepWorker) invokeJava(m *hotspot.Method, key string, memo bool, args []vm.Value) (vm.Counter, error) {
+	sp := w.rt.Span.Child("hotspot.invoke").SetAttr("tier", hotspot.TierC2.String())
+	defer sp.End()
+	if memo {
+		if counts, ok := w.memo[key]; ok {
+			w.memoN.hits++
+			sp.SetAttr("memo", "hit")
+			return counts, nil
+		}
+	}
+	w.jvm.Machine.Counts.Reset()
+	if _, err := m.InvokeAt(hotspot.TierC2, args...); err != nil {
+		return nil, err
+	}
+	counts := w.jvm.Machine.Counts
+	if !memo {
+		w.memoN.bypassed++
+		sp.SetAttr("memo", "bypass")
+		return counts, nil
+	}
+	w.memoN.misses++
+	sp.SetAttr("memo", "miss")
+	counts = counts.Clone()
+	w.memo[key] = counts
+	return counts, nil
 }
 
 // forEachPoint fans points out over min(Workers, points) sweep workers.
@@ -200,6 +257,7 @@ func (s *Suite) forEachPoint(name string, points int, fn func(i int, w *sweepWor
 		}
 		for _, w := range workers {
 			s.SweepCounts.Merge(w.total)
+			s.baselineMemo.add(w.memoN)
 			s.Metrics.Histogram("bench.worker.points").Observe(w.points)
 		}
 		s.Metrics.Counter("bench.points").Add(int64(points))

@@ -63,11 +63,11 @@ func TestModelAgreesWithSimulator(t *testing.T) {
 // more than the blocked ikj version on the same matrices.
 func TestSimulatorSeesBlockedLocality(t *testing.T) {
 	s := NewSuite()
-	jt, err := s.loadJava(kernels.JavaMMMTriple(s.RT.Arch.Features))
+	jt, err := s.JVM.Load(kernels.JavaMMMTriple(s.RT.Arch.Features))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := s.loadJava(kernels.JavaMMMBlocked(s.RT.Arch.Features))
+	jb, err := s.JVM.Load(kernels.JavaMMMBlocked(s.RT.Arch.Features))
 	if err != nil {
 		t.Fatal(err)
 	}

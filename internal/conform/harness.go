@@ -93,8 +93,7 @@ func Run(opts Options) (*Report, error) {
 		return nil, err
 	}
 	for i := 0; i < h.opts.Count; i++ {
-		caseRng := newRng(caseSeed(h.opts.Seed, i))
-		rec, err := genRecipe(caseRng, i, h.opts.Arch.Features, h.ix)
+		rec, err := Generate(h.opts.Seed, i, h.opts.Arch.Features)
 		if err != nil {
 			h.rep.stat(rec.Defect).Generated++
 			h.fail(rec, KindGenFail, err.Error(), nil)
@@ -111,6 +110,13 @@ func Run(opts Options) (*Report, error) {
 // a matching corpus instead of silently drifting from Run.
 func caseSeed(seed uint64, i int) uint64 {
 	return seed*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 1
+}
+
+// Generate draws case i of a suite seed's case stream: the recipe Run
+// generates for that case on a machine with the given features. Other
+// packages use it to drive their own properties over the grammar.
+func Generate(seed uint64, i int, features isa.FeatureSet) (Recipe, error) {
+	return genRecipe(newRng(caseSeed(seed, i)), i, features, irverify.SpecIndex())
 }
 
 // Replay drives an explicit recipe list — the checked-in regression

@@ -1,0 +1,284 @@
+package hotspot
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/conform"
+	"repro/internal/dsl"
+	"repro/internal/ir"
+	"repro/internal/irverify"
+	"repro/internal/isa"
+	"repro/internal/kernels"
+	"repro/internal/vm"
+)
+
+// TestCountProofRefusesDataDependence: each kernel lets a value read
+// from memory (or a float parameter) steer control or addressing, so
+// its counts or its error outcome could change with the data; the proof
+// must refuse it and CountKey must report ok=false at every tier.
+func TestCountProofRefusesDataDependence(t *testing.T) {
+	hw := isa.Haswell.Features
+	cases := []struct {
+		name  string
+		build func() *ir.Func
+		want  string // fragment of the refusal reason
+	}{
+		{"loaded loop bound", func() *ir.Func {
+			k := dsl.NewKernel("loadedBound", hw)
+			a := dsl.Mutable(k, k.ParamI32Ptr())
+			k.For(k.ConstInt(0), a.At(k.ConstInt(0)), 1, func(i dsl.Int) {
+				a.Set(i, i)
+			})
+			return k.F
+		}, "forloop operand 1"},
+		{"loaded array index", func() *ir.Func {
+			k := dsl.NewKernel("loadedIndex", hw)
+			idx := k.ParamI32Ptr()
+			b := dsl.Mutable(k, k.ParamF32Ptr())
+			n := k.ParamInt()
+			k.For(k.ConstInt(0), n, 1, func(i dsl.Int) {
+				b.Set(idx.At(i), k.ConstF32(1))
+			})
+			return k.F
+		}, "astore operand 1"},
+		{"loaded if condition", func() *ir.Func {
+			k := dsl.NewKernel("loadedCond", hw)
+			a := dsl.Mutable(k, k.ParamF32Ptr())
+			n := k.ParamInt()
+			k.For(k.ConstInt(0), n, 1, func(i dsl.Int) {
+				k.If(a.At(i).Gt(k.ConstF32(0)), func() {
+					a.Set(i, k.ConstF32(0))
+				}, nil)
+			})
+			return k.F
+		}, "if operand 0"},
+		{"float param as loop bound", func() *ir.Func {
+			k := dsl.NewKernel("floatBound", hw)
+			a := dsl.Mutable(k, k.ParamF32Ptr())
+			s := k.ParamF32()
+			k.For(k.ConstInt(0), s.ToInt(), 1, func(i dsl.Int) {
+				a.Set(i, s)
+			})
+			return k.F
+		}, "forloop operand 1"},
+		{"gather with loaded index", func() *ir.Func {
+			k := dsl.NewKernel("gatherLoaded", hw)
+			base := k.ParamF32Ptr()
+			idx := k.ParamI32Ptr()
+			out := dsl.Mutable(k, k.ParamF32Ptr())
+			n := k.ParamInt()
+			k.For(k.ConstInt(0), n, 8, func(i dsl.Int) {
+				v := k.MM256I32gatherPs(base, k.ConstInt(0), k.MM256LoaduSi256(idx, i), 4)
+				k.MM256StoreuPs(out, i, v)
+			})
+			return k.F
+		}, "_mm256_i32gather_ps operand 1"},
+		{"accumulated loads as loop bound", func() *ir.Func {
+			k := dsl.NewKernel("accBound", hw)
+			a := dsl.Mutable(k, k.ParamI32Ptr())
+			n := k.ParamInt()
+			sum := k.ForAccInt(k.ConstInt(0), n, 1, k.ConstInt(0),
+				func(i dsl.Int, acc dsl.Int) dsl.Int { return acc.Add(a.At(i)) })
+			k.For(k.ConstInt(0), sum, 1, func(i dsl.Int) { a.Set(i, i) })
+			return k.F
+		}, "forloop operand 1"},
+		{"if result as index", func() *ir.Func {
+			k := dsl.NewKernel("ifIndex", hw)
+			a := dsl.Mutable(k, k.ParamI32Ptr())
+			n := k.ParamInt()
+			j := k.IfInt(n.Gt(k.ConstInt(4)),
+				func() dsl.Int { return a.At(k.ConstInt(0)) },
+				func() dsl.Int { return k.ConstInt(0) })
+			a.Set(j, n)
+			return k.F
+		}, "astore operand 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := c.build()
+			why := countProof(f)
+			if !strings.Contains(why, c.want) {
+				t.Fatalf("refusal %q, want one naming %q", why, c.want)
+			}
+			m, err := NewVM(isa.Haswell).Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args, _, err := kernels.BuildArgs(f, 16, 64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tier := range []Tier{TierInterpreter, TierC1, TierC2} {
+				if key, ok := m.CountKey(tier, args); ok {
+					t.Errorf("%v: CountKey admitted %q", tier, key)
+				}
+			}
+		})
+	}
+}
+
+// TestJavaMethodsAdmitted: every Java baseline method in
+// internal/kernels passes the proof at both tiers, so the figure
+// sweeps reuse all of their baseline counts.
+func TestJavaMethodsAdmitted(t *testing.T) {
+	seen := 0
+	for _, tg := range kernels.Targets() {
+		if !strings.HasPrefix(tg.Name, "J") {
+			continue
+		}
+		seen++
+		f, err := tg.Build(isa.Haswell.Features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewVM(isa.Haswell).Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if why := countProof(m.Scalar); why != "" {
+			t.Errorf("%s scalar body refused: %s", tg.Name, why)
+		}
+		if why := countProof(m.C2); why != "" {
+			t.Errorf("%s C2 body refused: %s", tg.Name, why)
+		}
+	}
+	if seen != 7 {
+		t.Fatalf("found %d Java methods in kernels.Targets, want 7", seen)
+	}
+}
+
+// TestCountKeyFields: the key ignores float arguments and memory
+// contents but separates tiers, run sizes, buffer lengths, offsets and
+// mismatched argument kinds.
+func TestCountKeyFields(t *testing.T) {
+	m, err := NewVM(isa.Haswell).Load(javaSaxpy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(n, length, off int, s float32) []vm.Value {
+		a := vm.PinF32(make([]float32, length))
+		b := vm.PinF32(make([]float32, length))
+		kernels.FillBuffer(b, uint64(length+off))
+		return []vm.Value{vm.PtrValue(a, off), vm.PtrValue(b, off), vm.F32Value(s), vm.IntValue(n)}
+	}
+	key := func(tier Tier, args []vm.Value) string {
+		k, ok := m.CountKey(tier, args)
+		if !ok {
+			t.Fatalf("CountKey refused %v", args)
+		}
+		return k
+	}
+	base := key(TierC2, mk(32, 64, 0, 2.5))
+	if got := key(TierC2, mk(32, 64, 0, float32(math.NaN()))); got != base {
+		t.Errorf("float argument changed the key: %q vs %q", got, base)
+	}
+	for name, other := range map[string]string{
+		"tier":   key(TierInterpreter, mk(32, 64, 0, 2.5)),
+		"n":      key(TierC2, mk(16, 64, 0, 2.5)),
+		"length": key(TierC2, mk(32, 128, 0, 2.5)),
+		"offset": key(TierC2, mk(32, 64, 4, 2.5)),
+	} {
+		if other == base {
+			t.Errorf("keys equal across different %s: %q", name, base)
+		}
+	}
+	bad := mk(32, 64, 0, 2.5)
+	bad[3] = vm.F32Value(32) // float where the int n belongs
+	if k, ok := m.CountKey(TierC2, bad); ok {
+		t.Errorf("kind mismatch admitted as %q", k)
+	}
+	if k, ok := m.CountKey(TierC2, bad[:3]); ok {
+		t.Errorf("short argument list admitted as %q", k)
+	}
+}
+
+// countsSound checks the soundness property over cases [0, count) of a
+// conform seed: whenever CountKey admits a verifier-accepted generated
+// kernel at a tier, two executions whose memory contents and float
+// arguments differ (so their keys agree) end with identical count maps
+// and identical error outcomes. It returns how many (kernel, tier)
+// pairs were admitted.
+func countsSound(t *testing.T, seed uint64, count int) int {
+	t.Helper()
+	admitted := 0
+	for i := 0; i < count; i++ {
+		rec, err := conform.Generate(seed, i, isa.Haswell.Features)
+		if err != nil {
+			continue
+		}
+		k, err := rec.Build(isa.Haswell.Features, irverify.SpecIndex())
+		if err != nil || !irverify.VerifyWithSpec(k.F, isa.Haswell, irverify.SpecIndex()).Ok() {
+			continue // error-class mutants never execute, as in conform
+		}
+		v := NewVM(isa.Haswell)
+		m, err := v.Load(k.F)
+		if err != nil {
+			t.Fatalf("%s: %v", rec.String(), err)
+		}
+		for _, tier := range []Tier{TierInterpreter, TierC2} {
+			args1, _, err := kernels.BuildArgs(k.F, rec.N, rec.Elems(), seed+uint64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			args2, _, err := kernels.BuildArgs(k.F, rec.N, rec.Elems(), ^(seed + uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range args2 {
+				if args2[j].Kind == ir.KindF32 || args2[j].Kind == ir.KindF64 {
+					args2[j].F = -float64(i) - 0.75
+				}
+			}
+			key1, ok1 := m.CountKey(tier, args1)
+			key2, ok2 := m.CountKey(tier, args2)
+			if ok1 != ok2 || key1 != key2 {
+				t.Fatalf("%s %v: keys %q/%v and %q/%v differ for equal shapes",
+					rec.String(), tier, key1, ok1, key2, ok2)
+			}
+			if !ok1 {
+				continue
+			}
+			admitted++
+			var counts [2]vm.Counter
+			var errs [2]error
+			for r, args := range [][]vm.Value{args1, args2} {
+				v.Machine.Counts.Reset()
+				_, errs[r] = m.InvokeAt(tier, args...)
+				counts[r] = v.Machine.Counts.Clone()
+			}
+			if (errs[0] == nil) != (errs[1] == nil) {
+				t.Fatalf("%s %v: error outcomes differ: %v vs %v", rec.String(), tier, errs[0], errs[1])
+			}
+			if !reflect.DeepEqual(counts[0], counts[1]) {
+				t.Fatalf("%s %v: admitted key %q but counts differ:\n%v\n%v",
+					rec.String(), tier, key1, counts[0], counts[1])
+			}
+		}
+	}
+	return admitted
+}
+
+// TestCountKeySoundOnConformSeeds runs the soundness property over a
+// fixed slice of the grammar and requires the proof to admit most of
+// it — a proof that refused everything would pass vacuously.
+func TestCountKeySoundOnConformSeeds(t *testing.T) {
+	const count = 60
+	if got := countsSound(t, 1, count); got < count/2 {
+		t.Fatalf("proof admitted only %d (kernel, tier) pairs over %d cases", got, count)
+	}
+}
+
+// FuzzCountKeySound fuzzes the conform seed: every generated graph the
+// proof admits must give identical count maps on differently seeded
+// buffer contents and float arguments.
+func FuzzCountKeySound(f *testing.F) {
+	f.Add(uint64(1))
+	f.Add(uint64(7))
+	f.Add(uint64(0xFFFFFFFFFFFFFFFF))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		countsSound(t, seed, 4)
+	})
+}

@@ -75,10 +75,15 @@ type Method struct {
 
 	scalarProg *kernelc.Program
 	c2Prog     *kernelc.Program
+	// scalarInvariant and c2Invariant record whether each tier's body
+	// passed the count-invariance proof (see CountKey).
+	scalarInvariant bool
+	c2Invariant     bool
 }
 
 // Load installs a method into the VM, compiling both tiers' bodies
-// eagerly (the simulation has no reason to defer).
+// eagerly (the simulation has no reason to defer) and running the
+// count-invariance proof over each.
 func (v *VM) Load(f *ir.Func) (*Method, error) {
 	if m, ok := v.methods[f.Name]; ok {
 		return m, nil
@@ -93,7 +98,8 @@ func (v *VM) Load(f *ir.Func) (*Method, error) {
 		return nil, fmt.Errorf("hotspot: %s (C2): %w", f.Name, err)
 	}
 	m := &Method{vm: v, Name: f.Name, Scalar: f, C2: c2f, SLP: rep,
-		scalarProg: scalarProg, c2Prog: c2Prog}
+		scalarProg: scalarProg, c2Prog: c2Prog,
+		scalarInvariant: countProof(f) == "", c2Invariant: countProof(c2f) == ""}
 	v.methods[f.Name] = m
 	return m, nil
 }

@@ -151,6 +151,16 @@ func linearN(n int) error {
 	return nil
 }
 
+// dot32N admits whole loop iterations only: the staged dot32 kernel
+// consumes 32 floats per iteration with no scalar tail, so any other n
+// reads past the end of its inputs.
+func dot32N(n int) error {
+	if n <= 0 || n > maxExecLinear || n%32 != 0 {
+		return fmt.Errorf("n must be a multiple of 32 in [32, %d]", maxExecLinear)
+	}
+	return nil
+}
+
 func matrixN(n int) error {
 	if n <= 0 || n > maxExecMatrix || n%8 != 0 {
 		return fmt.Errorf("n must be a multiple of 8 in [8, %d]", maxExecMatrix)
@@ -184,7 +194,7 @@ func executable() map[string]execPlan {
 		"saxpy_multi": saxpyPlan(),
 		"mmm_blocked": mmmPlan(),
 		"mmm_naive":   mmmPlan(),
-		"dot32": {validate: linearN,
+		"dot32": {validate: dot32N,
 			run: func(kn *core.Kernel, n int) (vm.Value, []float32, error) {
 				a, b := randSlice(n, 7), randSlice(n, 8)
 				res, err := kn.Call(a, b, n)

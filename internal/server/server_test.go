@@ -447,6 +447,24 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestDot32RejectsPartialIterations: dot32 reads 32 floats per loop
+// iteration, so an n that is not a multiple of 32 is a 400 at submit
+// rather than a job that fails with an out-of-bounds read.
+func TestDot32RejectsPartialIterations(t *testing.T) {
+	_, base := testServer(t, Config{Workers: 1, Queue: 4})
+	for _, n := range []int{16, 33, 48, maxExecLinear + 32} {
+		resp := postJSON(t, base+"/v1/jobs", Spec{Type: "execute", Kernel: "dot32", N: n})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("dot32 n=%d: status %d, want 400", n, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	rec := submitJob(t, base, Spec{Type: "execute", Kernel: "dot32", N: 96})
+	if rec := waitTerminal(t, base, rec.ID); rec.State != StateDone {
+		t.Fatalf("dot32 n=96 ended %s: %s", rec.State, rec.Error)
+	}
+}
+
 // TestStageAndTenants stages on two machines under two tenants and
 // checks the synchronous stage path plus tenant accounting.
 func TestStageAndTenants(t *testing.T) {
