@@ -2,8 +2,8 @@
 # vet), build, tests, the race detector over the concurrency-bearing packages
 # (compile cache + single-flight, parallel sweeps, the sharded loop
 # scheduler, pooled interpreter frames, the lock-free machine counters,
-# the observability sinks, the backend registry, the baseline count
-# proof), a bounded fuzz smoke over the vm, scheduler, conformance and
+# the observability sinks, the backend registry, the sweep-wide count
+# memo), a bounded fuzz smoke over the vm, scheduler, conformance and
 # count-invariance property targets, the
 # grammar-driven conformance suite, the persistent-cache cold/warm gate,
 # the native-vs-vm differential, the adaptive-planner cold/warm gate, the
@@ -33,8 +33,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The shared count memo's eight-worker sweep test runs repeatedly, so
+# the race detector sees many interleavings of its single flight.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=10 -run '^TestSharedMemoExecutesEachKeyOnce$$' ./internal/bench
 
 # Bounded fuzz smoke: each fuzz target runs for FUZZTIME.
 # `go test -fuzz` accepts one target per invocation, hence the loop.
@@ -52,7 +55,7 @@ fuzz:
 	@echo "fuzz FuzzSpecCanonicalize ($(FUZZTIME))"; \
 	$(GO) test -run xxx -fuzz "^FuzzSpecCanonicalize$$" -fuzztime $(FUZZTIME) ./internal/server
 	@echo "fuzz FuzzCountKeySound ($(FUZZTIME))"; \
-	$(GO) test -run xxx -fuzz "^FuzzCountKeySound$$" -fuzztime $(FUZZTIME) ./internal/hotspot
+	$(GO) test -run xxx -fuzz "^FuzzCountKeySound$$" -fuzztime $(FUZZTIME) ./internal/kernelc
 
 # conform is the verifier/executor conformance gate: 500 grammar-drawn
 # kernels (well-formed plus every defect class) must classify exactly as

@@ -245,8 +245,12 @@ func main() {
 		}
 	}
 
+	// The root span parents the suite runtime's spans and every sweep,
+	// so its self-time is only what no stage accounts for.
 	root := tr.Start("ngen." + target)
+	s.RT.Span = root
 	err := run(s, target, *quick, *benchOut)
+	s.RT.Span = nil
 	root.End()
 
 	if err == nil && s.RT.Planner != nil {
@@ -341,20 +345,33 @@ func printStats(s *bench.Suite, tr *obs.Tracer, reg *obs.Registry) {
 		}
 		a.Count += st.Count
 		a.Total += st.Total
+		a.Self += st.Self
 	}
 	sort.SliceStable(order, func(i, j int) bool {
 		return agg[order[i]].Total > agg[order[j]].Total
 	})
+	// Self-time is what no child span explains; a stage whose self-time
+	// exceeds a fifth of the wall is flagged as the next thing to split.
+	wall := tr.Wall()
+	var flagged []string
 	fmt.Println("Per-stage totals (aggregated over the trace):")
-	fmt.Printf("  %-28s %8s %14s %14s\n", "stage", "count", "total", "mean")
+	fmt.Printf("  %-28s %8s %14s %14s %14s\n", "stage", "count", "total", "self", "mean")
 	for _, name := range order {
 		st := agg[name]
-		fmt.Printf("  %-28s %8d %14s %14s\n", st.Name, st.Count,
-			st.Total.Round(time.Microsecond),
-			(st.Total / time.Duration(st.Count)).Round(time.Microsecond))
+		mark := ""
+		if st.Self*5 > wall {
+			mark = " *"
+			flagged = append(flagged, name)
+		}
+		fmt.Printf("  %-28s %8d %14s %14s %14s%s\n", st.Name, st.Count,
+			st.Total.Round(time.Microsecond), st.Self.Round(time.Microsecond),
+			(st.Total / time.Duration(st.Count)).Round(time.Microsecond), mark)
 	}
 	fmt.Printf("  trace coverage: %.1f%% of %s wall\n",
-		100*tr.Coverage(), tr.Wall().Round(time.Millisecond))
+		100*tr.Coverage(), wall.Round(time.Millisecond))
+	if len(flagged) > 0 {
+		fmt.Printf("  * self-time above 20%% of wall: %s\n", strings.Join(flagged, ", "))
+	}
 
 	cs := s.RT.CacheStats()
 	fmt.Printf("Compile cache:  %d hits, %d misses, %d entries, %d deduped in flight (%d full compiles)\n",
@@ -379,10 +396,15 @@ func printStats(s *bench.Suite, tr *obs.Tracer, reg *obs.Registry) {
 		fmt.Printf("Sweep workers:  %d (last sweep), %d points measured\n",
 			w, snap.Counters["bench.points"])
 	}
-	hits, misses := snap.Gauges["bench.baseline.memo.hits"], snap.Gauges["bench.baseline.memo.misses"]
-	if bypassed := snap.Gauges["bench.baseline.memo.bypassed"]; hits+misses+bypassed > 0 {
-		fmt.Printf("Baseline memo:  %d executions reused, %d executed and stored, %d executed unmemoized\n",
-			hits, misses, bypassed)
+	for _, leg := range []struct{ label, prefix string }{
+		{"Staged memo:   ", "bench.staged.memo."},
+		{"Baseline memo: ", "bench.baseline.memo."},
+	} {
+		hits, misses := snap.Gauges[leg.prefix+"hits"], snap.Gauges[leg.prefix+"misses"]
+		if bypassed := snap.Gauges[leg.prefix+"bypassed"]; hits+misses+bypassed > 0 {
+			fmt.Printf("%s %d executions reused, %d executed and stored, %d executed unmemoized\n",
+				leg.label, hits, misses, bypassed)
+		}
 	}
 
 	// Heaviest dynamic ops across all sweeps and validation runs.

@@ -71,25 +71,30 @@ type Suite struct {
 	MaxRunLinear int
 	MaxRunCubic  int
 	// Reps is the ScalaMeter-style repetition count; the median
-	// estimate is reported. The model prices every rep, but a baseline
-	// (HotSpot) execution whose counts hotspot.CountKey proves invariant
-	// runs once per sweep worker and key: later reps, and later
-	// extrapolated points at the same run size, reuse its counts.
+	// estimate is reported. The model prices every rep, but an
+	// execution — staged or baseline — whose counts kernelc.CountProof
+	// proves invariant runs once per sweep and count key: later reps,
+	// and later extrapolated points at the same run size, reuse its
+	// counts. Staged calls the planner routes (and executions under a
+	// cache simulator) run every rep.
 	Reps int
 	// Workers bounds how many size points a sweep measures
 	// concurrently, each on a private forked runtime. 1 (the default)
 	// measures serially; either way results are deterministic and
-	// identical.
+	// identical, and the workers share one count memo per sweep, so the
+	// number of executions does not depend on Workers either.
 	Workers int
 	// SweepCounts accumulates every worker's raw instruction counts,
 	// merged after each sweep's barrier. Totals are independent of
 	// Workers.
 	SweepCounts vm.Counter
 	// Tracer and Metrics, when attached (see Attach), record one span
-	// per sweep and per size point — with the runtime's compile and
-	// call spans nested under the point that triggered them — and the
-	// sweep-worker utilization metrics. Nil by default; a nil tracer
-	// and registry cost nothing.
+	// per sweep and per size point — with the runtime's compile spans,
+	// one staged.invoke / hotspot.invoke and one machine.estimate span
+	// per rep, and the kernel call spans of executed staged reps nested
+	// under the point — and the sweep-worker utilization metrics. A
+	// sweep nests under RT.Span when it is set. Nil by default; a nil
+	// tracer and registry cost nothing.
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
 	// OnPoint, when set, is invoked after each measured sweep point
@@ -117,9 +122,10 @@ type Suite struct {
 	// implementations must be safe for concurrent use.
 	OnPointDone func(sweep string, i int, pts []PointCkpt)
 
-	// baselineMemo totals every sweep worker's count-memo outcomes,
-	// merged after each sweep's barrier like SweepCounts.
-	baselineMemo memoStats
+	// stagedMemo and baselineMemo total every sweep worker's count-memo
+	// outcomes per leg, merged after each sweep's barrier like
+	// SweepCounts.
+	stagedMemo, baselineMemo memoStats
 }
 
 // NewSuite builds the default Haswell suite.
@@ -145,7 +151,8 @@ func (s *Suite) Attach(tr *obs.Tracer, reg *obs.Registry) {
 
 // PublishMetrics pushes every accumulated statistic into the attached
 // registry: compile-cache and frame-pool state via the runtime, the
-// baseline count-memo totals under bench.baseline.memo.*, and the
+// count-memo totals under bench.staged.memo.* and
+// bench.baseline.memo.*, and the
 // merged sweep instruction counts (plus any counts on the suite's own
 // machine, e.g. from the cache-validation run) under vm.op.*.
 // Idempotent — call it right before snapshotting. No-op when no
@@ -155,9 +162,14 @@ func (s *Suite) PublishMetrics() {
 		return
 	}
 	s.RT.PublishMetrics()
-	s.Metrics.Gauge("bench.baseline.memo.hits").Set(s.baselineMemo.hits)
-	s.Metrics.Gauge("bench.baseline.memo.misses").Set(s.baselineMemo.misses)
-	s.Metrics.Gauge("bench.baseline.memo.bypassed").Set(s.baselineMemo.bypassed)
+	for _, m := range []struct {
+		prefix string
+		st     memoStats
+	}{{"bench.staged.memo.", s.stagedMemo}, {"bench.baseline.memo.", s.baselineMemo}} {
+		s.Metrics.Gauge(m.prefix + "hits").Set(m.st.hits)
+		s.Metrics.Gauge(m.prefix + "misses").Set(m.st.misses)
+		s.Metrics.Gauge(m.prefix + "bypassed").Set(m.st.bypassed)
+	}
 	merged := s.SweepCounts.Clone()
 	merged.Merge(s.RT.Machine.Counts)
 	merged.Publish(s.Metrics, "vm.op.")

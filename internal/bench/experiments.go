@@ -47,15 +47,15 @@ func (s *Suite) Fig6a(sizes []int) ([]Series, error) {
 
 	type job struct {
 		n, runN   int
-		a, b      *vm.Buffer
+		args      []vm.Value // shared by both legs
 		footprint int
 	}
 	jobs := make([]job, len(sizes))
 	for i, n := range sizes {
 		runN := capSize(n, s.MaxRunLinear)
+		a, b := vm.PinF32(randSlice(runN, 1)), vm.PinF32(randSlice(runN, 2))
 		jobs[i] = job{n: n, runN: runN,
-			a:         vm.PinF32(randSlice(runN, 1)),
-			b:         vm.PinF32(randSlice(runN, 2)),
+			args:      []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(runN)},
 			footprint: 8 * n, // two float arrays
 		}
 	}
@@ -80,18 +80,13 @@ func (s *Suite) Fig6a(sizes []int) ([]Series, error) {
 			return err
 		}
 
-		p, err := w.measureStaged(kn, jb.n, jb.runN, kernels.SaxpyFlops, jb.footprint,
-			func(rn int) error {
-				_, err := kn.Call(jb.a, jb.b, float32(2.5), rn)
-				return err
-			})
+		p, err := w.measure(w.stagedLeg(kn, jb.args, jb.footprint), jb.n, jb.runN, kernels.SaxpyFlops)
 		if err != nil {
 			return err
 		}
 		staged.Points[i] = p
 
-		q, err := w.measureJava(jm, jb.n, jb.runN, kernels.SaxpyFlops, jb.footprint,
-			[]vm.Value{vm.PtrValue(jb.a, 0), vm.PtrValue(jb.b, 0), vm.F32Value(2.5), vm.IntValue(jb.runN)})
+		q, err := w.measure(w.javaLeg(jm, jb.args, jb.footprint), jb.n, jb.runN, kernels.SaxpyFlops)
 		if err != nil {
 			return err
 		}
@@ -117,16 +112,17 @@ func (s *Suite) Fig6b(sizes []int) ([]Series, error) {
 
 	type job struct {
 		n, runN   int
-		a, b, c   *vm.Buffer
+		args      []vm.Value // shared by all three legs
 		footprint int
 	}
 	jobs := make([]job, len(sizes))
 	for i, n := range sizes {
 		runN := capSize(n, s.MaxRunCubic)
+		a := vm.PinF32(randSlice(runN*runN, 3))
+		b := vm.PinF32(randSlice(runN*runN, 4))
+		c := vm.PinF32(make([]float32, runN*runN))
 		jobs[i] = job{n: n, runN: runN,
-			a:         vm.PinF32(randSlice(runN*runN, 3)),
-			b:         vm.PinF32(randSlice(runN*runN, 4)),
-			c:         vm.PinF32(make([]float32, runN*runN)),
+			args:      []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.PtrValue(c, 0), vm.IntValue(runN)},
 			footprint: 12 * n * n, // three float matrices
 		}
 	}
@@ -157,22 +153,17 @@ func (s *Suite) Fig6b(sizes []int) ([]Series, error) {
 			return err
 		}
 
-		p, err := w.measureStaged(kn, jb.n, jb.runN, kernels.MMMFlops, jb.footprint,
-			func(rn int) error {
-				_, err := kn.Call(jb.a, jb.b, jb.c, rn)
-				return err
-			})
+		p, err := w.measure(w.stagedLeg(kn, jb.args, jb.footprint), jb.n, jb.runN, kernels.MMMFlops)
 		if err != nil {
 			return err
 		}
 		staged.Points[i] = p
 
-		args := []vm.Value{vm.PtrValue(jb.a, 0), vm.PtrValue(jb.b, 0), vm.PtrValue(jb.c, 0), vm.IntValue(jb.runN)}
 		for _, jv := range []struct {
 			m   *hotspot.Method
 			ser *Series
 		}{{jt, &triple}, {jbm, &blocked}} {
-			q, err := w.measureJava(jv.m, jb.n, jb.runN, kernels.MMMFlops, jb.footprint, args)
+			q, err := w.measure(w.javaLeg(jv.m, jb.args, jb.footprint), jb.n, jb.runN, kernels.MMMFlops)
 			if err != nil {
 				return err
 			}
@@ -248,8 +239,8 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 			if err != nil {
 				return err
 			}
-			p, err := w.measureJava(m, jb.n, jb.runN, kernels.DotOps,
-				dotFootprint(jb.bits, jb.n), jb.args)
+			p, err := w.measure(w.javaLeg(m, jb.args, dotFootprint(jb.bits, jb.n)),
+				jb.n, jb.runN, kernels.DotOps)
 			if err != nil {
 				return err
 			}
@@ -263,11 +254,8 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 		if err != nil {
 			return err
 		}
-		p, err := w.measureStaged(kn, jb.n, jb.runN, kernels.DotOps,
-			dotFootprint(jb.bits, jb.n), func(int) error {
-				_, err := kn.CallValues(jb.args...)
-				return err
-			})
+		p, err := w.measure(w.stagedLeg(kn, jb.args, dotFootprint(jb.bits, jb.n)),
+			jb.n, jb.runN, kernels.DotOps)
 		if err != nil {
 			return err
 		}

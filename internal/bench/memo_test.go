@@ -12,6 +12,7 @@ import (
 	"repro/internal/hotspot"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -115,10 +116,11 @@ func directCounts(t *testing.T, s *Suite, figure string, sizes []int) vm.Counter
 	return total
 }
 
-// TestSweepCountsMatchDirectExecution: with the baseline memo reusing
-// counts across reps and extrapolated points, every figure's
-// SweepCounts still equal the sum of direct executions of every point
-// and rep, at one and two sweep workers — and the memo did reuse.
+// TestSweepCountsMatchDirectExecution: with the count memo reusing
+// staged and baseline counts across reps and extrapolated points, every
+// figure's SweepCounts still equal the sum of direct executions of
+// every point and rep, at one and two sweep workers — and the memo did
+// reuse on both legs.
 func TestSweepCountsMatchDirectExecution(t *testing.T) {
 	for _, figure := range FigureNames() {
 		for _, workers := range []int{1, 2} {
@@ -131,9 +133,11 @@ func TestSweepCountsMatchDirectExecution(t *testing.T) {
 				t.Fatalf("%s -j %d: SweepCounts differ from direct execution\nsweep:  %v\ndirect: %v",
 					figure, workers, s.SweepCounts, want)
 			}
-			st := s.baselineMemo
-			if st.hits == 0 || st.misses == 0 || st.bypassed != 0 {
-				t.Errorf("%s -j %d: memo %+v, want hits and misses and no bypasses", figure, workers, st)
+			for leg, st := range map[string]memoStats{"staged": s.stagedMemo, "baseline": s.baselineMemo} {
+				if st.hits == 0 || st.misses == 0 || st.bypassed != 0 {
+					t.Errorf("%s -j %d: %s memo %+v, want hits and misses and no bypasses",
+						figure, workers, leg, st)
+				}
 			}
 		}
 	}
@@ -143,7 +147,7 @@ func TestSweepCountsMatchDirectExecution(t *testing.T) {
 // sees every access, so the memo steps aside and every rep executes.
 func TestBaselineMemoBypassedUnderCacheSim(t *testing.T) {
 	s := memoSuite(1)
-	w := s.newWorker(0)
+	w := s.newWorker(0, newCountMemo())
 	w.jvm.Machine.Cache = cachesim.NewHaswellHierarchy()
 	m, err := w.method("java-saxpy", func() (*ir.Func, error) {
 		return kernels.JavaSaxpy(s.RT.Arch.Features), nil
@@ -151,14 +155,93 @@ func TestBaselineMemoBypassedUnderCacheSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := vm.PinF32(randSlice(64, 1)), vm.PinF32(randSlice(64, 2))
-	args := []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(64)}
-	if _, err := w.measureJava(m, 64, 64, kernels.SaxpyFlops, 512, args); err != nil {
+	if _, err := w.measure(w.javaLeg(m, saxpyArgs(64), 512), 64, 64, kernels.SaxpyFlops); err != nil {
 		t.Fatal(err)
 	}
-	if w.memoN != (memoStats{bypassed: int64(s.Reps)}) {
-		t.Errorf("memo %+v, want %d bypassed executions", w.memoN, s.Reps)
+	if w.baseline != (memoStats{bypassed: int64(s.Reps)}) {
+		t.Errorf("memo %+v, want %d bypassed executions", w.baseline, s.Reps)
 	}
+}
+
+// TestStagedMemoBypassedUnderCacheSim: the same holds for the staged
+// leg when the worker runtime's machine carries a cache simulator.
+func TestStagedMemoBypassedUnderCacheSim(t *testing.T) {
+	s := memoSuite(1)
+	w := s.newWorker(0, newCountMemo())
+	w.rt.Machine.Cache = cachesim.NewHaswellHierarchy()
+	kn, err := w.kernel("saxpy", func() (*dsl.Kernel, error) {
+		return kernels.StagedSaxpy(s.RT.Arch.Features), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.measure(w.stagedLeg(kn, saxpyArgs(64), 512), 64, 64, kernels.SaxpyFlops); err != nil {
+		t.Fatal(err)
+	}
+	if w.staged != (memoStats{bypassed: int64(s.Reps)}) {
+		t.Errorf("memo %+v, want %d bypassed executions", w.staged, s.Reps)
+	}
+}
+
+// TestStagedMemoBypassedUnderAutoPlan: the planner calibrates from the
+// calls it sees, so under auto-planning every staged rep executes —
+// while the baseline leg, which the planner never routes, still reuses.
+func TestStagedMemoBypassedUnderAutoPlan(t *testing.T) {
+	s := memoSuite(2)
+	s.RT.EnableAutoPlan()
+	sizes := memoSizes["fig6a"]
+	if _, err := s.RunFigure("fig6a", sizes); err != nil {
+		t.Fatal(err)
+	}
+	if want := (memoStats{bypassed: int64(len(sizes) * s.Reps)}); s.stagedMemo != want {
+		t.Errorf("staged memo %+v, want %+v", s.stagedMemo, want)
+	}
+	if s.baselineMemo.hits == 0 || s.baselineMemo.bypassed != 0 {
+		t.Errorf("baseline memo %+v, want hits and no bypasses", s.baselineMemo)
+	}
+}
+
+// TestSharedMemoExecutesEachKeyOnce: eight workers share one memo per
+// sweep, so each distinct (series, run size) executes exactly once —
+// the same number as a serial sweep — and every other rep reuses it.
+// The race detector runs this repeatedly (make race).
+func TestSharedMemoExecutesEachKeyOnce(t *testing.T) {
+	legs := map[string]int{"fig6a": 2, "fig6b": 3, "fig7": 8} // series per size
+	for _, figure := range FigureNames() {
+		s := memoSuite(8)
+		reg := obs.NewRegistry()
+		s.Attach(nil, reg)
+		if _, err := s.RunFigure(figure, memoSizes[figure]); err != nil {
+			t.Fatal(err)
+		}
+		runCap := s.MaxRunLinear
+		if figure == "fig6b" {
+			runCap = s.MaxRunCubic
+		}
+		runSizes := map[int]bool{}
+		for _, n := range memoSizes[figure] {
+			runSizes[capSize(n, runCap)] = true
+		}
+		keys := int64(len(runSizes) * legs[figure])
+		execs := s.stagedMemo.misses + s.stagedMemo.bypassed + s.baselineMemo.misses + s.baselineMemo.bypassed
+		reps := s.stagedMemo.hits + s.baselineMemo.hits + execs
+		if execs != keys {
+			t.Errorf("%s: %d executions (staged %+v, baseline %+v), want one per distinct key (%d)",
+				figure, execs, s.stagedMemo, s.baselineMemo, keys)
+		}
+		if want := int64(len(memoSizes[figure]) * legs[figure] * s.Reps); reps != want {
+			t.Errorf("%s: memo saw %d reps, want %d", figure, reps, want)
+		}
+		if calls := reg.Counter("ngen.kernel.call").Load(); calls != s.stagedMemo.misses {
+			t.Errorf("%s: %d staged calls executed, staged memo %+v", figure, calls, s.stagedMemo)
+		}
+	}
+}
+
+// saxpyArgs is Fig6a's argument list at one run size.
+func saxpyArgs(n int) []vm.Value {
+	a, b := vm.PinF32(randSlice(n, 1)), vm.PinF32(randSlice(n, 2))
+	return []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(n)}
 }
 
 // TestFiguresMatchCommittedOutput: the full-axis figure tables, built

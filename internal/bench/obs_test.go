@@ -15,9 +15,10 @@ var (
 )
 
 // tracedRun measures a small Fig6a sweep with observability attached
-// and returns the structural skeleton, the registry snapshot, and the
-// merged sweep counters.
-func tracedRun(t *testing.T, workers int) (string, obs.Snapshot, map[string]int64) {
+// and returns the structural skeleton, the registry snapshot, the
+// merged sweep counters, and how many call:<kernel> spans the trace
+// holds.
+func tracedRun(t *testing.T, workers int) (string, obs.Snapshot, map[string]int64, int64) {
 	t.Helper()
 	s := quickSuite()
 	s.Workers = workers
@@ -28,30 +29,40 @@ func tracedRun(t *testing.T, workers int) (string, obs.Snapshot, map[string]int6
 		t.Fatal(err)
 	}
 	s.PublishMetrics()
-	// The once-per-worker compile spans land under whichever point each
-	// worker measured first — the single scheduling-dependent part of
-	// the tree (see forEachPoint). The sweep span's workers attribute
-	// reports the actual worker count, and whether a hotspot.invoke hits
-	// the per-worker count memo depends on which worker measured the
-	// points before it, so normalize both. Everything else must be
+	// Three parts of the tree depend on scheduling (see forEachPoint):
+	// the once-per-worker compile spans land under whichever point each
+	// worker measured first, and which rep of a shared count key
+	// executes — carrying memo=miss and the kernel's call span — and
+	// which ones reuse it depends on which worker reached the key
+	// first. The sweep span's workers attribute reports the actual
+	// worker count. Normalize all of these; everything else must be
 	// identical.
-	skel := tr.Skeleton(func(name string) bool { return name == "ngen.compile" })
+	skel := tr.Skeleton(func(name string) bool {
+		return name == "ngen.compile" || strings.HasPrefix(name, "call:")
+	})
 	skel = workersAttr.ReplaceAllString(skel, "workers=W")
 	skel = memoAttr.ReplaceAllString(skel, "memo=M")
 	counts := map[string]int64{}
 	for k, v := range s.SweepCounts {
 		counts[k] = v
 	}
-	return skel, reg.Snapshot(), counts
+	var calls int64
+	for _, st := range tr.Totals() {
+		if strings.HasPrefix(st.Name, "call:") {
+			calls += st.Count
+		}
+	}
+	return skel, reg.Snapshot(), counts, calls
 }
 
 // TestTraceDeterminismAcrossWorkers is the issue's guarantee: the span
-// tree (modulo the per-worker compile placement) and every
+// tree (modulo the scheduling-dependent parts above) and every
 // execution-derived counter total are identical between -j 1 and -j 8
-// runs.
+// runs, and a kernel call span appears exactly when a staged rep
+// executes.
 func TestTraceDeterminismAcrossWorkers(t *testing.T) {
-	skel1, snap1, counts1 := tracedRun(t, 1)
-	skel8, snap8, counts8 := tracedRun(t, 8)
+	skel1, snap1, counts1, calls1 := tracedRun(t, 1)
+	skel8, snap8, counts8, calls8 := tracedRun(t, 8)
 
 	if skel1 != skel8 {
 		t.Fatalf("span tree differs between -j 1 and -j 8:\n-j1:\n%s\n-j8:\n%s", skel1, skel8)
@@ -59,11 +70,22 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	if !strings.Contains(skel1, "sweep:fig6a") || !strings.Contains(skel1, "point#3 [n=4096]") {
 		t.Fatalf("skeleton missing sweep structure:\n%s", skel1)
 	}
-	if !strings.Contains(skel1, "call:saxpy") {
-		t.Fatalf("kernel call spans missing:\n%s", skel1)
+	if !strings.Contains(skel1, "staged.invoke [memo=M]") {
+		t.Fatalf("staged invoke spans missing:\n%s", skel1)
 	}
 	if !strings.Contains(skel1, "hotspot.invoke [tier=C2 memo=M]") {
 		t.Fatalf("baseline invoke spans missing:\n%s", skel1)
+	}
+	if !strings.Contains(skel1, "machine.estimate") {
+		t.Fatalf("model estimate spans missing:\n%s", skel1)
+	}
+	for j, c := range map[int][2]int64{
+		1: {calls1, snap1.Gauges["bench.staged.memo.misses"] + snap1.Gauges["bench.staged.memo.bypassed"]},
+		8: {calls8, snap8.Gauges["bench.staged.memo.misses"] + snap8.Gauges["bench.staged.memo.bypassed"]},
+	} {
+		if c[0] != c[1] || c[0] == 0 {
+			t.Errorf("-j %d: %d call spans, %d staged executions (want equal, nonzero)", j, c[0], c[1])
+		}
 	}
 
 	if !reflect.DeepEqual(counts1, counts8) {
@@ -85,14 +107,15 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 		t.Errorf("compile calls: -j1=%d -j8=%d (want ≥1, per-worker ≥ serial)", c1, c8)
 	}
 
-	// Every baseline execution is either reused or executed; which one
-	// depends on the worker count, the total does not.
-	memo := func(snap obs.Snapshot) int64 {
-		return snap.Gauges["bench.baseline.memo.hits"] + snap.Gauges["bench.baseline.memo.misses"] +
-			snap.Gauges["bench.baseline.memo.bypassed"]
-	}
-	if a, b := memo(snap1), memo(snap8); a != b || a == 0 {
-		t.Errorf("baseline executions: -j1=%d -j8=%d (want equal, nonzero)", a, b)
+	// The memo is shared by the sweep's workers, so its outcome totals
+	// do not depend on the worker count either.
+	for _, prefix := range []string{"bench.staged.memo.", "bench.baseline.memo."} {
+		for _, stat := range []string{"hits", "misses", "bypassed"} {
+			name := prefix + stat
+			if a, b := snap1.Gauges[name], snap8.Gauges[name]; a != b {
+				t.Errorf("gauge %s: -j1=%d -j8=%d (want equal)", name, a, b)
+			}
+		}
 	}
 
 	// The merged vm.op.* gauges must mirror the sweep counters exactly

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/hotspot"
 	"repro/internal/ir"
+	"repro/internal/kernelc"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -40,17 +41,16 @@ type sweepWorker struct {
 	perfs  []float64
 	scaled vm.Counter
 
-	// memo maps a baseline execution's hotspot.CountKey to its counts:
-	// an execution whose counts are proven invariant runs once per
-	// worker, and later reps and extrapolated points with the same key
-	// reuse its counter. It lives and dies with the sweep.
-	memo  map[string]vm.Counter
-	memoN memoStats
+	// memo is the sweep's count memo, shared by all of its workers;
+	// staged and baseline tally what it did with this worker's
+	// executions of each leg.
+	memo             *countMemo
+	staged, baseline memoStats
 }
 
-// memoStats tallies what the baseline count memo did with each
-// execution: reused counts (hits), executed and stored (misses), or
-// executed without the memo (bypassed).
+// memoStats tallies what the count memo did with each execution:
+// reused counts (hits), executed and stored (misses), or executed
+// without the memo (bypassed).
 type memoStats struct {
 	hits, misses, bypassed int64
 }
@@ -61,7 +61,54 @@ func (m *memoStats) add(o memoStats) {
 	m.bypassed += o.bypassed
 }
 
-func (s *Suite) newWorker(id int) *sweepWorker {
+// countMemo maps a proven count key (core.Kernel.CountKey or
+// hotspot.Method.CountKey) to the counts of the one execution run under
+// it. One memo serves a whole sweep: the first request for a key
+// executes, concurrent requests for the same key wait for that
+// execution (like the compile cache's single flight), and every later
+// request reuses it, so a sweep executes each distinct key once at any
+// worker count.
+type countMemo struct {
+	mu      sync.Mutex
+	entries map[string]*memoEntry
+}
+
+// memoEntry is one key's execution; done closes once counts and err
+// are final.
+type memoEntry struct {
+	done   chan struct{}
+	counts vm.Counter
+	err    error
+}
+
+func newCountMemo() *countMemo {
+	return &countMemo{entries: map[string]*memoEntry{}}
+}
+
+// get returns the counts stored under key, running run to produce them
+// when no execution holds the key yet; hit reports that the counts came
+// from another execution. The returned counter is shared and read-only.
+// An execution's error is kept like its counts — the proof behind the
+// key makes the error outcome as invariant as the counts.
+func (c *countMemo) get(key string, run func() (vm.Counter, error)) (counts vm.Counter, hit bool, err error) {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		c.mu.Unlock()
+		<-e.done
+		return e.counts, true, e.err
+	}
+	e := &memoEntry{done: make(chan struct{})}
+	c.entries[key] = e
+	c.mu.Unlock()
+	counts, e.err = run()
+	if e.err == nil {
+		e.counts = counts.Clone()
+	}
+	close(e.done)
+	return e.counts, false, e.err
+}
+
+func (s *Suite) newWorker(id int, memo *countMemo) *sweepWorker {
 	return &sweepWorker{
 		s:       s,
 		id:      id,
@@ -73,7 +120,7 @@ func (s *Suite) newWorker(id int) *sweepWorker {
 		est:     machine.NewEstimator(s.RT.Arch),
 		perfs:   make([]float64, 0, s.Reps),
 		scaled:  vm.Counter{},
-		memo:    map[string]vm.Counter{},
+		memo:    memo,
 	}
 }
 
@@ -111,28 +158,115 @@ func (w *sweepWorker) method(name string, build func() (*ir.Func, error)) (*hots
 	return m, nil
 }
 
-// measureStaged runs a staged kernel at runN on this worker's machine,
-// scales to n, and returns the modeled performance. Raw (unscaled)
-// counts accumulate into the worker total for the post-sweep merge.
-func (w *sweepWorker) measureStaged(kn *core.Kernel, n, runN int, flops func(int) int64,
-	footprint int, run func(runN int) error) (Point, error) {
+// leg is one side of a figure's comparison as measure drives it: the
+// span each rep opens (with its tier attribute, if any), the proven
+// count key — memo false sends every rep past the memo — one execution
+// returning the machine's counts, and the model pricing counts at the
+// point's footprint.
+type leg struct {
+	span, tier string
+	key        string
+	memo       bool
+	stats      *memoStats
+	run        func() (vm.Counter, error)
+	price      func(counts vm.Counter) machine.Report
+}
+
+// stagedLeg measures a staged kernel called on args (sized for the run
+// size). The memo steps aside when a cache simulator must see every
+// access and when the planner routes calls (Opt = kernelc.TierAuto): it
+// calibrates from the invocations it sees.
+func (w *sweepWorker) stagedLeg(kn *core.Kernel, args []vm.Value, footprint int) leg {
+	key, ok := kn.CountKey(args)
+	return leg{span: "staged.invoke", key: key,
+		memo:  ok && w.rt.Machine.Cache == nil && w.rt.Opt != kernelc.TierAuto,
+		stats: &w.staged,
+		run: func() (vm.Counter, error) {
+			w.rt.Machine.Counts.Reset()
+			_, err := kn.CallValues(args...)
+			return w.rt.Machine.Counts, err
+		},
+		price: func(counts vm.Counter) machine.Report {
+			return w.est.Estimate(kn.Func(), counts, footprint)
+		},
+	}
+}
+
+// javaLeg measures a HotSpot method at C2 steady state on this worker's
+// JVM with args (sized for the run size). The memo steps aside when a
+// cache simulator is attached to the JVM's machine.
+func (w *sweepWorker) javaLeg(m *hotspot.Method, args []vm.Value, footprint int) leg {
+	key, ok := m.CountKey(hotspot.TierC2, args)
+	return leg{span: "hotspot.invoke", tier: hotspot.TierC2.String(), key: key,
+		memo:  ok && w.jvm.Machine.Cache == nil,
+		stats: &w.baseline,
+		run: func() (vm.Counter, error) {
+			w.jvm.Machine.Counts.Reset()
+			_, err := m.InvokeAt(hotspot.TierC2, args...)
+			return w.jvm.Machine.Counts, err
+		},
+		price: func(counts vm.Counter) machine.Report {
+			return m.Estimate(hotspot.TierC2, counts, footprint)
+		},
+	}
+}
+
+// measure runs leg l Reps times at runN, scales each rep's counts to n
+// and returns the modeled performance (the median rep). The model
+// prices every rep, each in a machine.estimate span; the execution
+// behind a rep is skipped when the sweep's memo already holds counts
+// under the leg's key (see invoke). Raw (unscaled) counts accumulate
+// into the worker total for the post-sweep merge either way.
+func (w *sweepWorker) measure(l leg, n, runN int, flops func(int) int64) (Point, error) {
 	perfs := w.perfs[:0]
 	var rep machine.Report
 	for r := 0; r < w.s.Reps; r++ {
-		w.rt.Machine.Counts.Reset()
-		if err := run(runN); err != nil {
+		counts, err := w.invoke(&l)
+		if err != nil {
 			return Point{}, err
 		}
-		counts := w.rt.Machine.Counts
 		w.total.Merge(counts)
 		if runN != n {
 			counts = w.scaleCounts(counts, float64(flops(n))/float64(flops(runN)))
 		}
-		rep = w.est.Estimate(kn.Func(), counts, footprint)
+		sp := w.rt.Span.Child("machine.estimate")
+		rep = l.price(counts)
+		sp.End()
 		perfs = append(perfs, machine.FlopsPerCycle(flops(n), rep))
 	}
 	w.perfs = perfs[:0]
 	return Point{N: n, Perf: median(perfs), Bound: rep.Bound, Level: rep.Level}, nil
+}
+
+// invoke returns the counts of one execution of l, traced as an l.span
+// span under the current point. The span parents the runtime's
+// call:<kernel> span while it runs, so that span appears only when the
+// kernel actually executes. The returned counter is read-only.
+func (w *sweepWorker) invoke(l *leg) (vm.Counter, error) {
+	point := w.rt.Span
+	sp := point.Child(l.span)
+	if l.tier != "" {
+		sp.SetAttr("tier", l.tier)
+	}
+	w.rt.Span = sp
+	defer func() {
+		w.rt.Span = point
+		sp.End()
+	}()
+	if !l.memo {
+		l.stats.bypassed++
+		sp.SetAttr("memo", "bypass")
+		return l.run()
+	}
+	counts, hit, err := w.memo.get(l.key, l.run)
+	if hit {
+		l.stats.hits++
+		sp.SetAttr("memo", "hit")
+	} else {
+		l.stats.misses++
+		sp.SetAttr("memo", "miss")
+	}
+	return counts, err
 }
 
 // scaleCounts is the package-level scaleCounts into the worker's
@@ -150,69 +284,11 @@ func (w *sweepWorker) scaleCounts(c vm.Counter, factor float64) vm.Counter {
 	return w.scaled
 }
 
-// measureJava runs a HotSpot method at C2 steady state on this worker's
-// JVM with args (sized for runN), scales to n, and returns the modeled
-// performance. The model prices every rep; the execution behind a rep
-// is skipped when the memo already holds counts under the same proven
-// count key (see invokeJava).
-func (w *sweepWorker) measureJava(m *hotspot.Method, n, runN int, flops func(int) int64,
-	footprint int, args []vm.Value) (Point, error) {
-	key, memo := m.CountKey(hotspot.TierC2, args)
-	memo = memo && w.jvm.Machine.Cache == nil
-	perfs := w.perfs[:0]
-	var rep machine.Report
-	for r := 0; r < w.s.Reps; r++ {
-		counts, err := w.invokeJava(m, key, memo, args)
-		if err != nil {
-			return Point{}, err
-		}
-		w.total.Merge(counts)
-		if runN != n {
-			counts = w.scaleCounts(counts, float64(flops(n))/float64(flops(runN)))
-		}
-		rep = m.Estimate(hotspot.TierC2, counts, footprint)
-		perfs = append(perfs, machine.FlopsPerCycle(flops(n), rep))
-	}
-	w.perfs = perfs[:0]
-	return Point{N: n, Perf: median(perfs), Bound: rep.Bound, Level: rep.Level}, nil
-}
-
-// invokeJava returns the counts of one C2 execution of m on args,
-// traced as a hotspot.invoke span under the current point. With memo
-// set (key proven by hotspot.CountKey) a stored counter is returned
-// without executing, and a fresh execution's counts are stored; the
-// returned counter is read-only either way.
-func (w *sweepWorker) invokeJava(m *hotspot.Method, key string, memo bool, args []vm.Value) (vm.Counter, error) {
-	sp := w.rt.Span.Child("hotspot.invoke").SetAttr("tier", hotspot.TierC2.String())
-	defer sp.End()
-	if memo {
-		if counts, ok := w.memo[key]; ok {
-			w.memoN.hits++
-			sp.SetAttr("memo", "hit")
-			return counts, nil
-		}
-	}
-	w.jvm.Machine.Counts.Reset()
-	if _, err := m.InvokeAt(hotspot.TierC2, args...); err != nil {
-		return nil, err
-	}
-	counts := w.jvm.Machine.Counts
-	if !memo {
-		w.memoN.bypassed++
-		sp.SetAttr("memo", "bypass")
-		return counts, nil
-	}
-	w.memoN.misses++
-	sp.SetAttr("memo", "miss")
-	counts = counts.Clone()
-	w.memo[key] = counts
-	return counts, nil
-}
-
 // forEachPoint fans points out over min(Workers, points) sweep workers.
 // fn(i, w) measures point i on worker w and must write its result into
 // a slot addressed by i only — that is what keeps the output
-// deterministic regardless of scheduling. The pool is a semaphore
+// deterministic regardless of scheduling. The workers share one count
+// memo for the sweep (see countMemo). The pool is a semaphore
 // channel carrying the workers themselves: a goroutine per point checks
 // a worker out, measures, and returns it. After the barrier every
 // worker's raw counter total merges into Suite.SweepCounts, so the
@@ -220,14 +296,17 @@ func (w *sweepWorker) invokeJava(m *hotspot.Method, key string, memo bool, args 
 // inline through the same worker code, guaranteeing -j 1 and -j N
 // produce identical output.
 //
-// Tracing: the sweep opens one span named name, with one point#i child
+// Tracing: the sweep opens one span named name (under the suite
+// runtime's Span when one is set, top-level otherwise), with one point#i child
 // per size point created up front in index order — the span tree's
 // structure is therefore identical at every worker count (the
 // determinism tests compare skeletons). Each point span is Restarted
 // when a worker picks it up, so its interval is the real execution
-// window, and carries the worker's lane for the Chrome trace. The
-// once-per-worker compile spans nest under whichever point a worker
-// measured first — the only scheduling-dependent part of the tree.
+// window, and carries the worker's lane for the Chrome trace. Two parts
+// of the tree depend on scheduling: the once-per-worker compile spans
+// nest under whichever point a worker measured first, and a memoized
+// kernel's call span (and each rep's memo attribute) lands under
+// whichever point ran its key first.
 func (s *Suite) forEachPoint(name string, points int, fn func(i int, w *sweepWorker) error) error {
 	nw := s.Workers
 	if nw < 1 {
@@ -239,7 +318,12 @@ func (s *Suite) forEachPoint(name string, points int, fn func(i int, w *sweepWor
 	if points == 0 {
 		return nil
 	}
-	sweep := s.Tracer.Start(name)
+	var sweep *obs.Span
+	if s.RT.Span != nil {
+		sweep = s.RT.Span.Child(name)
+	} else {
+		sweep = s.Tracer.Start(name)
+	}
 	sweep.SetAttr("points", strconv.Itoa(points)).SetAttr("workers", strconv.Itoa(nw))
 	defer sweep.End()
 	pointSpans := make([]*obs.Span, points)
@@ -247,9 +331,10 @@ func (s *Suite) forEachPoint(name string, points int, fn func(i int, w *sweepWor
 		pointSpans[i] = sweep.Child("point#" + strconv.Itoa(i))
 	}
 
+	memo := newCountMemo()
 	workers := make([]*sweepWorker, nw)
 	for i := range workers {
-		workers[i] = s.newWorker(i)
+		workers[i] = s.newWorker(i, memo)
 	}
 	defer func() {
 		if s.SweepCounts == nil {
@@ -257,7 +342,8 @@ func (s *Suite) forEachPoint(name string, points int, fn func(i int, w *sweepWor
 		}
 		for _, w := range workers {
 			s.SweepCounts.Merge(w.total)
-			s.baselineMemo.add(w.memoN)
+			s.stagedMemo.add(w.staged)
+			s.baselineMemo.add(w.baseline)
 			s.Metrics.Histogram("bench.worker.points").Observe(w.points)
 		}
 		s.Metrics.Counter("bench.points").Add(int64(points))

@@ -331,3 +331,21 @@ func assertClean(t *testing.T, rep *Report) {
 		t.Fatalf("%d conformance failure(s):\n%s", n, buf.String())
 	}
 }
+
+// TestCountInvarianceLegExercised: the corpus replay re-runs the cases
+// the count proof admits on other data — a leg that silently checked
+// nothing would pass vacuously.
+func TestCountInvarianceLegExercised(t *testing.T) {
+	rep, err := Replay(Options{Seed: 1, NativeEvery: -1}, loadCorpus(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, rep)
+	executed := 0
+	for _, st := range rep.Stats {
+		executed += st.Executed
+	}
+	if rep.CountChecked == 0 || rep.CountChecked > executed {
+		t.Fatalf("count invariance checked %d of %d executed cases", rep.CountChecked, executed)
+	}
+}

@@ -312,6 +312,8 @@ func (h *harness) execute(rec Recipe, k *dsl.Kernel, withNative bool) (kind, det
 	}
 
 	var refCounts vm.Counter // first vm config's op counters
+	var refKernel *core.Kernel
+	var refArgs []vm.Value
 	for _, cfg := range h.configs {
 		if cfg.name == "native" && !withNative {
 			continue
@@ -347,11 +349,50 @@ func (h *harness) execute(rec Recipe, k *dsl.Kernel, withNative bool) (kind, det
 		if cfg.vmCounts {
 			counts := cfg.rt.Machine.Counts.Clone()
 			if refCounts == nil {
-				refCounts = counts
+				refCounts, refKernel, refArgs = counts, kn, args
 			} else if d := countsDiff(refCounts, counts); d != "" {
 				return KindDiverged, fmt.Sprintf("%s: op counters diverge from %s: %s", cfg.name, h.configs[0].name, d)
 			}
 		}
+	}
+	return h.countInvariance(rec, refKernel, refArgs, argSeed, refCounts)
+}
+
+// countInvariance is the count-invariance leg: when kernelc.CountProof
+// admits the graph, a second argument set — other memory contents,
+// other float values, the same shapes — whose count key matches the
+// first run's must, on the first vm config, count the identical op
+// stream and succeed like the first run did. A mismatch means a proven
+// key would let the bench harness reuse wrong counts, so it is reported
+// as unsound. Cases checked are tallied in Report.CountChecked.
+func (h *harness) countInvariance(rec Recipe, kn *core.Kernel, args1 []vm.Value, argSeed uint64,
+	refCounts vm.Counter) (kind, detail string) {
+	key1, ok := kn.CountKey(args1)
+	if !ok {
+		return "", ""
+	}
+	args2, _, err := kernels.BuildArgs(kn.Func(), rec.N, rec.Elems(), ^argSeed)
+	if err != nil {
+		return KindGenFail, fmt.Sprintf("building arguments: %v", err)
+	}
+	for i := range args2 {
+		if args2[i].Kind == ir.KindF32 || args2[i].Kind == ir.KindF64 {
+			args2[i].F = -args2[i].F - 0.75
+		}
+	}
+	if key2, ok := kn.CountKey(args2); !ok || key2 != key1 {
+		return "", ""
+	}
+	h.rep.CountChecked++
+	cfg := h.configs[0]
+	cfg.rt.Machine.Counts.Reset()
+	if _, err := callSafe(kn, args2); err != nil {
+		return KindUnsound, fmt.Sprintf("count invariance: %s: key %q admitted, but other data fails: %v",
+			cfg.name, key1, err)
+	}
+	if d := countsDiff(refCounts, cfg.rt.Machine.Counts); d != "" {
+		return KindUnsound, fmt.Sprintf("count invariance: %s: key %q admitted, but other data counts differently: %s",
+			cfg.name, key1, d)
 	}
 	return "", ""
 }

@@ -42,6 +42,9 @@ type Report struct {
 	NativeFallbacks int    `json:"native_fallbacks"`
 	NativeNote      string `json:"native_note,omitempty"`
 	Shrunk          int    `json:"shrunk"`
+	// CountChecked counts executed cases whose count key the proof
+	// admitted and that were re-run on other data to check it.
+	CountChecked int `json:"count_checked"`
 }
 
 func newReport(seed uint64, count int) *Report {
@@ -116,6 +119,7 @@ func (r *Report) Render(w io.Writer) {
 		fmt.Fprintf(w, " (%s)", r.NativeNote)
 	}
 	fmt.Fprintln(w)
+	fmt.Fprintf(w, "count invariance: %d case(s) re-run on other data\n", r.CountChecked)
 	for _, f := range r.Failures {
 		fmt.Fprintf(w, "FAIL %s: %s\n  recipe: %s\n", f.Kind, f.Detail, f.Recipe.String())
 		if f.Shrunk != nil {
@@ -162,4 +166,5 @@ func (r *Report) Publish(reg *obs.Registry) {
 	reg.Counter("conform.shrunk").Add(int64(r.Shrunk))
 	reg.Counter("conform.native.runs").Add(int64(r.NativeRuns))
 	reg.Counter("conform.native.fallbacks").Add(int64(r.NativeFallbacks))
+	reg.Counter("conform.count.checked").Add(int64(r.CountChecked))
 }

@@ -292,6 +292,25 @@ type artifact struct {
 	// kernel's plans.
 	progPlain *kernelc.Program
 	hash      uint64
+
+	// countOnce guards countPrefix, the count-invariance verdict behind
+	// Kernel.CountKey: kernel name and graph hash when the graph passed
+	// kernelc.CountProof, "" when it did not. Like verify it rides with
+	// the artifact, so every cache hit shares one proof run; it is
+	// derived on first use and never persisted.
+	countOnce   sync.Once
+	countPrefix string
+}
+
+// countKeyPrefix returns the artifact's count-key prefix, running the
+// proof on first use.
+func (a *artifact) countKeyPrefix() string {
+	a.countOnce.Do(func() {
+		if kernelc.CountProof(a.f) == "" {
+			a.countPrefix = fmt.Sprintf("%s#%016x", a.f.Name, ir.Hash(a.f))
+		}
+	})
+	return a.countPrefix
 }
 
 // run executes the artifact: the backend executable first, re-routing
@@ -723,6 +742,22 @@ func (kn *Kernel) BackendFallback() string { return kn.art.fallback }
 // first-compiled structurally identical instance — ir.Hash covers the
 // facts the verifier consumes, so the verdict transfers.
 func (kn *Kernel) Verify() *irverify.Result { return kn.art.verify }
+
+// CountKey returns the key under which one invocation's dynamic counts
+// can stand in for another's, and false when they cannot: the graph
+// failed kernelc.CountProof, or args do not match its parameter kinds.
+// The key is the kernel name and ir.Hash of its graph followed by
+// kernelc.CountKey's argument shapes, so two CallValues with equal keys
+// count identical op streams — including the one jni.call — and fail
+// or succeed alike, whatever the memory contents and float arguments.
+// The verdict is computed once per compiled artifact.
+func (kn *Kernel) CountKey(args []vm.Value) (string, bool) {
+	prefix := kn.art.countKeyPrefix()
+	if prefix == "" {
+		return "", false
+	}
+	return kernelc.CountKey(prefix, kn.art.f, args)
+}
 
 // pinnedArg records one pinned slice argument so results copy back to
 // the caller on exit. Exactly one slice field is set.

@@ -16,17 +16,9 @@
 //
 // Count invariance. The harness only needs a baseline execution's
 // dynamic op counts, never its results, and the Java methods' counts do
-// not depend on the data they process. Load proves this per tier with a
-// static taint analysis (countProof): values read from memory, results
-// of intrinsics that read memory or machine state, and float parameters
-// are tainted, taint flows through definitions, loop accumulators and
-// if results, and a body is admitted only if no tainted value reaches a
-// loop bound or stride, an if condition, an address or index operand,
-// an integer or pointer intrinsic operand, or any operand of a gather
-// or masked intrinsic. Method.CountKey then names an execution by
-// method, tier, pointer shapes (element type, length, offset) and
-// integer/bool argument values — float arguments and memory contents
-// are left out, which the proof makes safe — so executions with equal
-// keys have identical counts and identical error outcomes, and the
-// bench harness runs each distinct key once per sweep worker.
+// not depend on the data they process. Load runs kernelc.CountProof
+// over both tier bodies (as written and SLP-rewritten), and
+// Method.CountKey names an admitted execution by method, tier and
+// kernelc.CountKey's argument shapes, so the bench harness runs each
+// distinct baseline key once per sweep (see internal/kernelc).
 package hotspot

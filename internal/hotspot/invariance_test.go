@@ -2,15 +2,13 @@ package hotspot
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/conform"
 	"repro/internal/dsl"
 	"repro/internal/ir"
-	"repro/internal/irverify"
 	"repro/internal/isa"
+	"repro/internal/kernelc"
 	"repro/internal/kernels"
 	"repro/internal/vm"
 )
@@ -99,7 +97,7 @@ func TestCountProofRefusesDataDependence(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			f := c.build()
-			why := countProof(f)
+			why := kernelc.CountProof(f)
 			if !strings.Contains(why, c.want) {
 				t.Fatalf("refusal %q, want one naming %q", why, c.want)
 			}
@@ -138,10 +136,10 @@ func TestJavaMethodsAdmitted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if why := countProof(m.Scalar); why != "" {
+		if why := kernelc.CountProof(m.Scalar); why != "" {
 			t.Errorf("%s scalar body refused: %s", tg.Name, why)
 		}
-		if why := countProof(m.C2); why != "" {
+		if why := kernelc.CountProof(m.C2); why != "" {
 			t.Errorf("%s C2 body refused: %s", tg.Name, why)
 		}
 	}
@@ -193,92 +191,4 @@ func TestCountKeyFields(t *testing.T) {
 	if k, ok := m.CountKey(TierC2, bad[:3]); ok {
 		t.Errorf("short argument list admitted as %q", k)
 	}
-}
-
-// countsSound checks the soundness property over cases [0, count) of a
-// conform seed: whenever CountKey admits a verifier-accepted generated
-// kernel at a tier, two executions whose memory contents and float
-// arguments differ (so their keys agree) end with identical count maps
-// and identical error outcomes. It returns how many (kernel, tier)
-// pairs were admitted.
-func countsSound(t *testing.T, seed uint64, count int) int {
-	t.Helper()
-	admitted := 0
-	for i := 0; i < count; i++ {
-		rec, err := conform.Generate(seed, i, isa.Haswell.Features)
-		if err != nil {
-			continue
-		}
-		k, err := rec.Build(isa.Haswell.Features, irverify.SpecIndex())
-		if err != nil || !irverify.VerifyWithSpec(k.F, isa.Haswell, irverify.SpecIndex()).Ok() {
-			continue // error-class mutants never execute, as in conform
-		}
-		v := NewVM(isa.Haswell)
-		m, err := v.Load(k.F)
-		if err != nil {
-			t.Fatalf("%s: %v", rec.String(), err)
-		}
-		for _, tier := range []Tier{TierInterpreter, TierC2} {
-			args1, _, err := kernels.BuildArgs(k.F, rec.N, rec.Elems(), seed+uint64(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			args2, _, err := kernels.BuildArgs(k.F, rec.N, rec.Elems(), ^(seed + uint64(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range args2 {
-				if args2[j].Kind == ir.KindF32 || args2[j].Kind == ir.KindF64 {
-					args2[j].F = -float64(i) - 0.75
-				}
-			}
-			key1, ok1 := m.CountKey(tier, args1)
-			key2, ok2 := m.CountKey(tier, args2)
-			if ok1 != ok2 || key1 != key2 {
-				t.Fatalf("%s %v: keys %q/%v and %q/%v differ for equal shapes",
-					rec.String(), tier, key1, ok1, key2, ok2)
-			}
-			if !ok1 {
-				continue
-			}
-			admitted++
-			var counts [2]vm.Counter
-			var errs [2]error
-			for r, args := range [][]vm.Value{args1, args2} {
-				v.Machine.Counts.Reset()
-				_, errs[r] = m.InvokeAt(tier, args...)
-				counts[r] = v.Machine.Counts.Clone()
-			}
-			if (errs[0] == nil) != (errs[1] == nil) {
-				t.Fatalf("%s %v: error outcomes differ: %v vs %v", rec.String(), tier, errs[0], errs[1])
-			}
-			if !reflect.DeepEqual(counts[0], counts[1]) {
-				t.Fatalf("%s %v: admitted key %q but counts differ:\n%v\n%v",
-					rec.String(), tier, key1, counts[0], counts[1])
-			}
-		}
-	}
-	return admitted
-}
-
-// TestCountKeySoundOnConformSeeds runs the soundness property over a
-// fixed slice of the grammar and requires the proof to admit most of
-// it — a proof that refused everything would pass vacuously.
-func TestCountKeySoundOnConformSeeds(t *testing.T) {
-	const count = 60
-	if got := countsSound(t, 1, count); got < count/2 {
-		t.Fatalf("proof admitted only %d (kernel, tier) pairs over %d cases", got, count)
-	}
-}
-
-// FuzzCountKeySound fuzzes the conform seed: every generated graph the
-// proof admits must give identical count maps on differently seeded
-// buffer contents and float arguments.
-func FuzzCountKeySound(f *testing.F) {
-	f.Add(uint64(1))
-	f.Add(uint64(7))
-	f.Add(uint64(0xFFFFFFFFFFFFFFFF))
-	f.Fuzz(func(t *testing.T, seed uint64) {
-		countsSound(t, seed, 4)
-	})
 }

@@ -76,7 +76,7 @@ type Method struct {
 	scalarProg *kernelc.Program
 	c2Prog     *kernelc.Program
 	// scalarInvariant and c2Invariant record whether each tier's body
-	// passed the count-invariance proof (see CountKey).
+	// passed kernelc.CountProof (see CountKey).
 	scalarInvariant bool
 	c2Invariant     bool
 }
@@ -99,9 +99,24 @@ func (v *VM) Load(f *ir.Func) (*Method, error) {
 	}
 	m := &Method{vm: v, Name: f.Name, Scalar: f, C2: c2f, SLP: rep,
 		scalarProg: scalarProg, c2Prog: c2Prog,
-		scalarInvariant: countProof(f) == "", c2Invariant: countProof(c2f) == ""}
+		scalarInvariant: kernelc.CountProof(f) == "", c2Invariant: kernelc.CountProof(c2f) == ""}
 	v.methods[f.Name] = m
 	return m, nil
+}
+
+// CountKey returns the key under which one execution's dynamic counts at
+// the given tier can be reused (kernelc.CountKey prefixed with the method
+// and tier), and false when they cannot: the tier's body failed
+// kernelc.CountProof, or args do not match the parameter kinds.
+func (m *Method) CountKey(tier Tier, args []vm.Value) (string, bool) {
+	f, admitted := m.Scalar, m.scalarInvariant
+	if tier == TierC2 {
+		f, admitted = m.C2, m.c2Invariant
+	}
+	if !admitted {
+		return "", false
+	}
+	return kernelc.CountKey(m.Name+"|"+tier.String(), f, args)
 }
 
 // Tier returns the method's current tier from its invocation profile.

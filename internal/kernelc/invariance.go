@@ -1,4 +1,4 @@
-package hotspot
+package kernelc
 
 import (
 	"fmt"
@@ -9,7 +9,7 @@ import (
 	"repro/internal/vm"
 )
 
-// countProof decides statically whether a body's dynamic count stream —
+// CountProof decides statically whether a body's dynamic count stream —
 // and whether it errors at all — depends only on its integer, bool and
 // pointer arguments (pointers by element type, length and offset), never
 // on the values it reads from memory or on its float parameters. It is a
@@ -25,7 +25,7 @@ import (
 //
 // It returns "" when the body is admitted and otherwise names the first
 // tainted operand it found.
-func countProof(f *ir.Func) string {
+func CountProof(f *ir.Func) string {
 	tp := &taintPass{tainted: map[int]bool{}}
 	for _, p := range f.Params {
 		if !keyedKind(p.Typ.Kind) {
@@ -182,26 +182,21 @@ func sinkOperands(d *ir.Def) []int {
 	return out
 }
 
-// CountKey returns the key under which one execution's dynamic counts at
-// the given tier can be reused, and false when they cannot: the tier's
-// body failed the count-invariance proof, or args do not match the
-// parameter kinds. The key is the method, the tier, each pointer
-// argument's element type, length and offset, and each integer or bool
-// argument's value; float arguments are left out, which the proof makes
-// safe. Two executions with equal keys produce identical count maps and
+// CountKey returns the key under which one execution of f on args can
+// reuse another's dynamic counts, and false when args do not match f's
+// parameter kinds. The caller vouches that f passed CountProof and
+// names the body with prefix (kernel and graph hash, or method and
+// tier). The key is the prefix, each pointer argument's element type,
+// length and offset, and each integer or bool argument's value; float
+// arguments are left out, which the proof makes safe. Two executions of
+// an admitted body with equal keys produce identical count maps and
 // identical error outcomes whatever the memory contents.
-func (m *Method) CountKey(tier Tier, args []vm.Value) (string, bool) {
-	f, admitted := m.Scalar, m.scalarInvariant
-	if tier == TierC2 {
-		f, admitted = m.C2, m.c2Invariant
-	}
-	if !admitted || len(args) != len(f.Params) {
+func CountKey(prefix string, f *ir.Func, args []vm.Value) (string, bool) {
+	if len(args) != len(f.Params) {
 		return "", false
 	}
-	b := make([]byte, 0, 64)
-	b = append(b, m.Name...)
-	b = append(b, '|')
-	b = append(b, tier.String()...)
+	b := make([]byte, 0, len(prefix)+16*len(args))
+	b = append(b, prefix...)
 	for i, a := range args {
 		k := f.Params[i].Typ.Kind
 		if a.Kind != k {

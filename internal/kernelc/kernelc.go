@@ -41,6 +41,25 @@
 //     strength-reduced nodes keep their entries in the body's static
 //     count vector, so the cost model — and therefore every figure —
 //     sees the identical op stream.
+//
+// Count invariance. The bench harness only needs an execution's dynamic
+// op counts, never its results, and most kernels' counts do not depend
+// on the data they process. CountProof proves this statically for one
+// body with a forward taint analysis (invariance.go): values read from
+// memory, results of intrinsics that read memory or machine state, and
+// float parameters are tainted; taint flows through definitions, loop
+// accumulators and if results; and a body is admitted only if no
+// tainted value reaches a loop bound or stride, an if condition, an
+// address or index operand, an integer or pointer intrinsic operand, or
+// any operand of a gather or masked intrinsic. CountKey then names an
+// execution of an admitted body by a caller-chosen prefix, pointer
+// shapes (element type, length, offset) and integer/bool argument
+// values — float arguments and memory contents are left out, which the
+// proof makes safe — so executions with equal keys have identical
+// counts and identical error outcomes. Both runtimes key on it: the
+// simulated HotSpot per method and tier (hotspot.Method.CountKey) and
+// NGen per compiled kernel and graph hash (core.Kernel.CountKey); the
+// bench harness executes each distinct key once per sweep.
 package kernelc
 
 import (

@@ -24,7 +24,8 @@
 // an indented human-readable tree (WriteTree), JSON lines (WriteJSONL),
 // and the Chrome trace_event format (WriteChromeTrace) loadable in
 // about://tracing or https://ui.perfetto.dev. Totals aggregates span
-// durations by name for "where did the milliseconds go" tables, and
+// durations and self-times (duration minus the union of the children's
+// intervals) by name for "where did the milliseconds go" tables, and
 // Skeleton renders the timing-free structure of the tree so tests can
 // assert that traces are deterministic across sweep worker counts.
 //

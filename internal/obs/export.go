@@ -155,11 +155,15 @@ type StageTotal struct {
 	Name  string
 	Count int64
 	Total time.Duration
+	// Self is the part of Total no child span accounts for: each span's
+	// duration minus the union of its children's intervals (clipped to
+	// the span), so concurrent children are not subtracted twice.
+	Self time.Duration
 }
 
-// Totals aggregates span durations by name across the whole tree,
-// sorted by descending total — the "where did the milliseconds go"
-// table.
+// Totals aggregates span durations (and self-times) by name across the
+// whole tree, sorted by descending total — the "where did the
+// milliseconds go" table.
 func (t *Tracer) Totals() []StageTotal {
 	if t == nil {
 		return nil
@@ -177,8 +181,10 @@ func (t *Tracer) Totals() []StageTotal {
 			agg[sp.Name] = st
 			order = append(order, sp.Name)
 		}
+		d := sp.dur(now)
 		st.Count++
-		st.Total += sp.dur(now)
+		st.Total += d
+		st.Self += d - childCover(sp, now)
 		for _, c := range sp.Children {
 			walk(c)
 		}
@@ -192,6 +198,35 @@ func (t *Tracer) Totals() []StageTotal {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Total > out[j].Total })
 	return out
+}
+
+// childCover is the length of the union of sp's children's intervals
+// within sp's own interval. Caller holds the tracer lock.
+func childCover(sp *Span, now time.Duration) time.Duration {
+	if len(sp.Children) == 0 {
+		return 0
+	}
+	lo, hi := sp.Begin, sp.Begin+sp.dur(now)
+	type span struct{ b, e time.Duration }
+	ivs := make([]span, 0, len(sp.Children))
+	for _, c := range sp.Children {
+		b, e := max(c.Begin, lo), min(c.Begin+c.dur(now), hi)
+		if e > b {
+			ivs = append(ivs, span{b, e})
+		}
+	}
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].b < ivs[j].b })
+	var covered, end time.Duration
+	for _, iv := range ivs {
+		if iv.b > end {
+			end = iv.b
+		}
+		if iv.e > end {
+			covered += iv.e - end
+			end = iv.e
+		}
+	}
+	return covered
 }
 
 // Coverage is the fraction of the tracer's wall time covered by

@@ -239,3 +239,32 @@ func TestWriteTreeDisabledAndEnabled(t *testing.T) {
 		t.Fatalf("tree output:\n%s", out)
 	}
 }
+
+// TestTotalsSelfTime: a span's self-time is its duration minus the
+// union of its children's intervals, clipped to the span — overlapping
+// (concurrent) children count once, and a child running past its
+// parent's end counts only up to it.
+func TestTotalsSelfTime(t *testing.T) {
+	ms := time.Millisecond
+	tr := New()
+	at := func(name string, begin, dur time.Duration) *Span {
+		return &Span{t: tr, Name: name, Begin: begin, Dur: dur, ended: true}
+	}
+	root := at("point", 0, 100*ms)
+	root.Children = []*Span{
+		at("call", 10*ms, 30*ms), // [10, 40]
+		at("call", 30*ms, 30*ms), // [30, 60], overlaps the first
+		at("late", 90*ms, 30*ms), // [90, 120], clipped to [90, 100]
+	}
+	tr.roots = []*Span{root}
+	got := map[string]StageTotal{}
+	for _, st := range tr.Totals() {
+		got[st.Name] = st
+	}
+	if st := got["point"]; st.Total != 100*ms || st.Self != 40*ms {
+		t.Errorf("point: total %v self %v, want 100ms and 40ms", st.Total, st.Self)
+	}
+	if st := got["call"]; st.Count != 2 || st.Self != 60*ms {
+		t.Errorf("call: %+v, want 2 leaf spans with 60ms self", st)
+	}
+}
