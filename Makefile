@@ -3,14 +3,15 @@
 # (compile cache + single-flight, parallel sweeps, the sharded loop
 # scheduler, pooled interpreter frames, the lock-free machine counters,
 # the observability sinks, the backend registry, the sweep-wide count
-# memo), a bounded fuzz smoke over the vm, scheduler, conformance and
-# count-invariance property targets, the
+# memo, concurrent durable-file writes and sweeps), a bounded fuzz smoke
+# over the vm, scheduler, conformance, count-invariance and
+# durable-envelope property targets, the
 # grammar-driven conformance suite, the persistent-cache cold/warm gate,
 # the native-vs-vm differential, the adaptive-planner cold/warm gate, the
 # benchmark regression diff, and the package-documentation check.
 
 GO ?= go
-RACE_PKGS := ./internal/core ./internal/bench ./internal/kernelc ./internal/vm ./internal/obs ./internal/loopdep ./internal/backend/... ./internal/server ./internal/plan ./internal/hotspot
+RACE_PKGS := ./internal/core ./internal/bench ./internal/kernelc ./internal/vm ./internal/obs ./internal/loopdep ./internal/backend/... ./internal/server ./internal/plan ./internal/hotspot ./internal/durable
 FUZZTIME ?= 5s
 
 .PHONY: ci lint fmt vet build test race fuzz conform bench benchsmoke benchdiff cachepersist nativediff plancheck servecheck docs
@@ -56,6 +57,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz "^FuzzSpecCanonicalize$$" -fuzztime $(FUZZTIME) ./internal/server
 	@echo "fuzz FuzzCountKeySound ($(FUZZTIME))"; \
 	$(GO) test -run xxx -fuzz "^FuzzCountKeySound$$" -fuzztime $(FUZZTIME) ./internal/kernelc
+	@echo "fuzz FuzzOpen ($(FUZZTIME))"; \
+	$(GO) test -run xxx -fuzz "^FuzzOpen$$" -fuzztime $(FUZZTIME) ./internal/durable
 
 # conform is the verifier/executor conformance gate: 500 grammar-drawn
 # kernels (well-formed plus every defect class) must classify exactly as

@@ -146,12 +146,11 @@ func TestDiskKeyBackendIsolation(t *testing.T) {
 	kv := cacheKey{hash: 0xabcd, name: "k", arch: "hsw", toolchain: "icc 16", tier: kernelc.TierOpt, backend: "vm"}
 	kn := kv
 	kn.backend = "native"
-	if d.path(kv, "fp") == d.path(kn, "fp") {
+	if d.name(kv, "fp") == d.name(kn, "fp") {
 		t.Fatal("vm and native disk entries share a file")
 	}
 	ent := &diskEntry{Hash: "000000000000abcd", Kernel: "k", Arch: "hsw",
 		Toolchain: "icc 16", Tier: kernelc.TierOpt.String(), Backend: "vm", Fingerprint: "fp"}
-	ent.Sum = ent.checksum()
 	if !ent.matches(kv, "fp") {
 		t.Fatal("entry does not match its own key")
 	}

@@ -12,51 +12,41 @@ package core
 //
 // A disk hit skips verification and C generation — the expensive
 // "graph compile" — and goes straight to interpreter lowering, the
-// analog of dlopen'ing a previously built shared object. Writes are
-// atomic (temp file + rename in the cache directory), loads are
-// corruption-tolerant (any parse, key, or checksum mismatch deletes
-// the entry and falls back to a full rebuild), and the directory is
-// kept under a byte budget by least-recently-used eviction (hits
-// refresh mtimes).
+// analog of dlopen'ing a previously built shared object. Every file
+// goes through internal/durable: writes are atomic, a corrupt or
+// mismatched entry is deleted, counted, and falls back to a full
+// rebuild, and the directory is kept under a byte budget by
+// least-recently-used eviction (hits refresh mtimes).
 
 import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/durable"
 	"repro/internal/irverify"
 )
-
-// nowForMtime stamps LRU-refresh mtimes; a variable so eviction tests
-// can order entries without sleeping.
-var nowForMtime = time.Now
 
 // persistVersion is bumped whenever the entry schema or the meaning of
 // a field changes; it is folded into the fingerprint, so old entries
 // miss instead of misparse. v2 added the execution-backend dimension to
-// the key.
-const persistVersion = 2
+// the key; v3 moved entries into the durable envelope.
+const persistVersion = 3
 
 // DefaultDiskCacheBytes is the eviction budget used by the CLI.
 const DefaultDiskCacheBytes = 256 << 20
 
 // DiskCache is an on-disk, content-addressed compile cache directory.
 type DiskCache struct {
-	dir      string
+	files    *durable.Dir
 	maxBytes int64
-	mu       sync.Mutex // serialises store+evict scans
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	stores    atomic.Int64
-	corrupt   atomic.Int64
 	evictions atomic.Int64
 }
 
@@ -66,14 +56,15 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultDiskCacheBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	files, err := durable.OpenDir(dir)
+	if err != nil {
 		return nil, fmt.Errorf("core: disk cache: %w", err)
 	}
-	return &DiskCache{dir: dir, maxBytes: maxBytes}, nil
+	return &DiskCache{files: files, maxBytes: maxBytes}, nil
 }
 
 // Dir returns the cache directory.
-func (d *DiskCache) Dir() string { return d.dir }
+func (d *DiskCache) Dir() string { return d.files.Root() }
 
 // DiskCacheStats is a point-in-time view of persistent-cache traffic.
 type DiskCacheStats struct {
@@ -84,7 +75,7 @@ type DiskCacheStats struct {
 func (d *DiskCache) Stats() DiskCacheStats {
 	return DiskCacheStats{
 		Hits: d.hits.Load(), Misses: d.misses.Load(), Stores: d.stores.Load(),
-		Corrupt: d.corrupt.Load(), Evictions: d.evictions.Load(),
+		Corrupt: d.files.Corrupt(), Evictions: d.evictions.Load(),
 	}
 }
 
@@ -104,23 +95,9 @@ type diskEntry struct {
 	Source      string           `json:"source"`
 	Command     string           `json:"command"`
 	Verify      *irverify.Result `json:"verify"`
-	Sum         uint64           `json:"sum"` // fnv-1a over the entry with Sum=0
 }
 
-func (e *diskEntry) checksum() uint64 {
-	shadow := *e
-	shadow.Sum = 0
-	raw, err := json.Marshal(&shadow)
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(raw)
-	return h.Sum64()
-}
-
-// matches verifies the entry belongs to (key, fingerprint) and its
-// checksum holds.
+// matches verifies the entry belongs to (key, fingerprint).
 func (e *diskEntry) matches(key cacheKey, fp string) bool {
 	return e.Hash == fmt.Sprintf("%016x", key.hash) &&
 		e.Kernel == key.name &&
@@ -128,45 +105,41 @@ func (e *diskEntry) matches(key cacheKey, fp string) bool {
 		e.Toolchain == key.toolchain &&
 		e.Tier == key.tier.String() &&
 		e.Backend == key.backend &&
-		e.Fingerprint == fp &&
-		e.Sum == e.checksum()
+		e.Fingerprint == fp
 }
 
-// path derives the entry filename: the graph hash plus an fnv of the
+// name derives the entry filename: the graph hash plus an fnv of the
 // remaining key dimensions, so kernels sharing a graph at different
 // tiers, toolchains, or execution backends occupy distinct files.
-func (d *DiskCache) path(key cacheKey, fp string) string {
+func (d *DiskCache) name(key cacheKey, fp string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00%s",
 		key.name, key.arch, key.toolchain, key.tier, key.backend, fp)
-	return filepath.Join(d.dir, fmt.Sprintf("%016x-%016x.json", key.hash, h.Sum64()))
+	return fmt.Sprintf("%016x-%016x.json", key.hash, h.Sum64())
 }
 
 // load returns the entry for (key, fingerprint) when present and
 // intact. Corrupt or mismatched files are removed so the next store
 // rewrites them.
 func (d *DiskCache) load(key cacheKey, fp string) (*diskEntry, bool) {
-	path := d.path(key, fp)
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	name := d.name(key, fp)
+	var ent diskEntry
+	if !d.files.Get(name, &ent) {
 		d.misses.Add(1)
 		return nil, false
 	}
-	var ent diskEntry
-	if json.Unmarshal(raw, &ent) != nil || !ent.matches(key, fp) {
-		d.corrupt.Add(1)
+	if !ent.matches(key, fp) {
+		d.files.Reject(name)
 		d.misses.Add(1)
-		os.Remove(path) // best-effort: recompile will rewrite it
 		return nil, false
 	}
 	d.hits.Add(1)
-	now := nowForMtime()
-	os.Chtimes(path, now, now) // refresh LRU position; best-effort
+	d.files.Touch(name)
 	return &ent, true
 }
 
-// store persists an artifact under (key, fingerprint) with an atomic
-// rename, then enforces the byte budget.
+// store persists an artifact under (key, fingerprint), then enforces
+// the byte budget over the JSON entries.
 func (d *DiskCache) store(key cacheKey, fp string, art *artifact) {
 	ent := &diskEntry{
 		Hash:        fmt.Sprintf("%016x", key.hash),
@@ -180,72 +153,11 @@ func (d *DiskCache) store(key cacheKey, fp string, art *artifact) {
 		Command:     art.command,
 		Verify:      art.verify,
 	}
-	ent.Sum = ent.checksum()
-	raw, err := json.Marshal(ent)
-	if err != nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	tmp, err := os.CreateTemp(d.dir, "tmp-*.json")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(raw)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if os.Rename(tmp.Name(), d.path(key, fp)) != nil {
-		os.Remove(tmp.Name())
+	if d.files.Put(d.name(key, fp), ent) != nil {
 		return
 	}
 	d.stores.Add(1)
-	d.evict()
-}
-
-// evict removes least-recently-used entries until the directory fits
-// the byte budget. Called with mu held.
-func (d *DiskCache) evict() {
-	dents, err := os.ReadDir(d.dir)
-	if err != nil {
-		return
-	}
-	type fileInfo struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var files []fileInfo
-	var total int64
-	for _, de := range dents {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, fileInfo{
-			path: filepath.Join(d.dir, de.Name()), size: info.Size(),
-			mtime: info.ModTime().UnixNano(),
-		})
-		total += info.Size()
-	}
-	if total <= d.maxBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= d.maxBytes {
-			break
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			d.evictions.Add(1)
-		}
-	}
+	d.evictions.Add(int64(d.files.Sweep("*.json", d.maxBytes)))
 }
 
 // --- blob sidecars -----------------------------------------------------------
@@ -253,16 +165,16 @@ func (d *DiskCache) evict() {
 // Backend build products (native plugin objects) persist as opaque
 // .so sidecars next to the JSON entries, satisfying
 // backend.ArtifactStore. Sidecars are deliberately exempt from the
-// LRU eviction scan (which only considers .json files): a loaded Go
-// plugin stays mapped for the process lifetime, so deleting its file
-// out from under a running process buys nothing, and the canonical
-// path must stay stable because the plugin runtime keys loaded modules
-// by path.
+// LRU eviction sweep (which only considers .json files) and from the
+// envelope (the plugin loader validates them): a loaded Go plugin
+// stays mapped for the process lifetime, so deleting its file out from
+// under a running process buys nothing, and the canonical path must
+// stay stable because the plugin runtime keys loaded modules by path.
 
 // BlobPath returns the canonical sidecar path for key, whether or not
 // a blob exists there.
 func (d *DiskCache) BlobPath(key string) string {
-	return filepath.Join(d.dir, "blob-"+key+".so")
+	return d.files.Path("blob-" + key + ".so")
 }
 
 // LoadBlob reports the canonical path of the stored blob for key, if
@@ -278,24 +190,8 @@ func (d *DiskCache) LoadBlob(key string) (string, bool) {
 // StoreBlob atomically writes data under key and returns its canonical
 // path.
 func (d *DiskCache) StoreBlob(key string, data []byte) (string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	tmp, err := os.CreateTemp(d.dir, "tmp-*.so")
-	if err != nil {
-		return "", err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return "", werr
-		}
-		return "", cerr
-	}
 	p := d.BlobPath(key)
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
+	if err := durable.WriteFile(p, data); err != nil {
 		return "", err
 	}
 	return p, nil
@@ -303,53 +199,31 @@ func (d *DiskCache) StoreBlob(key string, data []byte) (string, error) {
 
 // --- plan sidecars -----------------------------------------------------------
 //
-// Calibrated execution plans (internal/plan) persist as plan-<id>.json
-// entries in the same directory, satisfying plan.Store. They are
-// ordinary .json files, so the LRU eviction scan covers them — a plan
-// is regenerable by recalibration, exactly like a compile entry is by
-// recompilation. Plans are write-once: the planner never rewrites a
-// calibrated plan, so warm runs leave the files byte-identical (the
-// planner-determinism test pins this).
+// Calibrated execution plans (internal/plan) persist as sealed
+// plan-<id>.json entries in the same directory, satisfying plan.Store.
+// They are ordinary .json files, so the LRU eviction sweep covers them
+// — a plan is regenerable by recalibration, exactly like a compile
+// entry is by recompilation — and a corrupt one is removed and counted
+// like a compile entry. Plans are write-once: the planner never
+// rewrites a calibrated plan, so warm runs leave the files
+// byte-identical (the planner-determinism test pins this).
 
-// PlanPath returns the canonical path of the persisted plan for id.
-func (d *DiskCache) PlanPath(id string) string {
-	return filepath.Join(d.dir, "plan-"+id+".json")
-}
+func planName(id string) string { return "plan-" + id + ".json" }
 
-// LoadPlan returns the persisted plan bytes for id, if present.
+// LoadPlan returns the persisted plan bytes for id, if present and
+// intact.
 func (d *DiskCache) LoadPlan(id string) ([]byte, bool) {
-	p := d.PlanPath(id)
-	raw, err := os.ReadFile(p)
-	if err != nil {
+	var raw json.RawMessage
+	if !d.files.Get(planName(id), &raw) {
 		return nil, false
 	}
-	now := nowForMtime()
-	os.Chtimes(p, now, now) // refresh LRU position; best-effort
+	d.files.Touch(planName(id))
 	return raw, true
 }
 
 // StorePlan atomically writes the plan bytes under id.
 func (d *DiskCache) StorePlan(id string, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	tmp, err := os.CreateTemp(d.dir, "tmp-*.plan")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), d.PlanPath(id)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return d.files.Put(planName(id), json.RawMessage(data))
 }
 
 // diskFingerprint identifies everything outside the cache key that

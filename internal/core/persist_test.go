@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/kernelc"
 )
 
@@ -127,7 +128,7 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 
 	d.store(key(1), fp, art)
 	size := func() int64 {
-		info, err := os.Stat(d.path(key(1), fp))
+		info, err := os.Stat(filepath.Join(dir, d.name(key(1), fp)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,9 +138,9 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 
 	// Touch entry 1 with a far-future mtime so it is the most recently
 	// used despite being written first.
-	prev := nowForMtime
-	nowForMtime = func() time.Time { return time.Now().Add(time.Hour) }
-	defer func() { nowForMtime = prev }()
+	prev := durable.Now
+	durable.Now = func() time.Time { return time.Now().Add(time.Hour) }
+	defer func() { durable.Now = prev }()
 	if _, ok := d.load(key(1), fp); !ok {
 		t.Fatal("entry 1 should load")
 	}

@@ -46,7 +46,6 @@ package plan
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,8 +54,9 @@ import (
 )
 
 // Version is the persisted-plan schema version; bumped on any change
-// to the file format so stale files miss instead of misparse.
-const Version = 1
+// to the file format so stale files miss instead of misparse. v2 moved
+// the checksum out of the plan into the store's envelope.
+const Version = 2
 
 // Key identifies one planning unit: a staged graph (by canonical
 // structural hash), the microarchitecture it runs on, and the
@@ -125,7 +125,8 @@ type Decision struct {
 
 // Store persists calibrated plans between processes. core.DiskCache
 // satisfies it with plan-<id>.json entries in the compile-cache
-// directory (same atomic-rename discipline as compile artifacts).
+// directory, written and checksummed through internal/durable like
+// compile artifacts: LoadPlan returns only intact bytes.
 type Store interface {
 	LoadPlan(id string) ([]byte, bool)
 	StorePlan(id string, data []byte) error
@@ -362,8 +363,8 @@ func (p *Planner) Calibrated(key Key) bool {
 // --- persistence -------------------------------------------------------------
 
 // planFile is the persisted form: the full candidate table (so `ngen
-// plan` can render predicted-vs-measured on warm runs), the chosen
-// index, and an fnv-1a checksum in the disk cache's idiom.
+// plan` can render predicted-vs-measured on warm runs) and the chosen
+// index. The Store guards the bytes; loadLocked checks the identity.
 type planFile struct {
 	Version    int         `json:"version"`
 	Hash       string      `json:"hash"`
@@ -372,19 +373,6 @@ type planFile struct {
 	Kernel     string      `json:"kernel"`
 	Candidates []Candidate `json:"candidates"`
 	Chosen     int         `json:"chosen"`
-	Sum        uint64      `json:"sum"`
-}
-
-func (f *planFile) checksum() uint64 {
-	shadow := *f
-	shadow.Sum = 0
-	raw, err := json.Marshal(&shadow)
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(raw)
-	return h.Sum64()
 }
 
 func (p *Planner) persistLocked(e *entry) {
@@ -396,7 +384,6 @@ func (p *Planner) persistLocked(e *entry) {
 		Arch: e.key.Arch, Bucket: e.key.Bucket, Kernel: e.kernel,
 		Candidates: e.cands, Chosen: e.chosen,
 	}
-	f.Sum = f.checksum()
 	raw, err := json.Marshal(f)
 	if err != nil {
 		return
@@ -407,8 +394,8 @@ func (p *Planner) persistLocked(e *entry) {
 	}
 }
 
-// loadLocked tries the store for a previously calibrated plan. Corrupt
-// or mismatched files are ignored (recalibration overwrites them).
+// loadLocked tries the store for a previously calibrated plan.
+// Mismatched files are ignored (recalibration overwrites them).
 // Called with p.mu held.
 func (p *Planner) loadLocked(key Key) (*entry, bool) {
 	if p.store == nil {
@@ -424,8 +411,7 @@ func (p *Planner) loadLocked(key Key) (*entry, bool) {
 		f.Hash != fmt.Sprintf("%016x", key.Hash) ||
 		f.Arch != key.Arch || f.Bucket != key.Bucket ||
 		len(f.Candidates) == 0 ||
-		f.Chosen < 0 || f.Chosen >= len(f.Candidates) ||
-		f.Sum != f.checksum() {
+		f.Chosen < 0 || f.Chosen >= len(f.Candidates) {
 		return nil, false
 	}
 	e := &entry{key: key, kernel: f.Kernel, cands: f.Candidates,

@@ -3,13 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/durable"
 )
 
 // Result-cache byte budgets (zero Config fields pick these).
@@ -21,26 +18,14 @@ const (
 // resultEntry is one cached terminal result, keyed by the canonical
 // spec hash. The canonical spec itself is stored alongside as the
 // collision guard (a 64-bit hash can collide; serving the wrong
-// figure must not be possible), and Sum is the durability checksum in
-// the core.DiskCache idiom — a mangled on-disk entry loads as a miss,
-// never as a wrong answer.
+// figure must not be possible).
 type resultEntry struct {
 	Spec       Spec   `json:"spec"`
 	Result     string `json:"result"`
 	ResultType string `json:"result_type"`
-	Sum        string `json:"checksum,omitempty"`
 }
 
 func (e resultEntry) size() int64 { return int64(len(e.Result)) }
-
-func (e resultEntry) checksum() string {
-	shadow := e
-	shadow.Sum = ""
-	data, _ := json.Marshal(shadow)
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // matches guards against hash collisions and stale-format entries: the
 // stored canonical spec must equal the requested one exactly.
@@ -51,18 +36,19 @@ func (e resultEntry) matches(canon Spec) bool {
 }
 
 // resultCache is the spec-keyed result store: a byte-budgeted
-// memory map in LRU order in front of an optional on-disk layer
-// (atomic-rename writes, checksum-validated loads, mtime-LRU
-// eviction — the same durability idiom as core.DiskCache). A disk
-// entry surviving a restart is what makes a warm daemon answer
-// repeated sweeps without executing anything.
+// memory map in LRU order in front of an optional on-disk layer of
+// sealed res-<hash>.json files in internal/durable (atomic writes,
+// checksum-validated loads, mtime-LRU eviction refreshed by disk hits,
+// corrupt files removed and counted). A disk entry surviving a restart
+// is what makes a warm daemon answer repeated sweeps without executing
+// anything.
 type resultCache struct {
 	mu         sync.Mutex
 	mem        map[string]resultEntry
 	order      []string // LRU order, oldest first
 	memBytes   int64
 	memBudget  int64
-	dir        string // "" = memory-only
+	files      *durable.Dir // nil = memory-only
 	diskBudget int64
 
 	hits, misses, stores, evictions atomic.Int64
@@ -77,22 +63,22 @@ func newResultCache(dir string, memBudget, diskBudget int64) (*resultCache, erro
 	if diskBudget <= 0 {
 		diskBudget = defaultResultDiskBudget
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: result cache: %w", err)
-		}
-	}
-	return &resultCache{
+	rc := &resultCache{
 		mem:        map[string]resultEntry{},
 		memBudget:  memBudget,
-		dir:        dir,
 		diskBudget: diskBudget,
-	}, nil
+	}
+	if dir != "" {
+		files, err := durable.OpenDir(dir)
+		if err != nil {
+			return nil, fmt.Errorf("server: result cache: %w", err)
+		}
+		rc.files = files
+	}
+	return rc, nil
 }
 
-func (rc *resultCache) path(hash string) string {
-	return filepath.Join(rc.dir, "res-"+hash+".json")
-}
+func resultName(hash string) string { return "res-" + hash + ".json" }
 
 // get looks a canonical spec up by hash: memory first, then disk (a
 // disk hit promotes the entry back into memory).
@@ -106,8 +92,8 @@ func (rc *resultCache) get(hash string, canon Spec) (resultEntry, bool) {
 	}
 	rc.mu.Unlock()
 
-	if rc.dir != "" {
-		if e, ok := rc.load(hash); ok && e.matches(canon) {
+	if rc.files != nil {
+		if e, ok := rc.load(hash, canon); ok {
 			rc.mu.Lock()
 			rc.insertMem(hash, e)
 			rc.mu.Unlock()
@@ -123,19 +109,18 @@ func (rc *resultCache) get(hash string, canon Spec) (resultEntry, bool) {
 // when the disk layer exists — durably.
 func (rc *resultCache) put(hash string, canon Spec, result, resultType string) {
 	e := resultEntry{Spec: canon, Result: result, ResultType: resultType}
-	e.Sum = e.checksum()
 	rc.mu.Lock()
 	rc.insertMem(hash, e)
 	rc.mu.Unlock()
 	rc.stores.Add(1)
-	if rc.dir == "" {
+	if rc.files == nil {
 		return
 	}
-	if err := rc.store(hash, e); err != nil {
+	if err := rc.files.Put(resultName(hash), e); err != nil {
 		fmt.Printf("ngend: result cache write failed: %v\n", err)
 		return
 	}
-	rc.evictDisk()
+	rc.evictions.Add(int64(rc.files.Sweep("res-*.json", rc.diskBudget)))
 }
 
 // insertMem adds or refreshes a memory entry and evicts LRU entries
@@ -169,83 +154,28 @@ func (rc *resultCache) touch(hash string) {
 	rc.order = append(rc.order, hash)
 }
 
-// load reads and validates one disk entry; any corruption is a miss.
-func (rc *resultCache) load(hash string) (resultEntry, bool) {
-	data, err := os.ReadFile(rc.path(hash))
-	if err != nil {
-		return resultEntry{}, false
-	}
+// load reads one disk entry and refreshes its LRU position. A corrupt
+// file, or one holding another spec, is removed and counted.
+func (rc *resultCache) load(hash string, canon Spec) (resultEntry, bool) {
+	name := resultName(hash)
 	var e resultEntry
-	if err := json.Unmarshal(data, &e); err != nil {
+	if !rc.files.Get(name, &e) {
 		return resultEntry{}, false
 	}
-	if e.Sum == "" || e.Sum != e.checksum() {
+	if !e.matches(canon) {
+		rc.files.Reject(name)
 		return resultEntry{}, false
 	}
+	rc.files.Touch(name)
 	return e, true
 }
 
-// store writes one disk entry via temp file + atomic rename.
-func (rc *resultCache) store(hash string, e resultEntry) error {
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return err
+// corrupt reports how many disk entries failed to load.
+func (rc *resultCache) corrupt() int64 {
+	if rc.files == nil {
+		return 0
 	}
-	tmp, err := os.CreateTemp(rc.dir, "res-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), rc.path(hash))
-}
-
-// evictDisk removes oldest-modified entries until the directory fits
-// the byte budget (mtime LRU, as in core.DiskCache).
-func (rc *resultCache) evictDisk() {
-	entries, err := os.ReadDir(rc.dir)
-	if err != nil {
-		return
-	}
-	type file struct {
-		name  string
-		size  int64
-		mtime int64
-	}
-	var files []file
-	var total int64
-	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasPrefix(name, "res-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, file{name, info.Size(), info.ModTime().UnixNano()})
-		total += info.Size()
-	}
-	if total <= rc.diskBudget {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= rc.diskBudget || len(files) == 1 {
-			break
-		}
-		if os.Remove(filepath.Join(rc.dir, f.name)) == nil {
-			total -= f.size
-			rc.evictions.Add(1)
-		}
-	}
+	return rc.files.Corrupt()
 }
 
 // memSize reports the current in-memory byte footprint.

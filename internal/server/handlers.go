@@ -85,18 +85,18 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // Healthz is the GET /healthz body: liveness plus the shared-cache and
 // backend state an operator checks first.
 type Healthz struct {
-	Status      string               `json:"status"` // "ok" | "draining"
-	Machine     string               `json:"machine"`
-	Backend     string               `json:"backend"`
-	Workers     int                  `json:"workers"`
-	QueueDepth  int                  `json:"queue_depth"`
-	QueueCap    int                  `json:"queue_cap"`
-	Jobs        map[State]int        `json:"jobs"`
-	Cache       core.CacheStats      `json:"cache"`
-	DiskCache   *core.DiskCacheStats `json:"disk_cache,omitempty"`
-	BackendCtrs map[string]int64     `json:"backend_counters,omitempty"`
-	StoreCorrpt int64                `json:"store_corrupt"`
-	Compiles    int64                `json:"graph_compiles"`
+	Status       string               `json:"status"` // "ok" | "draining"
+	Machine      string               `json:"machine"`
+	Backend      string               `json:"backend"`
+	Workers      int                  `json:"workers"`
+	QueueDepth   int                  `json:"queue_depth"`
+	QueueCap     int                  `json:"queue_cap"`
+	Jobs         map[State]int        `json:"jobs"`
+	Cache        core.CacheStats      `json:"cache"`
+	DiskCache    *core.DiskCacheStats `json:"disk_cache,omitempty"`
+	BackendCtrs  map[string]int64     `json:"backend_counters,omitempty"`
+	StoreCorrupt int64                `json:"store_corrupt"`
+	Compiles     int64                `json:"graph_compiles"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -105,17 +105,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 	}
 	h := Healthz{
-		Status:      status,
-		Machine:     s.RT.Arch.Name,
-		Backend:     s.RT.BackendName(),
-		Workers:     s.cfg.Workers,
-		QueueDepth:  len(s.queue),
-		QueueCap:    cap(s.queue),
-		Jobs:        s.jobs.byState(),
-		Cache:       s.RT.CacheStats(),
-		BackendCtrs: s.RT.BackendCounters(),
-		StoreCorrpt: s.store.Corrupt(),
-		Compiles:    core.FullCompiles(),
+		Status:       status,
+		Machine:      s.RT.Arch.Name,
+		Backend:      s.RT.BackendName(),
+		Workers:      s.cfg.Workers,
+		QueueDepth:   len(s.queue),
+		QueueCap:     cap(s.queue),
+		Jobs:         s.jobs.byState(),
+		Cache:        s.RT.CacheStats(),
+		BackendCtrs:  s.RT.BackendCounters(),
+		StoreCorrupt: s.store.Corrupt(),
+		Compiles:     core.FullCompiles(),
 	}
 	if ds, ok := s.RT.DiskStats(); ok {
 		h.DiskCache = &ds

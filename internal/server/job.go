@@ -77,9 +77,6 @@ type Record struct {
 	CreatedNS  int64       `json:"created_ns"`
 	StartedNS  int64       `json:"started_ns,omitempty"`
 	FinishedNS int64       `json:"finished_ns,omitempty"`
-	// Checksum guards the persisted record against torn or mangled
-	// files; see fsStore.
-	Checksum string `json:"checksum,omitempty"`
 }
 
 // job is one queued unit of work: the record under its own lock, the

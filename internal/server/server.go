@@ -647,6 +647,7 @@ func (s *Server) publishMetrics() {
 		r.Gauge("server.resultcache.misses").Set(rc.misses.Load())
 		r.Gauge("server.resultcache.stores").Set(rc.stores.Load())
 		r.Gauge("server.resultcache.evictions").Set(rc.evictions.Load())
+		r.Gauge("server.resultcache.corrupt").Set(rc.corrupt())
 		r.Gauge("server.resultcache.bytes").Set(rc.memSize())
 	}
 

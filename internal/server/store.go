@@ -1,78 +1,41 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bench"
+	"repro/internal/durable"
 )
 
-// fsStore persists job records, one JSON file per job, in the same
-// durability idiom as core.DiskCache: writes go to a temp file in the
-// directory and atomically rename into place, so a crash mid-write
-// leaves either the old record or the new one, never a torn file. A
-// checksum over the record's identity fields catches the remaining
-// corruption modes (truncated disks, hand-edited files); corrupt
-// records are counted and skipped at load, never fatal.
+// fsStore persists job records and sweep checkpoints, one sealed file
+// per job each, through internal/durable: a crash mid-write leaves
+// either the old file or the new one, and a file that is torn, mangled
+// or names another job is counted, removed, and skipped at load, never
+// fatal.
 type fsStore struct {
-	dir     string
-	mu      sync.Mutex // serializes writes per process; rename is the cross-process guard
-	corrupt atomic.Int64
+	files *durable.Dir
 }
 
 // openFSStore creates dir if needed and returns the store.
 func openFSStore(dir string) (*fsStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	files, err := durable.OpenDir(dir)
+	if err != nil {
 		return nil, fmt.Errorf("server: job store: %w", err)
 	}
-	return &fsStore{dir: dir}, nil
+	return &fsStore{files: files}, nil
 }
 
-// checksum covers the fields whose silent corruption would change what
-// a recovered server believes happened: identity, outcome, and result.
-func (r Record) checksum() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d", r.ID, r.Spec.Type, r.State, r.Error, r.Result, r.CreatedNS)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func (st *fsStore) path(id string) string {
-	return filepath.Join(st.dir, "job-"+id+".json")
-}
+func jobName(id string) string  { return "job-" + id + ".json" }
+func ckptName(id string) string { return "ckpt-" + id + ".json" }
 
 // put persists one record (called on every state transition).
 func (st *fsStore) put(rec Record) error {
 	if st == nil {
 		return nil
 	}
-	rec.Checksum = rec.checksum()
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	tmp, err := os.CreateTemp(st.dir, "job-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), st.path(rec.ID))
+	return st.files.Put(jobName(rec.ID), rec)
 }
 
 // loadAll reads every persisted record, skipping (and counting)
@@ -82,28 +45,18 @@ func (st *fsStore) loadAll() ([]Record, error) {
 	if st == nil {
 		return nil, nil
 	}
-	entries, err := os.ReadDir(st.dir)
+	names, err := st.files.Names("job-*.json")
 	if err != nil {
 		return nil, err
 	}
 	var out []Record
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "job-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(st.dir, name))
-		if err != nil {
-			st.corrupt.Add(1)
-			continue
-		}
+	for _, name := range names {
 		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil {
-			st.corrupt.Add(1)
+		if !st.files.Get(name, &rec) {
 			continue
 		}
-		if rec.ID == "" || rec.Checksum != rec.checksum() {
-			st.corrupt.Add(1)
+		if rec.ID == "" || name != jobName(rec.ID) {
+			st.files.Reject(name)
 			continue
 		}
 		out = append(out, rec)
@@ -114,58 +67,21 @@ func (st *fsStore) loadAll() ([]Record, error) {
 
 // ckptFile is the persisted checkpoint state of one interrupted sweep
 // job: every completed point's exact-bit payload, keyed by the
-// forEachPoint index. Sum is the same durability checksum idiom as the
-// job records — a torn or mangled file loads as "no checkpoints"
+// forEachPoint index. A torn or mangled file loads as "no checkpoints"
 // (the sweep re-measures everything), never as wrong data.
 type ckptFile struct {
 	JobID  string                    `json:"job_id"`
 	Points map[int][]bench.PointCkpt `json:"points"`
-	Sum    string                    `json:"checksum,omitempty"`
 }
 
-func (c ckptFile) checksum() string {
-	shadow := c
-	shadow.Sum = ""
-	data, _ := json.Marshal(shadow) // map keys marshal sorted: deterministic
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func (st *fsStore) ckptPath(id string) string {
-	return filepath.Join(st.dir, "ckpt-"+id+".json")
-}
-
-// putCkpt persists a job's completed-point map (atomic rename, same
-// crash guarantee as put). Called after every point, so the file
-// tracks sweep progress closely enough that a kill loses at most the
-// in-flight points.
+// putCkpt persists a job's completed-point map. Called after every
+// point, so the file tracks sweep progress closely enough that a kill
+// loses at most the in-flight points.
 func (st *fsStore) putCkpt(id string, points map[int][]bench.PointCkpt) error {
 	if st == nil {
 		return nil
 	}
-	c := ckptFile{JobID: id, Points: points}
-	c.Sum = c.checksum()
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	tmp, err := os.CreateTemp(st.dir, "ckpt-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), st.ckptPath(id))
+	return st.files.Put(ckptName(id), ckptFile{JobID: id, Points: points})
 }
 
 // loadCkpt reads a job's checkpoint map; a missing or corrupt file is
@@ -174,17 +90,12 @@ func (st *fsStore) loadCkpt(id string) (map[int][]bench.PointCkpt, error) {
 	if st == nil {
 		return nil, nil
 	}
-	data, err := os.ReadFile(st.ckptPath(id))
-	if err != nil {
-		return nil, nil
-	}
 	var c ckptFile
-	if err := json.Unmarshal(data, &c); err != nil {
-		st.corrupt.Add(1)
+	if !st.files.Get(ckptName(id), &c) {
 		return nil, nil
 	}
-	if c.JobID != id || c.Sum != c.checksum() {
-		st.corrupt.Add(1)
+	if c.JobID != id {
+		st.files.Reject(ckptName(id))
 		return nil, nil
 	}
 	return c.Points, nil
@@ -196,7 +107,7 @@ func (st *fsStore) delCkpt(id string) {
 	if st == nil {
 		return
 	}
-	os.Remove(st.ckptPath(id))
+	os.Remove(st.files.Path(ckptName(id)))
 }
 
 // Corrupt reports how many store files failed to load.
@@ -204,5 +115,5 @@ func (st *fsStore) Corrupt() int64 {
 	if st == nil {
 		return 0
 	}
-	return st.corrupt.Load()
+	return st.files.Corrupt()
 }
