@@ -8,15 +8,15 @@
 # durable-envelope property targets, the
 # grammar-driven conformance suite, the persistent-cache cold/warm gate,
 # the native-vs-vm differential, the adaptive-planner cold/warm gate, the
-# benchmark regression diff, and the package-documentation check.
+# benchmark module's vet and tests, and the package-documentation check.
 
 GO ?= go
 RACE_PKGS := ./internal/core ./internal/bench ./internal/kernelc ./internal/vm ./internal/obs ./internal/loopdep ./internal/backend/... ./internal/server ./internal/plan ./internal/hotspot ./internal/durable
 FUZZTIME ?= 5s
 
-.PHONY: ci lint fmt vet build test race fuzz conform bench benchsmoke benchdiff cachepersist nativediff plancheck servecheck docs
+.PHONY: ci lint fmt vet build test race fuzz conform benchtest cachepersist nativediff plancheck servecheck docs
 
-ci: lint build test race fuzz conform benchsmoke benchdiff cachepersist nativediff plancheck servecheck docs
+ci: lint build test race fuzz conform benchtest cachepersist nativediff plancheck servecheck docs
 
 # lint bundles the static hygiene checks: gofmt cleanliness and go vet.
 lint: fmt vet
@@ -68,22 +68,11 @@ fuzz:
 conform:
 	$(GO) run ./cmd/ngen conform -seed 1 -count 500
 
-# bench regenerates the committed machine-readable benchmark record.
-bench:
-	$(GO) run ./cmd/ngen -o BENCH_pr10.json benchjson
-
-# benchsmoke exercises the bench JSON path in quick mode: exit 0 and a
-# schema-valid file, without the full sweep cost.
-benchsmoke:
-	$(GO) run ./cmd/ngen -quick benchjson /tmp/bench_smoke.json
-
-# benchdiff walks the full committed benchmark series (oldest first):
-# the printed trajectory surfaces slow creep across PRs, and any figure
-# more than 10% slower on the newest step fails the gate. (PR 8 shipped
-# no bench record — the conformance suite left figure timings untouched —
-# so the walk jumps from pr7 to pr9.)
-benchdiff:
-	$(GO) run ./cmd/ngen benchdiff BENCH_pr4.json BENCH_pr5.json BENCH_pr6.json BENCH_pr7.json BENCH_pr9.json BENCH_pr10.json
+# benchtest vets and tests the ngenbench module. It is a nested module,
+# so the root `go build ./...` and `go test ./...` never compile it, and
+# a renamed API it imports would otherwise break only the benchmark.
+benchtest:
+	cd cmd/ngenbench && $(GO) vet ./... && $(GO) test ./...
 
 # nativediff is the native-backend gate: every registered kernel must be
 # byte-identical (results, memory, dynamic op counts, error text)

@@ -1,9 +1,8 @@
 // Steady-state allocation guards for the figure hot paths. The
-// BENCH_*.json sweeps report allocs/op for each figure; the residual
-// Figure 6a allocations were one-time specification synthesis amortized
-// over the benchmark loop, not per-call garbage. These tests pin the
-// invariant the perf reports rely on: after warmup, a kernel invocation
-// and its model estimate allocate nothing.
+// residual Figure 6a allocations are one-time specification synthesis
+// amortized over the benchmark loop, not per-call garbage. These tests
+// pin the invariant the perf reports rely on: after warmup, a kernel
+// invocation and its model estimate allocate nothing.
 package repro
 
 import (

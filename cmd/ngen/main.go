@@ -32,13 +32,6 @@
 //	                         # run reports `plan probes: 0`), -check exits 1
 //	                         # unless every plan calibrates on its measured
 //	                         # argmin (docs/PLANNER.md)
-//	ngen benchjson [out]     # run the figure sweeps and write the
-//	                         # machine-readable benchmark record
-//	                         # (-o out, default BENCH_pr<n>.json from -pr)
-//	ngen benchdiff a b [...] # compare a series of benchjson records per
-//	                         # figure (oldest first): prints the per-PR
-//	                         # wall-time trajectory; exits 1 when any
-//	                         # figure runs >10% slower on the newest step
 //	ngen all   [-quick]      # everything
 //	ngen stats [experiment]  # run an experiment (default: -quick fig6a), then
 //	                         # print per-stage time totals, compile-cache and
@@ -60,7 +53,7 @@
 //	                         # vm interpreter with a notice, results identical
 //	-auto                    # adaptive execution planner: per kernel × size
 //	                         # bucket, predict, calibrate and auto-select the
-//	                         # fastest (backend, tier, lanes); figure output
+//	                         # fastest (backend, lanes); figure output
 //	                         # stays byte-identical (docs/PLANNER.md)
 //	-cachedir dir            # persistent compile cache: cold runs fill it,
 //	                         # warm runs perform zero graph compiles and
@@ -97,18 +90,15 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ngen [-quick] [-O=false] [-par N] [-auto] [-backend name] [-cachedir dir] [-trace file] [-metrics] {platform|warmup|cache|slp|vet [-json] [-strict]|conform [-seed N] [-count N] [-json]|plan [-cachedir dir] [-check] [kernel...]|benchdiff oldest.json [...] newest.json|table1b|table3|fig6a|fig6b|fig7|speedups|benchjson [-o out]|all|stats [experiment]}")
+		fmt.Fprintln(os.Stderr, "usage: ngen [-quick] [-par N] [-auto] [-backend name] [-cachedir dir] [-trace file] [-metrics] {platform|warmup|cache|slp|vet [-json] [-strict]|conform [-seed N] [-count N] [-json]|plan [-cachedir dir] [-check] [kernel...]|table1b|table3|fig6a|fig6b|fig7|speedups|all|stats [experiment]}")
 		flag.PrintDefaults()
 	}
 	quick := flag.Bool("quick", false, "smaller size sweeps (fast smoke run)")
-	optimize := flag.Bool("O", true, "kernelc loop-nest optimizer (-O=false runs the plain interpreter tier)")
 	backendName := flag.String("backend", "", "execution backend: vm (interpreter, default), native (plugin-compiled Go; falls back to vm with a notice when unavailable), or auto (adaptive planner)")
-	auto := flag.Bool("auto", false, "adaptive execution planner: calibrate and auto-select the fastest backend/tier/lanes per kernel × size (results byte-identical; see docs/PLANNER.md)")
+	auto := flag.Bool("auto", false, "adaptive execution planner: calibrate and auto-select the fastest backend/lanes per kernel × size (results byte-identical; see docs/PLANNER.md)")
 	workers := flag.Int("j", runtime.NumCPU(), "sweep worker goroutines (size points run in parallel)")
 	par := flag.Int("par", runtime.NumCPU(), "parallel loop lanes per kernel execution (≤1 keeps every loop on the serial driver)")
 	cachedir := flag.String("cachedir", "", "persistent compile cache directory (cold runs fill it; warm runs skip graph compiles)")
-	benchOut := flag.String("o", "", "benchjson: output path (overrides the positional argument)")
-	prNum := flag.Int("pr", 6, "benchjson: PR number behind the default BENCH_pr<n>.json filename")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this file")
@@ -145,19 +135,6 @@ func main() {
 		// plan builds its own auto-mode runtime (pruning off, eager
 		// native builds); flags follow the subcommand.
 		if err := planCmd(flag.Args()[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "ngen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "benchdiff" {
-		// benchdiff compares a series of benchjson records; like vet it
-		// needs no suite or runtime.
-		if flag.NArg() < 3 {
-			fmt.Fprintln(os.Stderr, "usage: ngen benchdiff oldest.json [...] newest.json")
-			os.Exit(2)
-		}
-		if err := benchdiffCmd(flag.Args()[1:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "ngen:", err)
 			os.Exit(1)
 		}
@@ -201,9 +178,6 @@ func main() {
 	inspect := tr.Start("ngen.inspect")
 	s := bench.NewSuite()
 	inspect.End()
-	if !*optimize {
-		s.RT.Opt = kernelc.TierPlain
-	}
 	s.Attach(tr, reg)
 	s.Workers = *workers
 	s.RT.Machine.Workers = *par
@@ -228,7 +202,7 @@ func main() {
 	}
 	if *auto {
 		s.RT.EnableAutoPlan()
-		fmt.Println("planner: auto (backend/tier/lanes per kernel × size)")
+		fmt.Println("planner: auto (backend/lanes per kernel × size)")
 	}
 	if *quick {
 		s.MaxRunLinear = 1 << 11
@@ -236,20 +210,11 @@ func main() {
 		s.Reps = 1
 	}
 
-	if cmd == "benchjson" {
-		if *benchOut == "" && flag.Arg(1) != "" {
-			*benchOut = flag.Arg(1)
-		}
-		if *benchOut == "" {
-			*benchOut = fmt.Sprintf("BENCH_pr%d.json", *prNum)
-		}
-	}
-
 	// The root span parents the suite runtime's spans and every sweep,
 	// so its self-time is only what no stage accounts for.
 	root := tr.Start("ngen." + target)
 	s.RT.Span = root
-	err := run(s, target, *quick, *benchOut)
+	err := run(s, target, *quick)
 	s.RT.Span = nil
 	root.End()
 
@@ -433,7 +398,7 @@ func printStats(s *bench.Suite, tr *obs.Tracer, reg *obs.Registry) {
 	}
 }
 
-func run(s *bench.Suite, cmd string, quick bool, benchOut string) error {
+func run(s *bench.Suite, cmd string, quick bool) error {
 	switch cmd {
 	case "platform":
 		fmt.Println(s.RT.SystemReport())
@@ -456,8 +421,6 @@ func run(s *bench.Suite, cmd string, quick bool, benchOut string) error {
 		return cacheValidate(s)
 	case "slp":
 		return slpReports()
-	case "benchjson":
-		return benchJSON(s, quick, benchOut)
 	case "all":
 		for _, f := range []func() error{
 			func() error { fmt.Println(s.RT.SystemReport()); return nil },
@@ -655,102 +618,6 @@ func slpReports() error {
 		for _, r := range m.SLP.Rejections {
 			fmt.Printf("  %-22s   rejected: %s\n", "", r)
 		}
-	}
-	return nil
-}
-
-// benchJSON runs the three figure sweeps and records each as one
-// FigureStat — wall seconds, total dynamic vm ops, and heap allocations
-// per op (runtime.MemStats mallocs over the sweep, amortized) — then
-// re-reads the file so a schema regression fails the run, not a later
-// consumer. It also records the fig6b strategy spread: the same sweep
-// under each static execution configuration (plain tier, native
-// backend) and under the adaptive planner, so the planner acceptance
-// reads straight off the committed record — fig6b_auto must sit at or
-// under the best static column and strictly under the worst (see
-// docs/PLANNER.md).
-func benchJSON(s *bench.Suite, quick bool, path string) error {
-	rep := bench.BenchReport{}
-	var ms0, ms1 runtime.MemStats
-	measure := func(s *bench.Suite, name string, run func() error) error {
-		before := s.SweepCounts.Total()
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
-		if err := run(); err != nil {
-			return err
-		}
-		secs := time.Since(t0).Seconds()
-		runtime.ReadMemStats(&ms1)
-		ops := s.SweepCounts.Total() - before
-		if ops <= 0 {
-			return fmt.Errorf("benchjson: %s executed no vm ops", name)
-		}
-		rep[name] = bench.FigureStat{
-			Seconds:     secs,
-			AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(ops),
-			Ops:         ops,
-		}
-		return nil
-	}
-	figures := []struct {
-		name string
-		run  func() error
-	}{
-		{"fig6a", func() error { _, err := s.Fig6a(sizes("fig6a", quick)); return err }},
-		{"fig6b", func() error { _, err := s.Fig6b(sizes("fig6b", quick)); return err }},
-		{"fig7", func() error { _, err := s.Fig7(sizes("fig7", quick)); return err }},
-	}
-	for _, fig := range figures {
-		if err := measure(s, fig.name, fig.run); err != nil {
-			return err
-		}
-	}
-	// The fig6b spread. Each configuration gets a fresh suite (tier,
-	// backend, and planner are runtime state) mirroring the base
-	// suite's sweep parameters. The native leg runs before the auto
-	// leg: its plugin builds land in the process-wide memo, so the
-	// planner prices a native candidate without ever building on the
-	// hot path. Hosts without a plugin toolchain skip the native leg
-	// with a notice and the planner competes vm tiers only.
-	spread := []struct {
-		name string
-		conf func(*bench.Suite) error
-	}{
-		{"fig6b_plain", func(s *bench.Suite) error { s.RT.Opt = kernelc.TierPlain; return nil }},
-		{"fig6b_native", func(s *bench.Suite) error { return s.RT.UseBackend("native") }},
-		{"fig6b_auto", func(s *bench.Suite) error { s.RT.EnableAutoPlan(); return nil }},
-	}
-	for _, sp := range spread {
-		s2 := bench.NewSuite()
-		s2.Workers = s.Workers
-		s2.RT.Machine.Workers = s.RT.Machine.Workers
-		s2.RT.Disk = s.RT.Disk
-		s2.MaxRunLinear, s2.MaxRunCubic, s2.Reps = s.MaxRunLinear, s.MaxRunCubic, s.Reps
-		if err := sp.conf(s2); err != nil {
-			fmt.Printf("benchjson: %s skipped (%v)\n", sp.name, err)
-			continue
-		}
-		err := measure(s2, sp.name, func() error {
-			_, err := s2.Fig6b(sizes("fig6b", quick))
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if err := bench.WriteBenchJSON(path, rep); err != nil {
-		return err
-	}
-	read, err := bench.ReadBenchJSON(path)
-	if err != nil {
-		return fmt.Errorf("benchjson: wrote %s but it fails to re-read: %w", path, err)
-	}
-	fmt.Printf("benchjson → %s\n", path)
-	for _, name := range read.Figures() {
-		st := read[name]
-		fmt.Printf("  %-8s %8.2fs %14d ops %10.4f allocs/op\n",
-			name, st.Seconds, st.Ops, st.AllocsPerOp)
 	}
 	return nil
 }

@@ -72,7 +72,7 @@ func planTargets() []planTarget {
 }
 
 // calibrateRounds bounds the invocations per size: install (1) plus a
-// full probe sweep (≤4 candidates × default budget 2) fits well inside
+// full probe sweep (≤3 candidates × default budget 2) fits well inside
 // it, and warm keys exit on the calibration check after one call.
 const calibrateRounds = 16
 
@@ -113,10 +113,10 @@ func planCmd(args []string) error {
 	// Eager native builds on a fork: auto mode never pays a toolchain
 	// run mid-measurement (backend.CachedCompiler admits cache hits
 	// only), so the calibrator builds the plugins up front. Hosts
-	// without the native backend calibrate the interpreter tiers alone.
+	// without the native backend calibrate the interpreter alone.
 	nrt := rt.Fork()
 	if err := nrt.UseBackend("native"); err != nil {
-		fmt.Printf("plan: native backend unavailable (%v); calibrating vm tiers only\n", err)
+		fmt.Printf("plan: native backend unavailable (%v); calibrating vm only\n", err)
 	} else {
 		for _, t := range targets {
 			k, err := t.stage(rt.Arch.Features)

@@ -42,7 +42,7 @@ func main() {
 	resultcacheDisk := flag.Int64("resultcache-disk", 0, "result-cache disk budget in MB under <cachedir>/results (0 = 256)")
 	coalesce := flag.Bool("coalesce", true, "coalesce concurrent identical requests into one execution")
 	resume := flag.Bool("resume", true, "resume interrupted sweeps from persisted checkpoints after a restart")
-	planMode := flag.String("plan", "auto", "adaptive execution planner: auto (calibrate and pick the fastest backend/tier/lanes per kernel × size; plans persist under -cachedir) or off")
+	planMode := flag.String("plan", "auto", "adaptive execution planner: auto (calibrate and pick the fastest backend/lanes per kernel × size; plans persist under -cachedir) or off")
 	flag.Parse()
 
 	srv, err := server.New(server.Config{

@@ -7,18 +7,22 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernelc"
 )
 
 // TestFigureBytesInvariantUnderAutoPlan is the figure-level planner
 // determinism gate: the same sweep must render byte-identical output
-// with the planner off, with it calibrating cold, and with it serving
-// calibrated plans warm from disk — and the warm run must leave every
-// persisted plan file untouched (write-once persistence). Strategy
-// choice moves wall time, never results: every strategy executes the
-// identical counted op stream.
+// with the planner off, on the plain lowering tier, with the planner
+// calibrating cold, and with it serving calibrated plans warm from
+// disk — and the warm run must leave every persisted plan file
+// untouched (write-once persistence). Strategy and tier choice move
+// wall time, never results: every one executes the identical counted
+// op stream.
 func TestFigureBytesInvariantUnderAutoPlan(t *testing.T) {
 	sizes := []int{64, 256, 1024, 4096}
-	run := func(auto bool, dir string, workers int) string {
+	plain := func(s *Suite) { s.RT.Opt = kernelc.TierPlain }
+	auto := func(s *Suite) { s.RT.EnableAutoPlan() }
+	run := func(conf func(*Suite), dir string, workers int) string {
 		s := NewSuite()
 		s.MaxRunLinear = 1 << 11
 		s.Reps = 2
@@ -30,8 +34,8 @@ func TestFigureBytesInvariantUnderAutoPlan(t *testing.T) {
 			}
 			s.RT.Disk = d
 		}
-		if auto {
-			s.RT.EnableAutoPlan()
+		if conf != nil {
+			conf(s)
 		}
 		out, err := s.RunFigure("fig6a", sizes)
 		if err != nil {
@@ -40,9 +44,12 @@ func TestFigureBytesInvariantUnderAutoPlan(t *testing.T) {
 		return out
 	}
 
-	base := run(false, "", 1)
+	base := run(nil, "", 1)
+	if got := run(plain, "", 1); got != base {
+		t.Fatalf("plain-tier figure diverged from the opt-tier figure:\n--- opt\n%s\n--- plain\n%s", base, got)
+	}
 	dir := t.TempDir()
-	cold := run(true, dir, 1)
+	cold := run(auto, dir, 1)
 	if cold != base {
 		t.Fatalf("cold auto-planned figure diverged from the static figure:\n--- static\n%s\n--- auto\n%s", base, cold)
 	}
@@ -53,7 +60,7 @@ func TestFigureBytesInvariantUnderAutoPlan(t *testing.T) {
 	if len(before) == 0 {
 		t.Fatal("cold auto run persisted no plan files")
 	}
-	warm := run(true, dir, 2) // workers>1: forks share the planner
+	warm := run(auto, dir, 2) // workers>1: forks share the planner
 	if warm != base {
 		t.Fatalf("warm auto-planned figure diverged:\n--- static\n%s\n--- warm\n%s", base, warm)
 	}

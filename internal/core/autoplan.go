@@ -1,12 +1,12 @@
 package core
 
 // Auto-planned execution: with Opt = kernelc.TierAuto the runtime
-// defers the (backend, tier, lanes) choice to the adaptive planner
-// (internal/plan) per kernel × size bucket. The artifact carries both
-// interpreter tiers and, when a prebuilt plugin is on hand, the native
+// defers the (backend, lanes) choice to the adaptive planner
+// (internal/plan) per kernel × size bucket. The artifact carries the
+// opt-tier program and, when a prebuilt plugin is on hand, the native
 // executable; every strategy executes the identical counted op stream,
 // so planning changes wall time only — results, writes, dynamic counts,
-// and therefore figure bytes are invariant (pinned by the tier/backend/
+// and therefore figure bytes are invariant (pinned by the backend/
 // parallel differential suites and TestAutoPlanDifferential).
 
 import (
@@ -22,9 +22,9 @@ import (
 )
 
 // defaultSpec is the planner's safe incumbent: the zero-value runtime
-// behavior (interpreter, opt tier, serial). A cold key's first
-// invocation always runs it, and pruning never removes it.
-var defaultSpec = machine.StrategySpec{Backend: "vm", Tier: "opt", Lanes: 1}
+// behavior (interpreter, serial). A cold key's first invocation always
+// runs it, and pruning never removes it.
+var defaultSpec = machine.StrategySpec{Backend: "vm", Lanes: 1}
 
 // EnableAutoPlan switches the runtime to planner-driven execution:
 // Opt becomes kernelc.TierAuto and a Planner is attached (sharing the
@@ -82,11 +82,11 @@ func (rt *Runtime) autoExec(f *ir.Func) backend.Executable {
 	return exe
 }
 
-// run routes one invocation: planner-driven in auto mode, the static
-// artifact path otherwise.
+// run routes one invocation: planner-driven for an artifact lowered in
+// auto mode, the static artifact path otherwise.
 func (kn *Kernel) run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	rt := kn.rt
-	if rt.Opt != kernelc.TierAuto || rt.Planner == nil || kn.art.progPlain == nil {
+	if rt.Opt != kernelc.TierAuto || rt.Planner == nil || !kn.art.planned {
 		return kn.art.run(m, args...)
 	}
 	return kn.runPlanned(m, args...)
@@ -128,14 +128,13 @@ func (kn *Kernel) runPlanned(m *vm.Machine, args ...vm.Value) (vm.Value, error) 
 func (kn *Kernel) installPlan(key plan.Key, deltaOps int64) {
 	rt := kn.rt
 	f := kn.art.f
-	specs := make([]machine.StrategySpec, 0, 4)
+	specs := make([]machine.StrategySpec, 0, 3)
 	specs = append(specs, defaultSpec)
-	specs = append(specs, machine.StrategySpec{Backend: "vm", Tier: "plain", Lanes: 1})
 	if kn.art.exec != nil {
-		specs = append(specs, machine.StrategySpec{Backend: "native", Tier: "opt", Lanes: 1})
+		specs = append(specs, machine.StrategySpec{Backend: "native", Lanes: 1})
 	}
 	if w := rt.Machine.Workers; w > 1 && machine.ParallelEligible(f) {
-		specs = append(specs, machine.StrategySpec{Backend: "vm", Tier: "opt", Lanes: w})
+		specs = append(specs, machine.StrategySpec{Backend: "vm", Lanes: w})
 	}
 	counts := vm.Counter{"ops": deltaOps}
 	costs := rt.estimator().PredictStrategies(f, counts, specs)
@@ -156,17 +155,13 @@ func (kn *Kernel) execStrategy(m *vm.Machine, s machine.StrategySpec, args []vm.
 		// The executable declined this particular call (cache simulator
 		// attached, argument shape mismatch): the interpreter serves it.
 	}
-	prog := kn.art.prog
-	if s.Tier == "plain" && kn.art.progPlain != nil {
-		prog = kn.art.progPlain
-	}
 	savedW, savedH := m.Workers, m.ChunkHint
 	if s.Lanes > 1 {
 		m.Workers, m.ChunkHint = s.Lanes, int64(s.Chunk)
 	} else {
 		m.Workers, m.ChunkHint = 0, 0
 	}
-	out, err := prog.Run(m, args...)
+	out, err := kn.art.prog.Run(m, args...)
 	m.Workers, m.ChunkHint = savedW, savedH
 	return out, err
 }

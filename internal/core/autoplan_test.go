@@ -1,19 +1,22 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/plan"
 )
 
 // TestAutoPlanDifferential pins the planner's safety invariant: a
-// runtime in auto mode — probing plain, opt, and (when available)
-// native strategies across calls — produces byte-identical results and
-// identical dynamic op counts to the static default runtime. Figures
-// derive from counts, so this is what keeps planner modes out of the
-// figure bytes.
+// runtime in auto mode — probing the serial vm and (when available)
+// native and parallel strategies across calls — produces
+// byte-identical results and identical dynamic op counts to the static
+// default runtime. Figures derive from counts, so this is what keeps
+// planner modes out of the figure bytes.
 func TestAutoPlanDifferential(t *testing.T) {
 	rtDef := DefaultRuntime()
 	rtAuto := DefaultRuntime()
@@ -66,6 +69,8 @@ func TestAutoPlanDifferential(t *testing.T) {
 // through a real DiskCache: a cold process calibrates and writes
 // plan-*.json files; a fresh runtime over the same directory loads
 // them, runs zero probes, and leaves every plan file byte-identical.
+// A version-2 plan left under the same key, one that chose the retired
+// plain tier, must miss: the cold run recalibrates and overwrites it.
 func TestAutoPlanWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDiskCache(dir, 0)
@@ -75,19 +80,34 @@ func TestAutoPlanWarmStart(t *testing.T) {
 	rt := DefaultRuntime()
 	rt.Disk = d
 	rt.EnableAutoPlan()
-	kn, err := rt.Compile(stageDouble(rt))
+	k := stageDouble(rt)
+	xs := make([]float32, 1024)
+	key := plan.Key{Hash: ir.Hash(k.F), Arch: rt.Arch.Name, Bucket: plan.Bucket(int64(4 * len(xs)))}
+	stale := fmt.Sprintf(`{"version":2,"hash":"%016x","arch":%q,"bucket":%d,"kernel":"double_all",`+
+		`"candidates":[{"spec":{"backend":"vm","tier":"plain","lanes":1},"pred_ns":1,"meas_ns":1,"probes":2}],"chosen":0}`,
+		key.Hash, key.Arch, key.Bucket)
+	if err := d.StorePlan(key.ID(), []byte(stale)); err != nil {
+		t.Fatal(err)
+	}
+	kn, err := rt.Compile(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]float32, 1024)
 	for i := 0; i < 12; i++ {
 		if _, err := kn.Call(xs, len(xs)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if st := rt.Planner.Stats(); st["loads"] != 0 || st["installs"] != 1 || st["probes"] == 0 {
+		t.Fatalf("version-2 plan was not a miss: %v", st)
+	}
 	views := rt.Planner.Snapshot()
 	if len(views) == 0 || !views[0].Calibrated {
 		t.Fatalf("cold run did not calibrate: %+v", views)
+	}
+	if raw, ok := d.LoadPlan(key.ID()); !ok || strings.Contains(string(raw), `"tier"`) ||
+		!strings.Contains(string(raw), fmt.Sprintf(`"version":%d`, plan.Version)) {
+		t.Fatalf("recalibration did not overwrite the version-2 plan: %s", raw)
 	}
 	planFiles, _ := filepath.Glob(filepath.Join(dir, "plan-*.json"))
 	if len(planFiles) == 0 {

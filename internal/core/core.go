@@ -80,7 +80,7 @@ type Runtime struct {
 	// name is part of the compile-cache key.
 	Backend backend.Backend
 	// Planner, with Opt = kernelc.TierAuto, picks the execution
-	// strategy (backend, tier, lanes) per kernel × size bucket —
+	// strategy (backend, lanes) per kernel × size bucket —
 	// model-predicted cold, calibrated by bounded online probing. Set
 	// via EnableAutoPlan (or UseBackend("auto")); forks share it. Nil
 	// means static execution, exactly the pre-planner behavior.
@@ -286,12 +286,11 @@ type artifact struct {
 	// exec is set or no backend was requested).
 	exec     backend.Executable
 	fallback string
-	// progPlain and hash are the auto-plan extras (nil/0 outside
-	// TierAuto): the plain-tier program so the planner can switch tiers
-	// without recompiling, and the canonical graph hash keying the
-	// kernel's plans.
-	progPlain *kernelc.Program
-	hash      uint64
+	// planned marks an artifact lowered under kernelc.TierAuto, whose
+	// calls the planner routes; hash, the canonical graph hash keying
+	// the kernel's plans, is set only then.
+	planned bool
+	hash    uint64
 
 	// countOnce guards countPrefix, the count-invariance verdict behind
 	// Kernel.CountKey: kernel name and graph hash when the graph passed
@@ -581,8 +580,8 @@ func (rt *Runtime) Compile(k *dsl.Kernel) (*Kernel, error) {
 // compileKey produces the artifact for one cache key, consulting the
 // persistent tier before paying for a full graph compile. A disk hit
 // reuses the stored verifier verdict, generated C, and link command and
-// only re-runs interpreter lowering — the dlopen analog. Full compiles
-// are written back so the next process starts warm.
+// only re-runs lowering — the dlopen analog. Full compiles are written
+// back so the next process starts warm.
 func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*artifact, error) {
 	if rt.Disk != nil {
 		fp := rt.diskFingerprint()
@@ -592,25 +591,13 @@ func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*a
 		if ok {
 			parent.SetAttr("disk", "hit")
 			rt.Metrics.Counter("ngen.disk.hit").Add(1)
-			lsp := parent.Child("kernelc.compile")
-			prog, err := kernelc.CompileTier(k.F, rt.Opt)
-			var progPlain *kernelc.Program
-			if err == nil && rt.Opt == kernelc.TierAuto {
-				progPlain, err = kernelc.CompileTier(k.F, kernelc.TierPlain)
-			}
-			lsp.End()
+			// The backend re-resolves its own artifact here too: with the
+			// disk cache attached as its store, a warm native run loads
+			// the built plugin without touching the toolchain.
+			art, err := rt.lower(k.F, parent)
 			if err == nil {
-				// The backend re-resolves its own artifact here too: with
-				// the disk cache attached as its store, a warm native run
-				// loads the built plugin without touching the toolchain.
-				exe, why := rt.backendCompile(k.F, parent)
-				if exe == nil && rt.Opt == kernelc.TierAuto {
-					exe = rt.autoExec(k.F)
-				}
-				return &artifact{f: k.F, prog: prog, source: ent.Source,
-					command: ent.Command, verify: ent.Verify,
-					exec: exe, fallback: why,
-					progPlain: progPlain, hash: key.hash}, nil
+				art.source, art.command, art.verify = ent.Source, ent.Command, ent.Verify
+				return art, nil
 			}
 			// A persisted entry that no longer lowers predates an
 			// interpreter change the fingerprint missed: fall through to
@@ -672,18 +659,11 @@ func (rt *Runtime) build(k *dsl.Kernel, parent *obs.Span) (*artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp = parent.Child("kernelc.compile")
-	prog, err := kernelc.CompileTier(k.F, rt.Opt)
-	var progPlain *kernelc.Program
-	if err == nil && rt.Opt == kernelc.TierAuto {
-		// Auto mode lowers both tiers under one artifact so the planner
-		// can switch per invocation without recompiling.
-		progPlain, err = kernelc.CompileTier(k.F, kernelc.TierPlain)
-	}
-	sp.End()
+	art, err := rt.lower(k.F, parent)
 	if err != nil {
 		return nil, err
 	}
+	prog := art.prog
 	// The optimizer's per-compile yield, as a span (structure) and as
 	// counters (totals across compiles).
 	sp = parent.Child("opt.run")
@@ -697,23 +677,31 @@ func (rt *Runtime) build(k *dsl.Kernel, parent *obs.Span) (*artifact, error) {
 	rt.Metrics.Counter("opt.fused.chain").Add(int64(prog.FusedChains()))
 	sp = parent.Child("toolchain.link")
 	lib := "lib" + k.Name() + ".so"
-	command := rt.Toolchain.CommandLine(rt.Arch.Features, k.Name()+".c", lib)
+	art.command = rt.Toolchain.CommandLine(rt.Arch.Features, k.Name()+".c", lib)
 	sp.End()
-	exe, why := rt.backendCompile(k.F, parent)
-	art := &artifact{
-		f:        k.F,
-		prog:     prog,
-		source:   src,
-		command:  command,
-		verify:   res,
-		exec:     exe,
-		fallback: why,
+	art.source, art.verify = src, res
+	return art, nil
+}
+
+// lower is the half of a compile that a full build and a disk hit
+// share: interpreter lowering at the runtime's tier, then the backend
+// executable. Under TierAuto it also marks the artifact planned, keys
+// it by graph hash, and takes a prebuilt native executable when the
+// runtime's backend supplied none.
+func (rt *Runtime) lower(f *ir.Func, parent *obs.Span) (*artifact, error) {
+	sp := parent.Child("kernelc.compile")
+	prog, err := kernelc.CompileTier(f, rt.Opt)
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
+	art := &artifact{f: f, prog: prog}
+	art.exec, art.fallback = rt.backendCompile(f, parent)
 	if rt.Opt == kernelc.TierAuto {
-		art.progPlain = progPlain
-		art.hash = ir.Hash(k.F)
+		art.planned = true
+		art.hash = ir.Hash(f)
 		if art.exec == nil {
-			art.exec = rt.autoExec(k.F)
+			art.exec = rt.autoExec(f)
 		}
 	}
 	return art, nil

@@ -120,10 +120,10 @@ const (
 	// TierPlain is the PR-1-era pipeline: fusion only, no loop-nest
 	// optimizer. Differential tests diff it against TierOpt.
 	TierPlain
-	// TierAuto defers the tier choice to the execution planner
-	// (internal/plan): core compiles both tier programs under one
-	// cache entry and picks per invocation. CompileTier maps it to the
-	// opt pipeline, the planner's default leg.
+	// TierAuto defers the execution strategy to the planner
+	// (internal/plan): core keeps auto artifacts under their own cache
+	// entry and picks backend and lanes per invocation. CompileTier
+	// maps it to the opt pipeline, the only tier the planner runs.
 	TierAuto
 )
 

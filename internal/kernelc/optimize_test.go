@@ -310,8 +310,8 @@ func TestArenaAccounting(t *testing.T) {
 	}
 }
 
-// BenchmarkSaxpyTiers measures the interpreter at both tiers; the
-// benchmark harness picks the optimized number up for BENCH_pr4.json.
+// BenchmarkSaxpyTiers measures the interpreter at both tiers
+// (go test -bench SaxpyTiers ./internal/kernelc).
 func BenchmarkSaxpyTiers(b *testing.B) {
 	for _, tier := range []Tier{TierOpt, TierPlain} {
 		b.Run(tier.String(), func(b *testing.B) {

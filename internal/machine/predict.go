@@ -12,11 +12,10 @@ import (
 
 // Strategy prediction: pricing the admissible execution strategies of
 // one kernel invocation before any of them has run. The modeled cycle
-// estimate (Estimate) is strategy-invariant — every tier, lane count,
-// and backend executes the identical op stream — so what distinguishes
+// estimate (Estimate) is strategy-invariant — every lane count and
+// backend executes the identical op stream — so what distinguishes
 // strategies is the host's own mechanism cost: interpreter dispatch per
-// op (higher on the plain tier, whose lowering fuses nothing), the
-// fixed managed↔native crossing the paper models for JNI (plus the
+// op, the fixed managed↔native crossing the paper models for JNI (plus the
 // plugin call itself) on the native backend, and goroutine startup +
 // counter merge for sharded parallel loops. The constants below are
 // mechanism estimates for the reproduction host, deliberately rough:
@@ -24,11 +23,9 @@ import (
 // decisions, because online calibration (internal/plan) replaces them
 // with exponentially-smoothed measurements after the first probe runs.
 const (
-	// HostNsOpt and HostNsPlain are interpreter dispatch costs per
-	// counted op on the opt and plain tiers (the plain tier re-walks
-	// operand trees the optimizer would have fused or hoisted).
-	HostNsOpt   = 30.0
-	HostNsPlain = 60.0
+	// HostNsOpt is the interpreter dispatch cost per counted op on the
+	// opt tier.
+	HostNsOpt = 30.0
 	// HostNsNative is the per-op cost on the native plugin backend. The
 	// plugin still drives the counted software-SIMD machine (counts
 	// must stay byte-identical), so it shaves dispatch, not execution.
@@ -50,19 +47,18 @@ func CrossingNs(a *isa.Microarch) float64 {
 }
 
 // StrategySpec names one admissible execution configuration: which
-// backend runs the kernel, which lowering tier, and how many parallel
+// backend runs the kernel's opt-tier lowering, and how many parallel
 // lanes (1 = serial) with which shard chunk size (0 = scheduler
 // default).
 type StrategySpec struct {
 	Backend string `json:"backend"`
-	Tier    string `json:"tier"`
 	Lanes   int    `json:"lanes"`
 	Chunk   int    `json:"chunk,omitempty"`
 }
 
 // String renders the spec the way planner tables print it.
 func (s StrategySpec) String() string {
-	out := s.Backend + "/" + s.Tier + "/" + strconv.Itoa(s.Lanes)
+	out := s.Backend + "/" + strconv.Itoa(s.Lanes)
 	if s.Chunk > 0 {
 		out += "c" + strconv.Itoa(s.Chunk)
 	}
@@ -89,9 +85,6 @@ func (e *Estimator) PredictStrategies(f *ir.Func, counts vm.Counter, specs []Str
 	ncpu := float64(runtime.NumCPU())
 	for i, s := range specs {
 		perOp := HostNsOpt
-		if s.Tier == "plain" {
-			perOp = HostNsPlain
-		}
 		if s.Backend == "native" {
 			perOp = HostNsNative
 		}

@@ -11,17 +11,16 @@ import (
 
 func predictSpecs() []StrategySpec {
 	return []StrategySpec{
-		{Backend: "vm", Tier: "opt", Lanes: 1},
-		{Backend: "vm", Tier: "plain", Lanes: 1},
-		{Backend: "native", Tier: "opt", Lanes: 1},
-		{Backend: "vm", Tier: "opt", Lanes: 4},
+		{Backend: "vm", Lanes: 1},
+		{Backend: "native", Lanes: 1},
+		{Backend: "vm", Lanes: 4},
 	}
 }
 
 // TestPredictStrategiesCrossover pins the qualitative shape the planner
 // relies on: at tiny op counts the fixed managed↔native crossing makes
 // the interpreter win; at large counts the native backend's cheaper
-// dispatch amortizes it and wins; the plain tier never beats opt.
+// dispatch amortizes it and wins.
 func TestPredictStrategiesCrossover(t *testing.T) {
 	e := NewEstimator(isa.Haswell)
 	f := stagedLoop(t)
@@ -36,19 +35,14 @@ func TestPredictStrategiesCrossover(t *testing.T) {
 	}
 
 	small := price(10)
-	if small["vm/opt/1"] >= small["native/opt/1"] {
+	if small["vm/1"] >= small["native/1"] {
 		t.Fatalf("at 10 ops the crossing cost must dominate: vm %v, native %v",
-			small["vm/opt/1"], small["native/opt/1"])
+			small["vm/1"], small["native/1"])
 	}
 	large := price(100000)
-	if large["native/opt/1"] >= large["vm/opt/1"] {
+	if large["native/1"] >= large["vm/1"] {
 		t.Fatalf("at 100k ops native dispatch must win: native %v, vm %v",
-			large["native/opt/1"], large["vm/opt/1"])
-	}
-	for _, m := range []map[string]float64{small, large} {
-		if m["vm/plain/1"] <= m["vm/opt/1"] {
-			t.Fatalf("plain tier predicted faster than opt: %v", m)
-		}
+			large["native/1"], large["vm/1"])
 	}
 }
 
@@ -76,9 +70,9 @@ func TestParallelPricing(t *testing.T) {
 	var serial, par float64
 	for _, c := range got {
 		switch c.Spec.String() {
-		case "vm/opt/1":
+		case "vm/1":
 			serial = c.HostNs
-		case "vm/opt/4":
+		case "vm/4":
 			par = c.HostNs
 		}
 	}

@@ -1,9 +1,9 @@
 // Package plan is the adaptive execution planner: for each (kernel
 // graph, microarchitecture, working-set size bucket) it selects the
 // fastest execution strategy — backend (vm interpreter or native
-// plugin), lowering tier (opt or plain), and parallel lane count with
-// shard chunk size — by combining the analytical cost model's
-// prediction with bounded online calibration.
+// plugin) and parallel lane count with shard chunk size — by combining
+// the analytical cost model's prediction with bounded online
+// calibration.
 //
 // The paper's pipeline faces the same decision implicitly: when is the
 // JNI crossing to a native kernel worth its fixed cost, and when does
@@ -55,8 +55,10 @@ import (
 
 // Version is the persisted-plan schema version; bumped on any change
 // to the file format so stale files miss instead of misparse. v2 moved
-// the checksum out of the plan into the store's envelope.
-const Version = 2
+// the checksum out of the plan into the store's envelope; v3 dropped
+// the spec's lowering tier, so a v2 plan that chose the plain tier can
+// never route to a strategy the runtime no longer has.
+const Version = 3
 
 // Key identifies one planning unit: a staged graph (by canonical
 // structural hash), the microarchitecture it runs on, and the

@@ -7,13 +7,13 @@ import (
 	"repro/internal/machine"
 )
 
-func spec(b, tier string, lanes int) machine.StrategySpec {
-	return machine.StrategySpec{Backend: b, Tier: tier, Lanes: lanes}
+func spec(b string, lanes int) machine.StrategySpec {
+	return machine.StrategySpec{Backend: b, Lanes: lanes}
 }
 
 func costs(ns ...float64) []machine.StrategyCost {
 	specs := []machine.StrategySpec{
-		spec("vm", "opt", 1), spec("vm", "plain", 1), spec("native", "opt", 1),
+		spec("vm", 1), spec("vm", 2), spec("native", 1),
 	}
 	out := make([]machine.StrategyCost, len(ns))
 	for i, n := range ns {
@@ -45,9 +45,9 @@ func TestLifecycle(t *testing.T) {
 	if _, ok := p.Decide(key); ok {
 		t.Fatal("Decide hit before any plan was installed")
 	}
-	// Model says native (80ns) beats opt (100) and plain (120).
+	// Model says native (80ns) beats serial vm (100) and two lanes (120).
 	p.Install(key, "k", costs(100, 120, 80))
-	p.Observe(key, spec("vm", "opt", 1), 100) // the cold default run
+	p.Observe(key, spec("vm", 1), 100) // the cold default run
 
 	seen := map[string]int{}
 	for i := 0; i < 16 && !p.Calibrated(key); i++ {
@@ -59,8 +59,8 @@ func TestLifecycle(t *testing.T) {
 			t.Fatalf("iteration %d: expected a probe while calibrating, got %v", i, d.Spec)
 		}
 		seen[d.Spec.String()]++
-		// Measurement disagrees with the model: opt is actually fastest.
-		ns := map[string]float64{"vm/opt/1": 90, "vm/plain/1": 200, "native/opt/1": 150}[d.Spec.String()]
+		// Measurement disagrees with the model: serial vm is actually fastest.
+		ns := map[string]float64{"vm/1": 90, "vm/2": 200, "native/1": 150}[d.Spec.String()]
 		p.Observe(key, d.Spec, ns)
 	}
 	if !p.Calibrated(key) {
@@ -75,7 +75,7 @@ func TestLifecycle(t *testing.T) {
 	if !ok || d.Probe {
 		t.Fatalf("calibrated Decide = %+v, %v", d, ok)
 	}
-	if d.Spec != spec("vm", "opt", 1) {
+	if d.Spec != spec("vm", 1) {
 		t.Fatalf("measured argmin lost: chose %v", d.Spec)
 	}
 	if got := p.Stats()["mispredict"]; got != 1 {
@@ -88,16 +88,16 @@ func TestLifecycle(t *testing.T) {
 func TestPruning(t *testing.T) {
 	p := New(Config{ProbeBudget: 1, PruneRatio: 1.5})
 	key := Key{Hash: 1, Arch: "A", Bucket: 4}
-	// Best is native (100); plain at 200 exceeds 1.5× and is pruned;
+	// Best is native (100); two lanes at 200 exceed 1.5× and are pruned;
 	// the default stays despite predicting 3× the best.
 	p.Install(key, "k", costs(300, 200, 100))
-	p.Observe(key, spec("vm", "opt", 1), 300)
+	p.Observe(key, spec("vm", 1), 300)
 	for i := 0; i < 8 && !p.Calibrated(key); i++ {
 		d, ok := p.Decide(key)
 		if !ok {
 			t.Fatal("miss")
 		}
-		if d.Probe && d.Spec == spec("vm", "plain", 1) {
+		if d.Probe && d.Spec == spec("vm", 2) {
 			t.Fatal("pruned candidate was probed")
 		}
 		p.Observe(key, d.Spec, 100)
@@ -108,10 +108,10 @@ func TestPruning(t *testing.T) {
 	v := p.Snapshot()[0]
 	var prunedOK bool
 	for _, c := range v.Candidates {
-		if c.Spec == spec("vm", "plain", 1) {
+		if c.Spec == spec("vm", 2) {
 			prunedOK = c.Pruned && c.Probes == 0
 		}
-		if c.Spec == spec("vm", "opt", 1) && c.Pruned {
+		if c.Spec == spec("vm", 1) && c.Pruned {
 			t.Fatal("the default strategy must never be pruned")
 		}
 	}
@@ -146,7 +146,7 @@ func TestPersistence(t *testing.T) {
 	p.SetStore(st)
 	key := Key{Hash: 0xabc, Arch: "Haswell", Bucket: 12}
 	p.Install(key, "k", costs(100, 120, 90))
-	p.Observe(key, spec("vm", "opt", 1), 100)
+	p.Observe(key, spec("vm", 1), 100)
 	for i := 0; i < 8 && !p.Calibrated(key); i++ {
 		d, _ := p.Decide(key)
 		p.Observe(key, d.Spec, 100+float64(i))
@@ -194,7 +194,7 @@ func TestCorruptPlanIgnored(t *testing.T) {
 	p2 := New(Config{ProbeBudget: 1})
 	p2.SetStore(st)
 	p2.Install(other, "k", costs(100, 120, 90))
-	p2.Observe(other, spec("vm", "opt", 1), 100)
+	p2.Observe(other, spec("vm", 1), 100)
 	for i := 0; i < 8 && !p2.Calibrated(other); i++ {
 		d, _ := p2.Decide(other)
 		p2.Observe(other, d.Spec, 100)
@@ -212,8 +212,8 @@ func TestCorruptPlanIgnored(t *testing.T) {
 func TestExploreAll(t *testing.T) {
 	p := New(Config{ProbeBudget: 1, ExploreAll: true})
 	key := Key{Hash: 9, Arch: "A", Bucket: 1}
-	p.Install(key, "k", costs(100, 1e9, 90)) // plain absurdly slow in the model
-	p.Observe(key, spec("vm", "opt", 1), 100)
+	p.Install(key, "k", costs(100, 1e9, 90)) // two lanes absurdly slow in the model
+	p.Observe(key, spec("vm", 1), 100)
 	probed := map[string]bool{}
 	for i := 0; i < 8 && !p.Calibrated(key); i++ {
 		d, _ := p.Decide(key)
@@ -222,7 +222,7 @@ func TestExploreAll(t *testing.T) {
 		}
 		p.Observe(key, d.Spec, 50)
 	}
-	if !probed["vm/plain/1"] || !probed["native/opt/1"] {
+	if !probed["vm/2"] || !probed["native/1"] {
 		t.Fatalf("ExploreAll skipped candidates: %v", probed)
 	}
 }

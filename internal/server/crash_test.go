@@ -123,8 +123,8 @@ func crashConsumers() []persistedConsumer {
 				_, d := diskRuntime(t, dir)
 				p := plan.New(plan.Config{ProbeBudget: 1})
 				p.SetStore(d)
-				specs := []machine.StrategySpec{{Backend: "vm", Tier: "opt", Lanes: 1},
-					{Backend: "vm", Tier: "plain", Lanes: 1}}
+				specs := []machine.StrategySpec{{Backend: "vm", Lanes: 1},
+					{Backend: "vm", Lanes: 2}}
 				for i, h := range []uint64{1, 2} {
 					key := planKey(h)
 					p.Install(key, "k", []machine.StrategyCost{

@@ -60,7 +60,7 @@ type Config struct {
 	Resume bool
 	// Plan controls the adaptive execution planner ("" or "auto"
 	// enables it — per kernel × size bucket the daemon calibrates and
-	// picks the fastest backend/tier/lanes, persisting plans in
+	// picks the fastest backend/lanes, persisting plans in
 	// CacheDir; "off" pins the static interpreter path). Results are
 	// byte-identical either way; see docs/PLANNER.md.
 	Plan string
