@@ -90,7 +90,7 @@ nativediff:
 		echo "nativediff: $$n kernels byte-identical native vs vm"; \
 	fi
 
-# plancheck is the adaptive-planner gate, in two phases. First the
+# plancheck is the adaptive-planner gate, in three phases. First the
 # calibration round-trip: a cold `ngen plan -check` over the three
 # reference kernels must leave every size bucket calibrated with a
 # measured-best chosen row, persisting its plans to the cache directory;
@@ -98,7 +98,10 @@ nativediff:
 # and spend zero probes. Second, figure invariance: the auto-planned
 # quick fig6a sweep must be byte-identical to the static one (planner
 # lines stripped), because strategy choice moves wall time, never
-# results.
+# results. Third, the no-choice rule: with one lane and no cache
+# directory (so no native plugin on hand) every kernel has a single
+# strategy, so the planned run must make no plan at all and still
+# print the static figure.
 plancheck:
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/ngen plan -check -cachedir "$$dir" saxpy mmm dot8 >/dev/null \
@@ -117,7 +120,15 @@ plancheck:
 	cmp -s /tmp/plancheck_static.txt /tmp/plancheck_auto.txt \
 		|| { echo "plancheck: auto-planned figure diverged from static"; \
 			diff /tmp/plancheck_static.txt /tmp/plancheck_auto.txt; exit 1; }; \
-	echo "plancheck: warm $$line; auto-planned fig6a byte-identical to static"
+	out=$$($(GO) run ./cmd/ngen -quick -auto -par 1 fig6a) || exit 1; \
+	echo "$$out" | grep -q "^plan: 0 plans" \
+		|| { echo "plancheck: a run without a choice planned:"; \
+			echo "$$out" | grep "^plan"; exit 1; }; \
+	echo "$$out" | grep -v "^plan" >/tmp/plancheck_nochoice.txt; \
+	cmp -s /tmp/plancheck_static.txt /tmp/plancheck_nochoice.txt \
+		|| { echo "plancheck: no-choice planned figure diverged from static"; \
+			diff /tmp/plancheck_static.txt /tmp/plancheck_nochoice.txt; exit 1; }; \
+	echo "plancheck: warm $$line; auto-planned fig6a byte-identical to static; -par 1 run made 0 plans"
 
 # cachepersist is the persistent-cache gate: a cold run populates the
 # cache directory, and the warm run — a fresh process, empty in-memory

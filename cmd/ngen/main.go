@@ -51,10 +51,12 @@
 //	-backend native          # compile kernels to Go plugins and run them
 //	                         # natively; unavailable hosts fall back to the
 //	                         # vm interpreter with a notice, results identical
-//	-auto                    # adaptive execution planner: per kernel × size
-//	                         # bucket, predict, calibrate and auto-select the
-//	                         # fastest (backend, lanes); figure output
-//	                         # stays byte-identical (docs/PLANNER.md)
+//	-auto                    # adaptive execution planner, the one switch
+//	                         # for it: per kernel × size bucket, predict,
+//	                         # calibrate and auto-select the fastest
+//	                         # (backend, lanes) among kernels with a choice;
+//	                         # figure output stays byte-identical
+//	                         # (docs/PLANNER.md)
 //	-cachedir dir            # persistent compile cache: cold runs fill it,
 //	                         # warm runs perform zero graph compiles and
 //	                         # print a cachepersist summary line
@@ -94,7 +96,7 @@ func main() {
 		flag.PrintDefaults()
 	}
 	quick := flag.Bool("quick", false, "smaller size sweeps (fast smoke run)")
-	backendName := flag.String("backend", "", "execution backend: vm (interpreter, default), native (plugin-compiled Go; falls back to vm with a notice when unavailable), or auto (adaptive planner)")
+	backendName := flag.String("backend", "", "execution backend: vm (interpreter, default) or native (plugin-compiled Go; falls back to vm with a notice when unavailable or unknown)")
 	auto := flag.Bool("auto", false, "adaptive execution planner: calibrate and auto-select the fastest backend/lanes per kernel × size (results byte-identical; see docs/PLANNER.md)")
 	workers := flag.Int("j", runtime.NumCPU(), "sweep worker goroutines (size points run in parallel)")
 	par := flag.Int("par", runtime.NumCPU(), "parallel loop lanes per kernel execution (≤1 keeps every loop on the serial driver)")
@@ -132,8 +134,8 @@ func main() {
 		return
 	}
 	if cmd == "plan" {
-		// plan builds its own auto-mode runtime (pruning off, eager
-		// native builds); flags follow the subcommand.
+		// plan builds its own planned runtime (eager native builds);
+		// flags follow the subcommand.
 		if err := planCmd(flag.Args()[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, "ngen:", err)
 			os.Exit(1)

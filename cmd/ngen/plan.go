@@ -1,13 +1,13 @@
 package main
 
 // ngen plan — the execution planner's calibration tool. It compiles a
-// set of registry kernels in auto mode with pruning disabled, drives
-// each through representative size buckets until every plan calibrates,
-// and prints the predicted-vs-measured strategy tables the planner
-// decided from. With -cachedir the calibrated plans persist next to the
-// compile cache, so a subsequent run (or ngen -auto / ngend) starts
-// warm: the `plan probes: 0` line on a second run is the CI plancheck
-// gate's evidence that persistence works. See docs/PLANNER.md.
+// set of registry kernels on a planned runtime, drives each through
+// representative size buckets until every plan calibrates, and prints
+// the predicted-vs-measured strategy tables the planner decided from.
+// With -cachedir the calibrated plans persist next to the compile
+// cache, so a subsequent run (or ngen -auto / ngend) starts warm: the
+// `plan probes: 0` line on a second run is the CI plancheck gate's
+// evidence that persistence works. See docs/PLANNER.md.
 
 import (
 	"flag"
@@ -19,6 +19,7 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/machine"
 	"repro/internal/plan"
 	"repro/internal/vm"
 )
@@ -110,13 +111,14 @@ func planCmd(args []string) error {
 		rt.Disk = d
 	}
 
-	// Eager native builds on a fork: auto mode never pays a toolchain
+	// Eager native builds on a fork: the planner never pays a toolchain
 	// run mid-measurement (backend.CachedCompiler admits cache hits
 	// only), so the calibrator builds the plugins up front. Hosts
 	// without the native backend calibrate the interpreter alone.
 	nrt := rt.Fork()
-	if err := nrt.UseBackend("native"); err != nil {
-		fmt.Printf("plan: native backend unavailable (%v); calibrating vm only\n", err)
+	nativeErr := nrt.UseBackend("native")
+	if nativeErr != nil {
+		fmt.Printf("plan: native backend unavailable (%v); calibrating vm only\n", nativeErr)
 	} else {
 		for _, t := range targets {
 			k, err := t.stage(rt.Arch.Features)
@@ -129,9 +131,7 @@ func planCmd(args []string) error {
 		}
 	}
 
-	// ExploreAll: the calibration tool probes every admissible
-	// candidate so the table shows a measured column for each row.
-	rt.EnableAutoPlanWith(plan.Config{ExploreAll: true})
+	rt.EnableAutoPlan()
 
 	for _, t := range targets {
 		k, err := t.stage(rt.Arch.Features)
@@ -143,6 +143,12 @@ func planCmd(args []string) error {
 			return err
 		}
 		kernel := kn.Func().Name
+		if nativeErr != nil && (*par <= 1 || !machine.ParallelEligible(kn.Func())) {
+			// No native executable and no lanes: vm/1 is the only
+			// strategy, so the runtime never plans this kernel.
+			fmt.Printf("plan: %s has one admissible strategy (vm/1); not planned\n", kernel)
+			continue
+		}
 		for _, n := range t.sizes {
 			callArgs := t.args(n)
 			for i := 0; i < calibrateRounds; i++ {
@@ -202,12 +208,8 @@ func printPlanTable(kernel string, views []plan.View) {
 			if c.Probes > 0 {
 				meas = fmt.Sprintf("%.0f", c.MeasNs)
 			}
-			note := ""
-			if c.Pruned {
-				note = "  (pruned)"
-			}
-			fmt.Printf("  %-1s %-16s %12.0f %12s %7d%s\n",
-				mark, c.Spec.String(), c.PredNs, meas, c.Probes, note)
+			fmt.Printf("  %-1s %-16s %12.0f %12s %7d\n",
+				mark, c.Spec.String(), c.PredNs, meas, c.Probes)
 		}
 	}
 }

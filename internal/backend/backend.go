@@ -3,11 +3,11 @@
 // paper's pipeline lowers a staged SIMD graph to C, compiles it with a
 // native toolchain and calls it through JNI; our reproduction has so
 // far substituted a single software interpreter (internal/vm driven by
-// internal/kernelc). A Backend abstracts that choice: the interpreter
-// tiers are the first implementations, and backend/native adds a true
-// native tier that specializes the graph into standalone Go source,
-// builds it as a plugin, and executes it in-process. Future NEON/RVV/
-// GPU backends register here as well.
+// internal/kernelc). A Backend abstracts what runs beside that
+// interpreter, which core keeps as the always-present default named
+// "vm": backend/native is a true native tier that specializes the graph
+// into standalone Go source, builds it as a plugin, and executes it
+// in-process. Future NEON/RVV/GPU backends register here as well.
 //
 // Layering: core imports backend (never a concrete backend); the CLI
 // constructs concrete backends and hands them to core.Runtime. A
@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/ir"
-	"repro/internal/kernelc"
 	"repro/internal/vm"
 )
 
@@ -51,11 +50,11 @@ type Backend interface {
 	// OS, race-instrumented host, ...). Callers use it to decide
 	// whether to fall back before paying a Compile.
 	Available() error
-	// Compile lowers the function at the given interpreter tier. A
-	// non-nil error means the kernel stays on the vm interpreter; the
-	// error text is the human-readable reason (surfaced by ngen vet's
-	// native-lowerable pass and the runtime's fallback report).
-	Compile(f *ir.Func, tier kernelc.Tier) (Executable, error)
+	// Compile lowers the function. A non-nil error means the kernel
+	// stays on the vm interpreter; the error text is the human-readable
+	// reason (surfaced by ngen vet's native-lowerable pass and the
+	// runtime's fallback report).
+	Compile(f *ir.Func) (Executable, error)
 }
 
 // CachedCompiler is implemented by backends that can distinguish a
@@ -67,7 +66,7 @@ type Backend interface {
 // (nil, false) — with no side effects beyond a load attempt — when a
 // full Compile would have to build.
 type CachedCompiler interface {
-	CompileCached(f *ir.Func, tier kernelc.Tier) (Executable, bool)
+	CompileCached(f *ir.Func) (Executable, bool)
 }
 
 // ArtifactStore persists backend build products (for example native
@@ -85,30 +84,6 @@ type ArtifactStore interface {
 // an ArtifactStore; the runtime attaches its disk cache through it.
 type StoreAware interface {
 	SetStore(ArtifactStore)
-}
-
-// Interp is the interpreter backend: a thin adapter over the existing
-// kernelc tiers, so the default execution path flows through the same
-// interface the native tier plugs into.
-type Interp struct {
-	Tier kernelc.Tier
-}
-
-// Name returns "vm" — the canonical name of the interpreter backend.
-// Cache entries written before the Backend refactor carry this name
-// implicitly, so it must never change.
-func (Interp) Name() string { return "vm" }
-
-// Available always succeeds: the interpreter runs everywhere.
-func (Interp) Available() error { return nil }
-
-// Compile lowers through kernelc at the requested tier.
-func (Interp) Compile(f *ir.Func, tier kernelc.Tier) (Executable, error) {
-	p, err := kernelc.CompileTier(f, tier)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // --- registry ----------------------------------------------------------------
@@ -130,12 +105,9 @@ func Register(name string, ctor func() Backend) {
 	registry[name] = ctor
 }
 
-// Lookup constructs the named backend. The interpreter backend "vm" is
-// always present.
+// Lookup constructs the named registered backend. The interpreter is
+// not one: core runs it when no backend is attached.
 func Lookup(name string) (Backend, error) {
-	if name == "" || name == "vm" {
-		return Interp{}, nil
-	}
 	regMu.RLock()
 	ctor, ok := registry[name]
 	regMu.RUnlock()
@@ -145,8 +117,8 @@ func Lookup(name string) (Backend, error) {
 	return ctor(), nil
 }
 
-// Names lists the registered backend names, "vm" first, the rest
-// sorted.
+// Names lists the selectable backend names: "vm" (the interpreter)
+// first, then the registered backends sorted.
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()

@@ -1,41 +1,42 @@
 package backend
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
-	"repro/internal/dsl"
-	"repro/internal/isa"
-	"repro/internal/kernelc"
-	"repro/internal/vm"
+	"repro/internal/ir"
 )
 
-// TestLookupInterpAliases: the interpreter backend is always present
-// under both its canonical name and the empty default.
-func TestLookupInterpAliases(t *testing.T) {
-	for _, name := range []string{"", "vm"} {
-		be, err := Lookup(name)
-		if err != nil {
-			t.Fatalf("Lookup(%q): %v", name, err)
-		}
-		if be.Name() != "vm" {
-			t.Fatalf("Lookup(%q).Name() = %q", name, be.Name())
-		}
-		if err := be.Available(); err != nil {
-			t.Fatalf("interpreter unavailable: %v", err)
-		}
+// stub is a registrable Backend that compiles nothing.
+type stub struct{ name string }
+
+func (s stub) Name() string                       { return s.name }
+func (stub) Available() error                     { return nil }
+func (stub) Compile(*ir.Func) (Executable, error) { return nil, errors.New("stub") }
+
+// TestLookupResolvesRegisteredOnly: Lookup constructs registered
+// backends and nothing else — the interpreter is core's default, not a
+// registry entry, so "" and "vm" are unknown here.
+func TestLookupResolvesRegisteredOnly(t *testing.T) {
+	Register("ltest", func() Backend { return stub{"ltest"} })
+	be, err := Lookup("ltest")
+	if err != nil || be.Name() != "ltest" {
+		t.Fatalf("Lookup(ltest) = %v, %v", be, err)
 	}
-	if _, err := Lookup("no-such-backend"); err == nil ||
-		!strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("unknown backend lookup: %v", err)
+	for _, name := range []string{"", "vm", "no-such-backend"} {
+		if _, err := Lookup(name); err == nil ||
+			!strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("Lookup(%q): %v, want unknown backend", name, err)
+		}
 	}
 }
 
 // TestRegistryNamesAndDuplicates: registered names list "vm" first then
 // sorted, and re-registering a name panics (programming error).
 func TestRegistryNamesAndDuplicates(t *testing.T) {
-	Register("ztest", func() Backend { return Interp{} })
-	Register("atest", func() Backend { return Interp{} })
+	Register("ztest", func() Backend { return stub{"ztest"} })
+	Register("atest", func() Backend { return stub{"atest"} })
 	names := Names()
 	if names[0] != "vm" {
 		t.Fatalf("Names()[0] = %q, want vm", names[0])
@@ -57,30 +58,5 @@ func TestRegistryNamesAndDuplicates(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register("ztest", func() Backend { return Interp{} })
-}
-
-// TestInterpCompileRuns: the interpreter adapter lowers and executes a
-// staged kernel through the Backend interface.
-func TestInterpCompileRuns(t *testing.T) {
-	k := dsl.NewKernel("bump", isa.Haswell.Features)
-	a := dsl.Mutable(k, k.ParamI32Ptr())
-	n := k.ParamInt()
-	k.For(k.ConstInt(0), n, 1, func(i dsl.Int) {
-		a.Set(i, a.At(i).Add(k.ConstInt(1)))
-	})
-	exe, err := Interp{Tier: kernelc.TierOpt}.Compile(k.F, kernelc.TierOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := vm.NewBuffer(isa.PrimI32, 4)
-	m := vm.NewMachine(isa.Haswell)
-	if _, err := exe.Run(m, vm.PtrValue(buf, 0), vm.IntValue(4)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if buf.IntAt(i) != 1 {
-			t.Fatalf("a[%d] = %d, want 1", i, buf.IntAt(i))
-		}
-	}
+	Register("ztest", func() Backend { return stub{"ztest"} })
 }

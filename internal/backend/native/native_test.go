@@ -69,14 +69,14 @@ func TestNativeDifferentialAllKernels(t *testing.T) {
 			if err := Lowerable(f); err != nil {
 				t.Fatalf("kernel is not native-lowerable: %v", err)
 			}
+			nat, err := be.Compile(f)
+			if err != nil {
+				t.Fatalf("native compile: %v", err)
+			}
 			for _, tier := range []kernelc.Tier{kernelc.TierPlain, kernelc.TierOpt} {
 				interp, err := kernelc.CompileTier(f, tier)
 				if err != nil {
 					t.Fatal(err)
-				}
-				nat, err := be.Compile(f, tier)
-				if err != nil {
-					t.Fatalf("native compile: %v", err)
 				}
 				square := strings.Contains(strings.ToLower(tgt.Name), "mmm")
 				for _, n := range []int{8, 32, 33} {
@@ -167,7 +167,7 @@ func TestNativeWarmCacheZeroBuilds(t *testing.T) {
 	f, arch := buildTestKernel(t)
 	store := dirStore{dir: t.TempDir()}
 	be.Store = store
-	if _, err := be.Compile(f, kernelc.TierOpt); err != nil {
+	if _, err := be.Compile(f); err != nil {
 		t.Fatalf("cold compile: %v", err)
 	}
 	if got := be.Counters()["build"]; got != 1 {
@@ -180,7 +180,7 @@ func TestNativeWarmCacheZeroBuilds(t *testing.T) {
 	warm := New()
 	warm.Store = store
 	warm.GoTool = filepath.Join(t.TempDir(), "no-such-go")
-	exe, err := warm.Compile(f, kernelc.TierOpt)
+	exe, err := warm.Compile(f)
 	if err != nil {
 		t.Fatalf("warm compile hit the toolchain: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestNativeCorruptArtifact(t *testing.T) {
 	bad := New()
 	bad.Store = store
 	bad.GoTool = filepath.Join(t.TempDir(), "no-such-go")
-	if _, err := bad.Compile(f, kernelc.TierOpt); err == nil {
+	if _, err := bad.Compile(f); err == nil {
 		t.Fatal("compile succeeded through a corrupt blob and a broken toolchain")
 	}
 	if got := bad.Counters()["corrupt"]; got != 1 {

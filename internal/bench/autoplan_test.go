@@ -17,15 +17,18 @@ import (
 // disk — and the warm run must leave every persisted plan file
 // untouched (write-once persistence). Strategy and tier choice move
 // wall time, never results: every one executes the identical counted
-// op stream.
+// op stream. The planned runs have two lanes, so SAXPY has a choice.
 func TestFigureBytesInvariantUnderAutoPlan(t *testing.T) {
 	sizes := []int{64, 256, 1024, 4096}
 	plain := func(s *Suite) { s.RT.Opt = kernelc.TierPlain }
-	auto := func(s *Suite) { s.RT.EnableAutoPlan() }
+	auto := func(s *Suite) {
+		s.RT.Machine.Workers = 2
+		s.RT.EnableAutoPlan()
+	}
 	run := func(conf func(*Suite), dir string, workers int) string {
 		s := NewSuite()
 		s.MaxRunLinear = 1 << 11
-		s.Reps = 2
+		s.Reps = 4 // enough calls per size bucket to calibrate two candidates
 		s.Workers = workers
 		if dir != "" {
 			d, err := core.OpenDiskCache(dir, 0)

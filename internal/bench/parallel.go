@@ -9,7 +9,6 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/hotspot"
 	"repro/internal/ir"
-	"repro/internal/kernelc"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -174,12 +173,12 @@ type leg struct {
 
 // stagedLeg measures a staged kernel called on args (sized for the run
 // size). The memo steps aside when a cache simulator must see every
-// access and when the planner routes calls (Opt = kernelc.TierAuto): it
+// access and when the runtime plans (Planner attached): the planner
 // calibrates from the invocations it sees.
 func (w *sweepWorker) stagedLeg(kn *core.Kernel, args []vm.Value, footprint int) leg {
 	key, ok := kn.CountKey(args)
 	return leg{span: "staged.invoke", key: key,
-		memo:  ok && w.rt.Machine.Cache == nil && w.rt.Opt != kernelc.TierAuto,
+		memo:  ok && w.rt.Machine.Cache == nil && w.rt.Planner == nil,
 		stats: &w.staged,
 		run: func() (vm.Counter, error) {
 			w.rt.Machine.Counts.Reset()

@@ -1,21 +1,23 @@
 package core
 
-// Auto-planned execution: with Opt = kernelc.TierAuto the runtime
-// defers the (backend, lanes) choice to the adaptive planner
-// (internal/plan) per kernel × size bucket. The artifact carries the
-// opt-tier program and, when a prebuilt plugin is on hand, the native
-// executable; every strategy executes the identical counted op stream,
-// so planning changes wall time only — results, writes, dynamic counts,
-// and therefore figure bytes are invariant (pinned by the backend/
-// parallel differential suites and TestAutoPlanDifferential).
+// Auto-planned execution: with a Planner attached the runtime defers
+// the (backend, lanes) choice to the adaptive planner (internal/plan)
+// per kernel × size bucket — for kernels that have a choice. The
+// artifact carries the program at the runtime's tier and, resolved
+// once on its first planned call, the native executable when a
+// prebuilt plugin is on hand; every strategy executes the identical
+// counted op stream, so planning changes wall time only — results,
+// writes, dynamic counts, and therefore figure bytes are invariant
+// (pinned by the backend/parallel differential suites and
+// TestAutoPlanDifferential).
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/backend"
 	"repro/internal/ir"
-	"repro/internal/kernelc"
 	"repro/internal/machine"
 	"repro/internal/plan"
 	"repro/internal/vm"
@@ -23,25 +25,16 @@ import (
 
 // defaultSpec is the planner's safe incumbent: the zero-value runtime
 // behavior (interpreter, serial). A cold key's first invocation always
-// runs it, and pruning never removes it.
+// runs it.
 var defaultSpec = machine.StrategySpec{Backend: "vm", Lanes: 1}
 
-// EnableAutoPlan switches the runtime to planner-driven execution:
-// Opt becomes kernelc.TierAuto and a Planner is attached (sharing the
-// disk cache for plan persistence when one is present). Idempotent;
-// forks made afterwards share the planner, so calibration from any
-// worker benefits all of them.
+// EnableAutoPlan switches the runtime to planner-driven execution by
+// attaching a Planner (sharing the disk cache for plan persistence
+// when one is present). Idempotent; forks made afterwards share the
+// planner, so calibration from any worker benefits all of them.
 func (rt *Runtime) EnableAutoPlan() {
-	rt.EnableAutoPlanWith(plan.Config{})
-}
-
-// EnableAutoPlanWith is EnableAutoPlan with explicit planner tuning —
-// `ngen plan` uses ExploreAll to probe every candidate for its
-// predicted-vs-measured table.
-func (rt *Runtime) EnableAutoPlanWith(cfg plan.Config) {
-	rt.Opt = kernelc.TierAuto
 	if rt.Planner == nil {
-		rt.Planner = plan.New(cfg)
+		rt.Planner = plan.New()
 	}
 	if rt.Disk != nil {
 		rt.Planner.SetStore(rt.Disk)
@@ -58,12 +51,36 @@ func (rt *Runtime) estimator() *machine.Estimator {
 	return rt.est
 }
 
-// autoExec resolves a native executable for auto mode without ever
-// paying a toolchain build: only a process-memo or blob-store hit
+// choice is what the planner may route one artifact's calls to
+// besides the serial interpreter: a prebuilt native executable, kept
+// apart from the runtime backend's exec so a static runtime sharing
+// the artifact never runs it, and whether any loop may shard across
+// lanes. Both are resolved once per artifact, on its first planned
+// call; hash is the graph hash keying the artifact's plans.
+type choice struct {
+	once     sync.Once
+	hash     uint64
+	native   backend.Executable
+	parallel bool
+}
+
+// strategies resolves the artifact's choice on first use.
+func (a *artifact) strategies(rt *Runtime) *choice {
+	c := &a.choice
+	c.once.Do(func() {
+		c.hash = ir.Hash(a.f)
+		c.native = rt.cachedNative(a.f)
+		c.parallel = machine.ParallelEligible(a.f)
+	})
+	return c
+}
+
+// cachedNative resolves a native executable for the planner without
+// ever paying a toolchain build: only a process-memo or blob-store hit
 // (backend.CachedCompiler) qualifies. Cold caches simply run without a
 // native candidate; `ngen plan` builds plugins eagerly so warm runs
 // have one.
-func (rt *Runtime) autoExec(f *ir.Func) backend.Executable {
+func (rt *Runtime) cachedNative(f *ir.Func) backend.Executable {
 	be, err := backend.Lookup("native")
 	if err != nil || be.Available() != nil {
 		return nil
@@ -75,21 +92,28 @@ func (rt *Runtime) autoExec(f *ir.Func) backend.Executable {
 	if !ok {
 		return nil
 	}
-	exe, ok := cc.CompileCached(f, kernelc.TierOpt)
+	exe, ok := cc.CompileCached(f)
 	if !ok {
 		return nil
 	}
 	return exe
 }
 
-// run routes one invocation: planner-driven for an artifact lowered in
-// auto mode, the static artifact path otherwise.
+// run routes one invocation: planner-driven when the runtime plans and
+// the kernel has a choice, the static artifact path otherwise. A
+// kernel whose only admissible strategy is vm/1 — no native executable
+// on hand, and no lanes or no parallel-eligible loop — is never
+// planned: no plan, no probes, no plan file.
 func (kn *Kernel) run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	rt := kn.rt
-	if rt.Opt != kernelc.TierAuto || rt.Planner == nil || !kn.art.planned {
+	if rt.Planner == nil {
 		return kn.art.run(m, args...)
 	}
-	return kn.runPlanned(m, args...)
+	c := kn.art.strategies(rt)
+	if c.native == nil && !(rt.Machine.Workers > 1 && c.parallel) {
+		return kn.art.run(m, args...)
+	}
+	return kn.runPlanned(m, c, args...)
 }
 
 // runPlanned executes under the planner. A cold (hash, arch, bucket)
@@ -98,24 +122,24 @@ func (kn *Kernel) run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 // probe — exploration is amortized over real invocations, never extra
 // runs. Known keys execute whatever Decide returns (a calibration
 // probe or the calibrated winner) and report the measured time back.
-func (kn *Kernel) runPlanned(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
+func (kn *Kernel) runPlanned(m *vm.Machine, c *choice, args ...vm.Value) (vm.Value, error) {
 	rt := kn.rt
-	key := plan.Key{Hash: kn.art.hash, Arch: rt.Arch.Name, Bucket: plan.Bucket(footprint(args))}
+	key := plan.Key{Hash: c.hash, Arch: rt.Arch.Name, Bucket: plan.Bucket(footprint(args))}
 	d, ok := rt.Planner.Decide(key)
 	if !ok {
 		before := m.Counts.Total()
 		start := time.Now()
-		out, err := kn.execStrategy(m, defaultSpec, args)
+		out, err := kn.execStrategy(m, c, defaultSpec, args)
 		elapsed := time.Since(start)
 		if err != nil {
 			return out, err
 		}
-		kn.installPlan(key, m.Counts.Total()-before)
+		kn.installPlan(key, c, m.Counts.Total()-before)
 		rt.Planner.Observe(key, defaultSpec, float64(elapsed.Nanoseconds()))
 		return out, nil
 	}
 	start := time.Now()
-	out, err := kn.execStrategy(m, d.Spec, args)
+	out, err := kn.execStrategy(m, c, d.Spec, args)
 	if err == nil {
 		rt.Planner.Observe(key, d.Spec, float64(time.Since(start).Nanoseconds()))
 	}
@@ -124,45 +148,43 @@ func (kn *Kernel) runPlanned(m *vm.Machine, args ...vm.Value) (vm.Value, error) 
 
 // installPlan prices the admissible strategies for one cold key from
 // a measured single-invocation op-count delta and registers the plan.
-// The default strategy is always first (Install keeps it unpruned).
-func (kn *Kernel) installPlan(key plan.Key, deltaOps int64) {
+// The default strategy is always first.
+func (kn *Kernel) installPlan(key plan.Key, c *choice, deltaOps int64) {
 	rt := kn.rt
-	f := kn.art.f
 	specs := make([]machine.StrategySpec, 0, 3)
 	specs = append(specs, defaultSpec)
-	if kn.art.exec != nil {
+	if c.native != nil {
 		specs = append(specs, machine.StrategySpec{Backend: "native", Lanes: 1})
 	}
-	if w := rt.Machine.Workers; w > 1 && machine.ParallelEligible(f) {
+	if w := rt.Machine.Workers; w > 1 && c.parallel {
 		specs = append(specs, machine.StrategySpec{Backend: "vm", Lanes: w})
 	}
 	counts := vm.Counter{"ops": deltaOps}
-	costs := rt.estimator().PredictStrategies(f, counts, specs)
-	rt.Planner.Install(key, f.Name, costs)
+	costs := rt.estimator().PredictStrategies(kn.art.f, counts, specs)
+	rt.Planner.Install(key, kn.art.f.Name, costs)
 }
 
 // execStrategy runs one invocation under an explicit strategy. The
 // serial strategies force the machine's lane budget off so a runtime
 // configured with workers still measures a true serial baseline; the
-// parallel strategy installs the planner's lane count and chunk hint
-// for the duration of the call.
-func (kn *Kernel) execStrategy(m *vm.Machine, s machine.StrategySpec, args []vm.Value) (vm.Value, error) {
-	if s.Backend == "native" && kn.art.exec != nil {
-		out, err := kn.art.exec.Run(m, args...)
+// parallel strategy installs the planner's lane count for the duration
+// of the call.
+func (kn *Kernel) execStrategy(m *vm.Machine, c *choice, s machine.StrategySpec, args []vm.Value) (vm.Value, error) {
+	if s.Backend == "native" && c.native != nil {
+		out, err := c.native.Run(m, args...)
 		if !errors.Is(err, backend.ErrFallback) {
 			return out, err
 		}
 		// The executable declined this particular call (cache simulator
 		// attached, argument shape mismatch): the interpreter serves it.
 	}
-	savedW, savedH := m.Workers, m.ChunkHint
+	saved := m.Workers
+	m.Workers = 0
 	if s.Lanes > 1 {
-		m.Workers, m.ChunkHint = s.Lanes, int64(s.Chunk)
-	} else {
-		m.Workers, m.ChunkHint = 0, 0
+		m.Workers = s.Lanes
 	}
 	out, err := kn.art.prog.Run(m, args...)
-	m.Workers, m.ChunkHint = savedW, savedH
+	m.Workers = saved
 	return out, err
 }
 

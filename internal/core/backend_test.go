@@ -25,7 +25,7 @@ type stubBackend struct {
 func (s *stubBackend) Name() string     { return s.name }
 func (s *stubBackend) Available() error { return nil }
 
-func (s *stubBackend) Compile(f *ir.Func, _ kernelc.Tier) (backend.Executable, error) {
+func (s *stubBackend) Compile(f *ir.Func) (backend.Executable, error) {
 	if s.refuse != nil {
 		return nil, s.refuse
 	}

@@ -68,7 +68,8 @@ type Runtime struct {
 	// kernelc.TierOpt (loop-nest optimizer on); set kernelc.TierPlain to
 	// reproduce the pre-optimizer interpreter for differential runs. The
 	// tier is part of the compile-cache key, so runtimes at different
-	// tiers sharing one cache never cross-contaminate.
+	// tiers sharing one cache never cross-contaminate. Planning does not
+	// change it: a planned runtime routes among strategies at its tier.
 	Opt kernelc.Tier
 	// Backend, when non-nil, is tried ahead of the interpreter: Compile
 	// asks it for an Executable alongside the kernelc program, and Call
@@ -79,11 +80,12 @@ type Runtime struct {
 	// interpreter-only, exactly the pre-Backend behavior. The backend
 	// name is part of the compile-cache key.
 	Backend backend.Backend
-	// Planner, with Opt = kernelc.TierAuto, picks the execution
-	// strategy (backend, lanes) per kernel × size bucket —
-	// model-predicted cold, calibrated by bounded online probing. Set
-	// via EnableAutoPlan (or UseBackend("auto")); forks share it. Nil
-	// means static execution, exactly the pre-planner behavior.
+	// Planner, when non-nil, is the one switch for planned execution:
+	// it picks the strategy (backend, lanes) per kernel × size bucket —
+	// model-predicted cold, calibrated by bounded online probing — for
+	// every kernel that has a choice. Set via EnableAutoPlan; forks
+	// share it. Nil means static execution, exactly the pre-planner
+	// behavior.
 	Planner *plan.Planner
 
 	// est is the lazily built cost estimator backing the planner's
@@ -195,11 +197,8 @@ func (rt *Runtime) NewKernel(name string) *dsl.Kernel {
 // runtime is left unchanged so the caller can report it and keep
 // running on the vm.
 func (rt *Runtime) UseBackend(name string) error {
-	if name == "auto" {
-		// "auto" is not a concrete backend: it enables planner-driven
-		// execution, which routes among vm tiers, lanes, and (when a
-		// prebuilt plugin is on hand) the native backend per call.
-		rt.EnableAutoPlan()
+	if name == "" || name == "vm" {
+		rt.Backend = nil
 		return nil
 	}
 	be, err := backend.Lookup(name)
@@ -208,10 +207,6 @@ func (rt *Runtime) UseBackend(name string) error {
 	}
 	if err := be.Available(); err != nil {
 		return err
-	}
-	if be.Name() == "vm" {
-		rt.Backend = nil
-		return nil
 	}
 	rt.Backend = be
 	return nil
@@ -237,7 +232,7 @@ func (rt *Runtime) backendCompile(f *ir.Func, parent *obs.Span) (backend.Executa
 		sa.SetStore(rt.Disk)
 	}
 	sp := parent.Child("backend.compile")
-	exe, err := rt.Backend.Compile(f, rt.Opt)
+	exe, err := rt.Backend.Compile(f)
 	sp.SetAttr("backend", rt.Backend.Name())
 	if err != nil {
 		sp.SetAttr("fallback", err.Error())
@@ -286,11 +281,10 @@ type artifact struct {
 	// exec is set or no backend was requested).
 	exec     backend.Executable
 	fallback string
-	// planned marks an artifact lowered under kernelc.TierAuto, whose
-	// calls the planner routes; hash, the canonical graph hash keying
-	// the kernel's plans, is set only then.
-	planned bool
-	hash    uint64
+	// choice is the planner's view of the artifact, resolved on its
+	// first planned call (see autoplan.go); static runtimes never read
+	// it.
+	choice choice
 
 	// countOnce guards countPrefix, the count-invariance verdict behind
 	// Kernel.CountKey: kernel name and graph hash when the graph passed
@@ -685,9 +679,7 @@ func (rt *Runtime) build(k *dsl.Kernel, parent *obs.Span) (*artifact, error) {
 
 // lower is the half of a compile that a full build and a disk hit
 // share: interpreter lowering at the runtime's tier, then the backend
-// executable. Under TierAuto it also marks the artifact planned, keys
-// it by graph hash, and takes a prebuilt native executable when the
-// runtime's backend supplied none.
+// executable.
 func (rt *Runtime) lower(f *ir.Func, parent *obs.Span) (*artifact, error) {
 	sp := parent.Child("kernelc.compile")
 	prog, err := kernelc.CompileTier(f, rt.Opt)
@@ -697,13 +689,6 @@ func (rt *Runtime) lower(f *ir.Func, parent *obs.Span) (*artifact, error) {
 	}
 	art := &artifact{f: f, prog: prog}
 	art.exec, art.fallback = rt.backendCompile(f, parent)
-	if rt.Opt == kernelc.TierAuto {
-		art.planned = true
-		art.hash = ir.Hash(f)
-		if art.exec == nil {
-			art.exec = rt.autoExec(f)
-		}
-	}
 	return art, nil
 }
 

@@ -120,11 +120,6 @@ const (
 	// TierPlain is the PR-1-era pipeline: fusion only, no loop-nest
 	// optimizer. Differential tests diff it against TierOpt.
 	TierPlain
-	// TierAuto defers the execution strategy to the planner
-	// (internal/plan): core keeps auto artifacts under their own cache
-	// entry and picks backend and lanes per invocation. CompileTier
-	// maps it to the opt pipeline, the only tier the planner runs.
-	TierAuto
 )
 
 // String names the tier for cache keys and span attributes. Unknown
@@ -136,8 +131,6 @@ func (t Tier) String() string {
 		return "opt"
 	case TierPlain:
 		return "plain"
-	case TierAuto:
-		return "auto"
 	default:
 		return fmt.Sprintf("tier(%d)", int(t))
 	}

@@ -303,7 +303,7 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	if int64(workers) > iters {
 		workers = int(iters)
 	}
-	chunkSize, chunks, owners := shardPlanWith(iters, workers, fr.m.ChunkHint)
+	chunkSize, chunks, owners := shardPlan(iters, workers)
 	ranges := make([]chunkRange, workers)
 	for w := 0; w < workers; w++ {
 		ranges[w].init(owners[w], owners[w+1])

@@ -76,34 +76,6 @@ func shardPlan(iters int64, workers int) (chunkSize int64, chunks int, owners []
 	return chunkSize, chunks, owners
 }
 
-// shardPlanWith is shardPlan with an optional chunk-size hint from the
-// execution planner (vm.Machine.ChunkHint). A positive hint replaces
-// the derived chunk size, clamped so the chunk count stays within 8×
-// the default ceiling (the owner-range packing and result slices scale
-// with chunk count). hint ≤ 0 defers to shardPlan unchanged, so the
-// fuzz-held shardPlan contract is untouched.
-func shardPlanWith(iters int64, workers int, hint int64) (chunkSize int64, chunks int, owners []int) {
-	if hint <= 0 {
-		return shardPlan(iters, workers)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunkSize = hint
-	if minSize := (iters + int64(workers*chunksPerWorker*8) - 1) / int64(workers*chunksPerWorker*8); chunkSize < minSize {
-		chunkSize = minSize
-	}
-	chunks = int((iters + chunkSize - 1) / chunkSize)
-	if chunks < 1 {
-		chunks = 1
-	}
-	owners = make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		owners[w] = w * chunks / workers
-	}
-	return chunkSize, chunks, owners
-}
-
 // chunkRange is [lo, hi) chunk indexes packed into one atomic word
 // (lo in the high half). Ranges are far below 2^31 chunks, so the
 // packing never overflows.

@@ -13,8 +13,7 @@ func TestTierString(t *testing.T) {
 	}{
 		{TierOpt, "opt"},
 		{TierPlain, "plain"},
-		{TierAuto, "auto"},
-		{Tier(3), "tier(3)"},
+		{Tier(2), "tier(2)"},
 		{Tier(-1), "tier(-1)"},
 		{Tier(99), "tier(99)"},
 	}
@@ -24,8 +23,7 @@ func TestTierString(t *testing.T) {
 		}
 	}
 	// Unknown tiers must not collide with defined names.
-	if Tier(7).String() == TierOpt.String() || Tier(7).String() == TierPlain.String() ||
-		Tier(7).String() == TierAuto.String() {
+	if Tier(7).String() == TierOpt.String() || Tier(7).String() == TierPlain.String() {
 		t.Fatalf("unknown tier aliases a defined tier name")
 	}
 }

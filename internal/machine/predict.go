@@ -47,22 +47,15 @@ func CrossingNs(a *isa.Microarch) float64 {
 }
 
 // StrategySpec names one admissible execution configuration: which
-// backend runs the kernel's opt-tier lowering, and how many parallel
-// lanes (1 = serial) with which shard chunk size (0 = scheduler
-// default).
+// backend runs the kernel, and how many parallel lanes (1 = serial).
 type StrategySpec struct {
 	Backend string `json:"backend"`
 	Lanes   int    `json:"lanes"`
-	Chunk   int    `json:"chunk,omitempty"`
 }
 
 // String renders the spec the way planner tables print it.
 func (s StrategySpec) String() string {
-	out := s.Backend + "/" + strconv.Itoa(s.Lanes)
-	if s.Chunk > 0 {
-		out += "c" + strconv.Itoa(s.Chunk)
-	}
-	return out
+	return s.Backend + "/" + strconv.Itoa(s.Lanes)
 }
 
 // StrategyCost is one priced strategy: the host-mechanism prediction

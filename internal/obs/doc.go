@@ -20,10 +20,9 @@
 //     interface with a deterministic, expvar-style JSON snapshot. A nil
 //     *Registry is likewise a disabled no-op.
 //
-// Three exporters turn a recorded trace into operator-facing artifacts:
-// an indented human-readable tree (WriteTree), JSON lines (WriteJSONL),
-// and the Chrome trace_event format (WriteChromeTrace) loadable in
-// about://tracing or https://ui.perfetto.dev. Totals aggregates span
+// WriteChromeTrace exports a recorded trace in the Chrome trace_event
+// format, loadable in about://tracing or https://ui.perfetto.dev
+// (`ngen -trace`). Totals aggregates span
 // durations and self-times (duration minus the union of the children's
 // intervals) by name for "where did the milliseconds go" tables, and
 // Skeleton renders the timing-free structure of the tree so tests can

@@ -9,94 +9,6 @@ import (
 	"time"
 )
 
-// WriteTree renders the trace as an indented human-readable tree:
-// duration, name, and attributes per span, children beneath parents.
-func (t *Tracer) WriteTree(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "(tracing disabled)\n")
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	var b strings.Builder
-	var walk func(sp *Span, depth int)
-	walk = func(sp *Span, depth int) {
-		fmt.Fprintf(&b, "%12s  %s%s%s\n", fmtDur(sp.dur(now)),
-			strings.Repeat("  ", depth), sp.Name, attrString(sp.Attrs))
-		for _, c := range sp.Children {
-			walk(c, depth+1)
-		}
-	}
-	for _, sp := range t.roots {
-		walk(sp, 0)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func attrString(attrs []Attr) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = a.Key + "=" + a.Value
-	}
-	return " [" + strings.Join(parts, " ") + "]"
-}
-
-func fmtDur(d time.Duration) string {
-	return d.Round(time.Microsecond).String()
-}
-
-// jsonlSpan is the JSON-lines export schema.
-type jsonlSpan struct {
-	Name    string            `json:"name"`
-	BeginNs int64             `json:"begin_ns"`
-	DurNs   int64             `json:"dur_ns"`
-	Depth   int               `json:"depth"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteJSONL emits one JSON object per span, parents before children,
-// for log shippers and ad-hoc jq analysis.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	enc := json.NewEncoder(w)
-	var walk func(sp *Span, depth int) error
-	walk = func(sp *Span, depth int) error {
-		js := jsonlSpan{Name: sp.Name, BeginNs: int64(sp.Begin),
-			DurNs: int64(sp.dur(now)), Depth: depth}
-		if len(sp.Attrs) > 0 {
-			js.Attrs = make(map[string]string, len(sp.Attrs))
-			for _, a := range sp.Attrs {
-				js.Attrs[a.Key] = a.Value
-			}
-		}
-		if err := enc.Encode(js); err != nil {
-			return err
-		}
-		for _, c := range sp.Children {
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, sp := range t.roots {
-		if err := walk(sp, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // chromeEvent is one trace_event entry ("X" = complete event,
 // timestamps in microseconds).
 type chromeEvent struct {
@@ -251,6 +163,17 @@ func (t *Tracer) Coverage() float64 {
 		return f
 	}
 	return 1
+}
+
+func attrString(attrs []Attr) string {
+	if len(attrs) == 0 {
+		return ""
+	}
+	parts := make([]string, len(attrs))
+	for i, a := range attrs {
+		parts[i] = a.Key + "=" + a.Value
+	}
+	return " [" + strings.Join(parts, " ") + "]"
 }
 
 // Skeleton renders the timing-free structure of the trace — names and

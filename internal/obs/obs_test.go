@@ -71,6 +71,15 @@ func TestSpanTreeStructure(t *testing.T) {
 }
 
 func TestChromeTraceIsValidJSON(t *testing.T) {
+	var nilTr *Tracer
+	var nilBuf bytes.Buffer
+	if err := nilTr.WriteChromeTrace(&nilBuf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.TrimSpace(nilBuf.String()) != "[]" {
+		t.Fatalf("nil tracer chrome trace: %q", nilBuf.String())
+	}
+
 	tr := New()
 	root := tr.Start("ngen.fig6a")
 	c := root.Child("ngen.compile").SetAttr("kernel", "saxpy").SetAttr("cache", "miss")
@@ -203,40 +212,15 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 		t.Fatalf("span tree raced: %d children", len(root.Children))
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes.Count(buf.Bytes(), []byte("\n")); got != 16*50+1 {
-		t.Fatalf("JSONL line count %d, want %d", got, 16*50+1)
-	}
-}
-
-func TestWriteTreeDisabledAndEnabled(t *testing.T) {
-	var nilTr *Tracer
-	var buf bytes.Buffer
-	if err := nilTr.WriteTree(&buf); err != nil {
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "disabled") {
-		t.Fatalf("nil tracer tree: %q", buf.String())
-	}
-	buf.Reset()
-	if err := nilTr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("nil tracer chrome trace: %q", buf.String())
-	}
-
-	tr := New()
-	tr.Start("a").Child("b").SetAttr("k", "v")
-	buf.Reset()
-	if err := tr.WriteTree(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "a") || !strings.Contains(out, "  b [k=v]") {
-		t.Fatalf("tree output:\n%s", out)
+	if len(events) != 16*50+1 {
+		t.Fatalf("chrome trace has %d events, want %d", len(events), 16*50+1)
 	}
 }
 

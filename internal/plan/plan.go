@@ -1,9 +1,10 @@
 // Package plan is the adaptive execution planner: for each (kernel
 // graph, microarchitecture, working-set size bucket) it selects the
 // fastest execution strategy — backend (vm interpreter or native
-// plugin) and parallel lane count with shard chunk size — by combining
-// the analytical cost model's prediction with bounded online
-// calibration.
+// plugin) and parallel lane count — by combining the analytical cost
+// model's prediction with bounded online calibration. The runtime
+// plans only kernels with a choice: one with no native executable on
+// hand and no parallel lanes runs its single strategy unplanned.
 //
 // The paper's pipeline faces the same decision implicitly: when is the
 // JNI crossing to a native kernel worth its fixed cost, and when does
@@ -17,16 +18,13 @@
 // Lifecycle of one (hash, arch, bucket) key:
 //
 //  1. Unknown — Decide returns ok=false; the caller runs the default
-//     strategy (vm/opt, the zero-value runtime behavior), measures its
+//     strategy (vm/1, the zero-value runtime behavior), measures its
 //     single-invocation op-count delta and wall time, and calls
 //     Install with model-priced candidates followed by Observe for the
-//     default run. Prediction (machine.PredictStrategies) ranks the
-//     admissible tuples; candidates predicted slower than PruneRatio ×
-//     the best are pruned so calibration never wastes probe runs on
-//     hopeless strategies (ExploreAll disables pruning for the `ngen
-//     plan` calibration tool).
-//  2. Calibrating — Decide rotates through unpruned candidates until
-//     each has ProbeBudget timed probes. Probe runs are real
+//     default run. Prediction (machine.PredictStrategies) prices every
+//     admissible strategy.
+//  2. Calibrating — Decide rotates through the candidates until each
+//     has probeBudget timed probes. Probe runs are real
 //     invocations serving real callers (exploration is amortized
 //     across a benchmark's repeat loop, never extra work), they just
 //     pick the strategy under test instead of the incumbent.
@@ -57,8 +55,18 @@ import (
 // to the file format so stale files miss instead of misparse. v2 moved
 // the checksum out of the plan into the store's envelope; v3 dropped
 // the spec's lowering tier, so a v2 plan that chose the plain tier can
-// never route to a strategy the runtime no longer has.
-const Version = 3
+// never route to a strategy the runtime no longer has; v4 dropped
+// pruning, so a v3 plan calibrated without probing some candidates
+// recalibrates.
+const Version = 4
+
+// probeBudget is how many timed runs each candidate gets before the
+// plan calibrates, and alpha the exponential smoothing factor for
+// measured times (new = alpha×sample + (1-alpha)×old).
+const (
+	probeBudget = 2
+	alpha       = 0.3
+)
 
 // Key identifies one planning unit: a staged graph (by canonical
 // structural hash), the microarchitecture it runs on, and the
@@ -112,9 +120,6 @@ type Candidate struct {
 	MeasNs float64 `json:"meas_ns"`
 	// Probes counts timed runs folded into MeasNs.
 	Probes int `json:"probes"`
-	// Pruned marks candidates the model priced out of contention
-	// (> PruneRatio × best prediction); they are never probed.
-	Pruned bool `json:"pruned,omitempty"`
 }
 
 // Decision is the planner's answer for one invocation.
@@ -134,42 +139,10 @@ type Store interface {
 	StorePlan(id string, data []byte) error
 }
 
-// Config tunes the planner; the zero value selects the defaults.
-type Config struct {
-	// ProbeBudget is how many timed runs each unpruned candidate gets
-	// before the plan calibrates. Default 2.
-	ProbeBudget int
-	// PruneRatio drops candidates predicted slower than this multiple
-	// of the best prediction. Default 1.5.
-	PruneRatio float64
-	// Alpha is the exponential smoothing factor for measured times
-	// (new = alpha×sample + (1-alpha)×old). Default 0.3.
-	Alpha float64
-	// ExploreAll disables prediction-based pruning so every admissible
-	// candidate is probed — the `ngen plan` calibration tool uses it to
-	// produce complete predicted-vs-measured tables.
-	ExploreAll bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.ProbeBudget <= 0 {
-		c.ProbeBudget = 2
-	}
-	if c.PruneRatio <= 0 {
-		c.PruneRatio = 1.5
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	return c
-}
-
 // Planner holds the live plan table. Safe for concurrent use; forked
 // runtimes share one Planner so calibration from any worker benefits
 // all of them.
 type Planner struct {
-	cfg Config
-
 	mu    sync.Mutex
 	store Store
 	plans map[Key]*entry
@@ -192,10 +165,9 @@ type entry struct {
 	persisted  bool
 }
 
-// New creates a planner with the given configuration (zero value for
-// defaults) and no persistence.
-func New(cfg Config) *Planner {
-	return &Planner{cfg: cfg.withDefaults(), plans: map[Key]*entry{}}
+// New creates a planner with no persistence.
+func New() *Planner {
+	return &Planner{plans: map[Key]*entry{}}
 }
 
 // SetStore attaches plan persistence (nil detaches it).
@@ -220,11 +192,11 @@ func (p *Planner) Decide(key Key) (Decision, bool) {
 	}
 	p.decisions.Add(1)
 	if !e.calibrated {
-		if idx := e.nextProbe(p.cfg.ProbeBudget); idx >= 0 {
+		if idx := e.nextProbe(); idx >= 0 {
 			p.probeRuns.Add(1)
 			return Decision{Spec: e.cands[idx].Spec, Probe: true}, true
 		}
-		// Every unpruned candidate met its budget but the closing
+		// Every candidate met its budget but the closing
 		// Observe has not arrived yet (concurrent callers): serve the
 		// current measured best meanwhile.
 		p.finishLocked(e)
@@ -232,14 +204,11 @@ func (p *Planner) Decide(key Key) (Decision, bool) {
 	return Decision{Spec: e.cands[e.chosen].Spec}, true
 }
 
-// nextProbe picks the unpruned candidate with the fewest probes, if
-// any still needs one.
-func (e *entry) nextProbe(budget int) int {
-	best, min := -1, budget
+// nextProbe picks the candidate with the fewest probes, if any still
+// needs one.
+func (e *entry) nextProbe() int {
+	best, min := -1, probeBudget
 	for i := range e.cands {
-		if e.cands[i].Pruned {
-			continue
-		}
 		if e.cands[i].Probes < min {
 			best, min = i, e.cands[i].Probes
 		}
@@ -250,9 +219,9 @@ func (e *entry) nextProbe(budget int) int {
 // Install registers a freshly priced plan for key. costs come from
 // machine.PredictStrategies on the invocation's measured op-count
 // delta; the first entry must be the default strategy the caller just
-// ran (it survives pruning unconditionally, so the planner always has
-// a safe incumbent). Install is idempotent: a concurrent or repeated
-// install for an existing key is ignored.
+// ran, the safe incumbent. Every candidate is probed. Install is
+// idempotent: a concurrent or repeated install for an existing key is
+// ignored.
 func (p *Planner) Install(key Key, kernel string, costs []machine.StrategyCost) {
 	if len(costs) == 0 {
 		return
@@ -263,17 +232,8 @@ func (p *Planner) Install(key Key, kernel string, costs []machine.StrategyCost) 
 		return
 	}
 	e := &entry{key: key, kernel: kernel, cands: make([]Candidate, len(costs))}
-	bestPred := costs[0].HostNs
-	for _, c := range costs[1:] {
-		if c.HostNs < bestPred {
-			bestPred = c.HostNs
-		}
-	}
 	for i, c := range costs {
 		e.cands[i] = Candidate{Spec: c.Spec, PredNs: c.HostNs}
-		if !p.cfg.ExploreAll && i > 0 && c.HostNs > bestPred*p.cfg.PruneRatio {
-			e.cands[i].Pruned = true
-		}
 	}
 	p.plans[key] = e
 	p.installs.Add(1)
@@ -310,12 +270,12 @@ func (p *Planner) Observe(key Key, spec machine.StrategySpec, ns float64) {
 		if c.MeasNs == 0 {
 			c.MeasNs = ns
 		} else {
-			c.MeasNs = p.cfg.Alpha*ns + (1-p.cfg.Alpha)*c.MeasNs
+			c.MeasNs = alpha*ns + (1-alpha)*c.MeasNs
 		}
 		c.Probes++
 		break
 	}
-	if !e.calibrated && e.nextProbe(p.cfg.ProbeBudget) < 0 {
+	if !e.calibrated && e.nextProbe() < 0 {
 		p.finishLocked(e)
 	}
 }
@@ -333,7 +293,7 @@ func (p *Planner) finishLocked(e *entry) {
 		if c.PredNs < e.cands[predBest].PredNs {
 			predBest = i
 		}
-		if c.Pruned || c.MeasNs == 0 {
+		if c.MeasNs == 0 {
 			continue
 		}
 		if measBest < 0 || c.MeasNs < e.cands[measBest].MeasNs {

@@ -121,7 +121,7 @@ func crashConsumers() []persistedConsumer {
 			field: `"pred_ns":`,
 			persist: func(t *testing.T, dir string) (string, string) {
 				_, d := diskRuntime(t, dir)
-				p := plan.New(plan.Config{ProbeBudget: 1})
+				p := plan.New()
 				p.SetStore(d)
 				specs := []machine.StrategySpec{{Backend: "vm", Lanes: 1},
 					{Backend: "vm", Lanes: 2}}
@@ -141,7 +141,7 @@ func crashConsumers() []persistedConsumer {
 			},
 			load: func(t *testing.T, dir string) (string, bool, int64) {
 				_, d := diskRuntime(t, dir)
-				p := plan.New(plan.Config{})
+				p := plan.New()
 				p.SetStore(d)
 				dec, ok := p.Decide(planKey(1))
 				return render(t, p.Snapshot()), ok && !dec.Probe, d.Stats().Corrupt

@@ -60,9 +60,10 @@ type Config struct {
 	Resume bool
 	// Plan controls the adaptive execution planner ("" or "auto"
 	// enables it — per kernel × size bucket the daemon calibrates and
-	// picks the fastest backend/lanes, persisting plans in
-	// CacheDir; "off" pins the static interpreter path). Results are
-	// byte-identical either way; see docs/PLANNER.md.
+	// picks the fastest backend/lanes for kernels with a choice,
+	// persisting plans in CacheDir; "off" pins the static path). It is
+	// the only planner switch. Results are byte-identical either way;
+	// see docs/PLANNER.md.
 	Plan string
 }
 

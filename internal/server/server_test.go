@@ -692,6 +692,46 @@ func TestConfigMachine(t *testing.T) {
 	}
 }
 
+// TestBackendAutoKeepsPlanOff: "auto" is not a backend, so it cannot
+// switch the planner on behind -plan off. The daemon reports it
+// unavailable and serves on the vm with no planner attached.
+func TestBackendAutoKeepsPlanOff(t *testing.T) {
+	s, base := testServer(t, Config{Workers: 1, Queue: 4, Backend: "auto", Plan: "off"})
+	if s.RT.Planner != nil {
+		t.Fatal(`Backend "auto" attached a planner under Plan "off"`)
+	}
+	if got := s.RT.BackendName(); got != "vm" {
+		t.Fatalf("serving on backend %q, want vm", got)
+	}
+	rec := submitJob(t, base, Spec{Type: "execute", Kernel: "saxpy", N: 64})
+	if final := waitTerminal(t, base, rec.ID); final.State != StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+}
+
+// TestNoChoiceJobsCarryNoPlan: with the planner on but no native
+// plugin and no lanes, an execute job's kernel has one strategy, so
+// the daemon plans nothing and the job record carries no plan. The
+// kernel is one no test in this package builds natively: a plugin in
+// the process memo would give it a native candidate.
+func TestNoChoiceJobsCarryNoPlan(t *testing.T) {
+	s, base := testServer(t, Config{Workers: 1, Queue: 4})
+	if s.RT.Planner == nil {
+		t.Fatal("planner off by default")
+	}
+	rec := submitJob(t, base, Spec{Type: "execute", Kernel: "mmm_naive", N: 16})
+	final := waitTerminal(t, base, rec.ID)
+	if final.State != StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	if len(final.Plan) != 0 {
+		t.Fatalf("job record carries plans for a kernel without a choice: %+v", final.Plan)
+	}
+	if st := s.RT.Planner.Stats(); st["installs"] != 0 || st["probes"] != 0 {
+		t.Fatalf("planner traffic for a kernel without a choice: %v", st)
+	}
+}
+
 // TestDrainingRejectsSubmissions checks shutdown admission control.
 func TestDrainingRejectsSubmissions(t *testing.T) {
 	s, err := New(Config{Workers: 1, Queue: 4, Drain: time.Second})

@@ -27,11 +27,6 @@ type Machine struct {
 	// Sharded execution is disabled while Cache is attached (the
 	// simulator is order-sensitive shared state).
 	Workers int
-	// ChunkHint, when positive, overrides the shard scheduler's default
-	// chunk size for parallel loops. The execution planner sets it when
-	// calibration found a better granularity; 0 keeps the
-	// chunksPerWorker-derived default.
-	ChunkHint int64
 }
 
 // Touch routes one memory access through the cache simulator, when
