@@ -39,17 +39,15 @@ func TestBucket(t *testing.T) {
 // TestLifecycle walks one key through the planner states: unknown →
 // install → probe rotation → calibration, with the measured argmin
 // winning over the model's pick (and counting a mispredict). Every
-// admissible candidate gets the full probe budget, even one the model
-// prices absurdly slow.
+// candidate gets the full probe budget.
 func TestLifecycle(t *testing.T) {
 	p := New()
 	key := Key{Hash: 0xfeed, Arch: "Haswell", Bucket: 10}
 	if _, ok := p.Decide(key); ok {
 		t.Fatal("Decide hit before any plan was installed")
 	}
-	// Model says native (80ns) beats serial vm (100), and prices two
-	// lanes absurdly slow.
-	p.Install(key, "k", costs(100, 1e9, 80))
+	// Model says native (80ns) beats serial vm (100) and two lanes (120).
+	p.Install(key, "k", costs(100, 120, 80))
 	p.Observe(key, spec("vm", 1), 100) // the cold default run
 
 	seen := map[string]int{}
@@ -88,6 +86,29 @@ func TestLifecycle(t *testing.T) {
 		if c.Probes != 2 {
 			t.Errorf("candidate %s got %d probes, want the budget of 2", c.Spec, c.Probes)
 		}
+	}
+}
+
+// TestExploreAll: every candidate is probed, even one the model prices
+// absurdly slow — no prediction keeps a candidate from being measured.
+func TestExploreAll(t *testing.T) {
+	p := New()
+	key := Key{Hash: 9, Arch: "A", Bucket: 1}
+	p.Install(key, "k", costs(100, 1e9, 90)) // two lanes absurdly slow in the model
+	p.Observe(key, spec("vm", 1), 100)
+	probed := map[string]bool{}
+	for i := 0; i < 16 && !p.Calibrated(key); i++ {
+		d, _ := p.Decide(key)
+		if d.Probe {
+			probed[d.Spec.String()] = true
+		}
+		p.Observe(key, d.Spec, 50)
+	}
+	if !p.Calibrated(key) {
+		t.Fatal("plan never calibrated")
+	}
+	if !probed["vm/2"] || !probed["native/1"] {
+		t.Fatalf("candidates skipped: %v", probed)
 	}
 }
 

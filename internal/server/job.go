@@ -97,6 +97,12 @@ type job struct {
 	// by mu; frozen once the record turns terminal.
 	followers []*job
 
+	// persistMu orders the job's record writes: persist snapshots and
+	// writes under it, so a write of an older state (a submitter racing
+	// the worker that already finished the job) can never land after a
+	// newer one and leave the stored record behind the live one.
+	persistMu sync.Mutex
+
 	// ckpt accumulates the sweep's completed-point checkpoints; ckptMu
 	// also orders the store writes so the persisted file never goes
 	// backwards. Only sweep jobs use these.

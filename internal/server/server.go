@@ -542,11 +542,14 @@ func (s *Server) cancelJob(j *job) bool {
 }
 
 // persist writes the job's current record through the store (no-op
-// without one).
+// without one). Writes of one job are serialized with their snapshots,
+// so the stored record only ever moves forward.
 func (s *Server) persist(j *job) {
 	if s.store == nil {
 		return
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	if err := s.store.put(j.snapshot()); err != nil {
 		fmt.Printf("ngend: job store write failed: %v\n", err)
 	}
