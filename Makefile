@@ -147,8 +147,10 @@ cachepersist:
 
 # servecheck is the daemon smoke gate: build ngend, boot it on an
 # ephemeral port with a job store and compile cache, walk the serving
-# path over real HTTP (healthz → stage → execute job → result), then
-# shut down gracefully and require the clean-exit handshake.
+# path over real HTTP (healthz → stage → execute job → result), read
+# the finished job back from /metrics (server.jobs.done ≥ 1,
+# server.jobs.running = 0) with /healthz still ok, then shut down
+# gracefully and require the clean-exit handshake.
 servecheck:
 	@tmp=$$(mktemp -d); fail=1; \
 	$(GO) build -o "$$tmp/ngend" ./cmd/ngend || { rm -rf "$$tmp"; exit 1; }; \
@@ -169,12 +171,17 @@ servecheck:
 			curl -fsS "http://$$addr/v1/jobs/$$id/result" >"$$tmp/result" 2>/dev/null \
 				&& { ok=0; break; }; sleep 0.1; done; \
 		[ $$ok -eq 0 ] && grep -q '"vm_ops"' "$$tmp/result" || fail=1; \
+		curl -fsS "http://$$addr/metrics" >"$$tmp/metrics" || fail=1; \
+		jobs_done=$$(sed -n 's/.*"server.jobs.done": \([0-9]*\).*/\1/p' "$$tmp/metrics"); \
+		jobs_running=$$(sed -n 's/.*"server.jobs.running": \([0-9]*\).*/\1/p' "$$tmp/metrics"); \
+		[ -n "$$jobs_done" ] && [ "$$jobs_done" -ge 1 ] && [ "$$jobs_running" = 0 ] || fail=1; \
+		curl -fsS "http://$$addr/healthz" | grep -q '"status": "ok"' || fail=1; \
 	fi; \
 	kill -INT $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	grep -q "^ngend: stopped" "$$tmp/log" || fail=1; \
 	if [ $$fail -ne 0 ]; then echo "servecheck: FAILED"; cat "$$tmp/log"; fi; \
 	rm -rf "$$tmp"; \
-	[ $$fail -eq 0 ] && echo "servecheck: healthz + stage + execute round-trip over HTTP ok"
+	[ $$fail -eq 0 ] && echo "servecheck: healthz + stage + execute round-trip over HTTP ok, /metrics shows the job done"
 # The second phase is the crash/resume gate: a full fig6b sweep is
 # SIGKILLed once its first point checkpoints, the restarted daemon over
 # the same store must resume the same job from the persisted checkpoints

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/conform"
-	"repro/internal/obs"
 )
 
 // conformCmd runs the grammar-driven conformance suite: generated
@@ -19,7 +18,6 @@ func conformCmd(argv []string, globalJSON bool) error {
 	seed := fs.Uint64("seed", 1, "generator seed (same seed, same cases)")
 	count := fs.Int("count", 200, "number of generated cases")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
-	metrics := fs.Bool("metrics", false, "print the conform.* counters as JSON after the report")
 	nativeEvery := fs.Int("native-every", 0,
 		"run the native backend on every k-th executed case (0 = default, negative = never)")
 	if err := fs.Parse(argv); err != nil {
@@ -40,13 +38,6 @@ func conformCmd(argv []string, globalJSON bool) error {
 		}
 	} else {
 		rep.Render(os.Stdout)
-	}
-	if *metrics {
-		reg := obs.NewRegistry()
-		rep.Publish(reg)
-		if err := reg.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
 	}
 	if n := rep.Bad(); n > 0 {
 		return fmt.Errorf("conform: %d failure(s)", n)

@@ -17,7 +17,7 @@
 //	                         # every machine description (irverify pass stack);
 //	                         # exits 1 if any error-severity diagnostic fires,
 //	                         # and with -strict also on unwaived warnings
-//	ngen conform [-seed N] [-count N] [-json] [-metrics] [-native-every N]
+//	ngen conform [-seed N] [-count N] [-json] [-native-every N]
 //	                         # grammar-driven conformance suite: generate
 //	                         # well-typed kernels plus ill-formed mutants,
 //	                         # cross-check the verifier's verdicts, and run
@@ -41,7 +41,10 @@
 //
 //	-trace out.trace         # write a Chrome trace_event file of the run
 //	                         # (load in about://tracing or ui.perfetto.dev)
-//	-metrics                 # print the metrics registry as JSON after the run
+//	-metrics                 # print the metrics registry as JSON after the run:
+//	                         # live counters plus the runtime gauges of
+//	                         # core.Runtime.PublishMetrics (ngend serves the
+//	                         # same rows under server.)
 //
 // Execution tiers (see docs/PARALLEL.md and docs/BACKENDS.md):
 //

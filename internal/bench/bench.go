@@ -161,7 +161,7 @@ func (s *Suite) PublishMetrics() {
 	if s.Metrics == nil {
 		return
 	}
-	s.RT.PublishMetrics()
+	s.RT.PublishMetrics(s.Metrics, "")
 	for _, m := range []struct {
 		prefix string
 		st     memoStats

@@ -93,16 +93,16 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	}
 
 	// Execution-derived metric counters are worker-count invariant; the
-	// compile-cache hit/miss counters are not (each worker compiles
-	// once against the shared artifact cache — documented behaviour),
-	// and hits+misses must still equal total compile calls.
+	// compile-cache hit/miss gauges are not (each worker compiles once
+	// against the shared artifact cache — documented behaviour), and
+	// hits+misses must still equal total compile calls.
 	for _, name := range []string{"ngen.kernel.call", "bench.points"} {
 		if a, b := snap1.Counters[name], snap8.Counters[name]; a != b || a == 0 {
 			t.Errorf("counter %s: -j1=%d -j8=%d (want equal, nonzero)", name, a, b)
 		}
 	}
-	c1 := snap1.Counters["ngen.cache.hit"] + snap1.Counters["ngen.cache.miss"]
-	c8 := snap8.Counters["ngen.cache.hit"] + snap8.Counters["ngen.cache.miss"]
+	c1 := snap1.Gauges["ngen.cache.hits"] + snap1.Gauges["ngen.cache.misses"]
+	c8 := snap8.Gauges["ngen.cache.hits"] + snap8.Gauges["ngen.cache.misses"]
 	if c1 < 1 || c8 < c1 {
 		t.Errorf("compile calls: -j1=%d -j8=%d (want ≥1, per-worker ≥ serial)", c1, c8)
 	}

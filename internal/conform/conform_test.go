@@ -16,7 +16,6 @@ import (
 	"repro/internal/irverify"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/corpus.json from the seed-1 stream")
@@ -304,22 +303,33 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPublishCounters checks the conform.* counter surface.
-func TestPublishCounters(t *testing.T) {
+// TestReportJSONTotals: the -json report carries the run's totals —
+// its per-class rows sum to the cases generated, and the replay matched
+// verdicts and executed kernels.
+func TestReportJSONTotals(t *testing.T) {
 	rep, err := Replay(Options{Seed: 1, NativeEvery: -1}, loadCorpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	rep.Publish(reg)
 	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
+	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"conform.generated", "conform.matched", "conform.executed"} {
-		if !strings.Contains(buf.String(), name) {
-			t.Errorf("metrics missing %s:\n%s", name, buf.String())
-		}
+	var back Report
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	var total ClassStat
+	for _, st := range back.Stats {
+		total.Generated += st.Generated
+		total.Matched += st.Matched
+		total.Executed += st.Executed
+	}
+	if total.Generated == 0 || total.Matched == 0 || total.Executed == 0 {
+		t.Errorf("report totals: %+v\n%s", total, buf.String())
+	}
+	if total.Generated != back.Count {
+		t.Errorf("class rows sum to %d generated, report count %d", total.Generated, back.Count)
 	}
 }
 

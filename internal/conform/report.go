@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/obs"
 )
 
 // ClassStat aggregates verdicts for one defect class (or, under the
@@ -138,33 +136,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// Publish records the run's aggregate verdicts as conform.* counters.
-func (r *Report) Publish(reg *obs.Registry) {
-	var total ClassStat
-	for _, st := range r.Stats {
-		total.Generated += st.Generated
-		total.Accepted += st.Accepted
-		total.Rejected += st.Rejected
-		total.Matched += st.Matched
-		total.Missed += st.Missed
-		total.Misclassified += st.Misclassified
-		total.Executed += st.Executed
-		total.Diverged += st.Diverged
-		total.Unsound += st.Unsound
-	}
-	reg.Counter("conform.generated").Add(int64(total.Generated))
-	reg.Counter("conform.accepted").Add(int64(total.Accepted))
-	reg.Counter("conform.rejected").Add(int64(total.Rejected))
-	reg.Counter("conform.matched").Add(int64(total.Matched))
-	reg.Counter("conform.missed").Add(int64(total.Missed))
-	reg.Counter("conform.misclassified").Add(int64(total.Misclassified))
-	reg.Counter("conform.executed").Add(int64(total.Executed))
-	reg.Counter("conform.diverged").Add(int64(total.Diverged))
-	reg.Counter("conform.unsound").Add(int64(total.Unsound))
-	reg.Counter("conform.shrunk").Add(int64(r.Shrunk))
-	reg.Counter("conform.native.runs").Add(int64(r.NativeRuns))
-	reg.Counter("conform.native.fallbacks").Add(int64(r.NativeFallbacks))
-	reg.Counter("conform.count.checked").Add(int64(r.CountChecked))
 }

@@ -163,28 +163,6 @@ func (rt *Runtime) ForkTenant(arch *isa.Microarch) *Runtime {
 // backend ("vm" when interpreter-only).
 func (rt *Runtime) BackendName() string { return rt.backendName() }
 
-// BackendCounters exposes the active backend's build/load statistics
-// (nil when no backend beyond the interpreter is attached, or when the
-// backend publishes none).
-func (rt *Runtime) BackendCounters() map[string]int64 {
-	if rt.Backend == nil {
-		return nil
-	}
-	if bc, ok := rt.Backend.(interface{ Counters() map[string]int64 }); ok {
-		return bc.Counters()
-	}
-	return nil
-}
-
-// DiskStats reports the persistent cache tier's statistics. ok is
-// false when no disk cache is attached.
-func (rt *Runtime) DiskStats() (DiskCacheStats, bool) {
-	if rt.Disk == nil {
-		return DiskCacheStats{}, false
-	}
-	return rt.Disk.Stats(), true
-}
-
 // NewKernel starts staging a kernel against this runtime's detected
 // features.
 func (rt *Runtime) NewKernel(name string) *dsl.Kernel {
@@ -436,66 +414,66 @@ func (rt *Runtime) CacheStats() CacheStats {
 	return rt.Cache.Stats()
 }
 
-// PublishMetrics syncs every snapshot-style statistic into the attached
-// registry: the authoritative compile-cache totals (gauges — the live
-// ngen.cache.hit/miss counters only see compiles made through
-// metric-attached runtimes), the interpreter frame-pool traffic, and
-// the machine's dynamic op counts under vm.op.*. Idempotent; the
-// harness calls it right before each metrics snapshot. No-op without a
-// registry.
-func (rt *Runtime) PublishMetrics() {
-	r := rt.Metrics
+// PublishMetrics is the one runtime publisher. It syncs every
+// snapshot-style statistic the runtime's parts already keep into r,
+// each name under prefix: compile-cache and disk-cache totals, full
+// graph compiles, interpreter frame-pool, arena and parallel-tier
+// traffic, backend and planner statistics, and the machine's dynamic op
+// counts under vm.op.*. ngen and bench.Suite publish with prefix "",
+// ngend with "server.". Idempotent; callers publish right before each
+// metrics snapshot. No-op without a registry.
+func (rt *Runtime) PublishMetrics(r *obs.Registry, prefix string) {
 	if r == nil {
 		return
 	}
+	set := func(name string, v int64) { r.Gauge(prefix + name).Set(v) }
 	st := rt.CacheStats()
-	r.Gauge("ngen.cache.hits").Set(st.Hits)
-	r.Gauge("ngen.cache.misses").Set(st.Misses)
-	r.Gauge("ngen.cache.entries").Set(int64(st.Entries))
+	set("ngen.cache.hits", st.Hits)
+	set("ngen.cache.misses", st.Misses)
+	set("ngen.cache.entries", int64(st.Entries))
+	set("ngen.cache.deduped", st.Deduped)
+	set("ngen.compile.full", FullCompiles())
 	gets, news := kernelc.PoolStats()
-	r.Gauge("kernelc.pool.gets").Set(gets)
-	r.Gauge("kernelc.pool.news").Set(news)
+	set("kernelc.pool.gets", gets)
+	set("kernelc.pool.news", news)
 	resets, slots := kernelc.ArenaStats()
-	r.Gauge("vec.arena.resets").Set(resets)
-	r.Gauge("vec.arena.slots").Set(slots)
+	set("vec.arena.resets", resets)
+	set("vec.arena.slots", slots)
 	eligible, runs, fallbacks, chunks, steals := kernelc.ParStats()
-	r.Gauge("kernelc.par.eligible").Set(eligible)
-	r.Gauge("kernelc.par.runs").Set(runs)
-	r.Gauge("kernelc.par.fallbacks").Set(fallbacks)
-	r.Gauge("kernelc.par.chunks").Set(chunks)
-	r.Gauge("kernelc.par.steals").Set(steals)
-	r.Gauge("ngen.cache.deduped").Set(st.Deduped)
-	r.Gauge("ngen.compile.full").Set(FullCompiles())
+	set("kernelc.par.eligible", eligible)
+	set("kernelc.par.runs", runs)
+	set("kernelc.par.fallbacks", fallbacks)
+	set("kernelc.par.chunks", chunks)
+	set("kernelc.par.steals", steals)
 	if rt.Disk != nil {
 		ds := rt.Disk.Stats()
-		r.Gauge("ngen.disk.hits").Set(ds.Hits)
-		r.Gauge("ngen.disk.misses").Set(ds.Misses)
-		r.Gauge("ngen.disk.stores").Set(ds.Stores)
-		r.Gauge("ngen.disk.corrupt").Set(ds.Corrupt)
-		r.Gauge("ngen.disk.evictions").Set(ds.Evictions)
+		set("ngen.disk.hits", ds.Hits)
+		set("ngen.disk.misses", ds.Misses)
+		set("ngen.disk.stores", ds.Stores)
+		set("ngen.disk.corrupt", ds.Corrupt)
+		set("ngen.disk.evictions", ds.Evictions)
 	}
 	// Backend build/load statistics publish as backend.<name>.<stat>
 	// through an optional interface, so core stays ignorant of concrete
 	// backend internals.
-	if rt.Backend != nil {
-		if bc, ok := rt.Backend.(interface{ Counters() map[string]int64 }); ok {
-			prefix := "backend." + rt.Backend.Name() + "."
-			for k, v := range bc.Counters() {
-				r.Gauge(prefix + k).Set(v)
-			}
+	if bc, ok := rt.Backend.(interface{ Counters() map[string]int64 }); ok {
+		for k, v := range bc.Counters() {
+			set("backend."+rt.Backend.Name()+"."+k, v)
 		}
 	}
 	// Cost-model health: how many distinct intrinsic names were priced
 	// through the defensive fallback (each also logs once — a nonzero
 	// gauge means the op table needs a row).
-	r.Gauge("machine.unknown_op").Set(machine.UnknownOpCount())
-	// Planner decision/calibration traffic, when auto-planning is on.
+	set("machine.unknown_op", machine.UnknownOpCount())
+	// Planner decision/calibration traffic and plan-table size, when
+	// auto-planning is on.
 	if rt.Planner != nil {
 		for k, v := range rt.Planner.Stats() {
-			r.Gauge("plan." + k).Set(v)
+			set("plan."+k, v)
 		}
+		set("plan.plans", int64(len(rt.Planner.Snapshot())))
 	}
-	rt.Machine.Counts.Publish(r, "vm.op.")
+	rt.Machine.Counts.Publish(r, prefix+"vm.op.")
 }
 
 // Kernel is a compiled, callable kernel. The zero-allocation Call path
@@ -551,15 +529,12 @@ func (rt *Runtime) Compile(k *dsl.Kernel) (*Kernel, error) {
 	}
 	art, ok := rt.Cache.lookup(key)
 	if ok {
-		sp.SetAttr("cache", "hit")
-		rt.Metrics.Counter("ngen.cache.hit").Add(1)
 		// The verifier verdict is part of the artifact: alignment facts
 		// feed ir.Hash, so a hit is guaranteed to have verified clean
 		// against the same facts.
-		rt.Metrics.Counter("verify.cached").Add(1)
+		sp.SetAttr("cache", "hit")
 	} else {
 		sp.SetAttr("cache", "miss")
-		rt.Metrics.Counter("ngen.cache.miss").Add(1)
 		var err error
 		art, err = rt.Cache.once(key, func() (*artifact, error) {
 			return rt.compileKey(k, key, sp)
@@ -584,7 +559,6 @@ func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*a
 		dsp.End()
 		if ok {
 			parent.SetAttr("disk", "hit")
-			rt.Metrics.Counter("ngen.disk.hit").Add(1)
 			// The backend re-resolves its own artifact here too: with the
 			// disk cache attached as its store, a warm native run loads
 			// the built plugin without touching the toolchain.
@@ -598,7 +572,6 @@ func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*a
 			// a full rebuild, which overwrites it.
 		} else {
 			parent.SetAttr("disk", "miss")
-			rt.Metrics.Counter("ngen.disk.miss").Add(1)
 		}
 	}
 	art, err := rt.build(k, parent)
@@ -609,7 +582,6 @@ func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*a
 		ssp := parent.Child("diskcache.store")
 		rt.Disk.store(key, rt.diskFingerprint(), art)
 		ssp.End()
-		rt.Metrics.Counter("ngen.disk.store").Add(1)
 	}
 	return art, nil
 }
@@ -640,7 +612,6 @@ func (rt *Runtime) build(k *dsl.Kernel, parent *obs.Span) (*artifact, error) {
 	sp := parent.Child("irverify.run")
 	res := irverify.Verify(k.F, rt.Arch)
 	sp.End()
-	rt.Metrics.Counter("verify.run").Add(1)
 	rt.Metrics.Counter("verify.errors").Add(int64(res.Errors()))
 	rt.Metrics.Counter("verify.warnings").Add(int64(res.Warnings()))
 	if !res.Ok() {

@@ -49,16 +49,14 @@ func TestPipelineSpans(t *testing.T) {
 		t.Errorf("expected 1 cgen.emit span (hit skips rebuild), got %d", n)
 	}
 
-	if hits := rt.Metrics.Counter("ngen.cache.hit").Load(); hits != 1 {
-		t.Errorf("metrics cache.hit = %d, want 1", hits)
-	}
 	if calls := rt.Metrics.Counter("ngen.kernel.call").Load(); calls != 1 {
 		t.Errorf("metrics kernel.call = %d, want 1", calls)
 	}
 
-	rt.PublishMetrics()
+	rt.PublishMetrics(rt.Metrics, "")
 	snap := rt.Metrics.Snapshot()
-	if snap.Gauges["ngen.cache.entries"] != 1 {
+	if snap.Gauges["ngen.cache.hits"] != 1 || snap.Gauges["ngen.cache.misses"] != 1 ||
+		snap.Gauges["ngen.cache.entries"] != 1 {
 		t.Errorf("PublishMetrics cache gauges: %v", snap.Gauges)
 	}
 	if snap.Gauges["vm.op."+JNICall] != 1 {
@@ -66,6 +64,13 @@ func TestPipelineSpans(t *testing.T) {
 	}
 	if snap.Gauges["kernelc.pool.gets"] < 1 {
 		t.Errorf("PublishMetrics must report frame-pool traffic: %v", snap.Gauges)
+	}
+	// The same rows publish under a prefix into any registry (ngend
+	// passes "server.").
+	other := obs.NewRegistry()
+	rt.PublishMetrics(other, "server.")
+	if g := other.Snapshot().Gauges; g["server.ngen.cache.hits"] != 1 || g["ngen.cache.hits"] != 0 {
+		t.Errorf("prefixed publish: %v", g)
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 )
 
 // TestForkTenantSharesCacheAcrossMachines pins the serving contract:
@@ -57,25 +59,30 @@ func TestForkTenantSharesCacheAcrossMachines(t *testing.T) {
 	}
 }
 
-// TestExportedRuntimeStats covers the accessors the serving layer
-// publishes from /healthz.
+// TestExportedRuntimeStats covers what the serving layer reads of a
+// runtime: the backend name /healthz reports, and the disk-cache and
+// backend rows PublishMetrics adds only when those parts are attached.
 func TestExportedRuntimeStats(t *testing.T) {
 	rt := DefaultRuntime()
 	if got := rt.BackendName(); got != "vm" {
 		t.Fatalf("BackendName = %q, want vm", got)
 	}
-	if rt.BackendCounters() != nil {
-		t.Fatal("interpreter-only runtime should expose no backend counters")
+	published := func() map[string]int64 {
+		reg := obs.NewRegistry()
+		rt.PublishMetrics(reg, "server.")
+		return reg.Snapshot().Gauges
 	}
-	if _, ok := rt.DiskStats(); ok {
-		t.Fatal("DiskStats ok without a disk cache")
+	for name := range published() {
+		if strings.HasPrefix(name, "server.ngen.disk.") || strings.HasPrefix(name, "server.backend.") {
+			t.Fatalf("interpreter-only runtime without a disk cache published %s", name)
+		}
 	}
 	d, err := OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.Disk = d
-	if _, ok := rt.DiskStats(); !ok {
-		t.Fatal("DiskStats should report once a disk cache is attached")
+	if _, ok := published()["server.ngen.disk.hits"]; !ok {
+		t.Fatal("disk-cache rows missing once a disk cache is attached")
 	}
 }

@@ -29,6 +29,7 @@ func stageBadStore(rt *Runtime) *dsl.Kernel {
 func TestCompileRejectsIllFormedGraph(t *testing.T) {
 	rt := DefaultRuntime()
 	rt.Metrics = obs.NewRegistry()
+	before := FullCompiles()
 	_, err := rt.Compile(stageBadStore(rt))
 	if err == nil {
 		t.Fatal("Compile accepted an ill-formed graph")
@@ -38,8 +39,8 @@ func TestCompileRejectsIllFormedGraph(t *testing.T) {
 			t.Errorf("compile error missing %q:\n%s", want, err)
 		}
 	}
-	if runs := rt.Metrics.Counter("verify.run").Load(); runs != 1 {
-		t.Errorf("verify.run = %d, want 1", runs)
+	if runs := FullCompiles() - before; runs != 1 {
+		t.Errorf("full compiles (verifier runs) = %d, want 1", runs)
 	}
 	if errs := rt.Metrics.Counter("verify.errors").Load(); errs == 0 {
 		t.Error("verify.errors not counted")
@@ -51,12 +52,13 @@ func TestCompileRejectsIllFormedGraph(t *testing.T) {
 }
 
 // TestVerifyResultRidesTheCache: the verdict is computed once per
-// artifact; a cache hit reuses it (counted under verify.cached) and
-// renders byte-identically.
+// artifact; a cache hit reuses it (no second full compile) and renders
+// byte-identically.
 func TestVerifyResultRidesTheCache(t *testing.T) {
 	rt := DefaultRuntime()
 	rt.Metrics = obs.NewRegistry()
 	rt.Tracer = obs.New()
+	before := FullCompiles()
 
 	kn1, err := rt.Compile(stageSumSquares(rt))
 	if err != nil {
@@ -75,11 +77,11 @@ func TestVerifyResultRidesTheCache(t *testing.T) {
 	if a, b := kn1.Verify().Render(), kn2.Verify().Render(); a != b {
 		t.Errorf("verdict renders differ across hit/miss:\n%s\n%s", a, b)
 	}
-	if runs := rt.Metrics.Counter("verify.run").Load(); runs != 1 {
-		t.Errorf("verify.run = %d, want 1 (hit must not re-verify)", runs)
+	if runs := FullCompiles() - before; runs != 1 {
+		t.Errorf("full compiles (verifier runs) = %d, want 1 (hit must not re-verify)", runs)
 	}
-	if hits := rt.Metrics.Counter("verify.cached").Load(); hits != 1 {
-		t.Errorf("verify.cached = %d, want 1", hits)
+	if st := rt.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache stats %+v, want 1 hit and 1 miss", st)
 	}
 	// The verifier is a traced pipeline stage on the miss only.
 	skel := rt.Tracer.Skeleton(nil)

@@ -97,6 +97,17 @@ func TestResultCacheServesRepeatSweep(t *testing.T) {
 	if ran == 0 {
 		t.Fatal("first sweep measured no points")
 	}
+	// The worker caches a result just after the job turns done, memory
+	// first, then disk. Wait for the disk entry so the repeats below
+	// (memory, then a restarted daemon) do not race that write.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if m, _ := filepath.Glob(filepath.Join(cache, "results", "res-*.json")); len(m) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first sweep's result never reached the disk cache")
+		}
+	}
 
 	core.ResetFullCompiles()
 	// Same canonical spec: different tenant, workers knob set, default

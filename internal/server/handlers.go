@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -82,21 +81,12 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// Healthz is the GET /healthz body: liveness plus the shared-cache and
-// backend state an operator checks first.
+// Healthz is the GET /healthz body: liveness only. Every number about
+// the daemon's state is on /metrics.
 type Healthz struct {
-	Status       string               `json:"status"` // "ok" | "draining"
-	Machine      string               `json:"machine"`
-	Backend      string               `json:"backend"`
-	Workers      int                  `json:"workers"`
-	QueueDepth   int                  `json:"queue_depth"`
-	QueueCap     int                  `json:"queue_cap"`
-	Jobs         map[State]int        `json:"jobs"`
-	Cache        core.CacheStats      `json:"cache"`
-	DiskCache    *core.DiskCacheStats `json:"disk_cache,omitempty"`
-	BackendCtrs  map[string]int64     `json:"backend_counters,omitempty"`
-	StoreCorrupt int64                `json:"store_corrupt"`
-	Compiles     int64                `json:"graph_compiles"`
+	Status  string `json:"status"` // "ok" | "draining"
+	Machine string `json:"machine"`
+	Backend string `json:"backend"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -104,23 +94,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	h := Healthz{
-		Status:       status,
-		Machine:      s.RT.Arch.Name,
-		Backend:      s.RT.BackendName(),
-		Workers:      s.cfg.Workers,
-		QueueDepth:   len(s.queue),
-		QueueCap:     cap(s.queue),
-		Jobs:         s.jobs.byState(),
-		Cache:        s.RT.CacheStats(),
-		BackendCtrs:  s.RT.BackendCounters(),
-		StoreCorrupt: s.store.Corrupt(),
-		Compiles:     core.FullCompiles(),
-	}
-	if ds, ok := s.RT.DiskStats(); ok {
-		h.DiskCache = &ds
-	}
-	writeJSON(w, http.StatusOK, h)
+	writeJSON(w, http.StatusOK, Healthz{Status: status, Machine: s.RT.Arch.Name, Backend: s.RT.BackendName()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

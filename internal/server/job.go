@@ -24,6 +24,10 @@ const (
 	StateCancelled State = "cancelled"
 )
 
+// states lists every lifecycle state, so per-state gauges read 0 once
+// no job is in a state instead of keeping their last nonzero value.
+var states = []State{StatePending, StateRunning, StateDone, StateFailed, StateCancelled}
+
 // Terminal reports whether no further transition can happen.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
@@ -198,14 +202,22 @@ func (ix *index) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// list returns record snapshots sorted by id (= submission order).
-func (ix *index) list() []Record {
+// all returns the registered jobs in no particular order. Callers lock
+// each job only after the index lock is released: submitCoalescing
+// holds a leader's lock while it adds a follower to the index.
+func (ix *index) all() []*job {
 	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	jobs := make([]*job, 0, len(ix.jobs))
 	for _, j := range ix.jobs {
 		jobs = append(jobs, j)
 	}
-	ix.mu.Unlock()
+	return jobs
+}
+
+// list returns record snapshots sorted by id (= submission order).
+func (ix *index) list() []Record {
+	jobs := ix.all()
 	out := make([]Record, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.snapshot()
@@ -214,11 +226,16 @@ func (ix *index) list() []Record {
 	return out
 }
 
-// byState counts jobs per lifecycle state.
-func (ix *index) byState() map[State]int {
-	out := map[State]int{}
-	for _, rec := range ix.list() {
-		out[rec.State]++
+// stats counts jobs per lifecycle state and sums their streams'
+// fan-out drops in one pass, copying no record.
+func (ix *index) stats() (map[State]int, int64) {
+	counts := map[State]int{}
+	var dropped int64
+	for _, j := range ix.all() {
+		j.mu.Lock()
+		counts[j.rec.State]++
+		j.mu.Unlock()
+		dropped += j.stream.droppedCount()
 	}
-	return out
+	return counts, dropped
 }

@@ -621,30 +621,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// publishMetrics refreshes the server-level gauges and counters; the
-// HTTP middleware maintains the per-endpoint series continuously.
+// publishMetrics refreshes the gauges of state the server owns —
+// queue, jobs, streams, store, result cache, coalescing and resume —
+// then the base runtime's rows under "server." through the one runtime
+// publisher. The HTTP middleware maintains the per-endpoint series
+// continuously.
 func (s *Server) publishMetrics() {
 	r := s.Reg
 	r.Gauge("server.queue.depth").Set(int64(len(s.queue)))
 	r.Gauge("server.queue.capacity").Set(int64(cap(s.queue)))
 	r.Gauge("server.workers").Set(int64(s.cfg.Workers))
 	r.Gauge("server.jobs.rejected").Set(s.rejected.Load())
-	for state, n := range s.jobs.byState() {
-		r.Gauge("server.jobs." + string(state)).Set(int64(n))
-	}
-	var dropped int64
-	for _, rec := range s.jobs.list() {
-		if j, ok := s.jobs.get(rec.ID); ok {
-			dropped += j.stream.droppedCount()
-		}
+	counts, dropped := s.jobs.stats()
+	for _, state := range states {
+		r.Gauge("server.jobs." + string(state)).Set(int64(counts[state]))
 	}
 	r.Gauge("server.stream.dropped").Set(dropped)
 	r.Gauge("server.store.corrupt").Set(s.store.Corrupt())
-
 	r.Gauge("server.coalesce.followers").Set(s.coalesced.Load())
-	s.flightMu.Lock()
-	r.Gauge("server.coalesce.inflight").Set(int64(len(s.inflight)))
-	s.flightMu.Unlock()
 	r.Gauge("server.resume.jobs").Set(s.resumed.Load())
 	if rc := s.results; rc != nil {
 		r.Gauge("server.resultcache.hits").Set(rc.hits.Load())
@@ -654,27 +648,5 @@ func (s *Server) publishMetrics() {
 		r.Gauge("server.resultcache.corrupt").Set(rc.corrupt())
 		r.Gauge("server.resultcache.bytes").Set(rc.memSize())
 	}
-
-	cs := s.RT.CacheStats()
-	r.Gauge("server.cache.hits").Set(cs.Hits)
-	r.Gauge("server.cache.misses").Set(cs.Misses)
-	r.Gauge("server.cache.entries").Set(int64(cs.Entries))
-	if total := cs.Hits + cs.Misses; total > 0 {
-		r.Gauge("server.cache.hit_ratio_pct").Set(cs.Hits * 100 / total)
-	}
-	r.Gauge("server.compile.full").Set(core.FullCompiles())
-	if ds, ok := s.RT.DiskStats(); ok {
-		r.Gauge("server.diskcache.hits").Set(ds.Hits)
-		r.Gauge("server.diskcache.misses").Set(ds.Misses)
-		r.Gauge("server.diskcache.stores").Set(ds.Stores)
-	}
-	for name, v := range s.RT.BackendCounters() {
-		r.Gauge("server.backend." + name).Set(v)
-	}
-	if p := s.RT.Planner; p != nil {
-		for name, v := range p.Stats() {
-			r.Gauge("server.plan." + name).Set(v)
-		}
-		r.Gauge("server.plan.plans").Set(int64(len(p.Snapshot())))
-	}
+	s.RT.PublishMetrics(r, "server.")
 }

@@ -594,19 +594,19 @@ func TestWarmStartNativeZeroBuilds(t *testing.T) {
 	}
 }
 
-// TestHealthzAndMetrics sanity-checks the observability endpoints.
+// TestHealthzAndMetrics sanity-checks the observability endpoints:
+// /healthz is liveness only, every number is on /metrics.
 func TestHealthzAndMetrics(t *testing.T) {
 	_, base := testServer(t, Config{Workers: 2, Queue: 8})
 
-	var h Healthz
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeInto(t, resp, &h)
-	if h.Status != "ok" || h.Machine != "Haswell" || h.Backend != "vm" ||
-		h.Workers != 2 || h.QueueCap != 8 {
-		t.Fatalf("healthz: %+v", h)
+	var body map[string]any
+	decodeInto(t, resp, &body)
+	if len(body) != 3 || body["status"] != "ok" || body["machine"] != "Haswell" || body["backend"] != "vm" {
+		t.Fatalf("healthz: %v, want exactly status, machine and backend", body)
 	}
 
 	rec := submitJob(t, base, Spec{Type: "execute", Kernel: "dot32", N: 64})
@@ -629,8 +629,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if m.Counters["http.jobs.submit.status.2xx"] == 0 {
 		t.Fatal("submit 2xx not counted")
 	}
-	if _, ok := m.Gauges["server.queue.capacity"]; !ok {
-		t.Fatalf("server gauges missing: %v", m.Gauges)
+	if m.Gauges["server.workers"] != 2 || m.Gauges["server.queue.capacity"] != 8 {
+		t.Fatalf("server gauges: %v", m.Gauges)
 	}
 	if m.Gauges["server.jobs.done"] == 0 {
 		t.Fatal("done jobs gauge not published")
@@ -657,6 +657,40 @@ func TestHealthzAndMetrics(t *testing.T) {
 	nf.Body.Close()
 	if nf.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: status %d, want 404", nf.StatusCode)
+	}
+}
+
+// TestJobStateGaugesDrain: every job-state gauge is published on
+// every scrape, so once the queue drains pending and running read 0
+// instead of keeping their last nonzero value.
+func TestJobStateGaugesDrain(t *testing.T) {
+	s, base := testServer(t, Config{Workers: 1, Queue: 4})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s.beforeJob = func() {
+		once.Do(func() { close(entered) })
+		<-release
+	}
+
+	rec := submitJob(t, base, Spec{Type: "execute", Kernel: "saxpy", N: 64})
+	<-entered // the worker holds the job before picking it up
+	if _, g := metricsOf(t, base); g["server.jobs.pending"] != 1 {
+		t.Fatalf("held job: server.jobs.pending = %d, want 1", g["server.jobs.pending"])
+	}
+	close(release)
+	if final := waitTerminal(t, base, rec.ID); final.State != StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	_, g := metricsOf(t, base)
+	for _, state := range states {
+		if _, ok := g["server.jobs."+string(state)]; !ok {
+			t.Errorf("server.jobs.%s not published", state)
+		}
+	}
+	if g["server.jobs.pending"] != 0 || g["server.jobs.running"] != 0 || g["server.jobs.done"] != 1 {
+		t.Fatalf("drained queue: pending %d, running %d, done %d; want 0, 0, 1",
+			g["server.jobs.pending"], g["server.jobs.running"], g["server.jobs.done"])
 	}
 }
 
