@@ -371,9 +371,10 @@ func printStats(s *bench.Suite, tr *obs.Tracer, reg *obs.Registry) {
 		{"Baseline memo: ", "bench.baseline.memo."},
 	} {
 		hits, misses := snap.Gauges[leg.prefix+"hits"], snap.Gauges[leg.prefix+"misses"]
+		counted := snap.Gauges[leg.prefix+"counted"]
 		if bypassed := snap.Gauges[leg.prefix+"bypassed"]; hits+misses+bypassed > 0 {
-			fmt.Printf("%s %d executions reused, %d executed and stored, %d executed unmemoized\n",
-				leg.label, hits, misses, bypassed)
+			fmt.Printf("%s %d reused, %d counted without executing, %d executed and stored, %d executed unmemoized\n",
+				leg.label, hits, counted, misses-counted, bypassed)
 		}
 	}
 

@@ -4,8 +4,16 @@
 // It plays the role ScalaMeter plays in the paper's artifact (Section
 // 3.4's setup: forked VM, warmed code, median of repetitions) — here the
 // "measurement" is the analytical machine model applied to dynamic
-// instruction counts from real kernel executions on the software SIMD
-// machine.
+// instruction counts of the kernels on the software SIMD machine.
+//
+// The figures read counts only, and kernelc proves them. A kernel or
+// Java method whose counts kernelc.CountProof admits is evaluated once
+// per suite and count key, and counted without executing
+// (kernelc.Program.Count: the untainted loop, address and branch
+// skeleton, closed-form where affine). Data is executed only where the
+// count-only evaluator refuses, or where the memo steps aside: a cache
+// simulator must see every access, and the planner calibrates from the
+// calls it sees.
 //
 // Large problem sizes extrapolate: the kernel runs at a reduced size and
 // its counts scale by the work ratio (exact for these uniformly
@@ -71,18 +79,22 @@ type Suite struct {
 	MaxRunLinear int
 	MaxRunCubic  int
 	// Reps is the ScalaMeter-style repetition count; the median
-	// estimate is reported. The model prices every rep, but an
-	// execution — staged or baseline — whose counts kernelc.CountProof
-	// proves invariant runs once per sweep and count key: later reps,
-	// and later extrapolated points at the same run size, reuse its
-	// counts. Staged calls the planner routes (and executions under a
-	// cache simulator) run every rep.
+	// estimate is reported. The model prices every rep, but a
+	// measurement — staged or baseline — whose counts
+	// kernelc.CountProof proves invariant is evaluated once per suite
+	// and count key, from proven counts without executing whenever the
+	// count-only evaluator can (it refuses rather than guess, and then
+	// the kernel executes once): later reps, later extrapolated points
+	// at the same run size, and later sweeps reuse those counts. Staged
+	// calls the planner routes (and executions under a cache simulator)
+	// execute every rep.
 	Reps int
 	// Workers bounds how many size points a sweep measures
 	// concurrently, each on a private forked runtime. 1 (the default)
 	// measures serially; either way results are deterministic and
-	// identical, and the workers share one count memo per sweep, so the
-	// number of executions does not depend on Workers either.
+	// identical, and the workers share the suite's count memo, so the
+	// number of evaluations does not depend on Workers either; Workers
+	// also bounds how many of Figure 7's input series quantize at once.
 	Workers int
 	// SweepCounts accumulates every worker's raw instruction counts,
 	// merged after each sweep's barrier. Totals are independent of
@@ -122,9 +134,11 @@ type Suite struct {
 	// implementations must be safe for concurrent use.
 	OnPointDone func(sweep string, i int, pts []PointCkpt)
 
-	// stagedMemo and baselineMemo total every sweep worker's count-memo
-	// outcomes per leg, merged after each sweep's barrier like
-	// SweepCounts.
+	// memo holds the counts of every proven key the suite's sweeps
+	// evaluated (see countMemo); stagedMemo and baselineMemo total every
+	// sweep worker's memo outcomes per leg, merged after each sweep's
+	// barrier like SweepCounts.
+	memo                     *countMemo
 	stagedMemo, baselineMemo memoStats
 }
 
@@ -138,6 +152,7 @@ func NewSuite() *Suite {
 		Reps:         3,
 		Workers:      1,
 		SweepCounts:  vm.Counter{},
+		memo:         newCountMemo(),
 	}
 }
 
@@ -152,7 +167,8 @@ func (s *Suite) Attach(tr *obs.Tracer, reg *obs.Registry) {
 // PublishMetrics pushes every accumulated statistic into the attached
 // registry: compile-cache and frame-pool state via the runtime, the
 // count-memo totals under bench.staged.memo.* and
-// bench.baseline.memo.*, and the
+// bench.baseline.memo.* (misses, and of those the ones counted
+// without executing), and the
 // merged sweep instruction counts (plus any counts on the suite's own
 // machine, e.g. from the cache-validation run) under vm.op.*.
 // Idempotent — call it right before snapshotting. No-op when no
@@ -168,6 +184,7 @@ func (s *Suite) PublishMetrics() {
 	}{{"bench.staged.memo.", s.stagedMemo}, {"bench.baseline.memo.", s.baselineMemo}} {
 		s.Metrics.Gauge(m.prefix + "hits").Set(m.st.hits)
 		s.Metrics.Gauge(m.prefix + "misses").Set(m.st.misses)
+		s.Metrics.Gauge(m.prefix + "counted").Set(m.st.counted)
 		s.Metrics.Gauge(m.prefix + "bypassed").Set(m.st.bypassed)
 	}
 	merged := s.SweepCounts.Clone()

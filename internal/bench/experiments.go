@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dsl"
 	"repro/internal/hotspot"
@@ -29,11 +30,12 @@ func capSize(n, max int) int {
 	return n
 }
 
-// Each figure below splits into two stages. Input setup stays serial —
-// it is cheap, and the quantized Figure 7 inputs consume a per-series
-// RNG whose draw order must not depend on scheduling. Measurement fans
-// out over forEachPoint: each size point runs on a checked-out worker
-// and writes its Point into a pre-sized slot, so the emitted series are
+// Each figure below splits into two stages. Input setup comes first:
+// serial for Figures 6a and 6b, where it is cheap, and one goroutine per
+// series for Figure 7, whose quantized inputs consume a per-series RNG
+// in size order (see fig7Inputs). Measurement fans out over
+// forEachPoint: each size point runs on a checked-out worker and writes
+// its Point into a pre-sized slot, so the emitted series are
 // bit-identical at every worker count.
 
 // Fig6a regenerates Figure 6a: SAXPY performance, Java vs LMS-generated,
@@ -197,26 +199,18 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 	}
 	var jobs []job
 	// Java series occupy out[0..3], staged out[4..7] — the serial
-	// emission order. Each series owns a fresh RNG consumed across its
-	// sizes in order, so quantization draws are scheduling-independent.
-	for si, bits := range bitsList {
-		out[si] = Series{Name: fmt.Sprintf("Java %d-bit", bits),
-			Points: make([]Point, len(sizes))}
-		rng := vm.NewXorshift(4321)
-		for pi, n := range sizes {
-			runN := capSize(n, s.MaxRunLinear)
-			jobs = append(jobs, job{series: si, point: pi, bits: bits, java: true,
-				n: n, runN: runN, args: javaDotArgs(bits, runN, rng)})
+	// emission order.
+	inputs := s.fig7Inputs(bitsList, sizes)
+	for si := range out {
+		bits, java := bitsList[si%len(bitsList)], si < len(bitsList)
+		name := fmt.Sprintf("LMS generated %d-bit", bits)
+		if java {
+			name = fmt.Sprintf("Java %d-bit", bits)
 		}
-	}
-	for si, bits := range bitsList {
-		out[len(bitsList)+si] = Series{Name: fmt.Sprintf("LMS generated %d-bit", bits),
-			Points: make([]Point, len(sizes))}
-		rng := vm.NewXorshift(1234)
+		out[si] = Series{Name: name, Points: make([]Point, len(sizes))}
 		for pi, n := range sizes {
-			runN := capSize(n, s.MaxRunLinear)
-			jobs = append(jobs, job{series: len(bitsList) + si, point: pi, bits: bits,
-				n: n, runN: runN, args: dotArgs(bits, runN, rng)})
+			jobs = append(jobs, job{series: si, point: pi, bits: bits, java: java,
+				n: n, runN: capSize(n, s.MaxRunLinear), args: inputs[si][pi]})
 		}
 	}
 
@@ -269,6 +263,47 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 	return out, nil
 }
 
+// fig7Inputs quantizes Figure 7's arguments, indexed [series][point]:
+// the four Java series, then the four staged ones, over sizes. The
+// float operands depend on the run size alone, so each size's pair is
+// drawn once and only read by the series. Each series owns a fresh RNG
+// consumed across its sizes in order, so every buffer is byte-identical
+// whatever the schedule; the series build concurrently, at most Workers
+// at a time.
+func (s *Suite) fig7Inputs(bitsList, sizes []int) [][][]vm.Value {
+	operands := map[int][2][]float32{}
+	for _, n := range sizes {
+		runN := capSize(n, s.MaxRunLinear)
+		if _, ok := operands[runN]; !ok {
+			operands[runN] = [2][]float32{randSlice(runN, 7), randSlice(runN, 8)}
+		}
+	}
+	inputs := make([][][]vm.Value, 2*len(bitsList))
+	sem := make(chan struct{}, max(1, s.Workers))
+	var wg sync.WaitGroup
+	for si := range inputs {
+		wg.Add(1)
+		go func(si int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			bits, java := bitsList[si%len(bitsList)], si < len(bitsList)
+			build, rng := dotArgs, vm.NewXorshift(1234)
+			if java {
+				build, rng = javaDotArgs, vm.NewXorshift(4321)
+			}
+			series := make([][]vm.Value, len(sizes))
+			for pi, n := range sizes {
+				ab := operands[capSize(n, s.MaxRunLinear)]
+				series[pi] = build(bits, ab[0], ab[1], rng)
+			}
+			inputs[si] = series
+		}(si)
+	}
+	wg.Wait()
+	return inputs
+}
+
 // dotFootprint is the two-array working set at each precision.
 func dotFootprint(bits, n int) int {
 	switch bits {
@@ -283,11 +318,11 @@ func dotFootprint(bits, n int) int {
 	}
 }
 
-// dotArgs builds the staged kernel's arguments for one precision at a
-// run size: the quantized inputs and the element count.
-func dotArgs(bits, runN int, rng *vm.Xorshift) []vm.Value {
-	a := randSlice(runN, 7)
-	b := randSlice(runN, 8)
+// dotArgs builds the staged kernel's arguments for one precision from
+// the float operands a and b (read only): the quantized inputs and the
+// element count.
+func dotArgs(bits int, a, b []float32, rng *vm.Xorshift) []vm.Value {
+	runN := len(a)
 	switch bits {
 	case 32:
 		ab, bb := vm.PinF32(a), vm.PinF32(b)
@@ -314,12 +349,11 @@ func dotArgs(bits, runN int, rng *vm.Xorshift) []vm.Value {
 // javaDotArgs adapts dotArgs to the Java kernels' signatures (the
 // 16-bit Java path uses quantized shorts, and the 4-bit path has no
 // LUT parameter).
-func javaDotArgs(bits, runN int, rng *vm.Xorshift) []vm.Value {
-	a := randSlice(runN, 7)
-	b := randSlice(runN, 8)
+func javaDotArgs(bits int, a, b []float32, rng *vm.Xorshift) []vm.Value {
+	runN := len(a)
 	switch bits {
 	case 32, 8:
-		return dotArgs(bits, runN, rng)
+		return dotArgs(bits, a, b, rng)
 	case 16:
 		sa, sb := quant.Scale(a, 16), quant.Scale(b, 16)
 		qa := make([]int16, runN)

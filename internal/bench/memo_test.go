@@ -37,20 +37,36 @@ var memoSizes = map[string][]int{
 // directCounts executes every staged Call and Java InvokeAt that a sweep
 // of figure over sizes performs — every point, every rep — on fresh
 // machines, without the harness or its memo, and sums their counts.
+// Before each execution it counts the same call without executing
+// (Kernel.CountValues, Method.CountAt) and requires the identical count
+// map: the count-only evaluator's differential over every figure point
+// and rep.
 func directCounts(t *testing.T, s *Suite, figure string, sizes []int) vm.Counter {
 	t.Helper()
 	rt := core.DefaultRuntime()
 	jvm := hotspot.NewVM(s.JVM.Arch)
 	fs := rt.Arch.Features
 	total := vm.Counter{}
-	reps := func(m *vm.Machine, run func() (vm.Value, error)) {
+	reps := func(m *vm.Machine, count func() error, run func() (vm.Value, error)) {
 		for r := 0; r < s.Reps; r++ {
+			m.Counts.Reset()
+			if err := count(); err != nil {
+				t.Fatalf("%s rep %d: count-only evaluation: %v", figure, r, err)
+			}
+			counted := m.Counts.Clone()
 			m.Counts.Reset()
 			if _, err := run(); err != nil {
 				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(counted, m.Counts) {
+				t.Fatalf("%s rep %d: counted %v, executed %v", figure, r, counted, m.Counts)
+			}
 			total.Merge(m.Counts)
 		}
+	}
+	staged := func(kn *core.Kernel, args ...vm.Value) {
+		reps(rt.Machine, func() error { return kn.CountValues(args...) },
+			func() (vm.Value, error) { return kn.CallValues(args...) })
 	}
 	compile := func(k *dsl.Kernel, err error) *core.Kernel {
 		if err == nil {
@@ -70,7 +86,8 @@ func directCounts(t *testing.T, s *Suite, figure string, sizes []int) vm.Counter
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps(jvm.Machine, func() (vm.Value, error) { return m.InvokeAt(hotspot.TierC2, args...) })
+		reps(jvm.Machine, func() error { return m.CountAt(hotspot.TierC2, args...) },
+			func() (vm.Value, error) { return m.InvokeAt(hotspot.TierC2, args...) })
 	}
 	switch figure {
 	case "fig6a":
@@ -78,9 +95,9 @@ func directCounts(t *testing.T, s *Suite, figure string, sizes []int) vm.Counter
 		for _, n := range sizes {
 			runN := capSize(n, s.MaxRunLinear)
 			a, b := vm.PinF32(randSlice(runN, 1)), vm.PinF32(randSlice(runN, 2))
-			reps(rt.Machine, func() (vm.Value, error) { return kn.Call(a, b, float32(2.5), runN) })
-			java(kernels.JavaSaxpy(fs), nil, vm.PtrValue(a, 0), vm.PtrValue(b, 0),
-				vm.F32Value(2.5), vm.IntValue(runN))
+			args := []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(runN)}
+			staged(kn, args...)
+			java(kernels.JavaSaxpy(fs), nil, args...)
 		}
 	case "fig6b":
 		kn := compile(kernels.StagedMMM(fs), nil)
@@ -89,8 +106,8 @@ func directCounts(t *testing.T, s *Suite, figure string, sizes []int) vm.Counter
 			a := vm.PinF32(randSlice(runN*runN, 3))
 			b := vm.PinF32(randSlice(runN*runN, 4))
 			c := vm.PinF32(make([]float32, runN*runN))
-			reps(rt.Machine, func() (vm.Value, error) { return kn.Call(a, b, c, runN) })
 			args := []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.PtrValue(c, 0), vm.IntValue(runN)}
+			staged(kn, args...)
 			java(kernels.JavaMMMTriple(fs), nil, args...)
 			java(kernels.JavaMMMBlocked(fs), nil, args...)
 		}
@@ -101,15 +118,16 @@ func directCounts(t *testing.T, s *Suite, figure string, sizes []int) vm.Counter
 			rng := vm.NewXorshift(4321)
 			for _, n := range sizes {
 				f, err := kernels.JavaDot(bits, fs)
-				java(f, err, javaDotArgs(bits, capSize(n, s.MaxRunLinear), rng)...)
+				runN := capSize(n, s.MaxRunLinear)
+				java(f, err, javaDotArgs(bits, randSlice(runN, 7), randSlice(runN, 8), rng)...)
 			}
 		}
 		for _, bits := range []int{32, 16, 8, 4} {
 			kn := compile(kernels.StagedDot(bits, fs))
 			rng := vm.NewXorshift(1234)
 			for _, n := range sizes {
-				args := dotArgs(bits, capSize(n, s.MaxRunLinear), rng)
-				reps(rt.Machine, func() (vm.Value, error) { return kn.CallValues(args...) })
+				runN := capSize(n, s.MaxRunLinear)
+				staged(kn, dotArgs(bits, randSlice(runN, 7), randSlice(runN, 8), rng)...)
 			}
 		}
 	}
@@ -201,10 +219,11 @@ func TestStagedMemoBypassedUnderAutoPlan(t *testing.T) {
 	}
 }
 
-// TestSharedMemoExecutesEachKeyOnce: eight workers share one memo per
-// sweep, so each distinct (series, run size) executes exactly once —
-// the same number as a serial sweep — and every other rep reuses it.
-// The race detector runs this repeatedly (make race).
+// TestSharedMemoExecutesEachKeyOnce: eight workers share the suite's
+// memo, so each distinct (series, run size) is evaluated exactly once —
+// the same number as a serial sweep — and every other rep reuses it;
+// only the evaluations that executed call the kernel. The race
+// detector runs this repeatedly (make race).
 func TestSharedMemoExecutesEachKeyOnce(t *testing.T) {
 	legs := map[string]int{"fig6a": 2, "fig6b": 3, "fig7": 8} // series per size
 	for _, figure := range FigureNames() {
@@ -232,7 +251,8 @@ func TestSharedMemoExecutesEachKeyOnce(t *testing.T) {
 		if want := int64(len(memoSizes[figure]) * legs[figure] * s.Reps); reps != want {
 			t.Errorf("%s: memo saw %d reps, want %d", figure, reps, want)
 		}
-		if calls := reg.Counter("ngen.kernel.call").Load(); calls != s.stagedMemo.misses {
+		executed := s.stagedMemo.misses - s.stagedMemo.counted + s.stagedMemo.bypassed
+		if calls := reg.Counter("ngen.kernel.call").Load(); calls != executed {
 			t.Errorf("%s: %d staged calls executed, staged memo %+v", figure, calls, s.stagedMemo)
 		}
 	}
@@ -262,5 +282,57 @@ func TestFiguresMatchCommittedOutput(t *testing.T) {
 		if !strings.Contains(string(ref), text) {
 			t.Errorf("%s table is not in results/ngen_all.txt:\n%s", figure, text)
 		}
+	}
+}
+
+// TestFig6bCountsWithoutExecuting: every fig6b memo miss — the staged
+// kernel and both Java methods at the two run sizes — is counted
+// without executing, so the sweep runs no kernel at all.
+func TestFig6bCountsWithoutExecuting(t *testing.T) {
+	s := memoSuite(2)
+	reg := obs.NewRegistry()
+	s.Attach(nil, reg)
+	if _, err := s.RunFigure("fig6b", memoSizes["fig6b"]); err != nil {
+		t.Fatal(err)
+	}
+	if s.stagedMemo.misses+s.baselineMemo.misses != 6 {
+		t.Fatalf("staged memo %+v, baseline memo %+v: want 6 misses", s.stagedMemo, s.baselineMemo)
+	}
+	for leg, st := range map[string]memoStats{"staged": s.stagedMemo, "baseline": s.baselineMemo} {
+		if st.counted != st.misses || st.bypassed != 0 {
+			t.Errorf("%s memo %+v: want every miss counted, none executed", leg, st)
+		}
+	}
+	if calls := reg.Counter("ngen.kernel.call").Load(); calls != 0 {
+		t.Errorf("%d staged kernel calls executed, want 0", calls)
+	}
+}
+
+// TestSecondSweepReusesSuiteMemo: the memo lives on the suite, so a
+// second fig6b sweep — as `ngen all` runs inside speedups — evaluates
+// nothing: no misses, the same table, and the same counts again.
+func TestSecondSweepReusesSuiteMemo(t *testing.T) {
+	s := memoSuite(2)
+	sizes := memoSizes["fig6b"]
+	first, err := s.RunFigure("fig6b", sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, staged, baseline := s.SweepCounts.Clone(), s.stagedMemo, s.baselineMemo
+	second, err := s.RunFigure("fig6b", sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Errorf("second sweep's table differs:\n%s\nvs\n%s", second, first)
+	}
+	if s.stagedMemo.misses != staged.misses || s.baselineMemo.misses != baseline.misses {
+		t.Errorf("second sweep missed: staged %+v → %+v, baseline %+v → %+v",
+			staged, s.stagedMemo, baseline, s.baselineMemo)
+	}
+	twice := counts.Clone()
+	twice.Merge(counts)
+	if !reflect.DeepEqual(s.SweepCounts, twice) {
+		t.Errorf("second sweep added different counts:\nafter one: %v\nafter two: %v", counts, s.SweepCounts)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 var (
 	workersAttr = regexp.MustCompile(`workers=\d+`)
-	memoAttr    = regexp.MustCompile(`memo=\w+`)
+	memoAttr    = regexp.MustCompile(`memo=\w+( eval=\w+)?`)
 )
 
 // tracedRun measures a small Fig6a sweep with observability attached
@@ -30,15 +30,15 @@ func tracedRun(t *testing.T, workers int) (string, obs.Snapshot, map[string]int6
 	}
 	s.PublishMetrics()
 	// Three parts of the tree depend on scheduling (see forEachPoint):
-	// the once-per-worker compile spans land under whichever point each
-	// worker measured first, and which rep of a shared count key
-	// executes — carrying memo=miss and the kernel's call span — and
-	// which ones reuse it depends on which worker reached the key
-	// first. The sweep span's workers attribute reports the actual
-	// worker count. Normalize all of these; everything else must be
-	// identical.
+	// the once-per-worker compile and method-load spans land under
+	// whichever point each worker measured first, and which rep of a
+	// shared count key is evaluated — carrying memo=miss, its eval
+	// attribute and, when executed, the kernel's call span — and which
+	// ones reuse it depends on which worker reached the key first. The
+	// sweep span's workers attribute reports the actual worker count.
+	// Normalize all of these; everything else must be identical.
 	skel := tr.Skeleton(func(name string) bool {
-		return name == "ngen.compile" || strings.HasPrefix(name, "call:")
+		return name == "ngen.compile" || name == "hotspot.load" || strings.HasPrefix(name, "call:")
 	})
 	skel = workersAttr.ReplaceAllString(skel, "workers=W")
 	skel = memoAttr.ReplaceAllString(skel, "memo=M")
@@ -55,11 +55,11 @@ func tracedRun(t *testing.T, workers int) (string, obs.Snapshot, map[string]int6
 	return skel, reg.Snapshot(), counts, calls
 }
 
-// TestTraceDeterminismAcrossWorkers is the issue's guarantee: the span
-// tree (modulo the scheduling-dependent parts above) and every
-// execution-derived counter total are identical between -j 1 and -j 8
-// runs, and a kernel call span appears exactly when a staged rep
-// executes.
+// TestTraceDeterminismAcrossWorkers: the span tree (modulo the
+// scheduling-dependent parts above) and every execution-derived counter
+// total are identical between -j 1 and -j 8 runs, and a kernel call
+// span appears exactly when a staged rep executes — memo misses counted
+// without executing open none.
 func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	skel1, snap1, counts1, calls1 := tracedRun(t, 1)
 	skel8, snap8, counts8, calls8 := tracedRun(t, 8)
@@ -79,12 +79,17 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	if !strings.Contains(skel1, "machine.estimate") {
 		t.Fatalf("model estimate spans missing:\n%s", skel1)
 	}
-	for j, c := range map[int][2]int64{
-		1: {calls1, snap1.Gauges["bench.staged.memo.misses"] + snap1.Gauges["bench.staged.memo.bypassed"]},
-		8: {calls8, snap8.Gauges["bench.staged.memo.misses"] + snap8.Gauges["bench.staged.memo.bypassed"]},
+	executed := func(snap obs.Snapshot) int64 {
+		g := snap.Gauges
+		return g["bench.staged.memo.misses"] - g["bench.staged.memo.counted"] + g["bench.staged.memo.bypassed"]
+	}
+	for j, c := range map[int][3]int64{
+		1: {calls1, executed(snap1), snap1.Gauges["bench.staged.memo.misses"]},
+		8: {calls8, executed(snap8), snap8.Gauges["bench.staged.memo.misses"]},
 	} {
-		if c[0] != c[1] || c[0] == 0 {
-			t.Errorf("-j %d: %d call spans, %d staged executions (want equal, nonzero)", j, c[0], c[1])
+		if c[0] != c[1] || c[2] == 0 {
+			t.Errorf("-j %d: %d call spans, %d staged executions, %d staged misses (want equal, misses nonzero)",
+				j, c[0], c[1], c[2])
 		}
 	}
 
@@ -96,10 +101,12 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	// compile-cache hit/miss gauges are not (each worker compiles once
 	// against the shared artifact cache — documented behaviour), and
 	// hits+misses must still equal total compile calls.
-	for _, name := range []string{"ngen.kernel.call", "bench.points"} {
-		if a, b := snap1.Counters[name], snap8.Counters[name]; a != b || a == 0 {
-			t.Errorf("counter %s: -j1=%d -j8=%d (want equal, nonzero)", name, a, b)
-		}
+	if a, b := snap1.Counters["bench.points"], snap8.Counters["bench.points"]; a != b || a == 0 {
+		t.Errorf("counter bench.points: -j1=%d -j8=%d (want equal, nonzero)", a, b)
+	}
+	if a, b := snap1.Counters["ngen.kernel.call"], snap8.Counters["ngen.kernel.call"]; a != b || a != executed(snap1) {
+		t.Errorf("counter ngen.kernel.call: -j1=%d -j8=%d (want equal to the %d staged executions)",
+			a, b, executed(snap1))
 	}
 	c1 := snap1.Gauges["ngen.cache.hits"] + snap1.Gauges["ngen.cache.misses"]
 	c8 := snap8.Gauges["ngen.cache.hits"] + snap8.Gauges["ngen.cache.misses"]
@@ -110,7 +117,7 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	// The memo is shared by the sweep's workers, so its outcome totals
 	// do not depend on the worker count either.
 	for _, prefix := range []string{"bench.staged.memo.", "bench.baseline.memo."} {
-		for _, stat := range []string{"hits", "misses", "bypassed"} {
+		for _, stat := range []string{"hits", "misses", "counted", "bypassed"} {
 			name := prefix + stat
 			if a, b := snap1.Gauges[name], snap8.Gauges[name]; a != b {
 				t.Errorf("gauge %s: -j1=%d -j8=%d (want equal)", name, a, b)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/hotspot"
 	"repro/internal/ir"
+	"repro/internal/kernelc"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -40,33 +42,38 @@ type sweepWorker struct {
 	perfs  []float64
 	scaled vm.Counter
 
-	// memo is the sweep's count memo, shared by all of its workers;
-	// staged and baseline tally what it did with this worker's
-	// executions of each leg.
+	// memo is the suite's count memo, shared by every worker of every
+	// sweep; staged and baseline tally what it did with this worker's
+	// measurements of each leg.
 	memo             *countMemo
 	staged, baseline memoStats
 }
 
-// memoStats tallies what the count memo did with each execution:
-// reused counts (hits), executed and stored (misses), or executed
-// without the memo (bypassed).
+// memoStats tallies what the count memo did with each measurement:
+// reused counts (hits), produced and stored them (misses — counted
+// without executing, or executed when the count-only evaluator
+// refused), or executed without the memo (bypassed).
 type memoStats struct {
-	hits, misses, bypassed int64
+	hits, misses, counted, bypassed int64
 }
 
 func (m *memoStats) add(o memoStats) {
 	m.hits += o.hits
 	m.misses += o.misses
+	m.counted += o.counted
 	m.bypassed += o.bypassed
 }
 
 // countMemo maps a proven count key (core.Kernel.CountKey or
-// hotspot.Method.CountKey) to the counts of the one execution run under
-// it. One memo serves a whole sweep: the first request for a key
-// executes, concurrent requests for the same key wait for that
-// execution (like the compile cache's single flight), and every later
-// request reuses it, so a sweep executes each distinct key once at any
-// worker count.
+// hotspot.Method.CountKey) to the counts of the one evaluation made
+// under it. One memo serves a whole suite — every sweep, so `ngen all`
+// re-sweeps a figure from the memo alone; keys name the kernel and
+// graph hash or method and tier, and the argument shapes, so sharing
+// across sweeps is as sound as within one. The first request for a key
+// evaluates — counting without executing when it can — concurrent
+// requests for the same key wait for that evaluation (like the compile
+// cache's single flight), and every later request reuses it, so a suite
+// evaluates each distinct key once at any worker count.
 type countMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
@@ -84,27 +91,33 @@ func newCountMemo() *countMemo {
 	return &countMemo{entries: map[string]*memoEntry{}}
 }
 
-// get returns the counts stored under key, running run to produce them
-// when no execution holds the key yet; hit reports that the counts came
-// from another execution. The returned counter is shared and read-only.
-// An execution's error is kept like its counts — the proof behind the
-// key makes the error outcome as invariant as the counts.
-func (c *countMemo) get(key string, run func() (vm.Counter, error)) (counts vm.Counter, hit bool, err error) {
+// get returns the counts stored under key. When no evaluation holds the
+// key yet it produces them with count, and with run when count refuses
+// (kernelc.ErrNotCounted); hit reports that the counts came from
+// another evaluation, counted that this one produced them without
+// executing. The returned counter is shared and read-only. An
+// evaluation's error is kept like its counts — the proof behind the key
+// makes the error outcome as invariant as the counts.
+func (c *countMemo) get(key string, count, run func() (vm.Counter, error)) (counts vm.Counter, hit, counted bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
 		<-e.done
-		return e.counts, true, e.err
+		return e.counts, true, false, e.err
 	}
 	e := &memoEntry{done: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
-	counts, e.err = run()
+	counts, e.err = count()
+	counted = !errors.Is(e.err, kernelc.ErrNotCounted)
+	if !counted {
+		counts, e.err = run()
+	}
 	if e.err == nil {
 		e.counts = counts.Clone()
 	}
 	close(e.done)
-	return e.counts, false, e.err
+	return e.counts, false, counted, e.err
 }
 
 func (s *Suite) newWorker(id int, memo *countMemo) *sweepWorker {
@@ -149,7 +162,10 @@ func (w *sweepWorker) method(name string, build func() (*ir.Func, error)) (*hots
 	if err != nil {
 		return nil, err
 	}
+	sp := w.rt.Span.Child("hotspot.load")
+	sp.SetAttr("method", f.Name)
 	m, err := w.jvm.Load(f)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -159,15 +175,15 @@ func (w *sweepWorker) method(name string, build func() (*ir.Func, error)) (*hots
 
 // leg is one side of a figure's comparison as measure drives it: the
 // span each rep opens (with its tier attribute, if any), the proven
-// count key — memo false sends every rep past the memo — one execution
-// returning the machine's counts, and the model pricing counts at the
-// point's footprint.
+// count key — memo false sends every rep past the memo — the count-only
+// evaluation and the execution, each returning the machine's counts,
+// and the model pricing counts at the point's footprint.
 type leg struct {
 	span, tier string
 	key        string
 	memo       bool
 	stats      *memoStats
-	run        func() (vm.Counter, error)
+	count, run func() (vm.Counter, error)
 	price      func(counts vm.Counter) machine.Report
 }
 
@@ -180,6 +196,11 @@ func (w *sweepWorker) stagedLeg(kn *core.Kernel, args []vm.Value, footprint int)
 	return leg{span: "staged.invoke", key: key,
 		memo:  ok && w.rt.Machine.Cache == nil && w.rt.Planner == nil,
 		stats: &w.staged,
+		count: func() (vm.Counter, error) {
+			w.rt.Machine.Counts.Reset()
+			err := kn.CountValues(args...)
+			return w.rt.Machine.Counts, err
+		},
 		run: func() (vm.Counter, error) {
 			w.rt.Machine.Counts.Reset()
 			_, err := kn.CallValues(args...)
@@ -199,6 +220,11 @@ func (w *sweepWorker) javaLeg(m *hotspot.Method, args []vm.Value, footprint int)
 	return leg{span: "hotspot.invoke", tier: hotspot.TierC2.String(), key: key,
 		memo:  ok && w.jvm.Machine.Cache == nil,
 		stats: &w.baseline,
+		count: func() (vm.Counter, error) {
+			w.jvm.Machine.Counts.Reset()
+			err := m.CountAt(hotspot.TierC2, args...)
+			return w.jvm.Machine.Counts, err
+		},
 		run: func() (vm.Counter, error) {
 			w.jvm.Machine.Counts.Reset()
 			_, err := m.InvokeAt(hotspot.TierC2, args...)
@@ -212,8 +238,8 @@ func (w *sweepWorker) javaLeg(m *hotspot.Method, args []vm.Value, footprint int)
 
 // measure runs leg l Reps times at runN, scales each rep's counts to n
 // and returns the modeled performance (the median rep). The model
-// prices every rep, each in a machine.estimate span; the execution
-// behind a rep is skipped when the sweep's memo already holds counts
+// prices every rep, each in a machine.estimate span; the evaluation
+// behind a rep is skipped when the suite's memo already holds counts
 // under the leg's key (see invoke). Raw (unscaled) counts accumulate
 // into the worker total for the post-sweep merge either way.
 func (w *sweepWorker) measure(l leg, n, runN int, flops func(int) int64) (Point, error) {
@@ -237,10 +263,13 @@ func (w *sweepWorker) measure(l leg, n, runN int, flops func(int) int64) (Point,
 	return Point{N: n, Perf: median(perfs), Bound: rep.Bound, Level: rep.Level}, nil
 }
 
-// invoke returns the counts of one execution of l, traced as an l.span
-// span under the current point. The span parents the runtime's
-// call:<kernel> span while it runs, so that span appears only when the
-// kernel actually executes. The returned counter is read-only.
+// invoke returns the counts of one rep of l, traced as an l.span span
+// under the current point: reused from the memo (memo=hit), evaluated
+// and stored (memo=miss, with eval=count when counted without
+// executing, eval=exec when executed), or executed past the memo
+// (memo=bypass). The span parents the runtime's call:<kernel> span
+// while it runs, so that span appears only when the kernel actually
+// executes. The returned counter is read-only.
 func (w *sweepWorker) invoke(l *leg) (vm.Counter, error) {
 	point := w.rt.Span
 	sp := point.Child(l.span)
@@ -257,13 +286,18 @@ func (w *sweepWorker) invoke(l *leg) (vm.Counter, error) {
 		sp.SetAttr("memo", "bypass")
 		return l.run()
 	}
-	counts, hit, err := w.memo.get(l.key, l.run)
-	if hit {
+	counts, hit, counted, err := w.memo.get(l.key, l.count, l.run)
+	switch {
+	case hit:
 		l.stats.hits++
 		sp.SetAttr("memo", "hit")
-	} else {
+	case counted:
 		l.stats.misses++
-		sp.SetAttr("memo", "miss")
+		l.stats.counted++
+		sp.SetAttr("memo", "miss").SetAttr("eval", "count")
+	default:
+		l.stats.misses++
+		sp.SetAttr("memo", "miss").SetAttr("eval", "exec")
 	}
 	return counts, err
 }
@@ -286,8 +320,8 @@ func (w *sweepWorker) scaleCounts(c vm.Counter, factor float64) vm.Counter {
 // forEachPoint fans points out over min(Workers, points) sweep workers.
 // fn(i, w) measures point i on worker w and must write its result into
 // a slot addressed by i only — that is what keeps the output
-// deterministic regardless of scheduling. The workers share one count
-// memo for the sweep (see countMemo). The pool is a semaphore
+// deterministic regardless of scheduling. The workers share the
+// suite's count memo (see countMemo). The pool is a semaphore
 // channel carrying the workers themselves: a goroutine per point checks
 // a worker out, measures, and returns it. After the barrier every
 // worker's raw counter total merges into Suite.SweepCounts, so the
@@ -330,10 +364,9 @@ func (s *Suite) forEachPoint(name string, points int, fn func(i int, w *sweepWor
 		pointSpans[i] = sweep.Child("point#" + strconv.Itoa(i))
 	}
 
-	memo := newCountMemo()
 	workers := make([]*sweepWorker, nw)
 	for i := range workers {
-		workers[i] = s.newWorker(i, memo)
+		workers[i] = s.newWorker(i, s.memo)
 	}
 	defer func() {
 		if s.SweepCounts == nil {

@@ -343,8 +343,9 @@ func assertClean(t *testing.T, rep *Report) {
 }
 
 // TestCountInvarianceLegExercised: the corpus replay re-runs the cases
-// the count proof admits on other data — a leg that silently checked
-// nothing would pass vacuously.
+// the count proof admits on other data, and counts them without
+// executing — a leg that silently checked nothing would pass
+// vacuously.
 func TestCountInvarianceLegExercised(t *testing.T) {
 	rep, err := Replay(Options{Seed: 1, NativeEvery: -1}, loadCorpus(t))
 	if err != nil {
@@ -357,5 +358,8 @@ func TestCountInvarianceLegExercised(t *testing.T) {
 	}
 	if rep.CountChecked == 0 || rep.CountChecked > executed {
 		t.Fatalf("count invariance checked %d of %d executed cases", rep.CountChecked, executed)
+	}
+	if rep.CountOnly == 0 || rep.CountOnly > executed {
+		t.Fatalf("count-only evaluation reproduced %d of %d executed cases", rep.CountOnly, executed)
 	}
 }

@@ -2,6 +2,7 @@ package conform
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -359,17 +360,33 @@ func (h *harness) execute(rec Recipe, k *dsl.Kernel, withNative bool) (kind, det
 }
 
 // countInvariance is the count-invariance leg: when kernelc.CountProof
-// admits the graph, a second argument set — other memory contents,
-// other float values, the same shapes — whose count key matches the
-// first run's must, on the first vm config, count the identical op
-// stream and succeed like the first run did. A mismatch means a proven
-// key would let the bench harness reuse wrong counts, so it is reported
-// as unsound. Cases checked are tallied in Report.CountChecked.
+// admits the graph, counting the first run's call without executing it
+// must either refuse or count the identical op stream, and a second
+// argument set — other memory contents, other float values, the same
+// shapes — whose count key matches the first run's must, on the first
+// vm config, count the identical op stream and succeed like the first
+// run did. A mismatch means a proven key would let the bench harness
+// reuse or produce wrong counts, so it is reported as unsound. Cases
+// checked are tallied in Report.CountOnly and Report.CountChecked.
 func (h *harness) countInvariance(rec Recipe, kn *core.Kernel, args1 []vm.Value, argSeed uint64,
 	refCounts vm.Counter) (kind, detail string) {
 	key1, ok := kn.CountKey(args1)
 	if !ok {
 		return "", ""
+	}
+	cfg := h.configs[0]
+	cfg.rt.Machine.Counts.Reset()
+	switch err := kn.CountValues(args1...); {
+	case errors.Is(err, kernelc.ErrNotCounted):
+	case err != nil:
+		return KindUnsound, fmt.Sprintf("count-only: %s: key %q executes cleanly, but counting fails: %v",
+			cfg.name, key1, err)
+	default:
+		if d := countsDiff(refCounts, cfg.rt.Machine.Counts); d != "" {
+			return KindUnsound, fmt.Sprintf("count-only: %s: key %q counts differently without executing: %s",
+				cfg.name, key1, d)
+		}
+		h.rep.CountOnly++
 	}
 	args2, _, err := kernels.BuildArgs(kn.Func(), rec.N, rec.Elems(), ^argSeed)
 	if err != nil {
@@ -384,7 +401,6 @@ func (h *harness) countInvariance(rec Recipe, kn *core.Kernel, args1 []vm.Value,
 		return "", ""
 	}
 	h.rep.CountChecked++
-	cfg := h.configs[0]
 	cfg.rt.Machine.Counts.Reset()
 	if _, err := callSafe(kn, args2); err != nil {
 		return KindUnsound, fmt.Sprintf("count invariance: %s: key %q admitted, but other data fails: %v",

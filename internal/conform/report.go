@@ -43,6 +43,9 @@ type Report struct {
 	// CountChecked counts executed cases whose count key the proof
 	// admitted and that were re-run on other data to check it.
 	CountChecked int `json:"count_checked"`
+	// CountOnly counts admitted executed cases that the count-only
+	// evaluator (core.Kernel.CountValues) reproduced without executing.
+	CountOnly int `json:"count_only"`
 }
 
 func newReport(seed uint64, count int) *Report {
@@ -117,7 +120,8 @@ func (r *Report) Render(w io.Writer) {
 		fmt.Fprintf(w, " (%s)", r.NativeNote)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "count invariance: %d case(s) re-run on other data\n", r.CountChecked)
+	fmt.Fprintf(w, "count invariance: %d case(s) re-run on other data, %d counted without executing\n",
+		r.CountChecked, r.CountOnly)
 	for _, f := range r.Failures {
 		fmt.Fprintf(w, "FAIL %s: %s\n  recipe: %s\n", f.Kind, f.Detail, f.Recipe.String())
 		if f.Shrunk != nil {

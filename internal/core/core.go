@@ -264,10 +264,11 @@ type artifact struct {
 	// it.
 	choice choice
 
-	// countOnce guards countPrefix, the count-invariance verdict behind
-	// Kernel.CountKey: kernel name and graph hash when the graph passed
-	// kernelc.CountProof, "" when it did not. Like verify it rides with
-	// the artifact, so every cache hit shares one proof run; it is
+	// countOnce guards countPrefix, the key prefix behind
+	// Kernel.CountKey: kernel name and graph hash when the program's
+	// kernelc proof admitted the graph, "" when it did not. Like verify
+	// it rides with the artifact, so every cache hit shares one proof
+	// run and one count-only skeleton (both owned by prog); it is
 	// derived on first use and never persisted.
 	countOnce   sync.Once
 	countPrefix string
@@ -277,7 +278,7 @@ type artifact struct {
 // proof on first use.
 func (a *artifact) countKeyPrefix() string {
 	a.countOnce.Do(func() {
-		if kernelc.CountProof(a.f) == "" {
+		if a.prog.Proof() == "" {
 			a.countPrefix = fmt.Sprintf("%s#%016x", a.f.Name, ir.Hash(a.f))
 		}
 	})
@@ -831,6 +832,25 @@ func (kn *Kernel) CallValues(args ...vm.Value) (vm.Value, error) {
 	out, err := kn.run(kn.rt.Machine, args...)
 	sp.End()
 	return out, err
+}
+
+// CountValues adds to the runtime machine's counter exactly what
+// CallValues(args...) would count — the one jni.call and the kernel's
+// op stream, on every backend, since the native prelude reproduces the
+// vm's count stream — without executing the kernel. It opens no
+// call:<kernel> span and bumps no ngen.kernel.call counter: nothing
+// runs. When the artifact's program cannot prove the counts (see
+// kernelc.Program.Count) it returns an error wrapping
+// kernelc.ErrNotCounted, counter untouched, and the caller executes.
+// The planner calibrates from the calls it sees, so a planned runtime's
+// callers keep calling CallValues.
+func (kn *Kernel) CountValues(args ...vm.Value) error {
+	m := kn.rt.Machine
+	if err := kn.art.prog.Count(m, args...); err != nil {
+		return err
+	}
+	m.Counts.Add(JNICall, 1)
+	return nil
 }
 
 // MustCall is Call that panics on error (examples and benchmarks).

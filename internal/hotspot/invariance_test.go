@@ -2,6 +2,7 @@ package hotspot
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -145,6 +146,50 @@ func TestJavaMethodsAdmitted(t *testing.T) {
 	}
 	if seen != 7 {
 		t.Fatalf("found %d Java methods in kernels.Targets, want 7", seen)
+	}
+}
+
+// TestCountAtMatchesInvokeAt: every Java method, at the interpreter and
+// at C2 and three sizes, counts without executing exactly the map
+// InvokeAt counts — never a refusal — and CountAt leaves the
+// invocation profile alone.
+func TestCountAtMatchesInvokeAt(t *testing.T) {
+	for _, tg := range kernels.Targets() {
+		if !strings.HasPrefix(tg.Name, "J") {
+			continue
+		}
+		f, err := tg.Build(isa.Haswell.Features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := NewVM(isa.Haswell)
+		m, err := v.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tier := range []Tier{TierInterpreter, TierC2} {
+			for _, n := range []int{8, 40, 64} {
+				args, _, err := kernels.BuildArgs(f, n, n*n, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.Machine.Counts.Reset()
+				if err := m.CountAt(tier, args...); err != nil {
+					t.Fatalf("%s %v n=%d: %v", tg.Name, tier, n, err)
+				}
+				counted := v.Machine.Counts.Clone()
+				v.Machine.Counts.Reset()
+				if _, err := m.InvokeAt(tier, args...); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(counted, v.Machine.Counts) {
+					t.Fatalf("%s %v n=%d: counted %v, executed %v", tg.Name, tier, n, counted, v.Machine.Counts)
+				}
+			}
+		}
+		if m.Invocations != 0 {
+			t.Errorf("%s: %d invocations profiled", tg.Name, m.Invocations)
+		}
 	}
 }
 

@@ -75,15 +75,11 @@ type Method struct {
 
 	scalarProg *kernelc.Program
 	c2Prog     *kernelc.Program
-	// scalarInvariant and c2Invariant record whether each tier's body
-	// passed kernelc.CountProof (see CountKey).
-	scalarInvariant bool
-	c2Invariant     bool
 }
 
 // Load installs a method into the VM, compiling both tiers' bodies
-// eagerly (the simulation has no reason to defer) and running the
-// count-invariance proof over each.
+// eagerly (the simulation has no reason to defer). Each tier's program
+// runs the count-invariance proof on first use (see CountKey).
 func (v *VM) Load(f *ir.Func) (*Method, error) {
 	if m, ok := v.methods[f.Name]; ok {
 		return m, nil
@@ -98,8 +94,7 @@ func (v *VM) Load(f *ir.Func) (*Method, error) {
 		return nil, fmt.Errorf("hotspot: %s (C2): %w", f.Name, err)
 	}
 	m := &Method{vm: v, Name: f.Name, Scalar: f, C2: c2f, SLP: rep,
-		scalarProg: scalarProg, c2Prog: c2Prog,
-		scalarInvariant: kernelc.CountProof(f) == "", c2Invariant: kernelc.CountProof(c2f) == ""}
+		scalarProg: scalarProg, c2Prog: c2Prog}
 	v.methods[f.Name] = m
 	return m, nil
 }
@@ -109,14 +104,29 @@ func (v *VM) Load(f *ir.Func) (*Method, error) {
 // and tier), and false when they cannot: the tier's body failed
 // kernelc.CountProof, or args do not match the parameter kinds.
 func (m *Method) CountKey(tier Tier, args []vm.Value) (string, bool) {
-	f, admitted := m.Scalar, m.scalarInvariant
-	if tier == TierC2 {
-		f, admitted = m.C2, m.c2Invariant
-	}
-	if !admitted {
+	prog := m.prog(tier)
+	if prog.Proof() != "" {
 		return "", false
 	}
-	return kernelc.CountKey(m.Name+"|"+tier.String(), f, args)
+	return kernelc.CountKey(m.Name+"|"+tier.String(), prog.F, args)
+}
+
+// CountAt adds to the VM machine's counter exactly what InvokeAt(tier,
+// args...) would count, without executing the method, or returns an
+// error wrapping kernelc.ErrNotCounted — counter untouched — when the
+// tier's program cannot prove it (see kernelc.Program.Count). Like
+// InvokeAt it leaves the invocation profile alone.
+func (m *Method) CountAt(tier Tier, args ...vm.Value) error {
+	return m.prog(tier).Count(m.vm.Machine, args...)
+}
+
+// prog is the program a tier executes: C2 runs the SLP-rewritten body,
+// the interpreter and C1 the body as written.
+func (m *Method) prog(tier Tier) *kernelc.Program {
+	if tier == TierC2 {
+		return m.c2Prog
+	}
+	return m.scalarProg
 }
 
 // Tier returns the method's current tier from its invocation profile.
@@ -137,22 +147,14 @@ func (m *Method) Tier() Tier {
 func (m *Method) Invoke(args ...vm.Value) (vm.Value, error) {
 	tier := m.Tier()
 	m.Invocations++
-	prog := m.scalarProg
-	if tier == TierC2 {
-		prog = m.c2Prog
-	}
-	return prog.Run(m.vm.Machine, args...)
+	return m.prog(tier).Run(m.vm.Machine, args...)
 }
 
 // InvokeAt runs at a forced tier without touching the profile (the
 // benchmarks measure C2 steady state, "excluding the JIT warm-up time"
 // per Section 3.4).
 func (m *Method) InvokeAt(tier Tier, args ...vm.Value) (vm.Value, error) {
-	prog := m.scalarProg
-	if tier == TierC2 {
-		prog = m.c2Prog
-	}
-	return prog.Run(m.vm.Machine, args...)
+	return m.prog(tier).Run(m.vm.Machine, args...)
 }
 
 // MethodCallCycles is the fixed cost of one compiled-method invocation

@@ -1,6 +1,7 @@
 package kernelc_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,7 +60,10 @@ func TestStagedKernelsAdmitted(t *testing.T) {
 // kernel, as written or after the simulated C2's SLP rewrite, two
 // executions whose memory contents and float arguments differ (so
 // their keys agree) end with identical count maps and identical error
-// outcomes. It returns how many (kernel, body) pairs were admitted.
+// outcomes — and the count-only column: counting without executing
+// either refuses, counter untouched, or reproduces the executions'
+// outcome, the same count map or the same error. It returns how many
+// (kernel, body) pairs were admitted.
 func countsSound(t *testing.T, seed uint64, count int) int {
 	t.Helper()
 	admitted := 0
@@ -114,6 +118,21 @@ func countsSound(t *testing.T, seed uint64, count int) int {
 			if !reflect.DeepEqual(counts[0], counts[1]) {
 				t.Fatalf("%s %v: admitted key %q but counts differ:\n%v\n%v",
 					rec.String(), tier, key1, counts[0], counts[1])
+			}
+			v.Machine.Counts.Reset()
+			cerr := m.CountAt(tier, args2...)
+			switch {
+			case errors.Is(cerr, kernelc.ErrNotCounted):
+				if len(v.Machine.Counts) != 0 {
+					t.Fatalf("%s %v: refused (%v) but counted %v", rec.String(), tier, cerr, v.Machine.Counts)
+				}
+			case cerr != nil || errs[0] != nil:
+				if cerr == nil || errs[0] == nil || cerr.Error() != errs[0].Error() {
+					t.Fatalf("%s %v: count-only error %v, execution error %v", rec.String(), tier, cerr, errs[0])
+				}
+			case !reflect.DeepEqual(v.Machine.Counts, counts[0]):
+				t.Fatalf("%s %v: counted without executing\n%v\nexecuted\n%v",
+					rec.String(), tier, v.Machine.Counts, counts[0])
 			}
 		}
 	}

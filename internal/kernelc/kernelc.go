@@ -59,7 +59,28 @@
 // counts and identical error outcomes. Both runtimes key on it: the
 // simulated HotSpot per method and tier (hotspot.Method.CountKey) and
 // NGen per compiled kernel and graph hash (core.Kernel.CountKey); the
-// bench harness executes each distinct key once per sweep.
+// bench harness evaluates each distinct key once per suite.
+//
+// Count-only evaluation. Program.Count adds to a machine's counter
+// exactly the map Run would add, without executing (count.go). It
+// evaluates only an admitted body's skeleton — the untainted values a
+// loop bound or stride, an if condition, or an address needs, with the
+// interpreter's own scalar semantics — skips the float and vector work,
+// turns every aload, astore and memory intrinsic into a bounds check of
+// its footprint (vm.AccessOf, vector width included), and applies the
+// static count vectors the compiled drivers apply. A loop nest with no
+// if, whose bounds, strides and addresses are exact affine functions of
+// its trip indices and whose inner trip counts do not vary with the
+// outer indices, closes in O(body): counts scale by the trip-count
+// products, and each access is checked at the extremes of its offset
+// over the iteration box, in int64 with every i32 intermediate
+// range-checked, so wraparound cannot hide an out-of-range index. Any
+// other loop iterates the skeleton. Count refuses (ErrNotCounted,
+// counter untouched) rather than guess — on any check it cannot prove,
+// gathers and masked or RNG intrinsics, an attached cache simulator,
+// and any out-of-range access — so the caller executes and the error
+// comes from a real run; only a non-positive stride, which Run reports
+// before any later access, returns Run's exact error.
 package kernelc
 
 import (
@@ -160,6 +181,20 @@ type Program struct {
 	strength   int // induction-variable nodes reduced to incremental adds
 	chains     int // fusion chains of length ≥ 3 (load→op→…→store)
 	pool       sync.Pool
+
+	// loopVecs and armVecs keep, per loop and per if (by symbol id), the
+	// static count vectors the compiled drivers apply — a loop's body
+	// vector scaled by its trip count, an if's taken-arm vector — so
+	// Count adds exactly what Run adds.
+	loopVecs map[int][]countDelta
+	armVecs  map[int][2][]countDelta
+	// countOnce guards the count-only state built on first use: the
+	// CountProof verdict and, for an admitted body, the skeleton Count
+	// evaluates (see count.go).
+	countOnce sync.Once
+	proof     string
+	skeleton  *countPlan
+	refusal   string
 }
 
 // FusedOps returns how many producer nodes were fused into their
@@ -401,7 +436,7 @@ func CompileWith(f *ir.Func, o Options) (*Program, error) {
 	c := &compiler{f: f, sched: ir.Schedule(f), slots: map[int]int{},
 		uses: map[int]int{}, fuse: o.Fuse, opt: o.Optimize, skip: map[int]bool{}}
 	c.countUses(f.G.Root())
-	p := &Program{F: f}
+	p := &Program{F: f, loopVecs: map[int][]countDelta{}, armVecs: map[int][2][]countDelta{}}
 	c.prog = p
 	for _, prm := range f.Params {
 		p.params = append(p.params, c.slot(prm))
@@ -823,8 +858,9 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	// Per-loop iteration counter so the cost model can attribute the
 	// loop-carried dependency chain (see internal/machine). The body's
 	// static count vector is applied once, scaled by the trip count.
-	loopKey := fmt.Sprintf("loop.#%d", n.Sym.ID)
+	loopKey := loopKeyOf(n.Sym)
 	if !c.opt {
+		c.prog.loopVecs[n.Sym.ID] = bodyCounts
 		return func(fr *frame) error {
 			start := args[0].get(fr).AsInt()
 			end := args[1].get(fr).AsInt()
@@ -874,6 +910,7 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 		return nil, err
 	}
 	bodyCounts = mergeCounts(append(bodyCounts, extraCounts...))
+	c.prog.loopVecs[n.Sym.ID] = bodyCounts
 	nDer := len(derivedOps)
 	saveOff := c.scratchNext
 	c.scratchNext += 2 * nDer // derived save/step area in the frame arena
@@ -899,6 +936,9 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	}
 	return lc.run, nil
 }
+
+// loopKeyOf names a loop's per-loop iteration counter.
+func loopKeyOf(s ir.Sym) string { return fmt.Sprintf("loop.#%d", s.ID) }
 
 // loopCode is one optimized loop's compiled driver state, shared by the
 // serial loop and the parallel lanes.
@@ -1073,6 +1113,7 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 	}
 	dst := c.slot(n.Sym)
 	void := n.Def.Typ == ir.TVoid
+	c.prog.armVecs[n.Sym.ID] = [2][]countDelta{thenCounts, elseCounts}
 	// The branch op itself is in the parent block's static vector; only
 	// the taken arm's counts are applied here.
 	return func(fr *frame) error {

@@ -7,8 +7,36 @@ package vm
 // unaligned counterparts (the simulator's buffers carry no addresses),
 // but remain distinct ops so the cost model can price them apart.
 
+// Access is the memory footprint of one intrinsic that dereferences its
+// pointer operand (always argument 0): Bytes bytes starting at byte
+// offset off·Scale, where off is the pointer's element displacement and
+// a zero Scale means the buffer's own element size. Executing the
+// intrinsic fails exactly when that range leaves the buffer. Bytes zero
+// marks an intrinsic that takes a pointer but never dereferences it
+// (prefetch). Masked and gathered accesses, whose footprint depends on
+// vector operands, and the RNG steps, which write machine state, have
+// no entry.
+type Access struct {
+	Bytes, Scale int
+}
+
+var accessRegistry = map[string]Access{}
+
+// AccessOf returns the footprint of a pointer-taking intrinsic, and
+// false when it has none the table can state (see Access).
+func AccessOf(name string) (Access, bool) {
+	a, ok := accessRegistry[name]
+	return a, ok
+}
+
+// registerAccess installs a semantic together with its footprint.
+func registerAccess(name string, a Access, fn func(m *Machine, args []Value) (Value, error)) {
+	register(name, fn)
+	accessRegistry[name] = a
+}
+
 func regLoad(name string, bytes int) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
+	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -23,7 +51,7 @@ func regLoad(name string, bytes int) {
 }
 
 func regStore(name string, bytes int) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
+	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -73,7 +101,7 @@ func init() {
 	}
 
 	// Scalar loads/stores.
-	register("_mm_load_ss", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_load_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -85,7 +113,7 @@ func init() {
 		out.SetF32(0, buf.F32At(off))
 		return vecResult(out)
 	})
-	register("_mm_store_ss", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_store_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -96,7 +124,7 @@ func init() {
 		buf.SetF32At(off, args[1].V.F32(0))
 		return voidResult()
 	})
-	register("_mm_load_ps1", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_load_ps1", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -111,7 +139,7 @@ func init() {
 		}
 		return vecResult(out)
 	})
-	register("_mm_store_ps1", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_store_ps1", Access{Bytes: 16, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -125,7 +153,7 @@ func init() {
 		}
 		return voidResult()
 	})
-	register("_mm_store_pd1", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_store_pd1", Access{Bytes: 16, Scale: 8}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -139,7 +167,7 @@ func init() {
 		}
 		return voidResult()
 	})
-	register("_mm_loaddup_pd", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_loaddup_pd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -155,7 +183,7 @@ func init() {
 	})
 
 	// Memory broadcasts.
-	register("_mm256_broadcast_ss", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm256_broadcast_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -170,7 +198,7 @@ func init() {
 		}
 		return vecResult(out)
 	})
-	register("_mm256_broadcast_sd", func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm256_broadcast_sd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -199,8 +227,8 @@ func init() {
 		copy(out.b[16:32], v.b[:16])
 		return vecResult(out)
 	}
-	register("_mm256_broadcast_ps", bcast128)
-	register("_mm256_broadcast_pd", bcast128)
+	registerAccess("_mm256_broadcast_ps", Access{Bytes: 16}, bcast128)
+	registerAccess("_mm256_broadcast_pd", Access{Bytes: 16}, bcast128)
 
 	// Masked loads/stores (AVX / AVX2): element moves where the mask's
 	// sign bit is set.
@@ -301,7 +329,8 @@ func init() {
 
 	// Cache-control and fences: no-ops with cost-model presence.
 	noop := func(m *Machine, args []Value) (Value, error) { return voidResult() }
-	for _, n := range []string{"_mm_prefetch", "_mm_sfence", "_mm_lfence",
+	registerAccess("_mm_prefetch", Access{}, noop)
+	for _, n := range []string{"_mm_sfence", "_mm_lfence",
 		"_mm_mfence", "_mm256_zeroall", "_mm256_zeroupper"} {
 		register(n, noop)
 	}
