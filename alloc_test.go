@@ -6,9 +6,12 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
+	"repro/internal/kernelc"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/vm"
@@ -43,6 +46,47 @@ func TestFig6aCallSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SAXPY call allocates %.3f allocs/op, want 0", allocs)
+	}
+}
+
+// TestKernelRunSteadyStateZeroAlloc: every shipped kernel, on both
+// interpreter tiers, runs allocation-free once warm — frames, argument
+// scratch and intermediate Values all live in pooled frame storage.
+func TestKernelRunSteadyStateZeroAlloc(t *testing.T) {
+	const n = 64
+	for _, tg := range kernels.Targets() {
+		arch := isa.Haswell
+		if !arch.Features.Has(tg.Requires...) {
+			arch = isa.SkylakeX
+		}
+		f, err := tg.Build(arch.Features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args, _, err := kernels.BuildArgs(f, n, n*n+512, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tier := range []kernelc.Tier{kernelc.TierOpt, kernelc.TierPlain} {
+			p, err := kernelc.CompileTier(f, tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/%v", tg.Name, tier), func(t *testing.T) {
+				m := vm.NewMachine(arch)
+				run := func() {
+					if _, err := p.Run(m, args...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 3; i++ {
+					run()
+				}
+				if allocs := testing.AllocsPerRun(2, run); allocs != 0 {
+					t.Errorf("steady-state Run allocates %.2f allocs/op, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // oracle is the scalar reference evaluator: a tree-walking interpreter
 // over the staged graph that executes every node in program order,
-// lane by lane, with none of the vm's batching, fusion, frame pooling
-// or destination-passing fast paths. Its only job is to be obviously
+// lane by lane, with none of the interpreter's batching, fusion, frame
+// pooling or destination passing. Its only job is to be obviously
 // correct; the differential harness holds every real backend to it.
 type oracle struct {
 	f   *ir.Func

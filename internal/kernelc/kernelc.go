@@ -35,9 +35,11 @@
 //     once at loop entry, affine i32 functions of the induction variable
 //     (base + i*stride address math) are strength-reduced to one
 //     incremental add per iteration, and evaluation is destination-
-//     passing — node results are written straight into their register
-//     (vm.Intrinsic.FnInto) instead of being copied through a returned
-//     vm.Value. Dynamic counts are preserved exactly: hoisted and
+//     passing — a fused producer evaluates straight into its consumer's
+//     argument slot and a node's result is written into its register,
+//     not returned through a chain of vm.Value copies. Each intrinsic
+//     has one semantic, vm.Intrinsic.Fn, which both tiers and Count
+//     execute. Dynamic counts are preserved exactly: hoisted and
 //     strength-reduced nodes keep their entries in the body's static
 //     count vector, so the cost model — and therefore every figure —
 //     sees the identical op stream.
@@ -122,8 +124,9 @@ type Options struct {
 	// Fuse enables superinstruction fusion (PR 1).
 	Fuse bool
 	// Optimize enables the loop-nest optimizer: loop-invariant code
-	// motion, strength reduction of affine induction-variable math, and
-	// destination-passing evaluation (see optimize.go).
+	// motion, strength reduction of affine induction-variable math (see
+	// optimize.go), and destination-passing evaluation of fused chains
+	// into frame registers and scratch slots.
 	Optimize bool
 }
 
@@ -264,8 +267,9 @@ type frame struct {
 	// arena accumulates loop-iteration arena reuses during one Run and
 	// is flushed to arenaResets when the frame is returned to the pool.
 	arena int64
-	// sink absorbs the unused destination of void destination-passing
-	// ops (stores).
+	// sink is frame-owned destination storage: void destination-passing
+	// ops (stores) write their unused destination here, and an intrinsic
+	// evaluated through its eval wrapper writes here before the copy out.
 	sink vm.Value
 }
 
@@ -722,16 +726,19 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 	if c.opt {
 		// Destination-passing tier: arguments are gathered into the
 		// frame's scratch arena, an inlined producer evaluates straight
-		// into its arena slot, and the intrinsic writes its result into
-		// the caller-provided destination (via the vm fast path when one
-		// is registered). Argument gathering is pure register reads, so
-		// running the producer after it is observationally identical to
-		// the plain tier's producer-first order.
+		// into its arena slot, and the result is written into the
+		// caller-provided destination. Argument gathering is pure
+		// register reads, so running the producer after it is
+		// observationally identical to the plain tier's producer-first
+		// order. This destination passing is kernelc's own, not a second
+		// intrinsic semantic, and it stays because it is measured: without
+		// evalInto, inline.evalInto and the frame sink, the kernels and
+		// serve benchmark workloads lost every alternating pair (median
+		// ref_wall_ms +12% and +10% on a 2-vCPU x86-64 host).
 		var iInto evalIntoFn
 		if inl != nil {
 			iInto = inl.evalInto
 		}
-		fnInto := in.FnInto
 		evalInto := func(fr *frame, out *vm.Value) error {
 			vals := fr.scratch[off : off+nArgs]
 			for i, a := range args {
@@ -750,12 +757,6 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 					vals[pos] = v
 				}
 			}
-			if fnInto != nil {
-				if err := fnInto(fr.m, vals, out); err != nil {
-					return fmt.Errorf("%s: %w", name, err)
-				}
-				return nil
-			}
 			v, err := fn(fr.m, vals)
 			if err != nil {
 				return fmt.Errorf("%s: %w", name, err)
@@ -763,10 +764,15 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 			*out = v
 			return nil
 		}
+		// A consumer without a destination of its own gets a copy of the
+		// frame's sink: a local passed to the indirect evalInto would
+		// escape to the heap on every call. The copy is taken right after
+		// this node's own write, the last one of its evaluation.
 		eval := func(fr *frame) (vm.Value, error) {
-			var out vm.Value
-			err := evalInto(fr, &out)
-			return out, err
+			if err := evalInto(fr, &fr.sink); err != nil {
+				return vm.Value{}, err
+			}
+			return fr.sink, nil
 		}
 		vn := c.valNode(n, eval, countDelta{name, 1})
 		vn.evalInto = evalInto

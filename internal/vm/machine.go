@@ -114,27 +114,16 @@ func (c Counter) Clone() Counter {
 	return out
 }
 
-// Intrinsic is one executable intrinsic semantic.
+// Intrinsic is one executable intrinsic semantic. Fn is the only
+// definition: the interpreter's tiers, the count-only evaluator and the
+// conformance differentials all execute it.
 type Intrinsic struct {
 	Name string
 	// Fn evaluates the intrinsic. Void intrinsics return the zero Value.
 	Fn func(m *Machine, args []Value) (Value, error)
-	// FnInto, when non-nil, is the destination-passing fast path: it
-	// writes the result into *out instead of returning a Value, so the
-	// interpreter can evaluate straight into a register or arena slot
-	// without copying the 112-byte Value through a return. out never
-	// aliases an element of args, must be non-nil even for void
-	// intrinsics (which leave it untouched), and after a successful call
-	// holds exactly the Value that Fn would have returned.
-	FnInto func(m *Machine, args []Value, out *Value) error
 }
 
 var registry = map[string]Intrinsic{}
-
-// intoRegistry holds the destination-passing fast paths, keyed by
-// intrinsic name. It is separate from registry so the semantics files
-// need no particular init order; Lookup merges the two views.
-var intoRegistry = map[string]func(m *Machine, args []Value, out *Value) error{}
 
 // register installs a semantic; duplicate registration is a programming
 // error caught at init.
@@ -145,21 +134,9 @@ func register(name string, fn func(m *Machine, args []Value) (Value, error)) {
 	registry[name] = Intrinsic{Name: name, Fn: fn}
 }
 
-// registerInto installs the destination-passing fast path for an
-// intrinsic. A test asserts every entry matches a register() name.
-func registerInto(name string, fn func(m *Machine, args []Value, out *Value) error) {
-	if _, dup := intoRegistry[name]; dup {
-		panic(fmt.Sprintf("vm: duplicate in-place semantic %s", name))
-	}
-	intoRegistry[name] = fn
-}
-
 // Lookup finds an intrinsic's executable semantic.
 func Lookup(name string) (Intrinsic, bool) {
 	in, ok := registry[name]
-	if ok {
-		in.FnInto = intoRegistry[name]
-	}
 	return in, ok
 }
 
@@ -173,21 +150,6 @@ func Implemented(name string) bool {
 // ImplementedCount returns the number of intrinsics with executable
 // semantics.
 func ImplementedCount() int { return len(registry) }
-
-// IntoCount returns the number of intrinsics with a destination-passing
-// fast path.
-func IntoCount() int { return len(intoRegistry) }
-
-// IntoNames lists the intrinsics with a destination-passing fast path,
-// sorted by name.
-func IntoNames() []string {
-	out := make([]string, 0, len(intoRegistry))
-	for k := range intoRegistry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // ImplementedNames lists all executable intrinsics sorted by name.
 func ImplementedNames() []string {

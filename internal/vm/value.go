@@ -59,21 +59,6 @@ func (b *Buffer) LoadVec(elemOff, bytes int) (Vec, error) {
 	return VecFromBytes(b.Data[off : off+bytes]), nil
 }
 
-// LoadVecInto reads `bytes` bytes at element offset elemOff into a
-// caller-provided register, zeroing the upper bytes — the
-// destination-passing variant of LoadVec.
-func (b *Buffer) LoadVecInto(elemOff, bytes int, v *Vec) error {
-	off := elemOff * b.Prim.Bits() / 8
-	if err := b.check(off, bytes); err != nil {
-		return err
-	}
-	n := copy(v.b[:], b.Data[off:off+bytes])
-	for i := n; i < len(v.b); i++ {
-		v.b[i] = 0
-	}
-	return nil
-}
-
 // StoreVec writes the low `bytes` bytes of a register at element offset
 // elemOff.
 func (b *Buffer) StoreVec(elemOff int, v Vec, bytes int) error {

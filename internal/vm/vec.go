@@ -156,166 +156,112 @@ func (v Vec) String() string {
 
 // --- lanewise combinators ----------------------------------------------------
 //
-// Each family has an in-place variant (xxxInto) that writes lanes into a
-// caller-provided register, and an allocating wrapper kept for the
-// registration tables. out may alias a or b: every lane is fully read
-// before it is written.
-
-func mapF32Into(bits int, a, b Vec, out *Vec, f func(x, y float32) float32) {
-	for i := 0; i < bits/32; i++ {
-		out.SetF32(i, f(a.F32(i), b.F32(i)))
-	}
-}
+// Each combinator applies f lane by lane over the register's logical
+// width and returns a fresh register; lanes past the width stay zero.
 
 func mapF32(bits int, a, b Vec, f func(x, y float32) float32) Vec {
 	var out Vec
-	mapF32Into(bits, a, b, &out, f)
-	return out
-}
-
-func map1F32Into(bits int, a Vec, out *Vec, f func(x float32) float32) {
 	for i := 0; i < bits/32; i++ {
-		out.SetF32(i, f(a.F32(i)))
+		out.SetF32(i, f(a.F32(i), b.F32(i)))
 	}
+	return out
 }
 
 func map1F32(bits int, a Vec, f func(x float32) float32) Vec {
 	var out Vec
-	map1F32Into(bits, a, &out, f)
-	return out
-}
-
-func mapF64Into(bits int, a, b Vec, out *Vec, f func(x, y float64) float64) {
-	for i := 0; i < bits/64; i++ {
-		out.SetF64(i, f(a.F64(i), b.F64(i)))
+	for i := 0; i < bits/32; i++ {
+		out.SetF32(i, f(a.F32(i)))
 	}
+	return out
 }
 
 func mapF64(bits int, a, b Vec, f func(x, y float64) float64) Vec {
 	var out Vec
-	mapF64Into(bits, a, b, &out, f)
-	return out
-}
-
-func map1F64Into(bits int, a Vec, out *Vec, f func(x float64) float64) {
 	for i := 0; i < bits/64; i++ {
-		out.SetF64(i, f(a.F64(i)))
+		out.SetF64(i, f(a.F64(i), b.F64(i)))
 	}
+	return out
 }
 
 func map1F64(bits int, a Vec, f func(x float64) float64) Vec {
 	var out Vec
-	map1F64Into(bits, a, &out, f)
-	return out
-}
-
-func mapI8Into(bits int, a, b Vec, out *Vec, f func(x, y int8) int8) {
-	for i := 0; i < bits/8; i++ {
-		out.SetI8(i, f(a.I8(i), b.I8(i)))
+	for i := 0; i < bits/64; i++ {
+		out.SetF64(i, f(a.F64(i)))
 	}
+	return out
 }
 
 func mapI8(bits int, a, b Vec, f func(x, y int8) int8) Vec {
 	var out Vec
-	mapI8Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU8Into(bits int, a, b Vec, out *Vec, f func(x, y uint8) uint8) {
 	for i := 0; i < bits/8; i++ {
-		out.SetU8(i, f(a.U8(i), b.U8(i)))
+		out.SetI8(i, f(a.I8(i), b.I8(i)))
 	}
+	return out
 }
 
 func mapU8(bits int, a, b Vec, f func(x, y uint8) uint8) Vec {
 	var out Vec
-	mapU8Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapI16Into(bits int, a, b Vec, out *Vec, f func(x, y int16) int16) {
-	for i := 0; i < bits/16; i++ {
-		out.SetI16(i, f(a.I16(i), b.I16(i)))
+	for i := 0; i < bits/8; i++ {
+		out.SetU8(i, f(a.U8(i), b.U8(i)))
 	}
+	return out
 }
 
 func mapI16(bits int, a, b Vec, f func(x, y int16) int16) Vec {
 	var out Vec
-	mapI16Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU16Into(bits int, a, b Vec, out *Vec, f func(x, y uint16) uint16) {
 	for i := 0; i < bits/16; i++ {
-		out.SetU16(i, f(a.U16(i), b.U16(i)))
+		out.SetI16(i, f(a.I16(i), b.I16(i)))
 	}
+	return out
 }
 
 func mapU16(bits int, a, b Vec, f func(x, y uint16) uint16) Vec {
 	var out Vec
-	mapU16Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapI32Into(bits int, a, b Vec, out *Vec, f func(x, y int32) int32) {
-	for i := 0; i < bits/32; i++ {
-		out.SetI32(i, f(a.I32(i), b.I32(i)))
+	for i := 0; i < bits/16; i++ {
+		out.SetU16(i, f(a.U16(i), b.U16(i)))
 	}
+	return out
 }
 
 func mapI32(bits int, a, b Vec, f func(x, y int32) int32) Vec {
 	var out Vec
-	mapI32Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU32Into(bits int, a, b Vec, out *Vec, f func(x, y uint32) uint32) {
 	for i := 0; i < bits/32; i++ {
-		out.SetU32(i, f(a.U32(i), b.U32(i)))
+		out.SetI32(i, f(a.I32(i), b.I32(i)))
 	}
+	return out
 }
 
 func mapU32(bits int, a, b Vec, f func(x, y uint32) uint32) Vec {
 	var out Vec
-	mapU32Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapI64Into(bits int, a, b Vec, out *Vec, f func(x, y int64) int64) {
-	for i := 0; i < bits/64; i++ {
-		out.SetI64(i, f(a.I64(i), b.I64(i)))
+	for i := 0; i < bits/32; i++ {
+		out.SetU32(i, f(a.U32(i), b.U32(i)))
 	}
+	return out
 }
 
 func mapI64(bits int, a, b Vec, f func(x, y int64) int64) Vec {
 	var out Vec
-	mapI64Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU64Into(bits int, a, b Vec, out *Vec, f func(x, y uint64) uint64) {
 	for i := 0; i < bits/64; i++ {
-		out.SetU64(i, f(a.U64(i), b.U64(i)))
+		out.SetI64(i, f(a.I64(i), b.I64(i)))
 	}
+	return out
 }
 
 func mapU64(bits int, a, b Vec, f func(x, y uint64) uint64) Vec {
 	var out Vec
-	mapU64Into(bits, a, b, &out, f)
+	for i := 0; i < bits/64; i++ {
+		out.SetU64(i, f(a.U64(i), b.U64(i)))
+	}
 	return out
 }
 
-// bitwiseInto applies f to the register byte-by-byte (logical ops are
-// width- and element-type-agnostic), writing into out.
-func bitwiseInto(bits int, a, b Vec, out *Vec, f func(x, y byte) byte) {
+// bitwise applies f to the register byte-by-byte (logical ops are
+// width- and element-type-agnostic).
+func bitwise(bits int, a, b Vec, f func(x, y byte) byte) Vec {
+	var out Vec
 	for i := 0; i < bits/8; i++ {
 		out.b[i] = f(a.b[i], b.b[i])
 	}
-}
-
-func bitwise(bits int, a, b Vec, f func(x, y byte) byte) Vec {
-	var out Vec
-	bitwiseInto(bits, a, b, &out, f)
 	return out
 }
 

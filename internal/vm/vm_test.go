@@ -522,3 +522,27 @@ func TestCrc32MatchesKnownVector(t *testing.T) {
 		t.Errorf("crc32c(0xFF) = %#x, want 0xAD7D5351", uint32(out.AsInt()))
 	}
 }
+
+// TestVecBytesBounds locks in the typed bounds error on register reads.
+func TestVecBytesBounds(t *testing.T) {
+	var v Vec
+	if _, err := v.Bytes(64); err != nil {
+		t.Errorf("64 bytes is the full register, want success: %v", err)
+	}
+	for _, n := range []int{-1, 65, 1 << 20} {
+		_, err := v.Bytes(n)
+		re, ok := err.(*RangeError)
+		if !ok {
+			t.Fatalf("Bytes(%d): want *RangeError, got %v", n, err)
+		}
+		if re.N != n || re.Cap != 64 {
+			t.Errorf("Bytes(%d): error carries %+v", n, re)
+		}
+	}
+	if _, err := VecFromBytesErr(make([]byte, 65)); err == nil {
+		t.Error("VecFromBytesErr must reject 65 bytes")
+	}
+	if _, err := VecFromBytesErr(make([]byte, 64)); err != nil {
+		t.Errorf("VecFromBytesErr must accept 64 bytes: %v", err)
+	}
+}
