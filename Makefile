@@ -34,11 +34,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The shared count memo's eight-worker sweep test runs repeatedly, so
-# the race detector sees many interleavings of its single flight.
+# The shared count memo's eight-worker sweep test and the planned fig7
+# sweep, whose workers share each series' lazily built inputs, run
+# repeatedly, so the race detector sees many interleavings of their
+# single flights.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=10 -run '^TestSharedMemoExecutesEachKeyOnce$$' ./internal/bench
+	$(GO) test -race -count=10 -run '^(TestSharedMemoExecutesEachKeyOnce|TestFig7BytesInvariantUnderAutoPlan)$$' ./internal/bench
 
 # Bounded fuzz smoke: each fuzz target runs for FUZZTIME.
 # `go test -fuzz` accepts one target per invocation, hence the loop.

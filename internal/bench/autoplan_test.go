@@ -3,11 +3,14 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernelc"
+	"repro/internal/obs"
 )
 
 // TestFigureBytesInvariantUnderAutoPlan is the figure-level planner
@@ -75,6 +78,70 @@ func TestFigureBytesInvariantUnderAutoPlan(t *testing.T) {
 		if string(after[name]) != string(data) {
 			t.Fatalf("warm run rewrote plan file %s", name)
 		}
+	}
+}
+
+// TestFig7BytesInvariantUnderAutoPlan: under the planner every staged
+// rep bypasses the memo, so Figure 7's lazily built inputs really
+// execute. The table must equal the static one byte for byte; each
+// staged series' inputs build exactly once, in one bench.inputs span,
+// and the Java series — still counted on their shapes — never build.
+func TestFig7BytesInvariantUnderAutoPlan(t *testing.T) {
+	sizes := []int{128, 512, 2048, 8192}
+	run := func(plan bool) (string, *Suite, *obs.Tracer) {
+		s := NewSuite()
+		s.MaxRunLinear = 1 << 11
+		s.Reps = 2
+		s.Workers = 2
+		tr := obs.New()
+		s.Attach(tr, nil)
+		if plan {
+			s.RT.Machine.Workers = 2
+			s.RT.EnableAutoPlan()
+		}
+		out, err := s.RunFigure("fig7", sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, s, tr
+	}
+	static, s, _ := run(false)
+	if n := s.inputBuilds.Load(); n != 0 {
+		t.Errorf("static sweep built %d input series, want 0", n)
+	}
+	auto, s, tr := run(true)
+	if auto != static {
+		t.Fatalf("auto-planned fig7 diverged from the static figure:\n--- static\n%s\n--- auto\n%s", static, auto)
+	}
+	if s.stagedMemo.bypassed == 0 {
+		t.Fatalf("staged memo %+v: the planner executed nothing", s.stagedMemo)
+	}
+	builds := map[string]int{}
+	var walk func(sp *obs.Span)
+	walk = func(sp *obs.Span) {
+		if sp.Name == "bench.inputs" {
+			var attrs []string
+			for _, a := range sp.Attrs {
+				attrs = append(attrs, a.Key+"="+a.Value)
+			}
+			builds[strings.Join(attrs, " ")]++
+		}
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	for _, sp := range tr.Roots() {
+		walk(sp)
+	}
+	want := map[string]int{}
+	for _, bits := range fig7Bits {
+		want["series=lms bits="+strconv.Itoa(bits)] = 1
+	}
+	if !reflect.DeepEqual(builds, want) {
+		t.Errorf("bench.inputs spans %v, want %v", builds, want)
+	}
+	if n := s.inputBuilds.Load(); n != int64(len(want)) {
+		t.Errorf("%d input series built, want %d", n, len(want))
 	}
 }
 

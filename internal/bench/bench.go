@@ -13,7 +13,9 @@
 // skeleton, closed-form where affine). Data is executed only where the
 // count-only evaluator refuses, or where the memo steps aside: a cache
 // simulator must see every access, and the planner calibrates from the
-// calls it sees.
+// calls it sees. Only then are a point's real inputs built (Figure 7's
+// stochastic quantization included); counting reads argument shapes
+// alone.
 //
 // Large problem sizes extrapolate: the kernel runs at a reduced size and
 // its counts scale by the work ratio (exact for these uniformly
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hotspot"
@@ -93,8 +96,7 @@ type Suite struct {
 	// concurrently, each on a private forked runtime. 1 (the default)
 	// measures serially; either way results are deterministic and
 	// identical, and the workers share the suite's count memo, so the
-	// number of evaluations does not depend on Workers either; Workers
-	// also bounds how many of Figure 7's input series quantize at once.
+	// number of evaluations does not depend on Workers either.
 	Workers int
 	// SweepCounts accumulates every worker's raw instruction counts,
 	// merged after each sweep's barrier. Totals are independent of
@@ -140,6 +142,10 @@ type Suite struct {
 	// barrier like SweepCounts.
 	memo                     *countMemo
 	stagedMemo, baselineMemo memoStats
+	// inputBuilds counts the real input sets the suite's sweeps built:
+	// a point's (Figures 6a and 6b) or a series' (Figure 7), each once,
+	// and only for a leg that executes (see argSet).
+	inputBuilds atomic.Int64
 }
 
 // NewSuite builds the default Haswell suite.

@@ -2,12 +2,15 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/dsl"
 	"repro/internal/hotspot"
 	"repro/internal/ir"
+	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/vm"
 )
@@ -30,13 +33,117 @@ func capSize(n, max int) int {
 	return n
 }
 
-// Each figure below splits into two stages. Input setup comes first:
-// serial for Figures 6a and 6b, where it is cheap, and one goroutine per
-// series for Figure 7, whose quantized inputs consume a per-series RNG
-// in size order (see fig7Inputs). Measurement fans out over
-// forEachPoint: each size point runs on a checked-out worker and writes
-// its Point into a pre-sized slot, so the emitted series are
-// bit-identical at every worker count.
+// Each figure below lays out its size points first (fig6aJobs,
+// fig6bJobs, fig7Jobs). A point carries its arguments as an argSet:
+// the cheap shape counting reads, and a builder for the real inputs,
+// which runs only when a leg executes. A counted sweep therefore builds
+// no inputs at all. Measurement fans out over forEachPoint: each size
+// point runs on a checked-out worker and writes its Point into a
+// pre-sized slot, so the emitted series are bit-identical at every
+// worker count.
+
+// argSet is one leg's arguments in the two forms a measurement reads.
+// Counting reads only the shape: kernelc.CountKey and the count-only
+// evaluator see each argument's kind, its integer and bool values, and
+// each pointer's element type, length and offset, and
+// kernelc.CountProof makes counts and error outcomes independent of the
+// rest. So shape holds zeroed buffers of the real element types and
+// lengths beside the real integer arguments. build returns the real
+// inputs; a leg calls it only to execute, passing the span the build
+// nests under.
+type argSet struct {
+	shape []vm.Value
+	build func(parent *obs.Span) []vm.Value
+}
+
+// lazyInputs holds real inputs built on first use and shared after: one
+// point's arguments (Figures 6a and 6b) or one series' (Figure 7). The
+// build runs in a bench.inputs span carrying attrs (key, value, ...)
+// under the caller's span, and counts in Suite.inputBuilds.
+type lazyInputs[T any] struct {
+	s     *Suite
+	attrs []string
+	build func() T
+	once  sync.Once
+	v     T
+}
+
+func (in *lazyInputs[T]) get(parent *obs.Span) T {
+	in.once.Do(func() {
+		sp := parent.Child("bench.inputs")
+		for i := 0; i+1 < len(in.attrs); i += 2 {
+			sp.SetAttr(in.attrs[i], in.attrs[i+1])
+		}
+		in.v = in.build()
+		sp.End()
+		in.s.inputBuilds.Add(1)
+	})
+	return in.v
+}
+
+// zeroBufs hands out the pointer arguments of shapes: a zeroed buffer
+// per element type and length. Counting neither writes a buffer nor
+// compares two, so a sweep's shapes share them.
+type zeroBufs map[zeroBuf]*vm.Buffer
+
+type zeroBuf struct {
+	prim isa.Prim
+	n    int
+}
+
+func (z zeroBufs) ptr(p isa.Prim, n int) vm.Value {
+	b, ok := z[zeroBuf{p, n}]
+	if !ok {
+		b = vm.NewBuffer(p, n)
+		z[zeroBuf{p, n}] = b
+	}
+	return vm.PtrValue(b, 0)
+}
+
+// fig6Job is one Figure 6a or 6b size point: its size, the run size it
+// evaluates at, the working set's footprint, and the arguments every
+// leg of the point shares.
+type fig6Job struct {
+	n, runN, footprint int
+	args               argSet
+}
+
+// fig6aJobs lays out Figure 6a's points: SAXPY over two float arrays.
+func (s *Suite) fig6aJobs(sizes []int) []fig6Job {
+	jobs, z := make([]fig6Job, len(sizes)), zeroBufs{}
+	for i, n := range sizes {
+		runN := capSize(n, s.MaxRunLinear)
+		in := &lazyInputs[[]vm.Value]{s: s, attrs: []string{"n", strconv.Itoa(n)}, build: func() []vm.Value {
+			a, b := vm.PinF32(randSlice(runN, 1)), vm.PinF32(randSlice(runN, 2))
+			return []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(runN)}
+		}}
+		shape := []vm.Value{z.ptr(isa.PrimF32, runN), z.ptr(isa.PrimF32, runN), vm.F32Value(2.5), vm.IntValue(runN)}
+		jobs[i] = fig6Job{n: n, runN: runN, footprint: 8 * n, // two float arrays
+			args: argSet{shape: shape, build: in.get}}
+	}
+	return jobs
+}
+
+// fig6bJobs lays out Figure 6b's points: C += A·B over three float
+// matrices.
+func (s *Suite) fig6bJobs(sizes []int) []fig6Job {
+	jobs, z := make([]fig6Job, len(sizes)), zeroBufs{}
+	for i, n := range sizes {
+		runN := capSize(n, s.MaxRunCubic)
+		elems := runN * runN
+		in := &lazyInputs[[]vm.Value]{s: s, attrs: []string{"n", strconv.Itoa(n)}, build: func() []vm.Value {
+			a := vm.PinF32(randSlice(elems, 3))
+			b := vm.PinF32(randSlice(elems, 4))
+			c := vm.PinF32(make([]float32, elems))
+			return []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.PtrValue(c, 0), vm.IntValue(runN)}
+		}}
+		shape := []vm.Value{z.ptr(isa.PrimF32, elems), z.ptr(isa.PrimF32, elems), z.ptr(isa.PrimF32, elems),
+			vm.IntValue(runN)}
+		jobs[i] = fig6Job{n: n, runN: runN, footprint: 12 * n * n, // three float matrices
+			args: argSet{shape: shape, build: in.get}}
+	}
+	return jobs
+}
 
 // Fig6a regenerates Figure 6a: SAXPY performance, Java vs LMS-generated,
 // in flops/cycle over the given sizes (default 2^6..2^22).
@@ -46,21 +153,7 @@ func (s *Suite) Fig6a(sizes []int) ([]Series, error) {
 	}
 	staged := Series{Name: "LMS generated SAXPY", Points: make([]Point, len(sizes))}
 	java := Series{Name: "Java SAXPY", Points: make([]Point, len(sizes))}
-
-	type job struct {
-		n, runN   int
-		args      []vm.Value // shared by both legs
-		footprint int
-	}
-	jobs := make([]job, len(sizes))
-	for i, n := range sizes {
-		runN := capSize(n, s.MaxRunLinear)
-		a, b := vm.PinF32(randSlice(runN, 1)), vm.PinF32(randSlice(runN, 2))
-		jobs[i] = job{n: n, runN: runN,
-			args:      []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(runN)},
-			footprint: 8 * n, // two float arrays
-		}
-	}
+	jobs := s.fig6aJobs(sizes)
 
 	err := s.forEachPoint("sweep:fig6a", len(jobs), func(i int, w *sweepWorker) error {
 		jb := jobs[i]
@@ -111,23 +204,7 @@ func (s *Suite) Fig6b(sizes []int) ([]Series, error) {
 	staged := Series{Name: "LMS generated MMM", Points: make([]Point, len(sizes))}
 	triple := Series{Name: "Java MMM (triple loop)", Points: make([]Point, len(sizes))}
 	blocked := Series{Name: "Java MMM", Points: make([]Point, len(sizes))}
-
-	type job struct {
-		n, runN   int
-		args      []vm.Value // shared by all three legs
-		footprint int
-	}
-	jobs := make([]job, len(sizes))
-	for i, n := range sizes {
-		runN := capSize(n, s.MaxRunCubic)
-		a := vm.PinF32(randSlice(runN*runN, 3))
-		b := vm.PinF32(randSlice(runN*runN, 4))
-		c := vm.PinF32(make([]float32, runN*runN))
-		jobs[i] = job{n: n, runN: runN,
-			args:      []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.PtrValue(c, 0), vm.IntValue(runN)},
-			footprint: 12 * n * n, // three float matrices
-		}
-	}
+	jobs := s.fig6bJobs(sizes)
 
 	err := s.forEachPoint("sweep:fig6b", len(jobs), func(i int, w *sweepWorker) error {
 		jb := jobs[i]
@@ -180,6 +257,37 @@ func (s *Suite) Fig6b(sizes []int) ([]Series, error) {
 	return []Series{triple, blocked, staged}, nil
 }
 
+// fig7Bits is Figure 7's precision axis.
+var fig7Bits = []int{32, 16, 8, 4}
+
+// fig7Job is one Figure 7 point: size index point of series index
+// series (the Java series occupy 0..3, the staged ones 4..7 — the
+// serial emission order).
+type fig7Job struct {
+	series, point int
+	bits          int
+	java          bool
+	n, runN       int
+	args          argSet
+}
+
+// fig7Jobs lays out Figure 7's points, series by series.
+func (s *Suite) fig7Jobs(sizes []int) []fig7Job {
+	var jobs []fig7Job
+	inputs, z := s.fig7Inputs(sizes), zeroBufs{}
+	for si, series := range inputs {
+		bits, java := fig7Bits[si%len(fig7Bits)], si < len(fig7Bits)
+		for pi, n := range sizes {
+			runN := capSize(n, s.MaxRunLinear)
+			jobs = append(jobs, fig7Job{series: si, point: pi, bits: bits, java: java, n: n, runN: runN,
+				args: argSet{shape: dotShape(z, bits, runN, java), build: func(parent *obs.Span) []vm.Value {
+					return series.get(parent)[pi]
+				}}})
+		}
+	}
+	return jobs
+}
+
 // Fig7 regenerates Figure 7: the variable-precision dot products, Java
 // and LMS at 32/16/8/4 bits, in ops/cycle (op count 2n at every
 // precision, as the paper charges).
@@ -187,32 +295,15 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 	if sizes == nil {
 		sizes = Pow2Sizes(7, 26)
 	}
-	bitsList := []int{32, 16, 8, 4}
-	out := make([]Series, 2*len(bitsList))
-
-	type job struct {
-		series, point int
-		bits          int
-		java          bool
-		n, runN       int
-		args          []vm.Value
-	}
-	var jobs []job
-	// Java series occupy out[0..3], staged out[4..7] — the serial
-	// emission order.
-	inputs := s.fig7Inputs(bitsList, sizes)
+	out := make([]Series, 2*len(fig7Bits))
 	for si := range out {
-		bits, java := bitsList[si%len(bitsList)], si < len(bitsList)
-		name := fmt.Sprintf("LMS generated %d-bit", bits)
-		if java {
-			name = fmt.Sprintf("Java %d-bit", bits)
+		name := fmt.Sprintf("LMS generated %d-bit", fig7Bits[si%len(fig7Bits)])
+		if si < len(fig7Bits) {
+			name = fmt.Sprintf("Java %d-bit", fig7Bits[si])
 		}
 		out[si] = Series{Name: name, Points: make([]Point, len(sizes))}
-		for pi, n := range sizes {
-			jobs = append(jobs, job{series: si, point: pi, bits: bits, java: java,
-				n: n, runN: capSize(n, s.MaxRunLinear), args: inputs[si][pi]})
-		}
 	}
+	jobs := s.fig7Jobs(sizes)
 
 	err := s.forEachPoint("sweep:fig7", len(jobs), func(i int, w *sweepWorker) error {
 		jb := jobs[i]
@@ -263,45 +354,72 @@ func (s *Suite) Fig7(sizes []int) ([]Series, error) {
 	return out, nil
 }
 
-// fig7Inputs quantizes Figure 7's arguments, indexed [series][point]:
-// the four Java series, then the four staged ones, over sizes. The
-// float operands depend on the run size alone, so each size's pair is
-// drawn once and only read by the series. Each series owns a fresh RNG
-// consumed across its sizes in order, so every buffer is byte-identical
-// whatever the schedule; the series build concurrently, at most Workers
-// at a time.
-func (s *Suite) fig7Inputs(bitsList, sizes []int) [][][]vm.Value {
-	operands := map[int][2][]float32{}
-	for _, n := range sizes {
-		runN := capSize(n, s.MaxRunLinear)
-		if _, ok := operands[runN]; !ok {
-			operands[runN] = [2][]float32{randSlice(runN, 7), randSlice(runN, 8)}
+// fig7Inputs lays out Figure 7's quantized arguments, one lazily built
+// series each: the four Java series, then the four staged ones, each
+// indexed by point over sizes. A series builds whole on first use,
+// drawing its own fresh RNG across its sizes in order, so every buffer
+// is byte-identical whichever point asks first and whatever the
+// schedule. The float operands depend on the run size alone, so the
+// first series to build draws each size's pair once, and every series
+// only reads them.
+func (s *Suite) fig7Inputs(sizes []int) []*lazyInputs[[][]vm.Value] {
+	var (
+		drawn    sync.Once
+		operands map[int][2][]float32
+	)
+	draw := func() map[int][2][]float32 {
+		drawn.Do(func() {
+			operands = map[int][2][]float32{}
+			for _, n := range sizes {
+				runN := capSize(n, s.MaxRunLinear)
+				if _, ok := operands[runN]; !ok {
+					operands[runN] = [2][]float32{randSlice(runN, 7), randSlice(runN, 8)}
+				}
+			}
+		})
+		return operands
+	}
+	out := make([]*lazyInputs[[][]vm.Value], 2*len(fig7Bits))
+	for si := range out {
+		bits, java := fig7Bits[si%len(fig7Bits)], si < len(fig7Bits)
+		build, seed, series := dotArgs, uint64(1234), "lms"
+		if java {
+			build, seed, series = javaDotArgs, 4321, "java"
 		}
+		out[si] = &lazyInputs[[][]vm.Value]{s: s, attrs: []string{"series", series, "bits", strconv.Itoa(bits)},
+			build: func() [][]vm.Value {
+				ab, rng := draw(), vm.NewXorshift(seed)
+				vals := make([][]vm.Value, len(sizes))
+				for pi, n := range sizes {
+					pair := ab[capSize(n, s.MaxRunLinear)]
+					vals[pi] = build(bits, pair[0], pair[1], rng)
+				}
+				return vals
+			}}
 	}
-	inputs := make([][][]vm.Value, 2*len(bitsList))
-	sem := make(chan struct{}, max(1, s.Workers))
-	var wg sync.WaitGroup
-	for si := range inputs {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			bits, java := bitsList[si%len(bitsList)], si < len(bitsList)
-			build, rng := dotArgs, vm.NewXorshift(1234)
-			if java {
-				build, rng = javaDotArgs, vm.NewXorshift(4321)
-			}
-			series := make([][]vm.Value, len(sizes))
-			for pi, n := range sizes {
-				ab := operands[capSize(n, s.MaxRunLinear)]
-				series[pi] = build(bits, ab[0], ab[1], rng)
-			}
-			inputs[si] = series
-		}(si)
+	return out
+}
+
+// dotShape is the shape of one Figure 7 point's arguments (see argSet):
+// the buffers dotArgs (staged) or javaDotArgs (java) builds at run size
+// runN, zeroed, with a zero scale.
+func dotShape(z zeroBufs, bits, runN int, java bool) []vm.Value {
+	n, inv := vm.IntValue(runN), vm.F32Value(0)
+	switch {
+	case bits == 32:
+		return []vm.Value{z.ptr(isa.PrimF32, runN), z.ptr(isa.PrimF32, runN), n}
+	case bits == 16 && java:
+		return []vm.Value{z.ptr(isa.PrimI16, runN), z.ptr(isa.PrimI16, runN), inv, n}
+	case bits == 16:
+		return []vm.Value{z.ptr(isa.PrimU16, runN), z.ptr(isa.PrimU16, runN), n}
+	case bits == 8:
+		return []vm.Value{z.ptr(isa.PrimI8, runN), z.ptr(isa.PrimI8, runN), inv, n}
+	case java:
+		return []vm.Value{z.ptr(isa.PrimU8, (runN+1)/2), z.ptr(isa.PrimU8, (runN+1)/2), inv, n}
+	default: // two nibbles a byte, and the 16-entry decode table
+		return []vm.Value{z.ptr(isa.PrimU8, (runN+1)/2), z.ptr(isa.PrimU8, (runN+1)/2),
+			z.ptr(isa.PrimI8, 16), inv, n}
 	}
-	wg.Wait()
-	return inputs
 }
 
 // dotFootprint is the two-array working set at each precision.

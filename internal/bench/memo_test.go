@@ -173,11 +173,15 @@ func TestBaselineMemoBypassedUnderCacheSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.measure(w.javaLeg(m, saxpyArgs(64), 512), 64, 64, kernels.SaxpyFlops); err != nil {
+	jb := s.fig6aJobs([]int{64})[0]
+	if _, err := w.measure(w.javaLeg(m, jb.args, jb.footprint), jb.n, jb.runN, kernels.SaxpyFlops); err != nil {
 		t.Fatal(err)
 	}
 	if w.baseline != (memoStats{bypassed: int64(s.Reps)}) {
 		t.Errorf("memo %+v, want %d bypassed executions", w.baseline, s.Reps)
+	}
+	if n := s.inputBuilds.Load(); n != 1 {
+		t.Errorf("%d input builds, want 1 shared by every executed rep", n)
 	}
 }
 
@@ -193,11 +197,15 @@ func TestStagedMemoBypassedUnderCacheSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.measure(w.stagedLeg(kn, saxpyArgs(64), 512), 64, 64, kernels.SaxpyFlops); err != nil {
+	jb := s.fig6aJobs([]int{64})[0]
+	if _, err := w.measure(w.stagedLeg(kn, jb.args, jb.footprint), jb.n, jb.runN, kernels.SaxpyFlops); err != nil {
 		t.Fatal(err)
 	}
 	if w.staged != (memoStats{bypassed: int64(s.Reps)}) {
 		t.Errorf("memo %+v, want %d bypassed executions", w.staged, s.Reps)
+	}
+	if n := s.inputBuilds.Load(); n != 1 {
+		t.Errorf("%d input builds, want 1 shared by every executed rep", n)
 	}
 }
 
@@ -258,12 +266,6 @@ func TestSharedMemoExecutesEachKeyOnce(t *testing.T) {
 	}
 }
 
-// saxpyArgs is Fig6a's argument list at one run size.
-func saxpyArgs(n int) []vm.Value {
-	a, b := vm.PinF32(randSlice(n, 1)), vm.PinF32(randSlice(n, 2))
-	return []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.F32Value(2.5), vm.IntValue(n)}
-}
-
 // TestFiguresMatchCommittedOutput: the full-axis figure tables, built
 // with the memo in place, are still contained verbatim in the committed
 // `ngen all` output.
@@ -305,6 +307,34 @@ func TestFig6bCountsWithoutExecuting(t *testing.T) {
 	}
 	if calls := reg.Counter("ngen.kernel.call").Load(); calls != 0 {
 		t.Errorf("%d staged kernel calls executed, want 0", calls)
+	}
+	if n := s.inputBuilds.Load(); n != 0 {
+		t.Errorf("%d input sets built, want 0", n)
+	}
+}
+
+// TestFig7CountsWithoutBuildingInputs: every miss of a full fig7 sweep
+// — the four staged kernels and the four Java methods at each run size
+// — is counted on its argument shape, so the sweep runs no kernel and
+// never builds, let alone quantizes, a single input series.
+func TestFig7CountsWithoutBuildingInputs(t *testing.T) {
+	s := NewSuite()
+	s.Workers = 2
+	reg := obs.NewRegistry()
+	s.Attach(nil, reg)
+	if _, err := s.RunFigure("fig7", nil); err != nil {
+		t.Fatal(err)
+	}
+	for leg, st := range map[string]memoStats{"staged": s.stagedMemo, "baseline": s.baselineMemo} {
+		if st.misses == 0 || st.counted != st.misses || st.bypassed != 0 {
+			t.Errorf("%s memo %+v: want every miss counted, none executed", leg, st)
+		}
+	}
+	if calls := reg.Counter("ngen.kernel.call").Load(); calls != 0 {
+		t.Errorf("%d staged kernel calls executed, want 0", calls)
+	}
+	if n := s.inputBuilds.Load(); n != 0 {
+		t.Errorf("%d input series built, want 0", n)
 	}
 }
 

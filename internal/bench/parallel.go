@@ -188,22 +188,24 @@ type leg struct {
 }
 
 // stagedLeg measures a staged kernel called on args (sized for the run
-// size). The memo steps aside when a cache simulator must see every
+// size): keyed and counted on their shape, executed on the built
+// inputs. The memo steps aside when a cache simulator must see every
 // access and when the runtime plans (Planner attached): the planner
 // calibrates from the invocations it sees.
-func (w *sweepWorker) stagedLeg(kn *core.Kernel, args []vm.Value, footprint int) leg {
-	key, ok := kn.CountKey(args)
+func (w *sweepWorker) stagedLeg(kn *core.Kernel, args argSet, footprint int) leg {
+	key, ok := kn.CountKey(args.shape)
 	return leg{span: "staged.invoke", key: key,
 		memo:  ok && w.rt.Machine.Cache == nil && w.rt.Planner == nil,
 		stats: &w.staged,
 		count: func() (vm.Counter, error) {
 			w.rt.Machine.Counts.Reset()
-			err := kn.CountValues(args...)
+			err := kn.CountValues(args.shape...)
 			return w.rt.Machine.Counts, err
 		},
 		run: func() (vm.Counter, error) {
+			vals := args.build(w.rt.Span)
 			w.rt.Machine.Counts.Reset()
-			_, err := kn.CallValues(args...)
+			_, err := kn.CallValues(vals...)
 			return w.rt.Machine.Counts, err
 		},
 		price: func(counts vm.Counter) machine.Report {
@@ -213,21 +215,23 @@ func (w *sweepWorker) stagedLeg(kn *core.Kernel, args []vm.Value, footprint int)
 }
 
 // javaLeg measures a HotSpot method at C2 steady state on this worker's
-// JVM with args (sized for the run size). The memo steps aside when a
+// JVM with args (sized for the run size), keyed and counted on their
+// shape and executed on the built inputs. The memo steps aside when a
 // cache simulator is attached to the JVM's machine.
-func (w *sweepWorker) javaLeg(m *hotspot.Method, args []vm.Value, footprint int) leg {
-	key, ok := m.CountKey(hotspot.TierC2, args)
+func (w *sweepWorker) javaLeg(m *hotspot.Method, args argSet, footprint int) leg {
+	key, ok := m.CountKey(hotspot.TierC2, args.shape)
 	return leg{span: "hotspot.invoke", tier: hotspot.TierC2.String(), key: key,
 		memo:  ok && w.jvm.Machine.Cache == nil,
 		stats: &w.baseline,
 		count: func() (vm.Counter, error) {
 			w.jvm.Machine.Counts.Reset()
-			err := m.CountAt(hotspot.TierC2, args...)
+			err := m.CountAt(hotspot.TierC2, args.shape...)
 			return w.jvm.Machine.Counts, err
 		},
 		run: func() (vm.Counter, error) {
+			vals := args.build(w.rt.Span)
 			w.jvm.Machine.Counts.Reset()
-			_, err := m.InvokeAt(hotspot.TierC2, args...)
+			_, err := m.InvokeAt(hotspot.TierC2, vals...)
 			return w.jvm.Machine.Counts, err
 		},
 		price: func(counts vm.Counter) machine.Report {

@@ -56,12 +56,16 @@ type VM struct {
 	CompileThreshold int
 	Machine          *vm.Machine
 	methods          map[string]*Method
+	// est prices every method's counts (Method.Estimate); like Machine
+	// it serves one goroutine at a time.
+	est *machine.Estimator
 }
 
 // NewVM boots a simulated HotSpot Server VM on the given machine.
 func NewVM(arch *isa.Microarch) *VM {
 	return &VM{Arch: arch, CompileThreshold: 10000,
-		Machine: vm.NewMachine(arch), methods: map[string]*Method{}}
+		Machine: vm.NewMachine(arch), methods: map[string]*Method{},
+		est: machine.NewEstimator(arch)}
 }
 
 // Method is one loaded Java method with its tier state.
@@ -170,8 +174,7 @@ func (m *Method) Estimate(tier Tier, counts vm.Counter, footprint int) machine.R
 	if tier == TierC2 {
 		f = m.C2
 	}
-	est := machine.NewEstimator(m.vm.Arch)
-	rep := est.Estimate(f, counts, footprint)
+	rep := m.vm.est.Estimate(f, counts, footprint)
 	mult := tier.CostMultiplier()
 	rep.Cycles *= mult
 	rep.Compute *= mult

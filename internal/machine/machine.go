@@ -333,20 +333,45 @@ type Report struct {
 }
 
 // Estimator converts counts to cycles for one microarchitecture. It
-// carries reusable chain-analysis scratch, so one Estimator serves one
-// goroutine at a time (sweep workers each own one); Estimate itself is
-// allocation-free in steady state.
+// prices each op name and each loop body once and carries reusable
+// chain-analysis scratch, so one Estimator serves one goroutine at a
+// time (sweep workers each own one); Estimate itself is allocation-free
+// in steady state.
 type Estimator struct {
 	Arch *isa.Microarch
 
-	// loopKeys caches "loop.#<id>" counter-key spellings; depth is the
-	// chain-latency working map, cleared between uses.
+	// costs memoizes Classify per op name the table knows (see cost);
+	// chains memoizes chainLatency per loop body; loopKeys caches
+	// "loop.#<id>" counter-key spellings; depth is the chain-latency
+	// working map, cleared between uses.
+	costs    map[string]OpCost
+	chains   map[*ir.Block]float64
 	loopKeys map[int]string
 	depth    map[int]float64
 }
 
 // NewEstimator builds an estimator.
 func NewEstimator(arch *isa.Microarch) *Estimator { return &Estimator{Arch: arch} }
+
+// cost is Classify memoized per op name: the price is a pure function
+// of the name. Only names the table knows are kept, so every pricing of
+// an unknown name still reaches noteUnknown, which records and logs it
+// once per process (and again after ResetUnknownOps).
+func (e *Estimator) cost(name string) OpCost {
+	if c, ok := e.costs[name]; ok {
+		return c
+	}
+	c, known := classify(name)
+	if !known {
+		noteUnknown(name)
+		return c
+	}
+	if e.costs == nil {
+		e.costs = map[string]OpCost{}
+	}
+	e.costs[name] = c
+	return c
+}
 
 // bandwidth returns the sustained bytes/cycle at a cache level.
 func (e *Estimator) bandwidth(level string) float64 {
@@ -369,7 +394,7 @@ func (e *Estimator) Estimate(f *ir.Func, counts vm.Counter, footprint int) Repor
 	loadBytes, storeBytes := 0.0, 0.0
 	accesses := 0.0
 	for op, n := range counts {
-		c := Classify(op)
+		c := e.cost(op)
 		if c.Res != "" {
 			u := float64(n) * c.Uops
 			pressure[resIndex(c.Res)] += u
@@ -452,7 +477,7 @@ func (e *Estimator) chainWalk(b *ir.Block, counts vm.Counter) float64 {
 			body := n.Def.Blocks[0]
 			iters := float64(counts[e.loopKey(n.Sym.ID)])
 			if iters > 0 {
-				total += e.chainLatency(body) * iters
+				total += e.bodyLatency(body) * iters
 			}
 		}
 		for _, blk := range n.Def.Blocks {
@@ -493,6 +518,20 @@ func nodeLatency(d *ir.Def) float64 {
 	default:
 		return 1
 	}
+}
+
+// bodyLatency is chainLatency memoized per loop body, a pure function
+// of the body's nodes.
+func (e *Estimator) bodyLatency(b *ir.Block) float64 {
+	if l, ok := e.chains[b]; ok {
+		return l
+	}
+	l := e.chainLatency(b)
+	if e.chains == nil {
+		e.chains = map[*ir.Block]float64{}
+	}
+	e.chains[b] = l
+	return l
 }
 
 // chainLatency computes the longest latency path from the block's

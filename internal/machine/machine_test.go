@@ -200,9 +200,19 @@ func TestChainLatencyVectorFMA(t *testing.T) {
 		}
 	}
 	counts := vm.Counter{chainKey(loopID): 100}
-	rep := NewEstimator(isa.Haswell).Estimate(k.F, counts, 1024)
+	e := NewEstimator(isa.Haswell)
+	rep := e.Estimate(k.F, counts, 1024)
 	if rep.Latency != 2000 {
 		t.Errorf("vector chain latency = %v, want 2000 (100 × 4×5)", rep.Latency)
+	}
+	// The body's chain is priced once; later estimates scale the
+	// memoized latency by their own iteration counts.
+	counts[chainKey(loopID)] = 300
+	if rep := e.Estimate(k.F, counts, 1024); rep.Latency != 6000 {
+		t.Errorf("repriced chain latency = %v, want 6000 (300 × 4×5)", rep.Latency)
+	}
+	if len(e.chains) != 1 {
+		t.Errorf("%d loop bodies memoized, want 1", len(e.chains))
 	}
 }
 

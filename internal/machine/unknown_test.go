@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/vm"
 )
 
@@ -95,5 +96,67 @@ func TestEveryRegisteredIntrinsicPriced(t *testing.T) {
 	}
 	if n := UnknownOpCount(); n != 0 {
 		t.Fatalf("%d registered intrinsics priced by fallback: %v", n, UnknownOps())
+	}
+}
+
+// scalarOps are the kernel compiler's scalar pseudo-ops and the
+// separately accounted keys, as counters spell them.
+var scalarOps = []string{
+	"scalar.alu", "scalar.mul", "scalar.div", "scalar.fp", "scalar.fmul",
+	"scalar.fdiv", "scalar.load", "scalar.load.strided", "scalar.store",
+	"scalar.conv", "scalar.loop", "scalar.branch", "jni.call", "loop.#7",
+}
+
+// TestEstimatorCostMatchesClassify: an estimator's per-name price memo
+// returns Classify's price for every registered intrinsic and every
+// scalar pseudo-op, on the first lookup and from the memo after, and
+// keeps each of them.
+func TestEstimatorCostMatchesClassify(t *testing.T) {
+	ResetUnknownOps()
+	defer ResetUnknownOps()
+	names := append(vm.ImplementedNames(), scalarOps...)
+	e := NewEstimator(isa.Haswell)
+	for pass := 0; pass < 2; pass++ {
+		for _, name := range names {
+			if got, want := e.cost(name), Classify(name); got != want {
+				t.Fatalf("pass %d: cost(%s) = %+v, Classify = %+v", pass, name, got, want)
+			}
+		}
+	}
+	if len(e.costs) != len(names) {
+		t.Errorf("memo holds %d names, want %d", len(e.costs), len(names))
+	}
+	if n := UnknownOpCount(); n != 0 {
+		t.Errorf("known ops flagged as unknown: %v", UnknownOps())
+	}
+}
+
+// TestEstimatorNotesUnknownOps: the memo keeps known names only, so
+// every pricing of an unknown op still reaches the unknown-op record:
+// an estimator logs it once however often it prices it, and once more
+// after ResetUnknownOps.
+func TestEstimatorNotesUnknownOps(t *testing.T) {
+	ResetUnknownOps()
+	orig := DebugLogf
+	defer func() {
+		ResetUnknownOps()
+		DebugLogf = orig
+	}()
+	logged := 0
+	DebugLogf = func(format string, args ...any) { logged++ }
+	e := NewEstimator(isa.Haswell)
+	counts := vm.Counter{"_mm_bogus_c": 3, "_mm256_add_ps": 1}
+	e.Estimate(nil, counts, 64)
+	e.Estimate(nil, counts, 64)
+	if logged != 1 || UnknownOpCount() != 1 {
+		t.Fatalf("logged %d times, %d unknown ops; want 1 and 1", logged, UnknownOpCount())
+	}
+	ResetUnknownOps()
+	e.Estimate(nil, counts, 64)
+	if logged != 2 || UnknownOpCount() != 1 {
+		t.Fatalf("after reset: logged %d times, %d unknown ops; want 2 and 1", logged, UnknownOpCount())
+	}
+	if _, ok := e.costs["_mm_bogus_c"]; ok {
+		t.Error("unknown op kept in the price memo")
 	}
 }
