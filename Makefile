@@ -37,10 +37,12 @@ test:
 # The shared count memo's eight-worker sweep test and the planned fig7
 # sweep, whose workers share each series' lazily built inputs, run
 # repeatedly, so the race detector sees many interleavings of their
-# single flights.
+# single flights; so does the two-lane vector reduction, whose lanes
+# copy their partials out of pooled frames.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run '^(TestSharedMemoExecutesEachKeyOnce|TestFig7BytesInvariantUnderAutoPlan)$$' ./internal/bench
+	$(GO) test -race -count=10 -run '^TestParallelVectorReductionLanes$$' ./internal/kernelc
 
 # Bounded fuzz smoke: each fuzz target runs for FUZZTIME.
 # `go test -fuzz` accepts one target per invocation, hence the loop.

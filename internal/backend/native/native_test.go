@@ -3,6 +3,7 @@ package native
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -238,5 +239,45 @@ func TestNativeRunFallbackSignals(t *testing.T) {
 	p := &program{name: "probe"}
 	if _, err := p.Run(nil); !errors.Is(err, backend.ErrFallback) {
 		t.Fatalf("nil machine: got %v, want ErrFallback", err)
+	}
+}
+
+// TestNativeFMA32RoundsOnce runs a one-vector fused multiply-add through
+// the plugin and the vm on a lane where rounding to f64 and then to f32
+// is one ulp off the single rounding: both must give 0x4dac0041.
+func TestNativeFMA32RoundsOnce(t *testing.T) {
+	be := New()
+	if err := be.Available(); err != nil {
+		t.Skipf("native backend unavailable on this host: %v", err)
+	}
+	arch := isa.Haswell
+	k := dsl.NewKernel("fma32once", arch.Features)
+	dst := dsl.Mutable(k, k.ParamF32Ptr())
+	a, b, c := k.ParamF32Ptr(), k.ParamF32Ptr(), k.ParamF32Ptr()
+	k.MM256StoreuPs(dst, k.ConstInt(0), k.MM256FmaddPs(
+		k.MM256LoaduPs(a, k.ConstInt(0)), k.MM256LoaduPs(b, k.ConstInt(0)), k.MM256LoaduPs(c, k.ConstInt(0))))
+	nat, err := be.Compile(k.F)
+	if err != nil {
+		t.Fatalf("native compile: %v", err)
+	}
+	interp, err := kernelc.Compile(k.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := func(bits uint32) *vm.Buffer {
+		buf := vm.NewBuffer(isa.PrimF32, 8)
+		buf.SetF32At(0, math.Float32frombits(bits))
+		return buf
+	}
+	for name, ex := range map[string]backend.Executable{"vm": interp, "native": nat} {
+		out := vm.NewBuffer(isa.PrimF32, 8)
+		args := []vm.Value{vm.PtrValue(out, 0), vm.PtrValue(lane(0x2c000030), 0),
+			vm.PtrValue(lane(0x612c0000), 0), vm.PtrValue(lane(0x30612c00), 0)}
+		if _, err := ex.Run(vm.NewMachine(arch), args...); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := math.Float32bits(out.F32At(0)); got != 0x4dac0041 {
+			t.Errorf("%s: fmadd lane 0 = %#08x, want 0x4dac0041", name, got)
+		}
 	}
 }

@@ -53,8 +53,33 @@ func f2i(x float64) int64 {
 	return int64(x)
 }
 
-// fma32 is the vm's single fused multiply-add rounding.
-func fma32(a, b, c float32) float32 { return float32(math.FMA(float64(a), float64(b), float64(c))) }
+// f32Boundary is vm.f32Boundary: whether an f64 bit pattern may lie on
+// an f32 rounding boundary (a normal-range midpoint, or a nonzero
+// denormal-range value with 29 zero low bits).
+func f32Boundary(bits uint64) bool {
+	low := bits & (1<<29 - 1)
+	return low == 1<<28 ||
+		low == 0 && bits&(0x7ff<<52) < (1023-126)<<52 && bits<<1 != 0
+}
+
+// roundToOdd is the vm's f32 FMA rare path (vm.roundToOdd): r is the
+// f64 FMA of a, b and c; when it is inexact it moves to its
+// round-to-odd neighbour on the exact sum's side.
+func roundToOdd(r float64, a, b, c float32) float64 {
+	p := float64(float64(a) * float64(b))
+	bv := r - p
+	e := (p - (r - bv)) + (float64(c) - bv)
+	if e == 0 || e != e {
+		return r
+	}
+	bits := math.Float64bits(r)
+	if (e > 0) == (r > 0) {
+		bits++
+	} else {
+		bits--
+	}
+	return math.Float64frombits(bits)
+}
 
 func sati16(v int) int16 {
 	if v > 32767 {
@@ -213,39 +238,52 @@ func sqrtps(bits int, a vec) vec {
 	return o
 }
 
-// The FMA variants negate operands with unary minus (a sign-bit flip,
-// bit-exact even on NaNs), precisely as the vm derives them.
-func fmsubps(bits int, a, b, c vec) vec {
-	var o vec
-	for i := 0; i < bits/32; i++ {
-		o.setf32(i, fma32(a.f32(i), b.f32(i), -c.f32(i)))
-	}
-	return o
-}
-
-func fnmaddps(bits int, a, b, c vec) vec {
-	var o vec
-	for i := 0; i < bits/32; i++ {
-		o.setf32(i, fma32(-a.f32(i), b.f32(i), c.f32(i)))
-	}
-	return o
-}
-
-func fnmsubps(bits int, a, b, c vec) vec {
-	var o vec
-	for i := 0; i < bits/32; i++ {
-		o.setf32(i, fma32(-a.f32(i), b.f32(i), -c.f32(i)))
-	}
-	return o
-}
-
+// fmaddps is vm's f32 FMA rounding once: each lane narrows the f64
+// FMA directly, and the lanes where it may sit on an f32 rounding
+// boundary are redone by fixFMA after the loop, which keeps the loop
+// free of calls.
 func fmaddps(bits int, a, b, c vec) vec {
 	var o vec
+	var fix uint16
 	for i := 0; i < bits/32; i++ {
-		o.setf32(i, fma32(a.f32(i), b.f32(i), c.f32(i)))
+		r := math.FMA(float64(a.f32(i)), float64(b.f32(i)), float64(c.f32(i)))
+		if f32Boundary(math.Float64bits(r)) {
+			fix |= 1 << i
+		}
+		o.setf32(i, float32(r))
+	}
+	if fix != 0 {
+		fixFMA(&o, &a, &b, &c, fix)
 	}
 	return o
 }
+
+// fixFMA redoes the lanes set in fix with roundToOdd.
+//
+//go:noinline
+func fixFMA(o, a, b, c *vec, fix uint16) {
+	for i := 0; fix != 0; i, fix = i+1, fix>>1 {
+		if fix&1 != 0 {
+			x, y, z := a.f32(i), b.f32(i), c.f32(i)
+			r := roundToOdd(math.FMA(float64(x), float64(y), float64(z)), x, y, z)
+			o.setf32(i, float32(r))
+		}
+	}
+}
+
+// negps flips the sign bit of every f32 lane: unary minus, bit-exact
+// even on NaNs, which is how the vm derives the FMA variants.
+func negps(bits int, a vec) vec {
+	var o vec
+	for i := 0; i < bits/32; i++ {
+		o.setf32(i, -a.f32(i))
+	}
+	return o
+}
+
+func fmsubps(bits int, a, b, c vec) vec  { return fmaddps(bits, a, b, negps(bits, c)) }
+func fnmaddps(bits int, a, b, c vec) vec { return fmaddps(bits, negps(bits, a), b, c) }
+func fnmsubps(bits int, a, b, c vec) vec { return fmaddps(bits, negps(bits, a), b, negps(bits, c)) }
 
 func addpd(bits int, a, b vec) vec {
 	var o vec

@@ -10,12 +10,14 @@ import (
 	"testing"
 
 	"math"
+	"math/big"
 
 	"repro/internal/dsl"
 	"repro/internal/ir"
 	"repro/internal/irverify"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/vm"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/corpus.json from the seed-1 stream")
@@ -269,9 +271,12 @@ func TestOracleAgainstKnownValues(t *testing.T) {
 	}
 	dst, a, b := bufs[0], bufs[1], bufs[2]
 	for i := 0; i < count; i++ {
-		// BuildArgs passes 1.5 for float scalars; the vm's FMA lane is
-		// float32(math.FMA(...)).
-		want := float32(math.FMA(float64(a.F32At(i)), 1.5, float64(b.F32At(i))))
+		// BuildArgs passes 1.5 for float scalars; an f32 FMA lane is
+		// a*s+b rounded once to f32.
+		exact := new(big.Float).SetPrec(1024).SetFloat64(float64(a.F32At(i)))
+		exact.Mul(exact, big.NewFloat(1.5))
+		exact.Add(exact, new(big.Float).SetFloat64(float64(b.F32At(i))))
+		want, _ := exact.Float32()
 		if got := dst.F32At(i); got != want {
 			t.Fatalf("dst[%d] = %v, want %v", i, got, want)
 		}
@@ -361,5 +366,41 @@ func TestCountInvarianceLegExercised(t *testing.T) {
 	}
 	if rep.CountOnly == 0 || rep.CountOnly > executed {
 		t.Fatalf("count-only evaluation reproduced %d of %d executed cases", rep.CountOnly, executed)
+	}
+}
+
+// TestOracleFMA32RoundsOnce holds the oracle's f32 FMA to a single
+// rounding of the exact a*b+c, computed here in big.Float: on the lane
+// where rounding to f64 and then to f32 was one ulp off, on lanes whose
+// f64 sum lands on an f32 midpoint (normal and denormal) while the
+// exact sum does not, and on seeded random lanes.
+func TestOracleFMA32RoundsOnce(t *testing.T) {
+	exact := func(a, b, c float32) float32 {
+		x := new(big.Float).SetPrec(1024).SetFloat64(float64(a))
+		x.Mul(x, new(big.Float).SetFloat64(float64(b)))
+		x.Add(x, new(big.Float).SetFloat64(float64(c)))
+		f, _ := x.Float32()
+		return f
+	}
+	f32 := math.Float32frombits
+	if got := fma32(f32(0x2c000030), f32(0x612c0000), f32(0x30612c00)); math.Float32bits(got) != 0x4dac0041 {
+		t.Fatalf("fma32 = %#08x, want 0x4dac0041", math.Float32bits(got))
+	}
+	mid := float32(1 + 0x1p-23)
+	cases := [][3]float32{{mid, 1.5, -0x1p-60}, {mid, 1.5, 0x1p-60}, {-mid, 1.5, 0x1p-60}, {-mid, 1.5, -0x1p-60},
+		{(1 + 0x1p-23) * 0x1p-75, (1 - 0x1p-23) * 0x1p-75, 0x1p-126 - 0x1p-149}}
+	rng := vm.NewXorshift(3)
+	for i := 0; i < 5000; i++ {
+		var c [3]float32
+		for j := range c {
+			c[j] = f32(rng.Next32()&0x807fffff | (100+rng.Next32()%56)<<23)
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		if got, want := fma32(c[0], c[1], c[2]), exact(c[0], c[1], c[2]); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("fma32(%g, %g, %g) = %#08x, want %#08x", c[0], c[1], c[2],
+				math.Float32bits(got), math.Float32bits(want))
+		}
 	}
 }

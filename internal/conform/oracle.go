@@ -429,13 +429,39 @@ func splitIntrinsic(name string) (width int, rest string) {
 	}
 }
 
+// fma32 is the f32 fused multiply-add rounded once, by round-to-odd:
+// the f64 sum of the exact product and c is truncated toward zero and,
+// when inexact, given an odd last bit; f64's 53 bits exceed f32's 24+2,
+// so narrowing that value rounds exactly as the exact sum would. It is
+// written apart from the vm's, which rounds to odd only where narrowing
+// can double-round.
+func fma32(a, b, c float32) float32 {
+	p := float64(float64(a) * float64(b)) // exact: 24+24 bits
+	r := math.FMA(float64(a), float64(b), float64(c))
+	if math.IsInf(r, 0) || math.IsNaN(r) {
+		return float32(r)
+	}
+	// Fast2Sum error of r = p + c, ordered by magnitude: exact.
+	x, y := p, float64(c)
+	if math.Abs(x) < math.Abs(y) {
+		x, y = y, x
+	}
+	e := y - (r - x)
+	if e == 0 {
+		return float32(r)
+	}
+	t := r
+	if (e > 0) != (r > 0) {
+		t = math.Nextafter(r, 0) // r was rounded away from zero
+	}
+	return float32(math.Float64frombits(math.Float64bits(t) | 1))
+}
+
 // laneArith returns the per-lane semantic of an arithmetic stem, in
 // both precisions. Min/max favour the first operand on ties and NaNs,
-// FMA is fused via math.FMA — exactly the vm's definitions.
+// f64 FMA is math.FMA and f32 FMA rounds once (fma32) — the vm's
+// definitions.
 func laneArith(stemName string) (func(a, b, c float64) float64, func(a, b, c float32) float32, bool) {
-	fma32 := func(a, b, c float32) float32 {
-		return float32(math.FMA(float64(a), float64(b), float64(c)))
-	}
 	switch stemName {
 	case "add":
 		return func(a, b, _ float64) float64 { return a + b },

@@ -68,7 +68,8 @@ func (p *Program) Count(m *vm.Machine, args ...vm.Value) error {
 	}
 	if err == nil {
 		c := &counting{m: m, regs: make([]vm.Value, cp.nSlots),
-			vals: make([]vm.Value, cp.maxArgs), counts: vm.Counter{}}
+			vecs: make([]vm.Vec, cp.nVecs), vals: make([]vm.Value, cp.maxArgs),
+			counts: vm.Counter{}}
 		for i, slot := range cp.params {
 			c.regs[slot] = args[i]
 		}
@@ -93,6 +94,7 @@ type countPlan struct {
 	root    *cblock
 	params  []int // register per parameter
 	nSlots  int
+	nVecs   int // vector slots: one per needed intrinsic and live accumulator
 	maxArgs int
 }
 
@@ -122,8 +124,10 @@ type cnode struct {
 	args []cref
 	dst  int // result register; -1 when nothing reads the result
 
-	// cEval: the interpreter's semantics for the node.
-	fn func(m *vm.Machine, vals []vm.Value) (vm.Value, error)
+	// cEval: the interpreter's semantics for the node, and the vector
+	// slot an intrinsic writes its result to (-1 for other nodes).
+	fn semantics
+	vs int
 
 	// cAccess: an aload/astore (scalar; args ptr, idx; elem is the
 	// element kind moved) or a memory intrinsic (args ptr; width bytes
@@ -134,8 +138,10 @@ type cnode struct {
 	width, scale  int
 
 	// cLoop: args start, end, stride[, init]. accLive marks a carried
-	// accumulator the skeleton needs, evolved through acc by next.
+	// accumulator the skeleton needs, evolved through acc by next; a
+	// vector accumulator is kept in vector slot accVec.
 	iv, acc  int
+	accVec   int
 	accLive  bool
 	next     cref
 	body     *cblock
@@ -159,6 +165,7 @@ type planBuilder struct {
 	needed  map[int]bool
 	work    []int
 	maxArgs int
+	nVecs   int
 }
 
 // buildCountPlan returns the program's skeleton, or why it has none.
@@ -185,7 +192,7 @@ func buildCountPlan(p *Program) (*countPlan, string) {
 	for _, prm := range p.F.Params {
 		cp.params = append(cp.params, b.slot(prm))
 	}
-	cp.nSlots, cp.maxArgs = len(b.slots), b.maxArgs
+	cp.nSlots, cp.nVecs, cp.maxArgs = len(b.slots), b.nVecs, b.maxArgs
 	return cp, ""
 }
 
@@ -333,7 +340,8 @@ func (b *planBuilder) block(blk *ir.Block) (*cblock, string) {
 			cn.kind, cn.args, cn.counts, cn.key = cLoop, b.refs(d.Args[:3]), counts, loopKeyOf(n.Sym)
 			cn.iv = b.slot(body.Params[0])
 			if len(d.Args) == 4 && b.needed[body.Params[1].ID] {
-				cn.accLive, cn.acc = true, b.slot(body.Params[1])
+				cn.accLive, cn.acc, cn.accVec = true, b.slot(body.Params[1]), b.nVecs
+				b.nVecs++
 				cn.args = append(cn.args, b.ref(d.Args[3]))
 				cn.next = b.ref(body.Result)
 				if b.needed[n.Sym.ID] {
@@ -385,29 +393,37 @@ func (b *planBuilder) block(blk *ir.Block) (*cblock, string) {
 			if why != "" {
 				return nil, why
 			}
-			cn.kind, cn.args, cn.fn, cn.dst = cEval, b.refs(d.Args), fn, b.slot(n.Sym)
+			cn.kind, cn.args, cn.fn, cn.dst, cn.vs = cEval, b.refs(d.Args), fn, b.slot(n.Sym), -1
+			if ir.IsIntrinsicOp(d.Op) {
+				cn.vs = b.nVecs
+				b.nVecs++
+			}
 		}
 		out.nodes = append(out.nodes, cn)
 	}
 	return out, ""
 }
 
+// semantics evaluates one skeleton node; it has the shape of
+// vm.Intrinsic.Fn, and only intrinsics use dst.
+type semantics func(m *vm.Machine, vals []vm.Value, dst *vm.Vec) (vm.Value, error)
+
 // evalSemantics returns the interpreter's semantics for a needed node:
 // the same scalar, conversion and intrinsic functions Run applies.
-func evalSemantics(n *ir.Node) (func(m *vm.Machine, vals []vm.Value) (vm.Value, error), string) {
+func evalSemantics(n *ir.Node) (semantics, string) {
 	d := n.Def
 	switch d.Op {
 	case ir.OpPtrAdd:
-		return func(_ *vm.Machine, v []vm.Value) (vm.Value, error) {
+		return func(_ *vm.Machine, v []vm.Value, _ *vm.Vec) (vm.Value, error) {
 			ptr := v[0]
 			ptr.Off += int(v[1].AsInt())
 			return ptr, nil
 		}, ""
 	case ir.OpConv:
 		to := n.Sym.Typ
-		return func(_ *vm.Machine, v []vm.Value) (vm.Value, error) { return convert(v[0], to), nil }, ""
+		return func(_ *vm.Machine, v []vm.Value, _ *vm.Vec) (vm.Value, error) { return convert(v[0], to), nil }, ""
 	case ir.OpSel:
-		return func(_ *vm.Machine, v []vm.Value) (vm.Value, error) {
+		return func(_ *vm.Machine, v []vm.Value, _ *vm.Vec) (vm.Value, error) {
 			if v[0].B {
 				return v[1], nil
 			}
@@ -427,7 +443,7 @@ func evalSemantics(n *ir.Node) (func(m *vm.Machine, vals []vm.Value) (vm.Value, 
 		if err != nil {
 			return nil, err.Error()
 		}
-		return func(_ *vm.Machine, v []vm.Value) (vm.Value, error) { return fn(v[0]), nil }, ""
+		return func(_ *vm.Machine, v []vm.Value, _ *vm.Vec) (vm.Value, error) { return fn(v[0]), nil }, ""
 	case 2:
 		opT := d.Typ
 		if isCmp(d.Op) {
@@ -437,7 +453,7 @@ func evalSemantics(n *ir.Node) (func(m *vm.Machine, vals []vm.Value) (vm.Value, 
 		if err != nil {
 			return nil, err.Error()
 		}
-		return func(_ *vm.Machine, v []vm.Value) (vm.Value, error) { return fn(v[0], v[1]), nil }, ""
+		return func(_ *vm.Machine, v []vm.Value, _ *vm.Vec) (vm.Value, error) { return fn(v[0], v[1]), nil }, ""
 	}
 	return nil, fmt.Sprintf("scalar op %s with %d args", d.Op, len(d.Args))
 }
@@ -451,6 +467,7 @@ const maxVars = 8
 type counting struct {
 	m      *vm.Machine
 	regs   []vm.Value
+	vecs   []vm.Vec   // vector register file (see frame.vecs)
 	vals   []vm.Value // argument scratch
 	counts vm.Counter // applied to m.Counts only on success
 
@@ -463,6 +480,14 @@ type counting struct {
 	nv    int
 	trips [maxVars]int64
 	pend  []countDelta
+}
+
+// vec returns vector slot i, or nil for a node without one.
+func (c *counting) vec(i int) *vm.Vec {
+	if i < 0 {
+		return nil
+	}
+	return &c.vecs[i]
 }
 
 func (c *counting) get(r cref) vm.Value {
@@ -481,7 +506,7 @@ func (c *counting) block(b *cblock) error {
 			for i, a := range n.args {
 				vals[i] = c.get(a)
 			}
-			v, err := n.fn(c.m, vals)
+			v, err := n.fn(c.m, vals, c.vec(n.vs))
 			if err != nil {
 				return notCounted("%s: %v", n.op, err)
 			}
@@ -550,7 +575,7 @@ func (c *counting) loop(n *cnode) error {
 			return err
 		}
 		if n.accLive {
-			c.regs[n.acc] = c.get(n.next)
+			c.regs[n.acc] = ownVec(c.get(n.next), &c.vecs[n.accVec])
 		}
 	}
 	c.counts.Add(OpLoopIter, iters)
@@ -806,7 +831,7 @@ func (c *counting) symEval(n *cnode) sval {
 		for i, r := range n.args {
 			vals[i] = c.sget(r).v
 		}
-		v, err := n.fn(c.m, vals)
+		v, err := n.fn(c.m, vals, c.vec(n.vs))
 		if err != nil {
 			return sval{}
 		}

@@ -24,25 +24,36 @@
 //     collapsing two closure dispatches into one. Fusion composes
 //     transitively into full load→op→…→store chains; FusedChains counts
 //     the chains of length ≥ 3.
-//   - Frame pooling: register frames and intrinsic-argument scratch are
-//     recycled through a sync.Pool, so steady-state Run does not
-//     allocate. Programs are safe to Run concurrently; each Run owns a
-//     private frame. The scratch region doubles as the per-frame vector
-//     arena: fused intermediates live there and are overwritten (reset)
-//     on every loop iteration instead of being reallocated.
+//   - Frame pooling: register frames, intrinsic-argument scratch and
+//     the vector register file are recycled through a sync.Pool, so
+//     steady-state Run does not allocate. Programs are safe to Run
+//     concurrently; each Run owns a private frame. The scratch region
+//     doubles as the per-frame arena: fused intermediates live there and
+//     are overwritten (reset) on every loop iteration instead of being
+//     reallocated.
+//   - The vector register file: a vm.Value refers to its register
+//     instead of holding it, and each intrinsic node owns one slot of
+//     the frame's file, which both tiers pass to vm.Intrinsic.Fn as the
+//     destination of its vector result. A slot is rewritten every time
+//     its node runs, so the drivers copy a vector exactly where it must
+//     outlive that: a loop-carried accumulator (into the loop's own
+//     slot, since the body may read it after producing the next one), a
+//     parallel lane's partial (the lane's next chunk rewrites the slot)
+//     and a vector Run returns (the frame goes back to the pool).
 //   - The loop-nest optimizer (Options.Optimize, see optimize.go):
 //     loop-invariant scalar defs are hoisted out of loop bodies and run
 //     once at loop entry, affine i32 functions of the induction variable
 //     (base + i*stride address math) are strength-reduced to one
 //     incremental add per iteration, and evaluation is destination-
 //     passing — a fused producer evaluates straight into its consumer's
-//     argument slot and a node's result is written into its register,
-//     not returned through a chain of vm.Value copies. Each intrinsic
-//     has one semantic, vm.Intrinsic.Fn, which both tiers and Count
-//     execute. Dynamic counts are preserved exactly: hoisted and
-//     strength-reduced nodes keep their entries in the body's static
-//     count vector, so the cost model — and therefore every figure —
-//     sees the identical op stream.
+//     argument slot, a node's result is written into its register and
+//     a pointer add advances the displacement there, instead of each
+//     value being returned through the consumer. Each intrinsic has one
+//     semantic, vm.Intrinsic.Fn, which both tiers and Count execute.
+//     Dynamic counts are preserved exactly: hoisted and strength-reduced
+//     nodes keep their entries in the body's static count vector, so the
+//     cost model — and therefore every figure — sees the identical op
+//     stream.
 //
 // Count invariance. The bench harness only needs an execution's dynamic
 // op counts, never its results, and most kernels' counts do not depend
@@ -174,6 +185,7 @@ func (t Tier) Options() Options {
 type Program struct {
 	F          *ir.Func
 	nRegs      int
+	nVecs      int   // vector register file: one slot per intrinsic node and carried loop
 	scratchLen int   // intrinsic-argument scratch, one region per call site
 	params     []int // register slot per parameter
 	ops        []op
@@ -263,7 +275,13 @@ func ResetArenaStats() {
 type frame struct {
 	regs    []vm.Value
 	scratch []vm.Value
-	m       *vm.Machine
+	// vecs is the vector register file. Each intrinsic node owns one
+	// slot and writes its vector result there; a register holding that
+	// result refers to the slot. A slot is rewritten each time its node
+	// runs, so a value that must outlive that (a loop-carried
+	// accumulator, a lane partial, a returned vector) is copied out.
+	vecs []vm.Vec
+	m    *vm.Machine
 	// arena accumulates loop-iteration arena reuses during one Run and
 	// is flushed to arenaResets when the frame is returned to the pool.
 	arena int64
@@ -279,8 +297,8 @@ type op func(fr *frame) error
 type evalFn func(fr *frame) (vm.Value, error)
 
 // evalIntoFn is the destination-passing form: the node's value is
-// written into *out (void nodes leave it untouched), avoiding a copy of
-// the 112-byte vm.Value through a return.
+// written into *out (void nodes leave it untouched) instead of being
+// returned to the consumer, which would copy it once more.
 type evalIntoFn func(fr *frame, out *vm.Value) error
 
 // countDelta is one entry of a block's static count vector: executing
@@ -361,6 +379,16 @@ func (a argRef) get(fr *frame) vm.Value {
 	return fr.regs[a.slot]
 }
 
+// load copies the operand straight into *dst, without the temporary a
+// returned Value goes through.
+func (a *argRef) load(fr *frame, dst *vm.Value) {
+	if a.isConst {
+		*dst = a.val
+	} else {
+		*dst = fr.regs[a.slot]
+	}
+}
+
 type compiler struct {
 	f     *ir.Func
 	sched *ir.Scheduled
@@ -373,6 +401,7 @@ type compiler struct {
 	// block results and effect annotations; fusion requires exactly one.
 	uses        map[int]int
 	scratchNext int
+	vecNext     int // next free slot of the vector register file
 	fuse        bool
 	opt         bool
 	fused       int
@@ -459,6 +488,7 @@ func CompileWith(f *ir.Func, o Options) (*Program, error) {
 		p.result = &ref
 	}
 	p.nRegs = c.next
+	p.nVecs = c.vecNext
 	p.scratchLen = c.scratchNext
 	p.fused = c.fused
 	p.hoisted = c.hoisted
@@ -470,6 +500,7 @@ func CompileWith(f *ir.Func, o Options) (*Program, error) {
 		return &frame{
 			regs:    make([]vm.Value, p.nRegs),
 			scratch: make([]vm.Value, p.scratchLen),
+			vecs:    make([]vm.Vec, p.nVecs),
 		}
 	}
 	return p, nil
@@ -721,6 +752,8 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 	off := c.scratchNext
 	c.scratchNext += len(args)
 	nArgs := len(args)
+	vs := c.vecNext
+	c.vecNext++
 	ie, pos := inlineParts(inl)
 	fn := in.Fn
 	if c.opt {
@@ -731,18 +764,20 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 		// register reads, so running the producer after it is
 		// observationally identical to the plain tier's producer-first
 		// order. This destination passing is kernelc's own, not a second
-		// intrinsic semantic, and it stays because it is measured: without
-		// evalInto, inline.evalInto and the frame sink, the kernels and
-		// serve benchmark workloads lost every alternating pair (median
-		// ref_wall_ms +12% and +10% on a 2-vCPU x86-64 host).
+		// intrinsic semantic, and it stays because it is measured: with
+		// the 56-byte vm.Value, turning off evalInto, inline.evalInto
+		// and the frame sink (intrinsics, scalar loads and pointer adds
+		// alike) lost 4 of 5 alternating kernels pairs and all 5 serve
+		// pairs, median ref_wall_ms +8% on both, on a 2-vCPU x86-64
+		// host.
 		var iInto evalIntoFn
 		if inl != nil {
 			iInto = inl.evalInto
 		}
 		evalInto := func(fr *frame, out *vm.Value) error {
 			vals := fr.scratch[off : off+nArgs]
-			for i, a := range args {
-				vals[i] = a.get(fr)
+			for i := range args {
+				args[i].load(fr, &vals[i])
 			}
 			if pos >= 0 {
 				if iInto != nil {
@@ -757,7 +792,7 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 					vals[pos] = v
 				}
 			}
-			v, err := fn(fr.m, vals)
+			v, err := fn(fr.m, vals, &fr.vecs[vs])
 			if err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -788,13 +823,13 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 			iv = v
 		}
 		vals := fr.scratch[off : off+nArgs]
-		for i, a := range args {
-			vals[i] = a.get(fr)
+		for i := range args {
+			args[i].load(fr, &vals[i])
 		}
 		if pos >= 0 {
 			vals[pos] = iv
 		}
-		out, err := fn(fr.m, vals)
+		out, err := fn(fr.m, vals, &fr.vecs[vs])
 		if err != nil {
 			return vm.Value{}, fmt.Errorf("%s: %w", name, err)
 		}
@@ -821,9 +856,11 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	// value, 2nd block param the carried symbol, block result the next
 	// value.
 	carried := len(n.Def.Args) == 4
-	var accSlot, dst int
+	var accSlot, accVec, dst int
 	if carried {
 		accSlot = c.slot(body.Params[1])
+		accVec = c.vecNext
+		c.vecNext++
 		dst = c.slot(n.Sym)
 	}
 	// The loop-nest optimizer claims invariant and affine nodes before
@@ -886,7 +923,7 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 					}
 				}
 				if carried {
-					fr.regs[accSlot] = next.get(fr)
+					fr.regs[accSlot] = ownVec(next.get(fr), &fr.vecs[accVec])
 				}
 				iters++
 			}
@@ -922,7 +959,7 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	c.scratchNext += 2 * nDer // derived save/step area in the frame arena
 	lc := &loopCode{
 		prog: c.prog, args: args, iv: iv, carried: carried,
-		accSlot: accSlot, dst: dst, next: next,
+		accSlot: accSlot, accVec: accVec, dst: dst, next: next,
 		bodyOps: bodyOps, bodyCounts: bodyCounts,
 		hoistedOps: hoistedOps, derivedOps: derivedOps,
 		derSlots: derSlots, saveOff: saveOff, nDer: nDer,
@@ -954,6 +991,7 @@ type loopCode struct {
 	iv      int
 	carried bool
 	accSlot int
+	accVec  int // the accumulator's own vector slot (see ownVec)
 	dst     int
 	next    argRef
 	bodyOps []op
@@ -1070,11 +1108,25 @@ func (lc *loopCode) span(fr *frame, i0, stride, cnt int64) (int64, error) {
 			}
 		}
 		if lc.carried {
-			fr.regs[lc.accSlot] = lc.next.get(fr)
+			fr.regs[lc.accSlot] = ownVec(lc.next.get(fr), &fr.vecs[lc.accVec])
 		}
 		i += stride
 	}
 	return cnt, nil
+}
+
+// ownVec returns v with its register copied into slot, for a vector
+// that must outlive the storage it refers to; other values pass
+// through. A loop's accumulator is stored through it into the loop's
+// own slot: the slot v refers to belongs to the body node that
+// produced it, which rewrites it next iteration, possibly before the
+// body's last read of the accumulator.
+func ownVec(v vm.Value, slot *vm.Vec) vm.Value {
+	if v.V != nil {
+		*slot = *v.V
+		v.V = slot
+	}
+	return v
 }
 
 // addCounts applies the loop's contribution to the dynamic op stream:
@@ -1318,7 +1370,31 @@ func (c *compiler) compilePtrAdd(n *ir.Node, inl *inline) (*valNode, error) {
 		ptr.Off += int(idxV.AsInt())
 		return ptr, nil
 	}
-	return c.valNode(n, eval, countDelta{OpScalarALU, 1}), nil
+	vn := c.valNode(n, eval, countDelta{OpScalarALU, 1})
+	if c.opt {
+		// The pointer is written into the destination and its
+		// displacement advanced there, in place.
+		vn.evalInto = func(fr *frame, out *vm.Value) error {
+			idxV := idxRef.get(fr)
+			if pos >= 0 {
+				v, err := ie(fr)
+				if err != nil {
+					return err
+				}
+				if pos == 0 {
+					*out = v
+				} else {
+					idxV = v
+					ptrRef.load(fr, out)
+				}
+			} else {
+				ptrRef.load(fr, out)
+			}
+			out.Off += int(idxV.AsInt())
+			return nil
+		}
+	}
+	return vn, nil
 }
 
 func (c *compiler) compileConv(n *ir.Node, inl *inline) (*valNode, error) {
@@ -1445,6 +1521,10 @@ func (p *Program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	var out vm.Value
 	if p.result != nil {
 		out = p.result.get(fr)
+		if out.V != nil {
+			// The frame's register file goes back to the pool.
+			out = ownVec(out, new(vm.Vec))
+		}
 	}
 	releaseFrame(p, fr)
 	return out, nil

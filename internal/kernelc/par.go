@@ -46,7 +46,9 @@ type parAccess struct {
 
 // reduceOp folds per-chunk accumulator partials exactly.
 type reduceOp struct {
-	fold func(a, b vm.Value) vm.Value
+	// fold combines two partials; a vector fold writes its result into
+	// dst, which may alias a.
+	fold func(a, b vm.Value, dst *vm.Vec) vm.Value
 	// seed produces a chunk's starting accumulator from the loop's
 	// init value (the op identity, or init itself for idempotent ops).
 	seed func(init vm.Value) vm.Value
@@ -170,13 +172,17 @@ func makeReduce(r *loopdep.Reduction) (*reduceOp, bool) {
 		if fold == nil {
 			return nil, false
 		}
-		zero := vm.Value{Kind: ir.KindVec}
+		// Lanes only read the seed: a carried vector is copied into the
+		// lane frame's own slot (ownVec), so one zero register serves
+		// every lane and run.
+		zero := vm.Value{Kind: ir.KindVec, V: new(vm.Vec)}
 		return &reduceOp{fold: fold, seed: func(vm.Value) vm.Value { return zero }}, true
 	}
-	fn, err := binaryFn(r.Op, r.Typ)
+	bin, err := binaryFn(r.Op, r.Typ)
 	if err != nil {
 		return nil, false
 	}
+	fn := func(a, b vm.Value, _ *vm.Vec) vm.Value { return bin(a, b) }
 	if r.SeedsWithInit() {
 		return &reduceOp{fold: fn, seed: func(init vm.Value) vm.Value { return init }}, true
 	}
@@ -192,43 +198,42 @@ func makeReduce(r *loopdep.Reduction) (*reduceOp, bool) {
 
 // vecLaneAdd adds two vector registers lane by lane at the given
 // element width, over the full 64-byte container (unused upper lanes
-// are zero in both operands, so the extra lanes stay zero).
-func vecLaneAdd(bits int) func(a, b vm.Value) vm.Value {
+// are zero in both operands, so the extra lanes stay zero). Each lane
+// is read before it is written, so dst may alias a or b.
+func vecLaneAdd(bits int) func(a, b vm.Value, dst *vm.Vec) vm.Value {
+	var add func(a, b, o *vm.Vec)
 	switch bits {
 	case 8:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		add = func(a, b, o *vm.Vec) {
 			for i := 0; i < 64; i++ {
-				o.SetI8(i, a.V.I8(i)+b.V.I8(i))
+				o.SetI8(i, a.I8(i)+b.I8(i))
 			}
-			return vm.VecValue(o)
 		}
 	case 16:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		add = func(a, b, o *vm.Vec) {
 			for i := 0; i < 32; i++ {
-				o.SetI16(i, a.V.I16(i)+b.V.I16(i))
+				o.SetI16(i, a.I16(i)+b.I16(i))
 			}
-			return vm.VecValue(o)
 		}
 	case 32:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		add = func(a, b, o *vm.Vec) {
 			for i := 0; i < 16; i++ {
-				o.SetI32(i, a.V.I32(i)+b.V.I32(i))
+				o.SetI32(i, a.I32(i)+b.I32(i))
 			}
-			return vm.VecValue(o)
 		}
 	case 64:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		add = func(a, b, o *vm.Vec) {
 			for i := 0; i < 8; i++ {
-				o.SetI64(i, a.V.I64(i)+b.V.I64(i))
+				o.SetI64(i, a.I64(i)+b.I64(i))
 			}
-			return vm.VecValue(o)
 		}
+	default:
+		return nil
 	}
-	return nil
+	return func(a, b vm.Value, dst *vm.Vec) vm.Value {
+		add(a.V, b.V, dst)
+		return vm.Value{Kind: ir.KindVec, V: dst}
+	}
 }
 
 // probeRec is one access's concrete byte geometry, recovered by the
@@ -309,9 +314,11 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 		ranges[w].init(owners[w], owners[w+1])
 	}
 	var partials []vm.Value
+	var partialVecs []vm.Vec
 	var seed vm.Value
 	if lc.carried {
 		partials = make([]vm.Value, chunks)
+		partialVecs = make([]vm.Vec, chunks)
 		seed = pp.reduce.seed(fr.regs[lc.accSlot])
 	}
 	errs := make([]error, chunks)
@@ -322,7 +329,7 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 		wg.Add(1)
 		dispatch(func() {
 			defer wg.Done()
-			lc.lane(fr, lane, ranges, chunkSize, iters, start, stride, seed, partials, errs, wms)
+			lc.lane(fr, lane, ranges, chunkSize, iters, start, stride, seed, partials, partialVecs, errs, wms)
 		})
 	}
 	wg.Wait()
@@ -347,7 +354,7 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	if lc.carried {
 		acc := fr.regs[lc.accSlot]
 		for k := 0; k < chunks; k++ {
-			acc = pp.reduce.fold(acc, partials[k])
+			acc = pp.reduce.fold(acc, partials[k], &fr.vecs[lc.accVec])
 		}
 		fr.regs[lc.accSlot] = acc
 	}
@@ -451,7 +458,7 @@ func (lc *loopCode) admit(recs []probeRec, iters int64, fr *frame) bool {
 // chunk queues. Completed iterations feed the frame's arena tally even
 // on error, so ArenaStats never undercounts.
 func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, iters, start, stride int64,
-	seed vm.Value, partials []vm.Value, errs []error, wms []*vm.Machine) {
+	seed vm.Value, partials []vm.Value, partialVecs []vm.Vec, errs []error, wms []*vm.Machine) {
 	p := lc.prog
 	wm := parent.m.Worker()
 	wms[w] = wm
@@ -495,7 +502,9 @@ func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, i
 			continue
 		}
 		if lc.carried {
-			partials[k] = wfr.regs[lc.accSlot]
+			// The lane frame's accumulator slot is rewritten by the
+			// lane's next chunk, and the frame goes back to the pool.
+			partials[k] = ownVec(wfr.regs[lc.accSlot], &partialVecs[k])
 		}
 	}
 	releaseFrame(p, wfr)

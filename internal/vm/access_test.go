@@ -31,7 +31,7 @@ func TestAccessFootprintMatchesSemantics(t *testing.T) {
 				byteOff := off * scale
 				oob := acc.Bytes > 0 && (byteOff < 0 || byteOff+acc.Bytes > len(buf.Data))
 				m := NewMachine(isa.Haswell)
-				if _, err := in.Fn(m, args); (err != nil) != oob {
+				if _, err := in.Fn(m, args, new(Vec)); (err != nil) != oob {
 					t.Fatalf("%s on %v at %d: err %v, footprint predicts out of bounds %v",
 						name, prim, off, err, oob)
 				}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cachesim"
+	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/obs"
 )
@@ -119,15 +120,19 @@ func (c Counter) Clone() Counter {
 // conformance differentials all execute it.
 type Intrinsic struct {
 	Name string
-	// Fn evaluates the intrinsic. Void intrinsics return the zero Value.
-	Fn func(m *Machine, args []Value) (Value, error)
+	// Fn evaluates the intrinsic. It reads vector operands by reference
+	// and writes a vector result, all 64 bytes of it, into dst, which
+	// never aliases an operand; the returned Value then refers to dst.
+	// Scalar results are returned by value, and void intrinsics return
+	// the zero Value; neither touches dst.
+	Fn func(m *Machine, args []Value, dst *Vec) (Value, error)
 }
 
 var registry = map[string]Intrinsic{}
 
 // register installs a semantic; duplicate registration is a programming
 // error caught at init.
-func register(name string, fn func(m *Machine, args []Value) (Value, error)) {
+func register(name string, fn func(m *Machine, args []Value, dst *Vec) (Value, error)) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("vm: duplicate intrinsic semantic %s", name))
 	}
@@ -161,19 +166,33 @@ func ImplementedNames() []string {
 	return out
 }
 
-// Call executes an intrinsic by name, counting it.
+// Call executes an intrinsic by name, counting it. A vector result
+// lives in fresh storage the returned Value owns.
 func (m *Machine) Call(name string, args ...Value) (Value, error) {
 	in, ok := registry[name]
 	if !ok {
 		return Value{}, fmt.Errorf("vm: intrinsic %s has no executable semantic", name)
 	}
 	m.Counts.Add(name, 1)
-	return in.Fn(m, args)
+	return in.Fn(m, args, new(Vec))
 }
 
 // --- argument helpers used by the semantics files ---------------------------
 
-func argVec(args []Value, i int) Vec { return args[i].V }
+func argVec(args []Value, i int) *Vec { return args[i].vec() }
+
+// zero clears dst and returns it, for results that set only some lanes.
+func zero(dst *Vec) *Vec {
+	*dst = Vec{}
+	return dst
+}
+
+// copyTo copies src into dst and returns dst, for results that start
+// from an operand and overwrite some of its lanes.
+func copyTo(dst, src *Vec) *Vec {
+	*dst = *src
+	return dst
+}
 
 func argInt(args []Value, i int) int { return int(args[i].AsInt()) }
 
@@ -184,6 +203,6 @@ func argPtr(args []Value, i int) (*Buffer, int, error) {
 	return args[i].Mem, args[i].Off, nil
 }
 
-func vecResult(v Vec) (Value, error) { return VecValue(v), nil }
+func vecResult(dst *Vec) (Value, error) { return Value{Kind: ir.KindVec, V: dst}, nil }
 
 func voidResult() (Value, error) { return Value{}, nil }

@@ -28,53 +28,53 @@ func widthOf(name string) int {
 
 func regBinF32(name string, f func(x, y float32) float32) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapF32(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapF32(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regBinF64(name string, f func(x, y float64) float64) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapF64(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapF64(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regUnF32(name string, f func(x float32) float32) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(map1F32(bits, argVec(args, 0), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(map1F32(dst, bits, argVec(args, 0), f))
 	})
 }
 
 func regUnF64(name string, f func(x float64) float64) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(map1F64(bits, argVec(args, 0), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(map1F64(dst, bits, argVec(args, 0), f))
 	})
 }
 
 // scalar (ss/sd) ops: lane 0 computed, upper lanes copied from a.
 func regBinSS(name string, f func(x, y float32) float32) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		out := argVec(args, 0)
-		out.SetF32(0, f(args[0].V.F32(0), args[1].V.F32(0)))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := copyTo(dst, argVec(args, 0))
+		out.SetF32(0, f(argVec(args, 0).F32(0), argVec(args, 1).F32(0)))
 		return vecResult(out)
 	})
 }
 
 func regBinSD(name string, f func(x, y float64) float64) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		out := argVec(args, 0)
-		out.SetF64(0, f(args[0].V.F64(0), args[1].V.F64(0)))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := copyTo(dst, argVec(args, 0))
+		out.SetF64(0, f(argVec(args, 0).F64(0), argVec(args, 1).F64(0)))
 		return vecResult(out)
 	})
 }
 
 func regBitwise(name string, f func(x, y byte) byte) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(bitwise(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(bitwise(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
@@ -204,20 +204,20 @@ func init() {
 		regCmpF64(pfx+"cmpneq_pd", func(x, y float64) bool { return x != y })
 	}
 	// AVX's predicate-parameter compare: _mm256_cmp_ps/pd(a, b, imm8).
-	register("_mm256_cmp_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cmp_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		pred, err := cmpPredicate(argInt(args, 2))
 		if err != nil {
 			return Value{}, err
 		}
-		return vecResult(mapF32(256, argVec(args, 0), argVec(args, 1),
+		return vecResult(mapF32(dst, 256, argVec(args, 0), argVec(args, 1),
 			func(x, y float32) float32 { return mask32(pred(float64(x), float64(y))) }))
 	})
-	register("_mm256_cmp_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cmp_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		pred, err := cmpPredicate(argInt(args, 2))
 		if err != nil {
 			return Value{}, err
 		}
-		return vecResult(mapF64(256, argVec(args, 0), argVec(args, 1),
+		return vecResult(mapF64(dst, 256, argVec(args, 0), argVec(args, 1),
 			func(x, y float64) float64 { return mask64(pred(x, y)) }))
 	})
 
@@ -265,10 +265,10 @@ func cmpPredicate(imm int) (func(x, y float64) bool, error) {
 // registerHaddFamily installs hadd/hsub/addsub for ps/pd at 128 and 256
 // bits. AVX horizontal ops work within each 128-bit lane independently.
 func registerHaddFamily() {
-	haddPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	haddPS := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
 				out.SetF32(o+0, a.F32(o+0)+a.F32(o+1))
@@ -279,10 +279,10 @@ func registerHaddFamily() {
 			return vecResult(out)
 		}
 	}
-	hsubPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	hsubPS := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
 				out.SetF32(o+0, a.F32(o+0)-a.F32(o+1))
@@ -293,10 +293,10 @@ func registerHaddFamily() {
 			return vecResult(out)
 		}
 	}
-	haddPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	haddPD := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 2
 				out.SetF64(o+0, a.F64(o+0)+a.F64(o+1))
@@ -305,10 +305,10 @@ func registerHaddFamily() {
 			return vecResult(out)
 		}
 	}
-	hsubPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	hsubPD := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 2
 				out.SetF64(o+0, a.F64(o+0)-a.F64(o+1))
@@ -326,10 +326,10 @@ func registerHaddFamily() {
 	register("_mm_hsub_pd", hsubPD(128))
 	register("_mm256_hsub_pd", hsubPD(256))
 
-	addsubPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	addsubPS := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/32; i++ {
 				if i%2 == 0 {
 					out.SetF32(i, a.F32(i)-b.F32(i))
@@ -340,10 +340,10 @@ func registerHaddFamily() {
 			return vecResult(out)
 		}
 	}
-	addsubPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	addsubPD := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/64; i++ {
 				if i%2 == 0 {
 					out.SetF64(i, a.F64(i)-b.F64(i))
@@ -360,12 +360,64 @@ func registerHaddFamily() {
 	register("_mm256_addsub_pd", addsubPD(256))
 }
 
-// registerFMAFamily installs the 24 packed and 8 scalar FMA intrinsics
-// plus the AVX-512 fmadd. Go's math.FMA gives the exact fused semantics.
-func registerFMAFamily() {
-	fma32 := func(a, b, c float32) float32 {
-		return float32(math.FMA(float64(a), float64(b), float64(c)))
+// fma32 is the f32 fused multiply-add, rounded once. The product of
+// two widened f32 operands is exact in f64, so the f64 FMA r rounds
+// once, and narrowing r to f32 could round a second time. That second
+// rounding can only differ from a single one when r sits exactly on an
+// f32 rounding boundary (see f32Boundary); elsewhere no boundary lies
+// between r and the exact sum. There an inexact r is replaced by its
+// round-to-odd value, the f64 neighbour with an odd last bit on the
+// exact sum's side, which narrows correctly because f64 carries more
+// than f32's 24+2 bits.
+func fma32(a, b, c float32) float32 {
+	r := math.FMA(float64(a), float64(b), float64(c))
+	if f32Boundary(math.Float64bits(r)) {
+		r = roundToOdd(r, a, b, c)
 	}
+	return float32(r)
+}
+
+// f32Boundary reports whether the f64 bit pattern bits may lie on an
+// f32 rounding boundary. In the f32 normal range (including the
+// overflow threshold) a boundary is a midpoint between two f32 values:
+// of the 29 bits narrowing drops, the top one is set and the rest are
+// zero. Below it, in the f32 denormal range, narrowing drops more bits
+// and a boundary has all 29 low bits zero; zero itself is exact. An f32
+// value narrows exactly and is not a boundary, so results that land on
+// one stay on the one-compare path.
+func f32Boundary(bits uint64) bool {
+	low := bits & (1<<29 - 1)
+	return low == 1<<28 ||
+		low == 0 && bits&(0x7ff<<52) < (1023-126)<<52 && bits<<1 != 0
+}
+
+// roundToOdd returns r, the f64 rounding of the exact a*b + c, when r
+// is exact, and otherwise the f64 neighbour of the exact sum with an
+// odd last bit. It is fma32's rare path, kept out of line so fma32
+// inlines.
+//
+//go:noinline
+func roundToOdd(r float64, a, b, c float32) float64 {
+	// TwoSum: e is exactly (p + c) - r, p = a*b being exact in f64;
+	// NaN when r is not finite.
+	p := float64(float64(a) * float64(b))
+	bv := r - p
+	e := (p - (r - bv)) + (float64(c) - bv)
+	if e == 0 || e != e {
+		return r
+	}
+	bits := math.Float64bits(r)
+	if (e > 0) == (r > 0) {
+		bits++
+	} else {
+		bits--
+	}
+	return math.Float64frombits(bits)
+}
+
+// registerFMAFamily installs the 24 packed and 8 scalar FMA intrinsics
+// plus the AVX-512 fmadd: fma32 above for f32 lanes, math.FMA for f64.
+func registerFMAFamily() {
 	type variant struct {
 		name string
 		f32  func(a, b, c float32) float32
@@ -388,31 +440,31 @@ func registerFMAFamily() {
 				continue
 			}
 			bits := widthOf(pfx + "x")
-			register(pfx+v.name+"_ps", func(m *Machine, args []Value) (Value, error) {
+			register(pfx+v.name+"_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
+				out := zero(dst)
 				for i := 0; i < bits/32; i++ {
 					out.SetF32(i, v.f32(a.F32(i), b.F32(i), c.F32(i)))
 				}
 				return vecResult(out)
 			})
-			register(pfx+v.name+"_pd", func(m *Machine, args []Value) (Value, error) {
+			register(pfx+v.name+"_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
+				out := zero(dst)
 				for i := 0; i < bits/64; i++ {
 					out.SetF64(i, v.f64(a.F64(i), b.F64(i), c.F64(i)))
 				}
 				return vecResult(out)
 			})
 		}
-		register("_mm_"+v.name+"_ss", func(m *Machine, args []Value) (Value, error) {
-			out := argVec(args, 0)
-			out.SetF32(0, v.f32(args[0].V.F32(0), args[1].V.F32(0), args[2].V.F32(0)))
+		register("_mm_"+v.name+"_ss", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			out := copyTo(dst, argVec(args, 0))
+			out.SetF32(0, v.f32(argVec(args, 0).F32(0), argVec(args, 1).F32(0), argVec(args, 2).F32(0)))
 			return vecResult(out)
 		})
-		register("_mm_"+v.name+"_sd", func(m *Machine, args []Value) (Value, error) {
-			out := argVec(args, 0)
-			out.SetF64(0, v.f64(args[0].V.F64(0), args[1].V.F64(0), args[2].V.F64(0)))
+		register("_mm_"+v.name+"_sd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			out := copyTo(dst, argVec(args, 0))
+			out.SetF64(0, v.f64(argVec(args, 0).F64(0), argVec(args, 1).F64(0), argVec(args, 2).F64(0)))
 			return vecResult(out)
 		})
 	}
@@ -424,9 +476,9 @@ func registerFMAFamily() {
 			evenSub bool
 		}{{"fmaddsub", true}, {"fmsubadd", false}} {
 			alt := alt
-			register(pfx+alt.name+"_ps", func(m *Machine, args []Value) (Value, error) {
+			register(pfx+alt.name+"_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
+				out := zero(dst)
 				for i := 0; i < bits/32; i++ {
 					ci := c.F32(i)
 					if (i%2 == 0) == alt.evenSub {
@@ -436,9 +488,9 @@ func registerFMAFamily() {
 				}
 				return vecResult(out)
 			})
-			register(pfx+alt.name+"_pd", func(m *Machine, args []Value) (Value, error) {
+			register(pfx+alt.name+"_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
+				out := zero(dst)
 				for i := 0; i < bits/64; i++ {
 					ci := c.F64(i)
 					if (i%2 == 0) == alt.evenSub {
@@ -467,14 +519,14 @@ func registerRounding() {
 	}
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
 		bits := widthOf(pfx + "x")
-		register(pfx+"round_ps", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"round_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			f := roundMode(argInt(args, 1))
-			return vecResult(map1F32(bits, argVec(args, 0),
+			return vecResult(map1F32(dst, bits, argVec(args, 0),
 				func(x float32) float32 { return float32(f(float64(x))) }))
 		})
-		register(pfx+"round_pd", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"round_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			f := roundMode(argInt(args, 1))
-			return vecResult(map1F64(bits, argVec(args, 0), f))
+			return vecResult(map1F64(dst, bits, argVec(args, 0), f))
 		})
 		regUnF32(pfx+"floor_ps", func(x float32) float32 { return float32(math.Floor(float64(x))) })
 		regUnF64(pfx+"floor_pd", math.Floor)
@@ -487,132 +539,132 @@ func registerFloatConversions() {
 	// int32 ↔ float32, packed.
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
 		bits := widthOf(pfx + "x")
-		register(pfx+"cvtepi32_ps", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"cvtepi32_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/32; i++ {
 				out.SetF32(i, float32(a.I32(i)))
 			}
 			return vecResult(out)
 		})
-		register(pfx+"cvtps_epi32", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"cvtps_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/32; i++ {
 				out.SetI32(i, int32(math.RoundToEven(float64(a.F32(i)))))
 			}
 			return vecResult(out)
 		})
-		register(pfx+"cvttps_epi32", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"cvttps_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/32; i++ {
 				out.SetI32(i, int32(a.F32(i)))
 			}
 			return vecResult(out)
 		})
 	}
-	register("_mm_cvtepi32_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cvtepi32_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 2; i++ {
 			out.SetF64(i, float64(a.I32(i)))
 		}
 		return vecResult(out)
 	})
 	// float32 ↔ float64.
-	register("_mm_cvtps_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cvtps_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 2; i++ {
 			out.SetF64(i, float64(a.F32(i)))
 		}
 		return vecResult(out)
 	})
-	register("_mm_cvtpd_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cvtpd_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 2; i++ {
 			out.SetF32(i, float32(a.F64(i)))
 		}
 		return vecResult(out)
 	})
-	register("_mm256_cvtps_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cvtps_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF64(i, float64(a.F32(i)))
 		}
 		return vecResult(out)
 	})
-	register("_mm256_cvtpd_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cvtpd_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF32(i, float32(a.F64(i)))
 		}
 		return vecResult(out)
 	})
 	// Scalar extraction.
-	register("_mm_cvtss_f32", func(m *Machine, args []Value) (Value, error) {
-		return F32Value(args[0].V.F32(0)), nil
+	register("_mm_cvtss_f32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return F32Value(argVec(args, 0).F32(0)), nil
 	})
-	register("_mm_cvtsd_f64", func(m *Machine, args []Value) (Value, error) {
-		return F64Value(args[0].V.F64(0)), nil
+	register("_mm_cvtsd_f64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return F64Value(argVec(args, 0).F64(0)), nil
 	})
-	register("_mm_cvtsi128_si32", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.I32(0))), nil
+	register("_mm_cvtsi128_si32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return IntValue(int(argVec(args, 0).I32(0))), nil
 	})
-	register("_mm_cvtsi128_si64", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindI64, I: args[0].V.I64(0)}, nil
+	register("_mm_cvtsi128_si64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return Value{Kind: ir.KindI64, I: argVec(args, 0).I64(0)}, nil
 	})
-	register("_mm_cvtsi32_si128", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm_cvtsi32_si128", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		out.SetI32(0, int32(args[0].AsInt()))
 		return vecResult(out)
 	})
-	register("_mm_cvtsi64_si128", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm_cvtsi64_si128", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		out.SetI64(0, args[0].AsInt())
 		return vecResult(out)
 	})
-	register("_mm_cvtsi64_si32", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.I32(0))), nil
+	register("_mm_cvtsi64_si32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return IntValue(int(argVec(args, 0).I32(0))), nil
 	})
-	register("_mm_cvtsi32_si64", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm_cvtsi32_si64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		out.SetI32(0, int32(args[0].AsInt()))
 		return vecResult(out)
 	})
 
 	// FP16C: half-precision packed conversion.
-	register("_mm_cvtph_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cvtph_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF32(i, F32FromF16(a.U16(i)))
 		}
 		return vecResult(out)
 	})
-	register("_mm256_cvtph_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cvtph_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 8; i++ {
 			out.SetF32(i, F32FromF16(a.U16(i)))
 		}
 		return vecResult(out)
 	})
-	register("_mm_cvtps_ph", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cvtps_ph", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetU16(i, F16FromF32(a.F32(i)))
 		}
 		return vecResult(out)
 	})
-	register("_mm256_cvtps_ph", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cvtps_ph", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 8; i++ {
 			out.SetU16(i, F16FromF32(a.F32(i)))
 		}
@@ -626,16 +678,16 @@ func registerFloatConversions() {
 		"_mm256_castsi256_ps", "_mm256_castps256_ps128", "_mm256_castpd256_pd128",
 		"_mm256_castsi256_si128",
 	} {
-		register(name, func(m *Machine, args []Value) (Value, error) {
+		register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			return vecResult(argVec(args, 0))
 		})
 	}
 	// Widening casts zero the upper half (the Intel docs say undefined;
 	// zeroing is the common hardware behaviour).
 	for _, name := range []string{"_mm256_castps128_ps256", "_mm256_castpd128_pd256", "_mm256_castsi128_si256"} {
-		register(name, func(m *Machine, args []Value) (Value, error) {
+		register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
-			var out Vec
+			out := zero(dst)
 			copy(out.b[:16], a.b[:16])
 			return vecResult(out)
 		})
@@ -666,9 +718,9 @@ func registerSVML() {
 		regUnF32(pfx+"invsqrt_ps", un32(func(x float64) float64 { return 1 / math.Sqrt(x) }))
 		regUnF64(pfx+"invsqrt_pd", func(x float64) float64 { return 1 / math.Sqrt(x) })
 	}
-	divEpi32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			return vecResult(mapI32(bits, argVec(args, 0), argVec(args, 1),
+	divEpi32 := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			return vecResult(mapI32(dst, bits, argVec(args, 0), argVec(args, 1),
 				func(x, y int32) int32 {
 					if y == 0 {
 						return 0
@@ -677,9 +729,9 @@ func registerSVML() {
 				}))
 		}
 	}
-	remEpi32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			return vecResult(mapI32(bits, argVec(args, 0), argVec(args, 1),
+	remEpi32 := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			return vecResult(mapI32(dst, bits, argVec(args, 0), argVec(args, 1),
 				func(x, y int32) int32 {
 					if y == 0 {
 						return 0

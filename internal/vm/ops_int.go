@@ -6,60 +6,60 @@ package vm
 
 func regBinI8(name string, f func(x, y int8) int8) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI8(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapI8(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regBinU8(name string, f func(x, y uint8) uint8) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU8(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapU8(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regBinI16(name string, f func(x, y int16) int16) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI16(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapI16(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regBinU16(name string, f func(x, y uint16) uint16) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU16(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapU16(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regBinI32(name string, f func(x, y int32) int32) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI32(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapI32(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regBinU32(name string, f func(x, y uint32) uint32) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU32(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapU32(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 func regBinI64(name string, f func(x, y int64) int64) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI64(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapI64(dst, bits, argVec(args, 0), argVec(args, 1), f))
 	})
 }
 
 // regShiftImm registers a shift-by-immediate on `lanes`-bit elements.
 func regShiftImm(name string, elemBits int, f func(x int64, sh uint) int64) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		sh := uint(argInt(args, 1))
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		n := bits / elemBits
 		for i := 0; i < n; i++ {
 			var x int64
@@ -299,17 +299,17 @@ func init() {
 		register(pfx+"abs_epi32", absOp(bits, 32))
 
 		// mul_epi32 / mul_epu32: even 32-bit lanes to 64-bit products.
-		register(pfx+"mul_epi32", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"mul_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/64; i++ {
 				out.SetI64(i, int64(a.I32(2*i))*int64(b.I32(2*i)))
 			}
 			return vecResult(out)
 		})
-		register(pfx+"mul_epu32", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"mul_epu32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/64; i++ {
 				out.SetU64(i, uint64(a.U32(2*i))*uint64(b.U32(2*i)))
 			}
@@ -322,9 +322,9 @@ func init() {
 		register(pfx+"hadd_epi32", hAddI32(bits, false))
 		register(pfx+"hsub_epi32", hAddI32(bits, true))
 	}
-	register("_mm_hadds_epi16", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_hadds_epi16", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetI16(i, satI16(int(a.I16(2*i))+int(a.I16(2*i+1))))
 			out.SetI16(i+4, satI16(int(b.I16(2*i))+int(b.I16(2*i+1))))
@@ -368,7 +368,7 @@ func init() {
 	regBinI16("_mm_cmplt_epi16", func(x, y int16) int16 { return maskI16(x < y) })
 	regBinI32("_mm_cmplt_epi32", func(x, y int32) int32 { return maskI32(x < y) })
 	register("_mm_madd_pi16", maddEpi16(64))
-	register("_mm_empty", func(m *Machine, args []Value) (Value, error) { return voidResult() })
+	register("_mm_empty", func(m *Machine, args []Value, dst *Vec) (Value, error) { return voidResult() })
 
 	// SSE2/AVX2 movemask.
 	register("_mm_movemask_epi8", movemask8(128))
@@ -379,8 +379,8 @@ func init() {
 	register("_mm256_movemask_pd", movemaskF64(256))
 
 	// testz: ZF = ((a & b) == 0).
-	testz := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	testz := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
 			for i := 0; i < bits/8; i++ {
 				if a.b[i]&b.b[i] != 0 {
@@ -392,7 +392,7 @@ func init() {
 	}
 	register("_mm_testz_si128", testz(128))
 	register("_mm256_testz_si256", testz(256))
-	register("_mm_testc_si128", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_testc_si128", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
 		for i := 0; i < 16; i++ {
 			if ^a.b[i]&b.b[i] != 0 {
@@ -407,10 +407,10 @@ func init() {
 	registerPacks()
 }
 
-func maddEpi16(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func maddEpi16(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < bits/32; i++ {
 			p0 := int32(a.I16(2*i)) * int32(b.I16(2*i))
 			p1 := int32(a.I16(2*i+1)) * int32(b.I16(2*i+1))
@@ -422,10 +422,10 @@ func maddEpi16(bits int) func(m *Machine, args []Value) (Value, error) {
 
 // maddubsEpi16: unsigned a × signed b pairs, saturated 16-bit sums —
 // the core of the 8-bit quantized dot product.
-func maddubsEpi16(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func maddubsEpi16(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < bits/16; i++ {
 			p0 := int(a.U8(2*i)) * int(b.I8(2*i))
 			p1 := int(a.U8(2*i+1)) * int(b.I8(2*i+1))
@@ -435,10 +435,10 @@ func maddubsEpi16(bits int) func(m *Machine, args []Value) (Value, error) {
 	}
 }
 
-func sadEpu8(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func sadEpu8(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for g := 0; g < bits/64; g++ {
 			sum := 0
 			for i := 0; i < 8; i++ {
@@ -485,40 +485,54 @@ func signOp32(x, y int32) int32 {
 	}
 }
 
-func absOp(bits, elem int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < bits/elem; i++ {
-			switch elem {
-			case 8:
+// absOp builds abs at one element width; the width is chosen once, at
+// registration, not per lane.
+func absOp(bits, elem int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	n := bits / elem
+	switch elem {
+	case 8:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			a, out := argVec(args, 0), zero(dst)
+			for i := 0; i < n; i++ {
 				x := a.I8(i)
 				if x < 0 {
 					x = -x
 				}
 				out.SetI8(i, x)
-			case 16:
+			}
+			return vecResult(out)
+		}
+	case 16:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			a, out := argVec(args, 0), zero(dst)
+			for i := 0; i < n; i++ {
 				x := a.I16(i)
 				if x < 0 {
 					x = -x
 				}
 				out.SetI16(i, x)
-			default:
+			}
+			return vecResult(out)
+		}
+	default:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			a, out := argVec(args, 0), zero(dst)
+			for i := 0; i < n; i++ {
 				x := a.I32(i)
 				if x < 0 {
 					x = -x
 				}
 				out.SetI32(i, x)
 			}
+			return vecResult(out)
 		}
-		return vecResult(out)
 	}
 }
 
-func hAddI16(bits int, sub bool) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func hAddI16(bits int, sub bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for lane := 0; lane < bits/128; lane++ {
 			o := lane * 8
 			for i := 0; i < 4; i++ {
@@ -535,10 +549,10 @@ func hAddI16(bits int, sub bool) func(m *Machine, args []Value) (Value, error) {
 	}
 }
 
-func hAddI32(bits int, sub bool) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func hAddI32(bits int, sub bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for lane := 0; lane < bits/128; lane++ {
 			o := lane * 4
 			for i := 0; i < 2; i++ {
@@ -555,8 +569,8 @@ func hAddI32(bits int, sub bool) func(m *Machine, args []Value) (Value, error) {
 	}
 }
 
-func movemask8(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func movemask8(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		mask := 0
 		for i := 0; i < bits/8; i++ {
@@ -568,8 +582,8 @@ func movemask8(bits int) func(m *Machine, args []Value) (Value, error) {
 	}
 }
 
-func movemaskF32(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func movemaskF32(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		mask := 0
 		for i := 0; i < bits/32; i++ {
@@ -581,8 +595,8 @@ func movemaskF32(bits int) func(m *Machine, args []Value) (Value, error) {
 	}
 }
 
-func movemaskF64(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func movemaskF64(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		mask := 0
 		for i := 0; i < bits/64; i++ {
@@ -597,21 +611,21 @@ func movemaskF64(bits int) func(m *Machine, args []Value) (Value, error) {
 func registerWidenings() {
 	// 128-bit sources; SSE4.1 widens the low lanes of a 128-bit register,
 	// AVX2 widens a full 128-bit register into 256 bits.
-	widen := func(name string, n int, get func(a Vec, i int) int64, set func(out *Vec, i int, v int64)) {
-		register(name, func(m *Machine, args []Value) (Value, error) {
+	widen := func(name string, n int, get func(a *Vec, i int) int64, set func(out *Vec, i int, v int64)) {
+		register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < n; i++ {
-				set(&out, i, get(a, i))
+				set(out, i, get(a, i))
 			}
 			return vecResult(out)
 		})
 	}
-	getI8 := func(a Vec, i int) int64 { return int64(a.I8(i)) }
-	getU8 := func(a Vec, i int) int64 { return int64(a.U8(i)) }
-	getI16 := func(a Vec, i int) int64 { return int64(a.I16(i)) }
-	getU16 := func(a Vec, i int) int64 { return int64(a.U16(i)) }
-	getI32 := func(a Vec, i int) int64 { return int64(a.I32(i)) }
+	getI8 := func(a *Vec, i int) int64 { return int64(a.I8(i)) }
+	getU8 := func(a *Vec, i int) int64 { return int64(a.U8(i)) }
+	getI16 := func(a *Vec, i int) int64 { return int64(a.I16(i)) }
+	getU16 := func(a *Vec, i int) int64 { return int64(a.U16(i)) }
+	getI32 := func(a *Vec, i int) int64 { return int64(a.I32(i)) }
 	setI16 := func(out *Vec, i int, v int64) { out.SetI16(i, int16(v)) }
 	setI32 := func(out *Vec, i int, v int64) { out.SetI32(i, int32(v)) }
 	setI64 := func(out *Vec, i int, v int64) { out.SetI64(i, v) }
@@ -635,10 +649,10 @@ func registerWidenings() {
 func registerPacks() {
 	// packs_epi16: saturate 16→8 signed; a's lanes then b's lanes, per
 	// 128-bit lane.
-	packs16 := func(bits int, unsigned bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	packs16 := func(bits int, unsigned bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				for i := 0; i < 8; i++ {
 					av := int(a.I16(lane*8 + i))
@@ -655,10 +669,10 @@ func registerPacks() {
 			return vecResult(out)
 		}
 	}
-	packs32 := func(bits int, unsigned bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	packs32 := func(bits int, unsigned bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				for i := 0; i < 4; i++ {
 					av := int(a.I32(lane*4 + i))

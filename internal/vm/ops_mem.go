@@ -30,28 +30,27 @@ func AccessOf(name string) (Access, bool) {
 }
 
 // registerAccess installs a semantic together with its footprint.
-func registerAccess(name string, a Access, fn func(m *Machine, args []Value) (Value, error)) {
+func registerAccess(name string, a Access, fn func(m *Machine, args []Value, dst *Vec) (Value, error)) {
 	register(name, fn)
 	accessRegistry[name] = a
 }
 
 func regLoad(name string, bytes int) {
-	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
 		}
-		v, err := buf.LoadVec(off, bytes)
-		if err != nil {
+		if err := buf.LoadVec(dst, off, bytes); err != nil {
 			return Value{}, err
 		}
 		m.Touch(buf, off*buf.Prim.Bits()/8, bytes)
-		return vecResult(v)
+		return vecResult(dst)
 	})
 }
 
 func regStore(name string, bytes int) {
-	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -101,7 +100,7 @@ func init() {
 	}
 
 	// Scalar loads/stores.
-	registerAccess("_mm_load_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_load_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -109,11 +108,11 @@ func init() {
 		if err := buf.check(off*4, 4); err != nil {
 			return Value{}, err
 		}
-		var out Vec
+		out := zero(dst)
 		out.SetF32(0, buf.F32At(off))
 		return vecResult(out)
 	})
-	registerAccess("_mm_store_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_store_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -121,10 +120,10 @@ func init() {
 		if err := buf.check(off*4, 4); err != nil {
 			return Value{}, err
 		}
-		buf.SetF32At(off, args[1].V.F32(0))
+		buf.SetF32At(off, argVec(args, 1).F32(0))
 		return voidResult()
 	})
-	registerAccess("_mm_load_ps1", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_load_ps1", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -133,13 +132,13 @@ func init() {
 			return Value{}, err
 		}
 		x := buf.F32At(off)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF32(i, x)
 		}
 		return vecResult(out)
 	})
-	registerAccess("_mm_store_ps1", Access{Bytes: 16, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_store_ps1", Access{Bytes: 16, Scale: 4}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -147,13 +146,13 @@ func init() {
 		if err := buf.check(off*4, 16); err != nil {
 			return Value{}, err
 		}
-		x := args[1].V.F32(0)
+		x := argVec(args, 1).F32(0)
 		for i := 0; i < 4; i++ {
 			buf.SetF32At(off+i, x)
 		}
 		return voidResult()
 	})
-	registerAccess("_mm_store_pd1", Access{Bytes: 16, Scale: 8}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_store_pd1", Access{Bytes: 16, Scale: 8}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -161,13 +160,13 @@ func init() {
 		if err := buf.check(off*8, 16); err != nil {
 			return Value{}, err
 		}
-		x := args[1].V.F64(0)
+		x := argVec(args, 1).F64(0)
 		for i := 0; i < 2; i++ {
 			buf.SetF64At(off+i, x)
 		}
 		return voidResult()
 	})
-	registerAccess("_mm_loaddup_pd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm_loaddup_pd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -176,14 +175,14 @@ func init() {
 			return Value{}, err
 		}
 		x := buf.F64At(off)
-		var out Vec
+		out := zero(dst)
 		out.SetF64(0, x)
 		out.SetF64(1, x)
 		return vecResult(out)
 	})
 
 	// Memory broadcasts.
-	registerAccess("_mm256_broadcast_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm256_broadcast_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -192,13 +191,13 @@ func init() {
 			return Value{}, err
 		}
 		x := buf.F32At(off)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 8; i++ {
 			out.SetF32(i, x)
 		}
 		return vecResult(out)
 	})
-	registerAccess("_mm256_broadcast_sd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value) (Value, error) {
+	registerAccess("_mm256_broadcast_sd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -207,39 +206,36 @@ func init() {
 			return Value{}, err
 		}
 		x := buf.F64At(off)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF64(i, x)
 		}
 		return vecResult(out)
 	})
-	bcast128 := func(m *Machine, args []Value) (Value, error) {
+	bcast128 := func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
 		}
-		v, err := buf.LoadVec(off, 16)
-		if err != nil {
+		if err := buf.LoadVec(dst, off, 16); err != nil {
 			return Value{}, err
 		}
-		var out Vec
-		copy(out.b[:16], v.b[:16])
-		copy(out.b[16:32], v.b[:16])
-		return vecResult(out)
+		copy(dst.b[16:32], dst.b[:16])
+		return vecResult(dst)
 	}
 	registerAccess("_mm256_broadcast_ps", Access{Bytes: 16}, bcast128)
 	registerAccess("_mm256_broadcast_pd", Access{Bytes: 16}, bcast128)
 
 	// Masked loads/stores (AVX / AVX2): element moves where the mask's
 	// sign bit is set.
-	maskLoad := func(elemBytes, n int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	maskLoad := func(elemBytes, n int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
 				return Value{}, err
 			}
 			mask := argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < n; i++ {
 				if mask.b[(i+1)*elemBytes-1]&0x80 == 0 {
 					continue
@@ -254,8 +250,8 @@ func init() {
 			return vecResult(out)
 		}
 	}
-	maskStore := func(elemBytes, n int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	maskStore := func(elemBytes, n int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
 				return Value{}, err
@@ -285,8 +281,8 @@ func init() {
 	// Gathers (AVX2): scale is in bytes on hardware; buffers are element-
 	// typed here, so the simulator honours scale relative to the element
 	// size.
-	gather32 := func(n int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	gather32 := func(n int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
 				return Value{}, err
@@ -294,7 +290,7 @@ func init() {
 			vindex := argVec(args, 1)
 			scale := argInt(args, 2)
 			elemBytes := buf.Prim.Bits() / 8
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < n; i++ {
 				byteOff := off*elemBytes + int(vindex.I32(i))*scale
 				if err := buf.check(byteOff, 4); err != nil {
@@ -308,7 +304,7 @@ func init() {
 	}
 	register("_mm256_i32gather_epi32", gather32(8))
 	register("_mm256_i32gather_ps", gather32(8))
-	register("_mm256_i32gather_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_i32gather_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
 			return Value{}, err
@@ -316,7 +312,7 @@ func init() {
 		vindex := argVec(args, 1)
 		scale := argInt(args, 2)
 		elemBytes := buf.Prim.Bits() / 8
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			byteOff := off*elemBytes + int(vindex.I32(i))*scale
 			if err := buf.check(byteOff, 8); err != nil {
@@ -328,7 +324,7 @@ func init() {
 	})
 
 	// Cache-control and fences: no-ops with cost-model presence.
-	noop := func(m *Machine, args []Value) (Value, error) { return voidResult() }
+	noop := func(m *Machine, args []Value, dst *Vec) (Value, error) { return voidResult() }
 	registerAccess("_mm_prefetch", Access{}, noop)
 	for _, n := range []string{"_mm_sfence", "_mm_lfence",
 		"_mm_mfence", "_mm256_zeroall", "_mm256_zeroupper"} {

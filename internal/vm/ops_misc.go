@@ -13,8 +13,8 @@ import (
 
 func init() {
 	// RDRAND / RDSEED: write through the out-pointer, return 1 (success).
-	randStep := func(bitsN int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	randStep := func(bitsN int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
 				return Value{}, err
@@ -37,29 +37,29 @@ func init() {
 	register("_rdseed32_step", randStep(32))
 	register("_rdseed64_step", randStep(64))
 
-	register("_mm_popcnt_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_popcnt_u32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return IntValue(bits.OnesCount32(uint32(args[0].AsInt()))), nil
 	})
-	register("_mm_popcnt_u64", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_popcnt_u64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindI64, I: int64(bits.OnesCount64(uint64(args[0].AsInt())))}, nil
 	})
-	register("_lzcnt_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_lzcnt_u32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU32, U: uint64(bits.LeadingZeros32(uint32(args[0].AsInt())))}, nil
 	})
-	register("_lzcnt_u64", func(m *Machine, args []Value) (Value, error) {
+	register("_lzcnt_u64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU64, U: uint64(bits.LeadingZeros64(uint64(args[0].AsInt())))}, nil
 	})
-	register("_tzcnt_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_tzcnt_u32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU32, U: uint64(bits.TrailingZeros32(uint32(args[0].AsInt())))}, nil
 	})
-	register("_tzcnt_u64", func(m *Machine, args []Value) (Value, error) {
+	register("_tzcnt_u64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU64, U: uint64(bits.TrailingZeros64(uint64(args[0].AsInt())))}, nil
 	})
-	register("_blsr_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_blsr_u32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		x := uint32(args[0].AsInt())
 		return Value{Kind: ir.KindU32, U: uint64(x & (x - 1))}, nil
 	})
-	register("_pext_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_pext_u32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		x, mask := uint32(args[0].AsInt()), uint32(args[1].AsInt())
 		var out, k uint32
 		for i := 0; i < 32; i++ {
@@ -70,7 +70,7 @@ func init() {
 		}
 		return Value{Kind: ir.KindU32, U: uint64(out)}, nil
 	})
-	register("_pdep_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_pdep_u32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		x, mask := uint32(args[0].AsInt()), uint32(args[1].AsInt())
 		var out uint32
 		k := 0
@@ -98,27 +98,27 @@ func init() {
 		}
 		return c
 	}
-	register("_mm_crc32_u8", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_crc32_u8", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 1))}, nil
 	})
-	register("_mm_crc32_u16", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_crc32_u16", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 2))}, nil
 	})
-	register("_mm_crc32_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_crc32_u32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 4))}, nil
 	})
-	register("_mm_crc32_u64", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_crc32_u64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU64, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 8))}, nil
 	})
 
 	// Timestamp counter: a monotonically growing virtual cycle count
 	// derived from executed-op totals.
-	register("_rdtsc", func(m *Machine, args []Value) (Value, error) {
+	register("_rdtsc", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return Value{Kind: ir.KindU64, U: uint64(m.Counts.Total()) * 2}, nil
 	})
 
 	// SSE4.1 dot products.
-	register("_mm_dp_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_dp_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
 		imm := argInt(args, 2)
 		var sum float32
@@ -127,7 +127,7 @@ func init() {
 				sum += a.F32(i) * b.F32(i)
 			}
 		}
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			if imm>>i&1 == 1 {
 				out.SetF32(i, sum)
@@ -135,7 +135,7 @@ func init() {
 		}
 		return vecResult(out)
 	})
-	register("_mm_dp_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_dp_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
 		imm := argInt(args, 2)
 		var sum float64
@@ -144,7 +144,7 @@ func init() {
 				sum += a.F64(i) * b.F64(i)
 			}
 		}
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 2; i++ {
 			if imm>>i&1 == 1 {
 				out.SetF64(i, sum)
@@ -154,7 +154,7 @@ func init() {
 	})
 
 	// AVX-512 reductions and masks.
-	register("_mm512_reduce_add_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm512_reduce_add_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		var sum float32
 		for i := 0; i < 16; i++ {
@@ -162,7 +162,7 @@ func init() {
 		}
 		return F32Value(sum), nil
 	})
-	register("_mm512_reduce_add_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm512_reduce_add_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		var sum float64
 		for i := 0; i < 8; i++ {
@@ -170,9 +170,9 @@ func init() {
 		}
 		return F64Value(sum), nil
 	})
-	register("_mm512_cmpeq_epi32_mask", func(m *Machine, args []Value) (Value, error) {
+	register("_mm512_cmpeq_epi32_mask", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var mask Vec
+		mask := zero(dst)
 		var bitsOut uint16
 		for i := 0; i < 16; i++ {
 			if a.I32(i) == b.I32(i) {
@@ -182,9 +182,9 @@ func init() {
 		mask.SetU16(0, bitsOut)
 		return vecResult(mask)
 	})
-	register("_mm512_mask_add_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm512_mask_add_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		src, k, a, b := argVec(args, 0), argVec(args, 1), argVec(args, 2), argVec(args, 3)
-		out := src
+		out := copyTo(dst, src)
 		mask := k.U16(0)
 		for i := 0; i < 16; i++ {
 			if mask>>i&1 == 1 {
@@ -193,10 +193,10 @@ func init() {
 		}
 		return vecResult(out)
 	})
-	register("_mm_cmp_epi16_mask", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cmp_epi16_mask", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
 		imm := argInt(args, 2)
-		var out Vec
+		out := zero(dst)
 		var mask uint8
 		for i := 0; i < 8; i++ {
 			x, y := a.I16(i), b.I16(i)
@@ -226,10 +226,10 @@ func init() {
 	// AES and SHA rounds: simplified mixing functions — the exact FIPS
 	// transformations are out of scope, but the ops stay executable and
 	// deterministic so pipelines using them can be tested end-to-end.
-	mix := func(seed uint64) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	mix := func(seed uint64) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < 2; i++ {
 				x := a.U64(i) ^ b.U64(i)
 				x ^= x >> 33
@@ -244,7 +244,7 @@ func init() {
 	register("_mm_aesenc_si128", mix(0x9E3779B97F4A7C15))
 	register("_mm_sha1msg1_epu32", mix(0xFF51AFD7ED558CCD))
 	register("_mm_sha256msg1_epu32", mix(0xC4CEB9FE1A85EC53))
-	register("_mm_clmulepi64_si128", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_clmulepi64_si128", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
 		imm := argInt(args, 2)
 		x := a.U64(imm & 1)
@@ -258,7 +258,7 @@ func init() {
 				}
 			}
 		}
-		var out Vec
+		out := zero(dst)
 		out.SetU64(0, lo)
 		out.SetU64(1, hi)
 		return vecResult(out)
@@ -266,7 +266,7 @@ func init() {
 
 	// SSE4.2 string compares: equal-each (imm ignored beyond that) —
 	// enough to execute staged string kernels.
-	register("_mm_cmpistri", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cmpistri", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
 		for i := 0; i < 16; i++ {
 			if a.U8(i) != b.U8(i) {
@@ -275,7 +275,7 @@ func init() {
 		}
 		return IntValue(16), nil
 	})
-	register("_mm_cmpistrz", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cmpistrz", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		b := argVec(args, 1)
 		for i := 0; i < 16; i++ {
 			if b.U8(i) == 0 {
@@ -284,9 +284,9 @@ func init() {
 		}
 		return IntValue(0), nil
 	})
-	register("_mm_cmpistrm", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cmpistrm", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 16; i++ {
 			if a.U8(i) == b.U8(i) {
 				out.SetU8(i, 0xFF)
@@ -294,7 +294,7 @@ func init() {
 		}
 		return vecResult(out)
 	})
-	register("_mm_cmpestri", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cmpestri", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 2)
 		la, lb := argInt(args, 1), argInt(args, 3)
 		n := la
@@ -311,7 +311,7 @@ func init() {
 		}
 		return IntValue(n), nil
 	})
-	register("_mm_cmpestrm", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_cmpestrm", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 2)
 		la, lb := argInt(args, 1), argInt(args, 3)
 		n := la
@@ -321,7 +321,7 @@ func init() {
 		if n > 16 {
 			n = 16
 		}
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < n; i++ {
 			if a.U8(i) == b.U8(i) {
 				out.SetU8(i, 0xFF)

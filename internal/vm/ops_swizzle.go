@@ -18,10 +18,10 @@ func init() {
 }
 
 // unpack interleaves the low (lo=true) or high half of each 128-bit lane.
-func unpack(bits, elemBytes int, lo bool) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
+func unpack(bits, elemBytes int, lo bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		perLane := 16 / elemBytes // elements per 128-bit lane
 		half := perLane / 2
 		for lane := 0; lane < bits/128; lane++ {
@@ -68,11 +68,11 @@ func registerUnpacks() {
 func registerShuffles() {
 	// _mm_shuffle_ps / _mm256_shuffle_ps: two lanes from a, two from b,
 	// selected by imm8, per 128-bit lane.
-	shufPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	shufPS := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
 			imm := argInt(args, 2)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
 				out.SetF32(o+0, a.F32(o+(imm>>0&3)))
@@ -86,11 +86,11 @@ func registerShuffles() {
 	register("_mm_shuffle_ps", shufPS(128))
 	register("_mm256_shuffle_ps", shufPS(256))
 
-	shufPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	shufPD := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
 			imm := argInt(args, 2)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 2
 				out.SetF64(o+0, a.F64(o+(imm>>(2*lane)&1)))
@@ -102,11 +102,11 @@ func registerShuffles() {
 	register("_mm_shuffle_pd", shufPD(128))
 	register("_mm256_shuffle_pd", shufPD(256))
 
-	shufEpi32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	shufEpi32 := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
 			imm := argInt(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
 				for i := 0; i < 4; i++ {
@@ -119,11 +119,11 @@ func registerShuffles() {
 	register("_mm_shuffle_epi32", shufEpi32(128))
 	register("_mm256_shuffle_epi32", shufEpi32(256))
 
-	shufHiLo := func(bits int, hi bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	shufHiLo := func(bits int, hi bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
 			imm := argInt(args, 1)
-			out := a
+			out := copyTo(dst, a)
 			for lane := 0; lane < bits/128; lane++ {
 				base := lane * 8
 				off := base
@@ -147,10 +147,10 @@ func registerShuffles() {
 	register("_mm256_shufflelo_epi16", shufHiLo(256, false))
 
 	// pshufb: byte shuffle within each 128-bit lane, high bit zeroes.
-	shufB := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	shufB := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 16
 				for i := 0; i < 16; i++ {
@@ -170,11 +170,11 @@ func registerShuffles() {
 
 	// alignr: concatenate each 128-bit lane pair and shift right by imm
 	// bytes.
-	alignr := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	alignr := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
 			imm := argInt(args, 2)
-			var out Vec
+			out := zero(dst)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 16
 				var concat [32]byte
@@ -196,10 +196,10 @@ func registerShuffles() {
 
 func registerPermutes() {
 	// permute2f128 / permute2x128: select 128-bit halves of a:b by imm.
-	perm2 := func(m *Machine, args []Value) (Value, error) {
+	perm2 := func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
 		imm := argInt(args, 2)
-		var out Vec
+		out := zero(dst)
 		sel := func(ctrl int) []byte {
 			if ctrl&8 != 0 { // zero flag
 				return make([]byte, 16)
@@ -225,10 +225,10 @@ func registerPermutes() {
 	register("_mm256_permute2x128_si256", perm2)
 
 	// permute_ps: in-lane permute by imm (like shuffle_epi32 on floats).
-	register("_mm256_permute_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_permute_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		imm := argInt(args, 1)
-		var out Vec
+		out := zero(dst)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 4
 			for i := 0; i < 4; i++ {
@@ -237,10 +237,10 @@ func registerPermutes() {
 		}
 		return vecResult(out)
 	})
-	register("_mm256_permute_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_permute_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		imm := argInt(args, 1)
-		var out Vec
+		out := zero(dst)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 2
 			out.SetF64(o+0, a.F64(o+(imm>>(2*lane)&1)))
@@ -248,9 +248,9 @@ func registerPermutes() {
 		}
 		return vecResult(out)
 	})
-	register("_mm256_permutevar_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_permutevar_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 4
 			for i := 0; i < 4; i++ {
@@ -259,9 +259,9 @@ func registerPermutes() {
 		}
 		return vecResult(out)
 	})
-	register("_mm256_permutevar_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_permutevar_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 2
 			for i := 0; i < 2; i++ {
@@ -270,27 +270,27 @@ func registerPermutes() {
 		}
 		return vecResult(out)
 	})
-	register("_mm256_permute4x64_epi64", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_permute4x64_epi64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		imm := argInt(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetI64(i, a.I64(imm>>(2*i)&3))
 		}
 		return vecResult(out)
 	})
-	register("_mm256_permute4x64_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_permute4x64_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		imm := argInt(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF64(i, a.F64(imm>>(2*i)&3))
 		}
 		return vecResult(out)
 	})
-	permVar8x32 := func(m *Machine, args []Value) (Value, error) {
+	permVar8x32 := func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, idx := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 8; i++ {
 			out.SetU32(i, a.U32(int(idx.U32(i)&7)))
 		}
@@ -301,11 +301,11 @@ func registerPermutes() {
 }
 
 func registerBlends() {
-	blendImm := func(bits, elemBytes int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	blendImm := func(bits, elemBytes int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
 			imm := argInt(args, 2)
-			out := a
+			out := copyTo(dst, a)
 			n := bits / (8 * elemBytes)
 			for i := 0; i < n; i++ {
 				// 16-bit blends repeat the immediate per 128-bit lane.
@@ -329,10 +329,10 @@ func registerBlends() {
 	register("_mm256_blend_epi16", blendImm(256, 2))
 	register("_mm256_blend_epi32", blendImm(256, 4))
 
-	blendvByte := func(bits, elemBytes int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	blendvByte := func(bits, elemBytes int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b, mask := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-			out := a
+			out := copyTo(dst, a)
 			n := bits / (8 * elemBytes)
 			for i := 0; i < n; i++ {
 				// Select on the sign bit of the mask element.
@@ -354,11 +354,11 @@ func registerBlends() {
 }
 
 func registerByteShifts() {
-	byteShift := func(bits int, left bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	byteShift := func(bits int, left bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
 			imm := argInt(args, 1)
-			var out Vec
+			out := zero(dst)
 			if imm > 15 {
 				return vecResult(out)
 			}
@@ -392,18 +392,18 @@ func registerInsertExtract() {
 	register("_mm256_insertf128_ps", insert128)
 	register("_mm256_insertf128_pd", insert128)
 	register("_mm256_insertf128_si256", insert128)
-	register("_mm_extract_epi32", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.I32(argInt(args, 1) & 3))), nil
+	register("_mm_extract_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return IntValue(int(argVec(args, 0).I32(argInt(args, 1) & 3))), nil
 	})
-	register("_mm_extract_epi8", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.U8(argInt(args, 1) & 15))), nil
+	register("_mm_extract_epi8", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return IntValue(int(argVec(args, 0).U8(argInt(args, 1) & 15))), nil
 	})
-	register("_mm_insert_epi32", func(m *Machine, args []Value) (Value, error) {
-		out := argVec(args, 0)
+	register("_mm_insert_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := copyTo(dst, argVec(args, 0))
 		out.SetI32(argInt(args, 2)&3, int32(args[1].AsInt()))
 		return vecResult(out)
 	})
-	register("_mm_minpos_epu16", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_minpos_epu16", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		minv, mini := a.U16(0), 0
 		for i := 1; i < 8; i++ {
@@ -411,17 +411,17 @@ func registerInsertExtract() {
 				minv, mini = a.U16(i), i
 			}
 		}
-		var out Vec
+		out := zero(dst)
 		out.SetU16(0, minv)
 		out.SetU16(1, uint16(mini))
 		return vecResult(out)
 	})
 }
 
-func extract128(m *Machine, args []Value) (Value, error) {
+func extract128(m *Machine, args []Value, dst *Vec) (Value, error) {
 	a := argVec(args, 0)
 	imm := argInt(args, 1)
-	var out Vec
+	out := zero(dst)
 	if imm&1 == 1 {
 		copy(out.b[:16], a.b[16:32])
 	} else {
@@ -430,8 +430,8 @@ func extract128(m *Machine, args []Value) (Value, error) {
 	return vecResult(out)
 }
 
-func insert128(m *Machine, args []Value) (Value, error) {
-	out := argVec(args, 0)
+func insert128(m *Machine, args []Value, dst *Vec) (Value, error) {
+	out := copyTo(dst, argVec(args, 0))
 	b := argVec(args, 1)
 	if argInt(args, 2)&1 == 1 {
 		copy(out.b[16:32], b.b[:16])
@@ -442,7 +442,7 @@ func insert128(m *Machine, args []Value) (Value, error) {
 }
 
 func registerSets() {
-	setzero := func(m *Machine, args []Value) (Value, error) { return vecResult(Vec{}) }
+	setzero := func(m *Machine, args []Value, dst *Vec) (Value, error) { return vecResult(zero(dst)) }
 	for _, n := range []string{
 		"_mm_setzero_ps", "_mm_setzero_pd", "_mm_setzero_si128", "_mm_setzero_si64",
 		"_mm256_setzero_ps", "_mm256_setzero_pd", "_mm256_setzero_si256",
@@ -451,30 +451,30 @@ func registerSets() {
 		register(n, setzero)
 	}
 
-	set1F32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	set1F32 := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			x := float32(args[0].AsFloat())
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/32; i++ {
 				out.SetF32(i, x)
 			}
 			return vecResult(out)
 		}
 	}
-	set1F64 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	set1F64 := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			x := args[0].AsFloat()
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/64; i++ {
 				out.SetF64(i, x)
 			}
 			return vecResult(out)
 		}
 	}
-	set1Int := func(bits, elemBits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	set1Int := func(bits, elemBits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			x := args[0].AsInt()
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < bits/elemBits; i++ {
 				switch elemBits {
 				case 8:
@@ -509,60 +509,60 @@ func registerSets() {
 	register("_mm_set1_pi32", set1Int(64, 32))
 
 	// set_ps takes arguments high-lane first (Intel convention).
-	register("_mm_set_ps", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm_set_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF32(3-i, float32(args[i].AsFloat()))
 		}
 		return vecResult(out)
 	})
-	register("_mm256_set_ps", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm256_set_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		for i := 0; i < 8; i++ {
 			out.SetF32(7-i, float32(args[i].AsFloat()))
 		}
 		return vecResult(out)
 	})
-	register("_mm_set_pd", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm_set_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		out.SetF64(1, args[0].AsFloat())
 		out.SetF64(0, args[1].AsFloat())
 		return vecResult(out)
 	})
-	register("_mm256_set_pd", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm256_set_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		for i := 0; i < 4; i++ {
 			out.SetF64(3-i, args[i].AsFloat())
 		}
 		return vecResult(out)
 	})
-	register("_mm_set_ss", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm_set_ss", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		out := zero(dst)
 		out.SetF32(0, float32(args[0].AsFloat()))
 		return vecResult(out)
 	})
 }
 
 func registerBroadcasts() {
-	register("_mm256_broadcastss_ps", func(m *Machine, args []Value) (Value, error) {
-		x := args[0].V.F32(0)
-		var out Vec
+	register("_mm256_broadcastss_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		x := argVec(args, 0).F32(0)
+		out := zero(dst)
 		for i := 0; i < 8; i++ {
 			out.SetF32(i, x)
 		}
 		return vecResult(out)
 	})
-	register("_mm256_broadcastsi128_si256", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_broadcastsi128_si256", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		copy(out.b[:16], a.b[:16])
 		copy(out.b[16:32], a.b[:16])
 		return vecResult(out)
 	})
-	bcastInt := func(elemBits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	bcastInt := func(elemBits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
-			var out Vec
+			out := zero(dst)
 			for i := 0; i < 256/elemBits; i++ {
 				switch elemBits {
 				case 8:
@@ -582,8 +582,8 @@ func registerBroadcasts() {
 }
 
 func registerVariableShifts() {
-	register("_mm256_sllv_epi32", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU32(256, argVec(args, 0), argVec(args, 1),
+	register("_mm256_sllv_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapU32(dst, 256, argVec(args, 0), argVec(args, 1),
 			func(x, c uint32) uint32 {
 				if c > 31 {
 					return 0
@@ -591,8 +591,8 @@ func registerVariableShifts() {
 				return x << c
 			}))
 	})
-	register("_mm256_srlv_epi32", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU32(256, argVec(args, 0), argVec(args, 1),
+	register("_mm256_srlv_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapU32(dst, 256, argVec(args, 0), argVec(args, 1),
 			func(x, c uint32) uint32 {
 				if c > 31 {
 					return 0
@@ -600,9 +600,9 @@ func registerVariableShifts() {
 				return x >> c
 			}))
 	})
-	register("_mm256_srav_epi32", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_srav_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, c := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 8; i++ {
 			sh := c.U32(i)
 			if sh > 31 {
@@ -612,8 +612,8 @@ func registerVariableShifts() {
 		}
 		return vecResult(out)
 	})
-	register("_mm256_sllv_epi64", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU64(256, argVec(args, 0), argVec(args, 1),
+	register("_mm256_sllv_epi64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapU64(dst, 256, argVec(args, 0), argVec(args, 1),
 			func(x, c uint64) uint64 {
 				if c > 63 {
 					return 0
@@ -621,8 +621,8 @@ func registerVariableShifts() {
 				return x << c
 			}))
 	})
-	register("_mm256_srlv_epi64", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU64(256, argVec(args, 0), argVec(args, 1),
+	register("_mm256_srlv_epi64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		return vecResult(mapU64(dst, 256, argVec(args, 0), argVec(args, 1),
 			func(x, c uint64) uint64 {
 				if c > 63 {
 					return 0
@@ -630,10 +630,10 @@ func registerVariableShifts() {
 				return x >> c
 			}))
 	})
-	register("_mm512_rol_epi32", func(m *Machine, args []Value) (Value, error) {
+	register("_mm512_rol_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		imm := uint(argInt(args, 1)) & 31
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 16; i++ {
 			x := a.U32(i)
 			out.SetU32(i, x<<imm|x>>(32-imm))
@@ -643,45 +643,45 @@ func registerVariableShifts() {
 }
 
 func registerMoves() {
-	register("_mm_movehl_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_movehl_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		out.SetF32(0, b.F32(2))
 		out.SetF32(1, b.F32(3))
 		out.SetF32(2, a.F32(2))
 		out.SetF32(3, a.F32(3))
 		return vecResult(out)
 	})
-	register("_mm_movelh_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_movelh_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+		out := zero(dst)
 		out.SetF32(0, a.F32(0))
 		out.SetF32(1, a.F32(1))
 		out.SetF32(2, b.F32(0))
 		out.SetF32(3, b.F32(1))
 		return vecResult(out)
 	})
-	register("_mm_movehdup_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_movehdup_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 2; i++ {
 			out.SetF32(2*i, a.F32(2*i+1))
 			out.SetF32(2*i+1, a.F32(2*i+1))
 		}
 		return vecResult(out)
 	})
-	register("_mm_moveldup_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_moveldup_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		for i := 0; i < 2; i++ {
 			out.SetF32(2*i, a.F32(2*i))
 			out.SetF32(2*i+1, a.F32(2*i))
 		}
 		return vecResult(out)
 	})
-	register("_mm_movedup_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_movedup_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
-		var out Vec
+		out := zero(dst)
 		out.SetF64(0, a.F64(0))
 		out.SetF64(1, a.F64(0))
 		return vecResult(out)

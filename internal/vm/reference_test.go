@@ -74,16 +74,11 @@ func isRefStore(op string) bool {
 	return op == "store" || op == "storeu" || op == "stream"
 }
 
-// refFMA is the exact fused multiply-add a*b+c rounded once to f64:
-// the product and sum are formed in big.Float at a precision wide
-// enough to span every f64 exponent, so the only rounding is the final
-// conversion. Non-finite operands follow IEEE 754.
-//
-// With single set the f64 result is then rounded to f32, which is the
-// vm's f32 FMA rule (math.FMA on widened operands). That second
-// rounding can differ from a single f32 rounding by one ulp when the
-// f64 result lands exactly on an f32 midpoint; the model follows the
-// vm here and ROADMAP.md tracks the fix.
+// refFMA is the exact fused multiply-add a*b+c rounded once: the
+// product and sum are formed in big.Float at a precision wide enough to
+// span every f64 exponent, so the only rounding is the final conversion,
+// to f32 when single is set and to f64 otherwise. Non-finite operands
+// follow IEEE 754.
 func refFMA(a, b, c float64, single bool) float64 {
 	if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) {
 		return math.NaN()
@@ -110,10 +105,11 @@ func refFMA(a, b, c float64, single bool) float64 {
 	z := new(big.Float).SetPrec(prec).SetFloat64(c)
 	sum := new(big.Float).SetPrec(prec).Mul(x, y)
 	sum.Add(sum, z)
-	f, _ := sum.Float64()
 	if single {
-		return float64(float32(f))
+		f, _ := sum.Float32()
+		return float64(f)
 	}
+	f, _ := sum.Float64()
 	return f
 }
 
@@ -202,14 +198,14 @@ func scalarRef(t *testing.T, name string, args []Value, mem []byte) Value {
 	a, b := args[0].V, args[1].V
 	var c Vec
 	if op == "fmadd" {
-		c = args[2].V
+		c = *args[2].V
 	}
 	var out Vec
 	switch elem {
 	case "ps":
 		switch op {
 		case "and", "or", "xor", "andnot":
-			out = refBitwise(op, width, a, b)
+			out = refBitwise(op, width, *a, *b)
 		default:
 			for i := 0; i < width/4; i++ {
 				r := refF(op, float64(a.F32(i)), float64(b.F32(i)), float64(c.F32(i)), true)
@@ -219,7 +215,7 @@ func scalarRef(t *testing.T, name string, args []Value, mem []byte) Value {
 	case "pd":
 		switch op {
 		case "and", "or", "xor", "andnot":
-			out = refBitwise(op, width, a, b)
+			out = refBitwise(op, width, *a, *b)
 		default:
 			for i := 0; i < width/8; i++ {
 				out.SetF64(i, refF(op, a.F64(i), b.F64(i), c.F64(i), false))
@@ -262,7 +258,7 @@ func sameRefResult(name string, got, want Value) bool {
 	if got.Kind != want.Kind || got.Mem != nil || got.Off != 0 {
 		return false
 	}
-	if got == want {
+	if got.Equal(want) {
 		return true
 	}
 	width, op, elem := refShape(name)
@@ -340,7 +336,7 @@ func checkAgainstRef(t *testing.T, name string, p [64]byte, off int) {
 	if refBuf != nil {
 		mem = refBuf.Data
 	}
-	got, err := in.Fn(NewMachine(isa.SkylakeX), args)
+	got, err := in.Fn(NewMachine(isa.SkylakeX), args, new(Vec))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -386,4 +382,59 @@ func FuzzIntoOpsAgree(f *testing.F) {
 		copy(p[:], raw)
 		checkAgainstRef(t, intoOps[int(pick)%len(intoOps)], p, int(pick)%8)
 	})
+}
+
+// TestFMA32RoundsOnce holds the f32 fused multiply-add to a single
+// rounding of the exact a*b+c. The first case is a lane where rounding
+// to f64 and then to f32 was one ulp off; the constructed ones land the
+// f64 sum exactly on an f32 midpoint, in the normal and the denormal
+// range, while the exact sum lies just off it.
+func TestFMA32RoundsOnce(t *testing.T) {
+	a := Vec{}
+	b := Vec{}
+	c := Vec{}
+	a.SetU32(0, 0x2c000030)
+	b.SetU32(0, 0x612c0000)
+	c.SetU32(0, 0x30612c00)
+	out, err := NewMachine(isa.SkylakeX).Call("_mm512_fmadd_ps", VecValue(a), VecValue(b), VecValue(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.V.U32(0); got != 0x4dac0041 {
+		t.Fatalf("_mm512_fmadd_ps lane 0 = %#08x, want 0x4dac0041", got)
+	}
+
+	mid := float32(1 + 0x1p-23) // a*1.5 = 1.5 + 2^-23 + 2^-24, an f32 midpoint
+	for _, tc := range []struct{ a, b, c float32 }{
+		{mid, 1.5, -0x1p-60}, {mid, 1.5, 0x1p-60},
+		{-mid, 1.5, 0x1p-60}, {-mid, 1.5, -0x1p-60},
+		{mid, 1.5, 0}, {0x1p-149, 0.5, 0}, {0x1p-149, 1.5, -0x1p-149},
+		// a*b = 2^-150 - 2^-196 lifts the largest f32 denormal c to
+		// just under a denormal-range midpoint.
+		{(1 + 0x1p-23) * 0x1p-75, (1 - 0x1p-23) * 0x1p-75, 0x1p-126 - 0x1p-149},
+		{-(1 + 0x1p-23) * 0x1p-75, (1 - 0x1p-23) * 0x1p-75, -(0x1p-126 - 0x1p-149)},
+	} {
+		want := float32(refFMA(float64(tc.a), float64(tc.b), float64(tc.c), true))
+		if got := fma32(tc.a, tc.b, tc.c); math.Float32bits(got) != math.Float32bits(want) {
+			t.Errorf("fma32(%g, %g, %g) = %#08x, want %#08x", tc.a, tc.b, tc.c,
+				math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+
+	rng := NewXorshift(7)
+	f := func() float32 {
+		// Random sign, mantissa and an exponent in a range where
+		// products and sums stay finite and often cancel.
+		bits := rng.Next32()&0x807fffff | (100+rng.Next32()%56)<<23
+		return math.Float32frombits(bits)
+	}
+	for i := 0; i < 20000; i++ {
+		x, y, z := f(), f(), f()
+		want := float32(refFMA(float64(x), float64(y), float64(z), true))
+		if got := fma32(x, y, z); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("fma32(%#08x, %#08x, %#08x) = %#08x, want %#08x",
+				math.Float32bits(x), math.Float32bits(y), math.Float32bits(z),
+				math.Float32bits(got), math.Float32bits(want))
+		}
+	}
 }

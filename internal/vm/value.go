@@ -50,18 +50,20 @@ func (b *Buffer) check(off, n int) error {
 	return nil
 }
 
-// LoadVec reads `bytes` bytes at element offset elemOff into a register.
-func (b *Buffer) LoadVec(elemOff, bytes int) (Vec, error) {
+// LoadVec reads `bytes` bytes at element offset elemOff into dst,
+// zeroing its upper bytes; dst is untouched on error.
+func (b *Buffer) LoadVec(dst *Vec, elemOff, bytes int) error {
 	off := elemOff * b.Prim.Bits() / 8
 	if err := b.check(off, bytes); err != nil {
-		return Vec{}, err
+		return err
 	}
-	return VecFromBytes(b.Data[off : off+bytes]), nil
+	copy(zero(dst).b[:], b.Data[off:off+bytes])
+	return nil
 }
 
 // StoreVec writes the low `bytes` bytes of a register at element offset
 // elemOff.
-func (b *Buffer) StoreVec(elemOff int, v Vec, bytes int) error {
+func (b *Buffer) StoreVec(elemOff int, v *Vec, bytes int) error {
 	off := elemOff * b.Prim.Bits() / 8
 	if err := b.check(off, bytes); err != nil {
 		return err
@@ -305,14 +307,19 @@ func RepinI32(b *Buffer, xs []int32) *Buffer {
 // --- runtime values -----------------------------------------------------------
 
 // Value is one runtime value in the kernel interpreter: a scalar, a
-// register, or a displaced pointer into a buffer.
+// register, or a displaced pointer into a buffer. It is 56 bytes: Kind
+// and B share a word, and a register value refers to its 64 bytes
+// through V instead of holding them, so copying a Value never copies a
+// register. The storage V points to belongs to whoever wrote it (an
+// interpreter frame's vector register file, or VecValue's own copy);
+// a Value is a read-only view of it.
 type Value struct {
 	Kind ir.Kind
+	B    bool
 	I    int64
 	U    uint64
 	F    float64
-	B    bool
-	V    Vec
+	V    *Vec
 	Mem  *Buffer
 	Off  int // pointer displacement in elements
 }
@@ -329,12 +336,25 @@ func F64Value(v float64) Value { return Value{Kind: ir.KindF64, F: v} }
 // BoolValue builds a bool scalar.
 func BoolValue(v bool) Value { return Value{Kind: ir.KindBool, B: v} }
 
-// VecValue builds a register value.
-func VecValue(v Vec) Value { return Value{Kind: ir.KindVec, V: v} }
+// VecValue builds a register value that owns a copy of v.
+func VecValue(v Vec) Value { return Value{Kind: ir.KindVec, V: &v} }
 
 // PtrValue builds a pointer to a buffer at element offset off.
 func PtrValue(b *Buffer, off int) Value {
 	return Value{Kind: ir.KindPtr, Mem: b, Off: off}
+}
+
+// zeroVec is the register of a Value that holds none (a scalar,
+// pointer or void value): all-zero lanes. Nothing writes through a
+// Value's register, so the shared value stays zero.
+var zeroVec Vec
+
+// vec returns the register V refers to, or zeroVec when V is nil.
+func (v *Value) vec() *Vec {
+	if v.V != nil {
+		return v.V
+	}
+	return &zeroVec
 }
 
 // AsInt returns the scalar numeric value as int64.
@@ -375,7 +395,7 @@ func (v Value) AsFloat() float64 {
 // pattern (NaN payloads included), pointers by displacement plus the
 // pointed-to bytes — the comparison the differential harnesses use.
 func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind || v.I != o.I || v.U != o.U || v.B != o.B || v.V != o.V {
+	if v.Kind != o.Kind || v.I != o.I || v.U != o.U || v.B != o.B || *v.vec() != *o.vec() {
 		return false
 	}
 	if math.Float64bits(v.F) != math.Float64bits(o.F) {

@@ -60,7 +60,7 @@ func VecFromBytesErr(p []byte) (Vec, error) {
 // --- 32-bit float lanes ----------------------------------------------------
 
 // F32 returns lane i viewed as float32.
-func (v Vec) F32(i int) float32 {
+func (v *Vec) F32(i int) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(v.b[i*4:]))
 }
 
@@ -72,7 +72,7 @@ func (v *Vec) SetF32(i int, x float32) {
 // --- 64-bit float lanes ----------------------------------------------------
 
 // F64 returns lane i viewed as float64.
-func (v Vec) F64(i int) float64 {
+func (v *Vec) F64(i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(v.b[i*8:]))
 }
 
@@ -84,19 +84,19 @@ func (v *Vec) SetF64(i int, x float64) {
 // --- integer lanes -----------------------------------------------------------
 
 // I8 returns lane i viewed as int8.
-func (v Vec) I8(i int) int8 { return int8(v.b[i]) }
+func (v *Vec) I8(i int) int8 { return int8(v.b[i]) }
 
 // SetI8 stores an int8 into lane i.
 func (v *Vec) SetI8(i int, x int8) { v.b[i] = byte(x) }
 
 // U8 returns lane i viewed as uint8.
-func (v Vec) U8(i int) uint8 { return v.b[i] }
+func (v *Vec) U8(i int) uint8 { return v.b[i] }
 
 // SetU8 stores a uint8 into lane i.
 func (v *Vec) SetU8(i int, x uint8) { v.b[i] = x }
 
 // I16 returns lane i viewed as int16.
-func (v Vec) I16(i int) int16 {
+func (v *Vec) I16(i int) int16 {
 	return int16(binary.LittleEndian.Uint16(v.b[i*2:]))
 }
 
@@ -106,7 +106,7 @@ func (v *Vec) SetI16(i int, x int16) {
 }
 
 // U16 returns lane i viewed as uint16.
-func (v Vec) U16(i int) uint16 { return binary.LittleEndian.Uint16(v.b[i*2:]) }
+func (v *Vec) U16(i int) uint16 { return binary.LittleEndian.Uint16(v.b[i*2:]) }
 
 // SetU16 stores a uint16 into lane i.
 func (v *Vec) SetU16(i int, x uint16) {
@@ -114,7 +114,7 @@ func (v *Vec) SetU16(i int, x uint16) {
 }
 
 // I32 returns lane i viewed as int32.
-func (v Vec) I32(i int) int32 {
+func (v *Vec) I32(i int) int32 {
 	return int32(binary.LittleEndian.Uint32(v.b[i*4:]))
 }
 
@@ -124,7 +124,7 @@ func (v *Vec) SetI32(i int, x int32) {
 }
 
 // U32 returns lane i viewed as uint32.
-func (v Vec) U32(i int) uint32 { return binary.LittleEndian.Uint32(v.b[i*4:]) }
+func (v *Vec) U32(i int) uint32 { return binary.LittleEndian.Uint32(v.b[i*4:]) }
 
 // SetU32 stores a uint32 into lane i.
 func (v *Vec) SetU32(i int, x uint32) {
@@ -132,7 +132,7 @@ func (v *Vec) SetU32(i int, x uint32) {
 }
 
 // I64 returns lane i viewed as int64.
-func (v Vec) I64(i int) int64 {
+func (v *Vec) I64(i int) int64 {
 	return int64(binary.LittleEndian.Uint64(v.b[i*8:]))
 }
 
@@ -142,7 +142,7 @@ func (v *Vec) SetI64(i int, x int64) {
 }
 
 // U64 returns lane i viewed as uint64.
-func (v Vec) U64(i int) uint64 { return binary.LittleEndian.Uint64(v.b[i*8:]) }
+func (v *Vec) U64(i int) uint64 { return binary.LittleEndian.Uint64(v.b[i*8:]) }
 
 // SetU64 stores a uint64 into lane i.
 func (v *Vec) SetU64(i int, x uint64) {
@@ -157,98 +157,99 @@ func (v Vec) String() string {
 // --- lanewise combinators ----------------------------------------------------
 //
 // Each combinator applies f lane by lane over the register's logical
-// width and returns a fresh register; lanes past the width stay zero.
+// width, writes the result into dst (which aliases no operand) and
+// returns it; lanes past the width are zeroed.
 
-func mapF32(bits int, a, b Vec, f func(x, y float32) float32) Vec {
-	var out Vec
+func mapF32(dst *Vec, bits int, a, b *Vec, f func(x, y float32) float32) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/32; i++ {
 		out.SetF32(i, f(a.F32(i), b.F32(i)))
 	}
 	return out
 }
 
-func map1F32(bits int, a Vec, f func(x float32) float32) Vec {
-	var out Vec
+func map1F32(dst *Vec, bits int, a *Vec, f func(x float32) float32) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/32; i++ {
 		out.SetF32(i, f(a.F32(i)))
 	}
 	return out
 }
 
-func mapF64(bits int, a, b Vec, f func(x, y float64) float64) Vec {
-	var out Vec
+func mapF64(dst *Vec, bits int, a, b *Vec, f func(x, y float64) float64) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/64; i++ {
 		out.SetF64(i, f(a.F64(i), b.F64(i)))
 	}
 	return out
 }
 
-func map1F64(bits int, a Vec, f func(x float64) float64) Vec {
-	var out Vec
+func map1F64(dst *Vec, bits int, a *Vec, f func(x float64) float64) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/64; i++ {
 		out.SetF64(i, f(a.F64(i)))
 	}
 	return out
 }
 
-func mapI8(bits int, a, b Vec, f func(x, y int8) int8) Vec {
-	var out Vec
+func mapI8(dst *Vec, bits int, a, b *Vec, f func(x, y int8) int8) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/8; i++ {
 		out.SetI8(i, f(a.I8(i), b.I8(i)))
 	}
 	return out
 }
 
-func mapU8(bits int, a, b Vec, f func(x, y uint8) uint8) Vec {
-	var out Vec
+func mapU8(dst *Vec, bits int, a, b *Vec, f func(x, y uint8) uint8) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/8; i++ {
 		out.SetU8(i, f(a.U8(i), b.U8(i)))
 	}
 	return out
 }
 
-func mapI16(bits int, a, b Vec, f func(x, y int16) int16) Vec {
-	var out Vec
+func mapI16(dst *Vec, bits int, a, b *Vec, f func(x, y int16) int16) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/16; i++ {
 		out.SetI16(i, f(a.I16(i), b.I16(i)))
 	}
 	return out
 }
 
-func mapU16(bits int, a, b Vec, f func(x, y uint16) uint16) Vec {
-	var out Vec
+func mapU16(dst *Vec, bits int, a, b *Vec, f func(x, y uint16) uint16) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/16; i++ {
 		out.SetU16(i, f(a.U16(i), b.U16(i)))
 	}
 	return out
 }
 
-func mapI32(bits int, a, b Vec, f func(x, y int32) int32) Vec {
-	var out Vec
+func mapI32(dst *Vec, bits int, a, b *Vec, f func(x, y int32) int32) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/32; i++ {
 		out.SetI32(i, f(a.I32(i), b.I32(i)))
 	}
 	return out
 }
 
-func mapU32(bits int, a, b Vec, f func(x, y uint32) uint32) Vec {
-	var out Vec
+func mapU32(dst *Vec, bits int, a, b *Vec, f func(x, y uint32) uint32) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/32; i++ {
 		out.SetU32(i, f(a.U32(i), b.U32(i)))
 	}
 	return out
 }
 
-func mapI64(bits int, a, b Vec, f func(x, y int64) int64) Vec {
-	var out Vec
+func mapI64(dst *Vec, bits int, a, b *Vec, f func(x, y int64) int64) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/64; i++ {
 		out.SetI64(i, f(a.I64(i), b.I64(i)))
 	}
 	return out
 }
 
-func mapU64(bits int, a, b Vec, f func(x, y uint64) uint64) Vec {
-	var out Vec
+func mapU64(dst *Vec, bits int, a, b *Vec, f func(x, y uint64) uint64) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/64; i++ {
 		out.SetU64(i, f(a.U64(i), b.U64(i)))
 	}
@@ -257,8 +258,8 @@ func mapU64(bits int, a, b Vec, f func(x, y uint64) uint64) Vec {
 
 // bitwise applies f to the register byte-by-byte (logical ops are
 // width- and element-type-agnostic).
-func bitwise(bits int, a, b Vec, f func(x, y byte) byte) Vec {
-	var out Vec
+func bitwise(dst *Vec, bits int, a, b *Vec, f func(x, y byte) byte) *Vec {
+	out := zero(dst)
 	for i := 0; i < bits/8; i++ {
 		out.b[i] = f(a.b[i], b.b[i])
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -165,7 +166,7 @@ func TestTranspose8x8(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out.V
+		return *out.V
 	}
 	// Stage 1: unpacklo/unpackhi pairs.
 	var tt []Vec
@@ -544,5 +545,14 @@ func TestVecBytesBounds(t *testing.T) {
 	}
 	if _, err := VecFromBytesErr(make([]byte, 64)); err != nil {
 		t.Errorf("VecFromBytesErr must accept 64 bytes: %v", err)
+	}
+}
+
+// TestValueIsThin pins the interpreter value's size: Kind and B share a
+// word and a register is referred to, not held, so copying a Value
+// moves seven words rather than a 64-byte register.
+func TestValueIsThin(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 56 {
+		t.Fatalf("unsafe.Sizeof(vm.Value{}) = %d, want <= 56", n)
 	}
 }
