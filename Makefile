@@ -8,15 +8,16 @@
 # durable-envelope property targets, the
 # grammar-driven conformance suite, the persistent-cache cold/warm gate,
 # the native-vs-vm differential, the adaptive-planner cold/warm gate, the
-# benchmark module's vet and tests, and the package-documentation check.
+# benchmark module's vet and tests, the reference-output check, and the
+# package-documentation check.
 
 GO ?= go
 RACE_PKGS := ./internal/core ./internal/bench ./internal/kernelc ./internal/vm ./internal/obs ./internal/loopdep ./internal/backend/... ./internal/server ./internal/plan ./internal/hotspot ./internal/durable
 FUZZTIME ?= 5s
 
-.PHONY: ci lint fmt vet build test race fuzz conform benchtest cachepersist nativediff plancheck servecheck docs
+.PHONY: ci lint fmt vet build test race fuzz conform benchtest cachepersist nativediff plancheck servecheck figcheck docs
 
-ci: lint build test race fuzz conform benchtest cachepersist nativediff plancheck servecheck docs
+ci: lint build test race fuzz conform benchtest cachepersist nativediff plancheck servecheck figcheck docs
 
 # lint bundles the static hygiene checks: gofmt cleanliness and go vet.
 lint: fmt vet
@@ -226,6 +227,22 @@ servecheck:
 		tail -20 "$$tmp/log2" "$$tmp/log3" 2>/dev/null; rm -rf "$$tmp"; exit 1; fi; \
 	echo "servecheck: killed mid-sweep, resumed $$pts checkpointed points, table byte-identical"; \
 	rm -rf "$$tmp"
+
+# figcheck is the reference-output gate: `ngen all` with one sweep worker
+# and with two must each be byte-identical to results/ngen_all.txt (every
+# figure, table and footer, not only the figure tables the bench tests
+# compare). A difference is printed as a diff.
+figcheck:
+	@for j in 1 2; do \
+		out=$$(mktemp); \
+		$(GO) run ./cmd/ngen -j $$j all >"$$out" || { rm -f "$$out"; exit 1; }; \
+		if ! cmp -s "$$out" results/ngen_all.txt; then \
+			echo "figcheck: ngen -j $$j all differs from results/ngen_all.txt:"; \
+			diff results/ngen_all.txt "$$out"; rm -f "$$out"; exit 1; \
+		fi; \
+		rm -f "$$out"; \
+	done; \
+	echo "figcheck: ngen -j 1 all and -j 2 all byte-identical to results/ngen_all.txt"
 
 # Every internal package must carry a godoc package comment
 # ("// Package <name> ..."), canonically in its doc.go.

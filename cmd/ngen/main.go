@@ -464,6 +464,7 @@ func table1b() error {
 func table3() error {
 	fmt.Println("Table 3 — Intel Intrinsics Guide XML specifications")
 	fmt.Printf("%-12s %-12s %8s %8s %8s\n", "Spec", "Date", "Total", "AVX-512", "Skipped")
+	var failed []string // versions with resolver errors
 	for _, vi := range xmlspec.Versions() {
 		f := xmlspec.Generate(vi)
 		rs, errs := xmlspec.Resolve(f)
@@ -476,8 +477,15 @@ func table3() error {
 		}
 		fmt.Printf("data-%-7s %-12s %8d %8d %8d\n",
 			vi.Version+".xml", vi.Date, st.Total, avx512, st.Skipped)
+		if st.Skipped != 0 {
+			failed = append(failed, "data-"+vi.Version+".xml")
+		}
 	}
-	fmt.Println("(every version regenerates eDSL bindings without resolver errors)")
+	if len(failed) == 0 {
+		fmt.Println("(every version is generated and resolved with 0 resolver errors)")
+	} else {
+		fmt.Printf("(resolver errors in %s)\n", strings.Join(failed, ", "))
+	}
 	return nil
 }
 

@@ -65,8 +65,10 @@ type Runtime struct {
 	// stage spans are top-level on Tracer.
 	Span *obs.Span
 	// Opt selects the kernelc lowering tier. The zero value is
-	// kernelc.TierOpt (loop-nest optimizer on); set kernelc.TierPlain to
-	// reproduce the pre-optimizer interpreter for differential runs. The
+	// kernelc.TierOpt (loop-nest optimizer and parallel loops on); set
+	// kernelc.TierPlain for differential runs: the same fused,
+	// destination-passing nodes and the same loop driver, with every
+	// loop serial and nothing hoisted or strength-reduced. The
 	// tier is part of the compile-cache key, so runtimes at different
 	// tiers sharing one cache never cross-contaminate. Planning does not
 	// change it: a planned runtime routes among strategies at its tier.

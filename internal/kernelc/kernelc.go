@@ -33,27 +33,31 @@
 //     reallocated.
 //   - The vector register file: a vm.Value refers to its register
 //     instead of holding it, and each intrinsic node owns one slot of
-//     the frame's file, which both tiers pass to vm.Intrinsic.Fn as the
+//     the frame's file, which it passes to vm.Intrinsic.Fn as the
 //     destination of its vector result. A slot is rewritten every time
 //     its node runs, so the drivers copy a vector exactly where it must
 //     outlive that: a loop-carried accumulator (into the loop's own
 //     slot, since the body may read it after producing the next one), a
 //     parallel lane's partial (the lane's next chunk rewrites the slot)
 //     and a vector Run returns (the frame goes back to the pool).
-//   - The loop-nest optimizer (Options.Optimize, see optimize.go):
-//     loop-invariant scalar defs are hoisted out of loop bodies and run
-//     once at loop entry, affine i32 functions of the induction variable
-//     (base + i*stride address math) are strength-reduced to one
-//     incremental add per iteration, and evaluation is destination-
-//     passing — a fused producer evaluates straight into its consumer's
-//     argument slot, a node's result is written into its register and
-//     a pointer add advances the displacement there, instead of each
-//     value being returned through the consumer. Each intrinsic has one
-//     semantic, vm.Intrinsic.Fn, which both tiers and Count execute.
-//     Dynamic counts are preserved exactly: hoisted and strength-reduced
-//     nodes keep their entries in the body's static count vector, so the
-//     cost model — and therefore every figure — sees the identical op
-//     stream.
+//   - Destination passing: every node evaluates into a destination it
+//     is handed (evalFn) instead of returning its value. A node's result
+//     is written into its register, a void node's into the frame's sink,
+//     a pointer add advances the displacement in place, and a fused
+//     producer evaluates straight into an intrinsic consumer's argument
+//     slot or into any other consumer's own destination, which the
+//     consumer then overwrites. Each intrinsic has one semantic,
+//     vm.Intrinsic.Fn, which both tiers and Count execute.
+//   - The loop-nest optimizer (TierOpt, see optimize.go): loop-invariant
+//     scalar defs are hoisted out of loop bodies and run once at loop
+//     entry, and affine i32 functions of the induction variable (base +
+//     i*stride address math) are strength-reduced to one incremental
+//     add per iteration. Dynamic counts are preserved exactly: hoisted
+//     and strength-reduced nodes keep their entries in the body's
+//     static count vector, so the cost model — and therefore every
+//     figure — sees the identical op stream. TierPlain compiles the same
+//     nodes and runs the same loop driver with an empty loop plan and
+//     no parallel plan.
 //
 // Count invariance. The bench harness only needs an execution's dynamic
 // op counts, never its results, and most kernels' counts do not depend
@@ -128,32 +132,20 @@ const (
 	OpBranch      = "scalar.branch"
 )
 
-// Options selects the interpreter's compile-time optimisation passes.
-// The zero value disables everything; use DefaultOptions (or Compile)
-// for the shipping configuration.
-type Options struct {
-	// Fuse enables superinstruction fusion (PR 1).
-	Fuse bool
-	// Optimize enables the loop-nest optimizer: loop-invariant code
-	// motion, strength reduction of affine induction-variable math (see
-	// optimize.go), and destination-passing evaluation of fused chains
-	// into frame registers and scratch slots.
-	Optimize bool
-}
-
-// DefaultOptions is the shipping configuration: everything on.
-func DefaultOptions() Options { return Options{Fuse: true, Optimize: true} }
-
 // Tier names a bundled optimisation level, used by the compile cache to
 // keep artifacts from different configurations apart. The zero value is
 // the fully optimized tier, so zero-valued runtimes get the fast path.
+// Both tiers fuse, pass destinations and run one loop driver; they
+// differ only in the loops' plans.
 type Tier int
 
 const (
-	// TierOpt is the default: fusion plus the loop-nest optimizer.
+	// TierOpt is the default: fusion plus the loop-nest optimizer and the
+	// parallel loop tier.
 	TierOpt Tier = iota
-	// TierPlain is the PR-1-era pipeline: fusion only, no loop-nest
-	// optimizer. Differential tests diff it against TierOpt.
+	// TierPlain is fusion without the loop-nest optimizer: every loop
+	// runs serially with an empty loop plan, nothing hoisted and nothing
+	// strength-reduced. Differential tests diff it against TierOpt.
 	TierPlain
 )
 
@@ -168,16 +160,6 @@ func (t Tier) String() string {
 		return "plain"
 	default:
 		return fmt.Sprintf("tier(%d)", int(t))
-	}
-}
-
-// Options expands the tier into its pass selection.
-func (t Tier) Options() Options {
-	switch t {
-	case TierPlain:
-		return Options{Fuse: true, Optimize: false}
-	default:
-		return DefaultOptions()
 	}
 }
 
@@ -252,7 +234,7 @@ func ResetPoolStats() {
 
 // Vector-arena traffic across all programs: resets counts how many
 // times a loop iteration recycled its frame's scratch arena in place
-// (one per iteration of every loop an optimized program runs), slots
+// (one per iteration of every loop a program runs, at either tier), slots
 // counts the arena capacity compiled into programs. Both feed the
 // obs gauges vec.arena.resets / vec.arena.slots.
 var (
@@ -285,21 +267,19 @@ type frame struct {
 	// arena accumulates loop-iteration arena reuses during one Run and
 	// is flushed to arenaResets when the frame is returned to the pool.
 	arena int64
-	// sink is frame-owned destination storage: void destination-passing
-	// ops (stores) write their unused destination here, and an intrinsic
-	// evaluated through its eval wrapper writes here before the copy out.
+	// sink is the destination of void nodes (stores): they and the
+	// producers fused into them write here, and nothing reads it after.
 	sink vm.Value
 }
 
 type op func(fr *frame) error
 
-// evalFn produces one node's value (the zero Value for void nodes).
-type evalFn func(fr *frame) (vm.Value, error)
-
-// evalIntoFn is the destination-passing form: the node's value is
-// written into *out (void nodes leave it untouched) instead of being
-// returned to the consumer, which would copy it once more.
-type evalIntoFn func(fr *frame, out *vm.Value) error
+// evalFn evaluates one node into *out. out is the node's register, the
+// frame's sink for a void node, or — for a producer fused into its
+// consumer — the consumer's argument slot or the consumer's own
+// destination. A result written into the destination, instead of
+// returned through the consumer, is not copied once more.
+type evalFn func(fr *frame, out *vm.Value) error
 
 // countDelta is one entry of a block's static count vector: executing
 // the block's straight-line ops once adds n to key.
@@ -309,59 +289,32 @@ type countDelta struct {
 }
 
 // inline requests that a fused producer's evaluator replace the
-// consumer's argument at position pos. evalInto, when non-nil, lets the
-// consumer evaluate the producer straight into its scratch-arena slot.
+// consumer's argument at position pos.
 type inline struct {
-	pos      int
-	eval     evalFn
-	evalInto evalIntoFn
-	chain    int // producers already folded into this evaluator
+	pos   int
+	eval  evalFn
+	chain int // producers already folded into this evaluator
 }
 
 // valNode is a compiled simple (non-control) node, held back briefly by
 // compileBlock so the next node may fuse it.
 type valNode struct {
-	eval evalFn
-	// evalInto, when non-nil, is the destination-passing fast path used
-	// by the optimized tier in place of eval.
-	evalInto evalIntoFn
-	void     bool
-	dst      int
-	counts   []countDelta
-	sym      ir.Sym
-	chain    int // fused producers folded into this node
+	eval   evalFn
+	void   bool
+	dst    int
+	counts []countDelta
+	sym    ir.Sym
+	chain  int // fused producers folded into this node
 }
 
 // asOp finalises a node that was not fused away.
 func (v *valNode) asOp() op {
-	if v.evalInto != nil {
-		into := v.evalInto
-		if v.void {
-			return func(fr *frame) error {
-				return into(fr, &fr.sink)
-			}
-		}
-		dst := v.dst
-		return func(fr *frame) error {
-			return into(fr, &fr.regs[dst])
-		}
-	}
 	eval := v.eval
 	if v.void {
-		return func(fr *frame) error {
-			_, err := eval(fr)
-			return err
-		}
+		return func(fr *frame) error { return eval(fr, &fr.sink) }
 	}
 	dst := v.dst
-	return func(fr *frame) error {
-		out, err := eval(fr)
-		if err != nil {
-			return err
-		}
-		fr.regs[dst] = out
-		return nil
-	}
+	return func(fr *frame) error { return eval(fr, &fr.regs[dst]) }
 }
 
 // argRef locates an operand at run time: a constant materialised at
@@ -403,11 +356,13 @@ type compiler struct {
 	scratchNext int
 	vecNext     int // next free slot of the vector register file
 	fuse        bool
-	opt         bool
-	fused       int
-	hoisted     int
-	strength    int
-	chains      int
+	// tier is read only by compileLoop: it decides whether a loop gets a
+	// loop plan and a parallel plan.
+	tier     Tier
+	fused    int
+	hoisted  int
+	strength int
+	chains   int
 	// skip marks nodes (by sym id) the loop optimizer has claimed:
 	// compileBlock leaves them out of the body so the loop driver can
 	// run them at entry (hoisted) or incrementally (strength-reduced).
@@ -458,16 +413,16 @@ func (c *compiler) strided(idx ir.Exp) bool {
 // default (fully optimized) tier. Staging errors surface here:
 // intrinsics without executable semantics, unbound symbols, unsupported
 // ops.
-func Compile(f *ir.Func) (*Program, error) { return CompileWith(f, DefaultOptions()) }
+func Compile(f *ir.Func) (*Program, error) { return compile(f, TierOpt, true) }
 
 // CompileTier compiles at a named tier (the compile cache keys on it).
-func CompileTier(f *ir.Func, t Tier) (*Program, error) { return CompileWith(f, t.Options()) }
+func CompileTier(f *ir.Func, t Tier) (*Program, error) { return compile(f, t, true) }
 
-// CompileWith exposes the optimisation switches so differential tests
-// can compare configurations op-for-op.
-func CompileWith(f *ir.Func, o Options) (*Program, error) {
+// compile lowers f at tier t. fuse=false compiles every node on its own,
+// the baseline fusion is diffed against in tests.
+func compile(f *ir.Func, t Tier, fuse bool) (*Program, error) {
 	c := &compiler{f: f, sched: ir.Schedule(f), slots: map[int]int{},
-		uses: map[int]int{}, fuse: o.Fuse, opt: o.Optimize, skip: map[int]bool{}}
+		uses: map[int]int{}, fuse: fuse, tier: t, skip: map[int]bool{}}
 	c.countUses(f.G.Root())
 	p := &Program{F: f, loopVecs: map[int][]countDelta{}, armVecs: map[int][2][]countDelta{}}
 	c.prog = p
@@ -643,8 +598,7 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
 			var prodCounts []countDelta
 			if c.fuse && pending != nil && !pending.void && c.uses[pending.sym.ID] == 1 {
 				if pos := fusablePos(d, pending.sym); pos >= 0 {
-					inl = &inline{pos: pos, eval: pending.eval,
-						evalInto: pending.evalInto, chain: pending.chain}
+					inl = &inline{pos: pos, eval: pending.eval, chain: pending.chain}
 					prodCounts = pending.counts
 					pending = nil
 					c.fused++
@@ -737,6 +691,17 @@ func (c *compiler) valNode(n *ir.Node, eval evalFn, counts ...countDelta) *valNo
 	return &valNode{eval: eval, void: void, dst: dst, counts: counts, sym: n.Sym}
 }
 
+// compileIntrinsic lowers an intrinsic call. Its arguments are gathered
+// into the frame's scratch arena, a fused producer evaluates straight
+// into its arena slot, and the result is written into the destination.
+// Argument gathering is pure register reads, so running the producer
+// after it is the same as running it first. This destination passing is
+// kernelc's own, not a second intrinsic semantic, and it is the only
+// evaluation form because it is measured: with the 56-byte vm.Value,
+// turning it off (value-returning evaluation of intrinsics, scalar loads
+// and pointer adds, without the frame sink) lost 4 of 5 alternating
+// kernels pairs and all 5 serve pairs, median ref_wall_ms +8% on both,
+// on a 2-vCPU x86-64 host.
 func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 	name := n.Def.Op
 	in, ok := vm.Lookup(name)
@@ -756,84 +721,22 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 	c.vecNext++
 	ie, pos := inlineParts(inl)
 	fn := in.Fn
-	if c.opt {
-		// Destination-passing tier: arguments are gathered into the
-		// frame's scratch arena, an inlined producer evaluates straight
-		// into its arena slot, and the result is written into the
-		// caller-provided destination. Argument gathering is pure
-		// register reads, so running the producer after it is
-		// observationally identical to the plain tier's producer-first
-		// order. This destination passing is kernelc's own, not a second
-		// intrinsic semantic, and it stays because it is measured: with
-		// the 56-byte vm.Value, turning off evalInto, inline.evalInto
-		// and the frame sink (intrinsics, scalar loads and pointer adds
-		// alike) lost 4 of 5 alternating kernels pairs and all 5 serve
-		// pairs, median ref_wall_ms +8% on both, on a 2-vCPU x86-64
-		// host.
-		var iInto evalIntoFn
-		if inl != nil {
-			iInto = inl.evalInto
-		}
-		evalInto := func(fr *frame, out *vm.Value) error {
-			vals := fr.scratch[off : off+nArgs]
-			for i := range args {
-				args[i].load(fr, &vals[i])
-			}
-			if pos >= 0 {
-				if iInto != nil {
-					if err := iInto(fr, &vals[pos]); err != nil {
-						return err
-					}
-				} else {
-					v, err := ie(fr)
-					if err != nil {
-						return err
-					}
-					vals[pos] = v
-				}
-			}
-			v, err := fn(fr.m, vals, &fr.vecs[vs])
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			*out = v
-			return nil
-		}
-		// A consumer without a destination of its own gets a copy of the
-		// frame's sink: a local passed to the indirect evalInto would
-		// escape to the heap on every call. The copy is taken right after
-		// this node's own write, the last one of its evaluation.
-		eval := func(fr *frame) (vm.Value, error) {
-			if err := evalInto(fr, &fr.sink); err != nil {
-				return vm.Value{}, err
-			}
-			return fr.sink, nil
-		}
-		vn := c.valNode(n, eval, countDelta{name, 1})
-		vn.evalInto = evalInto
-		return vn, nil
-	}
-	eval := func(fr *frame) (vm.Value, error) {
-		var iv vm.Value
-		if pos >= 0 {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			iv = v
-		}
+	eval := func(fr *frame, out *vm.Value) error {
 		vals := fr.scratch[off : off+nArgs]
 		for i := range args {
 			args[i].load(fr, &vals[i])
 		}
 		if pos >= 0 {
-			vals[pos] = iv
+			if err := ie(fr, &vals[pos]); err != nil {
+				return err
+			}
 		}
-		out, err := fn(fr.m, vals, &fr.vecs[vs])
+		v, err := fn(fr.m, vals, &fr.vecs[vs])
 		if err != nil {
-			return vm.Value{}, fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		return out, nil
+		*out = v
+		return nil
 	}
 	return c.valNode(n, eval, countDelta{name, 1}), nil
 }
@@ -863,10 +766,12 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 		c.vecNext++
 		dst = c.slot(n.Sym)
 	}
-	// The loop-nest optimizer claims invariant and affine nodes before
-	// the body is lowered; compileBlock then skips them.
+	// At TierOpt the loop-nest optimizer claims invariant and affine
+	// nodes before the body is lowered; compileBlock then skips them.
+	// TierPlain keeps the empty plan.
+	opt := c.tier != TierPlain
 	var plan loopPlan
-	if c.opt {
+	if opt {
 		plan = c.planLoop(body)
 	}
 	// Claimed nodes still own a register the body reads; assign their
@@ -902,52 +807,6 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	// loop-carried dependency chain (see internal/machine). The body's
 	// static count vector is applied once, scaled by the trip count.
 	loopKey := loopKeyOf(n.Sym)
-	if !c.opt {
-		c.prog.loopVecs[n.Sym.ID] = bodyCounts
-		return func(fr *frame) error {
-			start := args[0].get(fr).AsInt()
-			end := args[1].get(fr).AsInt()
-			stride := args[2].get(fr).AsInt()
-			if stride <= 0 {
-				return fmt.Errorf("forloop stride %d must be positive", stride)
-			}
-			if carried {
-				fr.regs[accSlot] = args[3].get(fr)
-			}
-			iters := int64(0)
-			for i := start; i < end; i += stride {
-				fr.regs[iv] = vm.Value{Kind: ir.KindI32, I: i}
-				for _, o := range bodyOps {
-					if err := o(fr); err != nil {
-						return err
-					}
-				}
-				if carried {
-					fr.regs[accSlot] = ownVec(next.get(fr), &fr.vecs[accVec])
-				}
-				iters++
-			}
-			fr.m.Counts.Add(OpLoopIter, iters)
-			fr.m.Counts.Add(loopKey, iters)
-			for _, cd := range bodyCounts {
-				fr.m.Counts.Add(cd.key, cd.n*iters)
-			}
-			if carried {
-				fr.regs[dst] = fr.regs[accSlot]
-			}
-			return nil
-		}, nil
-	}
-	// Optimized driver. Hoisted and strength-reduced nodes execute at
-	// loop entry (guarded by start < end, so zero-trip loops behave as
-	// before); their static counts were merged into bodyCounts by
-	// planLoop's caller below, keeping the dynamic count stream
-	// identical to the plain tier. Strength-reduced (derived) nodes are
-	// affine i32 functions of the induction variable: their per-stride
-	// step is measured once by evaluating the chain at start and
-	// start+stride — exact because i32 arithmetic is linear in the ring
-	// Z/2^32 and truncation commutes with it — then each iteration
-	// advances them with one masked add instead of re-running the chain.
 	hoistedOps, derivedOps, extraCounts, derSlots, err := c.lowerPlan(plan)
 	if err != nil {
 		return nil, err
@@ -964,6 +823,9 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 		hoistedOps: hoistedOps, derivedOps: derivedOps,
 		derSlots: derSlots, saveOff: saveOff, nDer: nDer,
 		loopKey: loopKey,
+	}
+	if !opt {
+		return lc.run, nil
 	}
 	// The parallel tier: when the dependence analysis proves iterations
 	// independent, attach the probe plan; the driver decides per
@@ -983,8 +845,9 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 // loopKeyOf names a loop's per-loop iteration counter.
 func loopKeyOf(s ir.Sym) string { return fmt.Sprintf("loop.#%d", s.ID) }
 
-// loopCode is one optimized loop's compiled driver state, shared by the
-// serial loop and the parallel lanes.
+// loopCode is one loop's compiled driver state, shared by the serial
+// loop and the parallel lanes. At TierPlain its plan is empty (no
+// hoisted or derived ops) and par is nil.
 type loopCode struct {
 	prog    *Program
 	args    []argRef // start, end, stride[, init]
@@ -1007,10 +870,11 @@ type loopCode struct {
 	par        *parPlan // nil when the loop is statically serial
 }
 
-// run is the optimized loop driver. Hoisted and strength-reduced nodes
-// execute at loop entry (guarded by start < end, so zero-trip loops
-// behave as before); their static counts were merged into bodyCounts,
-// keeping the dynamic count stream identical to the plain tier.
+// run is the loop driver of both tiers. Hoisted and strength-reduced
+// nodes execute at loop entry (guarded by start < end, so zero-trip
+// loops behave as before); their static counts were merged into
+// bodyCounts, keeping the dynamic count stream identical to the plain
+// tier's.
 // Strength-reduced (derived) nodes are affine i32 functions of the
 // induction variable: their per-stride step is measured once by
 // evaluating the chain at start and start+stride — exact because i32
@@ -1216,84 +1080,41 @@ func (c *compiler) compileALoad(n *ir.Node, inl *inline) (*valNode, error) {
 	}
 	ptrRef, idxRef := args[0], args[1]
 	ie, pos := inlineParts(inl)
-	eval := func(fr *frame) (vm.Value, error) {
+	eval := func(fr *frame, out *vm.Value) error {
 		ptr := ptrRef.get(fr)
 		idxV := idxRef.get(fr)
 		if pos >= 0 {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
+			if err := ie(fr, out); err != nil {
+				return err
 			}
 			if pos == 0 {
-				ptr = v
+				ptr = *out
 			} else {
-				idxV = v
+				idxV = *out
 			}
 		}
 		if ptr.Mem == nil {
-			return vm.Value{}, fmt.Errorf("aload through nil array")
+			return fmt.Errorf("aload through nil array")
 		}
 		idx := int(idxV.AsInt()) + ptr.Off
 		if idx < 0 || idx >= ptr.Mem.Len() {
-			return vm.Value{}, fmt.Errorf("aload index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
+			return fmt.Errorf("aload index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
 		}
 		fr.m.Touch(ptr.Mem, idx*ptr.Mem.Prim.Bits()/8, ptr.Mem.Prim.Bits()/8)
-		var v vm.Value
-		v.Kind = kind
+		*out = vm.Value{Kind: kind}
 		switch kind {
 		case ir.KindF32:
-			v.F = float64(ptr.Mem.F32At(idx))
+			out.F = float64(ptr.Mem.F32At(idx))
 		case ir.KindF64:
-			v.F = ptr.Mem.F64At(idx)
+			out.F = ptr.Mem.F64At(idx)
 		case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
-			v.U = uint64(ptr.Mem.IntAt(idx))
+			out.U = uint64(ptr.Mem.IntAt(idx))
 		default:
-			v.I = ptr.Mem.IntAt(idx)
+			out.I = ptr.Mem.IntAt(idx)
 		}
-		return v, nil
+		return nil
 	}
-	vn := c.valNode(n, eval, countDelta{costKey, 1})
-	if c.opt {
-		// Destination-passing variant: the loaded scalar is built
-		// directly in the destination instead of being copied through a
-		// returned Value.
-		vn.evalInto = func(fr *frame, out *vm.Value) error {
-			ptr := ptrRef.get(fr)
-			idxV := idxRef.get(fr)
-			if pos >= 0 {
-				v, err := ie(fr)
-				if err != nil {
-					return err
-				}
-				if pos == 0 {
-					ptr = v
-				} else {
-					idxV = v
-				}
-			}
-			if ptr.Mem == nil {
-				return fmt.Errorf("aload through nil array")
-			}
-			idx := int(idxV.AsInt()) + ptr.Off
-			if idx < 0 || idx >= ptr.Mem.Len() {
-				return fmt.Errorf("aload index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
-			}
-			fr.m.Touch(ptr.Mem, idx*ptr.Mem.Prim.Bits()/8, ptr.Mem.Prim.Bits()/8)
-			*out = vm.Value{Kind: kind}
-			switch kind {
-			case ir.KindF32:
-				out.F = float64(ptr.Mem.F32At(idx))
-			case ir.KindF64:
-				out.F = ptr.Mem.F64At(idx)
-			case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
-				out.U = uint64(ptr.Mem.IntAt(idx))
-			default:
-				out.I = ptr.Mem.IntAt(idx)
-			}
-			return nil
-		}
-	}
-	return vn, nil
+	return c.valNode(n, eval, countDelta{costKey, 1}), nil
 }
 
 func (c *compiler) compileAStore(n *ir.Node, inl *inline) (*valNode, error) {
@@ -1304,30 +1125,31 @@ func (c *compiler) compileAStore(n *ir.Node, inl *inline) (*valNode, error) {
 	kind := n.Def.Args[2].Type().Kind
 	ptrRef, idxRef, valRef := args[0], args[1], args[2]
 	ie, pos := inlineParts(inl)
-	eval := func(fr *frame) (vm.Value, error) {
+	// A store is void: out is the frame's sink, where a fused producer
+	// leaves the operand it computes.
+	eval := func(fr *frame, out *vm.Value) error {
 		ptr := ptrRef.get(fr)
 		idxV := idxRef.get(fr)
 		v := valRef.get(fr)
 		if pos >= 0 {
-			fv, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
+			if err := ie(fr, out); err != nil {
+				return err
 			}
 			switch pos {
 			case 0:
-				ptr = fv
+				ptr = *out
 			case 1:
-				idxV = fv
+				idxV = *out
 			default:
-				v = fv
+				v = *out
 			}
 		}
 		if ptr.Mem == nil {
-			return vm.Value{}, fmt.Errorf("astore through nil array")
+			return fmt.Errorf("astore through nil array")
 		}
 		idx := int(idxV.AsInt()) + ptr.Off
 		if idx < 0 || idx >= ptr.Mem.Len() {
-			return vm.Value{}, fmt.Errorf("astore index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
+			return fmt.Errorf("astore index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
 		}
 		fr.m.Touch(ptr.Mem, idx*ptr.Mem.Prim.Bits()/8, ptr.Mem.Prim.Bits()/8)
 		switch kind {
@@ -1341,7 +1163,7 @@ func (c *compiler) compileAStore(n *ir.Node, inl *inline) (*valNode, error) {
 		default:
 			ptr.Mem.SetIntAt(idx, v.AsInt())
 		}
-		return vm.Value{}, nil
+		return nil
 	}
 	return c.valNode(n, eval, countDelta{OpScalarStore, 1}), nil
 }
@@ -1353,48 +1175,29 @@ func (c *compiler) compilePtrAdd(n *ir.Node, inl *inline) (*valNode, error) {
 	}
 	ptrRef, idxRef := args[0], args[1]
 	ie, pos := inlineParts(inl)
-	eval := func(fr *frame) (vm.Value, error) {
-		ptr := ptrRef.get(fr)
-		idxV := idxRef.get(fr)
-		if pos >= 0 {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
+	// The pointer is written into the destination and its displacement
+	// advanced there, in place.
+	eval := func(fr *frame, out *vm.Value) error {
+		switch pos {
+		case 0:
+			if err := ie(fr, out); err != nil {
+				return err
 			}
-			if pos == 0 {
-				ptr = v
-			} else {
-				idxV = v
+		case 1:
+			if err := ie(fr, out); err != nil {
+				return err
 			}
-		}
-		ptr.Off += int(idxV.AsInt())
-		return ptr, nil
-	}
-	vn := c.valNode(n, eval, countDelta{OpScalarALU, 1})
-	if c.opt {
-		// The pointer is written into the destination and its
-		// displacement advanced there, in place.
-		vn.evalInto = func(fr *frame, out *vm.Value) error {
-			idxV := idxRef.get(fr)
-			if pos >= 0 {
-				v, err := ie(fr)
-				if err != nil {
-					return err
-				}
-				if pos == 0 {
-					*out = v
-				} else {
-					idxV = v
-					ptrRef.load(fr, out)
-				}
-			} else {
-				ptrRef.load(fr, out)
-			}
-			out.Off += int(idxV.AsInt())
+			idx := out.AsInt()
+			ptrRef.load(fr, out)
+			out.Off += int(idx)
 			return nil
+		default:
+			ptrRef.load(fr, out)
 		}
+		out.Off += int(idxRef.get(fr).AsInt())
+		return nil
 	}
-	return vn, nil
+	return c.valNode(n, eval, countDelta{OpScalarALU, 1}), nil
 }
 
 func (c *compiler) compileConv(n *ir.Node, inl *inline) (*valNode, error) {
@@ -1404,20 +1207,17 @@ func (c *compiler) compileConv(n *ir.Node, inl *inline) (*valNode, error) {
 	}
 	srcRef := src[0]
 	to := n.Sym.Typ
-	ie, _ := inlineParts(inl)
-	var eval evalFn
-	if ie != nil {
-		eval = func(fr *frame) (vm.Value, error) {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			return convert(v, to), nil
+	ie, pos := inlineParts(inl)
+	eval := func(fr *frame, out *vm.Value) error {
+		if pos < 0 {
+			*out = convert(srcRef.get(fr), to)
+			return nil
 		}
-	} else {
-		eval = func(fr *frame) (vm.Value, error) {
-			return convert(srcRef.get(fr), to), nil
+		if err := ie(fr, out); err != nil {
+			return err
 		}
+		*out = convert(*out, to)
+		return nil
 	}
 	return c.valNode(n, eval, countDelta{OpScalarConv, 1}), nil
 }
@@ -1428,11 +1228,13 @@ func (c *compiler) compileSelect(n *ir.Node) (*valNode, error) {
 		return nil, err
 	}
 	condRef, aRef, bRef := args[0], args[1], args[2]
-	eval := func(fr *frame) (vm.Value, error) {
+	eval := func(fr *frame, out *vm.Value) error {
 		if condRef.get(fr).B {
-			return aRef.get(fr), nil
+			aRef.load(fr, out)
+		} else {
+			bRef.load(fr, out)
 		}
-		return bRef.get(fr), nil
+		return nil
 	}
 	return c.valNode(n, eval, countDelta{OpScalarALU, 1}), nil
 }

@@ -288,25 +288,30 @@ func TestOptimizedRunZeroAllocs(t *testing.T) {
 }
 
 // TestArenaAccounting checks the per-frame vector arena statistics move
-// when optimized loops run.
+// when loops run, at both tiers: they share one loop driver, so a
+// plain-tier loop records its iterations' arena resets too.
 func TestArenaAccounting(t *testing.T) {
-	ResetArenaStats()
-	k := stageSaxpy(t)
-	p, err := CompileTier(k.F, TierOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, slots := ArenaStats()
-	if slots == 0 {
-		t.Error("compiling an optimized vector kernel must reserve arena slots")
-	}
-	_, args := saxpyInputs(64)
-	if _, err := p.Run(haswell(), args...); err != nil {
-		t.Fatal(err)
-	}
-	resets, _ := ArenaStats()
-	if resets == 0 {
-		t.Error("running optimized loops must record arena resets")
+	for _, tier := range []Tier{TierOpt, TierPlain} {
+		t.Run(tier.String(), func(t *testing.T) {
+			ResetArenaStats()
+			k := stageSaxpy(t)
+			p, err := CompileTier(k.F, tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, slots := ArenaStats()
+			if slots == 0 {
+				t.Error("compiling a vector kernel must reserve arena slots")
+			}
+			_, args := saxpyInputs(64)
+			if _, err := p.Run(haswell(), args...); err != nil {
+				t.Fatal(err)
+			}
+			// 64 elements: 8 vector iterations, no scalar tail.
+			if resets, _ := ArenaStats(); resets != 8 {
+				t.Errorf("running the loops recorded %d arena resets, want 8", resets)
+			}
+		})
 	}
 }
 

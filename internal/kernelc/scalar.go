@@ -20,6 +20,8 @@ func (c *compiler) compileScalar(n *ir.Node, inl *inline) (*valNode, error) {
 	cost := scalarCost(d.Op, t)
 	ie, pos := inlineParts(inl)
 
+	// A fused producer evaluates into this node's own destination, which
+	// the result then overwrites.
 	switch len(args) {
 	case 1:
 		fn, err := unaryFn(d.Op, t)
@@ -27,19 +29,16 @@ func (c *compiler) compileScalar(n *ir.Node, inl *inline) (*valNode, error) {
 			return nil, err
 		}
 		a := args[0]
-		var eval evalFn
-		if ie != nil {
-			eval = func(fr *frame) (vm.Value, error) {
-				av, err := ie(fr)
-				if err != nil {
-					return vm.Value{}, err
-				}
-				return fn(av), nil
+		eval := func(fr *frame, out *vm.Value) error {
+			if pos < 0 {
+				*out = fn(a.get(fr))
+				return nil
 			}
-		} else {
-			eval = func(fr *frame) (vm.Value, error) {
-				return fn(a.get(fr)), nil
+			if err := ie(fr, out); err != nil {
+				return err
 			}
+			*out = fn(*out)
+			return nil
 		}
 		return c.valNode(n, eval, countDelta{cost, 1}), nil
 	case 2:
@@ -57,24 +56,25 @@ func (c *compiler) compileScalar(n *ir.Node, inl *inline) (*valNode, error) {
 		var eval evalFn
 		switch pos {
 		case 0:
-			eval = func(fr *frame) (vm.Value, error) {
-				av, err := ie(fr)
-				if err != nil {
-					return vm.Value{}, err
+			eval = func(fr *frame, out *vm.Value) error {
+				if err := ie(fr, out); err != nil {
+					return err
 				}
-				return fn(av, b.get(fr)), nil
+				*out = fn(*out, b.get(fr))
+				return nil
 			}
 		case 1:
-			eval = func(fr *frame) (vm.Value, error) {
-				bv, err := ie(fr)
-				if err != nil {
-					return vm.Value{}, err
+			eval = func(fr *frame, out *vm.Value) error {
+				if err := ie(fr, out); err != nil {
+					return err
 				}
-				return fn(a.get(fr), bv), nil
+				*out = fn(a.get(fr), *out)
+				return nil
 			}
 		default:
-			eval = func(fr *frame) (vm.Value, error) {
-				return fn(a.get(fr), b.get(fr)), nil
+			eval = func(fr *frame, out *vm.Value) error {
+				*out = fn(a.get(fr), b.get(fr))
+				return nil
 			}
 		}
 		return c.valNode(n, eval, countDelta{cost, 1}), nil
