@@ -14,19 +14,20 @@ import (
 
 // generate specializes a staged function into standalone Go plugin
 // source. The walk mirrors kernelc's compile pass over the same
-// ir.Schedule: identical node order, identical error strings, identical
-// static count vectors (flushed per block, scaled by trip counts), so
-// the plugin's results, memory writes, and dynamic op counts are
-// byte-identical to the interpreter at every tier. (The plain and
-// optimized interpreter tiers already agree on all observables — the
-// optimizer differential suite pins that — so one generated form
-// matches both.)
+// ir.Schedule: identical node order, identical error strings, and the
+// static count vectors kernelc.StaticCounts gives the interpreter
+// (flushed per block, scaled by trip counts), so the plugin's results,
+// memory writes, and dynamic op counts are byte-identical to the
+// interpreter at every tier. (The plain and optimized interpreter tiers
+// already agree on all observables — the optimizer differential suite
+// pins that — so one generated form matches both.)
 //
 // A non-nil error means the function is not native-lowerable; the error
 // text is the reason reported by ngen vet's "native" pass and by the
 // runtime's fallback notice.
 func generate(f *ir.Func) (string, error) {
-	g := &gen{f: f, sched: ir.Schedule(f)}
+	sched := ir.Schedule(f)
+	g := &gen{f: f, sched: sched, counts: kernelc.StaticCounts(f, sched)}
 	var b strings.Builder
 	b.WriteString(prelude)
 	b.WriteString("\n// Run executes kernel ")
@@ -63,11 +64,10 @@ func generate(f *ir.Func) (string, error) {
 			return "", fmt.Errorf("result type %v is not lowerable", r.Type())
 		}
 	}
-	counts, err := g.block(root)
-	if err != nil {
+	if err := g.block(root); err != nil {
 		return "", err
 	}
-	g.flush(counts, "")
+	g.flush(root, "")
 	if r := root.Result; r != nil {
 		e, err := g.scalarExpr(r)
 		if err != nil {
@@ -90,11 +90,11 @@ func Lowerable(f *ir.Func) error {
 }
 
 type gen struct {
-	f       *ir.Func
-	sched   *ir.Scheduled
-	b       strings.Builder
-	ind     int
-	loopIVs []ir.Sym
+	f      *ir.Func
+	sched  *ir.Scheduled
+	counts map[*ir.Block][]kernelc.CountDelta
+	b      strings.Builder
+	ind    int
 }
 
 func (g *gen) p(format string, args ...any) {
@@ -271,20 +271,17 @@ func trunc(k ir.Kind, inner string) string {
 
 // --- statics ----------------------------------------------------------------
 
-// flush emits the block's static count vector, optionally scaled by a
-// trip-count variable. Keys are sorted for deterministic source (the
-// build cache keys on the generated text).
-func (g *gen) flush(counts map[string]int64, scale string) {
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+// flush emits a block's static count vector (kernelc.StaticCounts),
+// optionally scaled by a trip-count variable. Keys are sorted for
+// deterministic source (the build cache keys on the generated text).
+func (g *gen) flush(b *ir.Block, scale string) {
+	counts := append([]kernelc.CountDelta(nil), g.counts[b]...)
+	sort.Slice(counts, func(i, j int) bool { return counts[i].Key < counts[j].Key })
+	for _, cd := range counts {
 		if scale == "" {
-			g.p("cnt[%q] += %s", k, goInt(counts[k]))
+			g.p("cnt[%q] += %s", cd.Key, goInt(cd.N))
 		} else {
-			g.p("cnt[%q] += %s * %s", k, goInt(counts[k]), scale)
+			g.p("cnt[%q] += %s * %s", cd.Key, goInt(cd.N), scale)
 		}
 	}
 }
@@ -297,121 +294,43 @@ func isCmp(op string) bool {
 	return false
 }
 
-// scalarCost mirrors kernelc's cost classification.
-func scalarCost(op string, t ir.Type) string {
-	switch op {
-	case ir.OpMul:
-		if t.IsFloat() {
-			return kernelc.OpScalarFMul
-		}
-		return kernelc.OpScalarMul
-	case ir.OpDiv, ir.OpRem:
-		if t.IsFloat() {
-			return kernelc.OpScalarFDiv
-		}
-		return kernelc.OpScalarDiv
-	case ir.OpAdd, ir.OpSub, ir.OpNeg, ir.OpMin, ir.OpMax:
-		if t.IsFloat() {
-			return kernelc.OpScalarFP
-		}
-		return kernelc.OpScalarALU
-	default:
-		return kernelc.OpScalarALU
-	}
-}
-
-// strided mirrors kernelc's stride classification of scalar loads: the
-// index expression multiplies the innermost loop variable.
-func (g *gen) strided(idx ir.Exp) bool {
-	if len(g.loopIVs) == 0 {
-		return false
-	}
-	iv := g.loopIVs[len(g.loopIVs)-1]
-	var walk func(e ir.Exp, depth int) bool
-	walk = func(e ir.Exp, depth int) bool {
-		s, ok := e.(ir.Sym)
-		if !ok || depth > 6 {
-			return false
-		}
-		d, ok := g.f.G.Def(s)
-		if !ok {
-			return false
-		}
-		switch d.Op {
-		case ir.OpMul, ir.OpShl:
-			for _, a := range d.ArgSyms() {
-				if a == iv {
-					return true
-				}
-			}
-			return false
-		case ir.OpAdd, ir.OpSub:
-			for _, a := range d.Args {
-				if walk(a, depth+1) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(idx, 0)
-}
-
 // --- block walk --------------------------------------------------------------
 
-func (g *gen) block(b *ir.Block) (map[string]int64, error) {
-	counts := map[string]int64{}
+func (g *gen) block(b *ir.Block) error {
 	for _, n := range g.sched.Keep[b] {
-		d := n.Def
-		switch d.Op {
+		var err error
+		switch n.Def.Op {
 		case ir.OpComment, ir.OpParam:
-			continue
 		case ir.OpLoop:
-			if err := g.loop(n); err != nil {
-				return nil, err
-			}
+			err = g.loop(n)
 		case ir.OpIf:
-			if err := g.ifStmt(n); err != nil {
-				return nil, err
-			}
-			counts[kernelc.OpBranch]++
+			err = g.ifStmt(n)
 		default:
-			if err := g.simple(n, counts); err != nil {
-				return nil, err
-			}
+			err = g.simple(n)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return counts, nil
+	return nil
 }
 
-func (g *gen) simple(n *ir.Node, counts map[string]int64) error {
-	d := n.Def
-	if ir.IsIntrinsicOp(d.Op) {
-		counts[d.Op]++
+func (g *gen) simple(n *ir.Node) error {
+	if ir.IsIntrinsicOp(n.Def.Op) {
 		return g.intrinsic(n)
 	}
-	switch d.Op {
+	switch n.Def.Op {
 	case ir.OpALoad:
-		key := kernelc.OpScalarLoad
-		if g.strided(d.Args[1]) {
-			key = kernelc.OpScalarLoadStrided
-		}
-		counts[key]++
 		return g.aload(n)
 	case ir.OpAStore:
-		counts[kernelc.OpScalarStore]++
 		return g.astore(n)
 	case ir.OpPtrAdd:
-		counts[kernelc.OpScalarALU]++
 		return g.ptradd(n)
 	case ir.OpConv:
-		counts[kernelc.OpScalarConv]++
 		return g.conv(n)
 	case ir.OpSel:
-		counts[kernelc.OpScalarALU]++
 		return g.sel(n)
 	default:
-		counts[scalarCost(d.Op, d.Typ)]++
 		return g.scalar(n)
 	}
 }
@@ -494,10 +413,7 @@ func (g *gen) loop(n *ir.Node) error {
 	g.p("for %s := lo%d; %s < hi%d; %s += st%d {", vname(iv), id, vname(iv), id, vname(iv), id)
 	g.ind++
 	g.p("_ = %s", vname(iv))
-	g.loopIVs = append(g.loopIVs, iv)
-	bodyCounts, err := g.block(body)
-	g.loopIVs = g.loopIVs[:len(g.loopIVs)-1]
-	if err != nil {
+	if err := g.block(body); err != nil {
 		return err
 	}
 	if carried {
@@ -514,8 +430,8 @@ func (g *gen) loop(n *ir.Node) error {
 	// count. A body error returns before reaching this point, matching
 	// the interpreter's mid-loop error behavior.
 	g.p("cnt[%q] += it%d", kernelc.OpLoopIter, id)
-	g.p("cnt[%q] += it%d", fmt.Sprintf("loop.#%d", id), id)
-	g.flush(bodyCounts, fmt.Sprintf("it%d", id))
+	g.p("cnt[%q] += it%d", kernelc.LoopKey(id), id)
+	g.flush(body, fmt.Sprintf("it%d", id))
 	if carried {
 		g.declare(n.Sym)
 		if err := g.assign(n.Sym, body.Params[1]); err != nil {
@@ -539,11 +455,10 @@ func (g *gen) ifStmt(n *ir.Node) error {
 	thenB, elseB := d.Blocks[0], d.Blocks[1]
 	g.p("if %s {", cond)
 	g.ind++
-	thenCounts, err := g.block(thenB)
-	if err != nil {
+	if err := g.block(thenB); err != nil {
 		return err
 	}
-	g.flush(thenCounts, "")
+	g.flush(thenB, "")
 	if !void && thenB.Result != nil {
 		if err := g.assign(n.Sym, thenB.Result); err != nil {
 			return err
@@ -552,11 +467,10 @@ func (g *gen) ifStmt(n *ir.Node) error {
 	g.ind--
 	g.p("} else {")
 	g.ind++
-	elseCounts, err := g.block(elseB)
-	if err != nil {
+	if err := g.block(elseB); err != nil {
 		return err
 	}
-	g.flush(elseCounts, "")
+	g.flush(elseB, "")
 	if !void && elseB.Result != nil {
 		if err := g.assign(n.Sym, elseB.Result); err != nil {
 			return err

@@ -106,11 +106,7 @@ func (b *Backend) Compile(f *ir.Func) (backend.Executable, error) {
 	if err != nil {
 		return nil, err
 	}
-	resKind := ir.KindVoid
-	if r := f.G.Root().Result; r != nil {
-		resKind = r.Type().Kind
-	}
-	return &program{fn: fn, name: f.Name, params: f.Params, resKind: resKind}, nil
+	return newProgram(f, fn), nil
 }
 
 // CompileCached serves a compile only when the plugin is already built:
@@ -127,54 +123,51 @@ func (b *Backend) CompileCached(f *ir.Func) (backend.Executable, bool) {
 	if err != nil {
 		return nil, false
 	}
-	key := contentKey(src)
 	memoMu.Lock()
-	fn, ok := memo[key]
-	if !ok && b.Store != nil {
-		if path, have := b.Store.LoadBlob(key); have {
-			if loaded, lerr := openPlugin(path); lerr == nil {
-				fn, ok = loaded, true
-				memo[key] = fn
-			}
-		}
-	}
-	if ok {
-		b.loadhit.Add(1)
-	}
+	fn := b.lookup(contentKey(src))
 	memoMu.Unlock()
-	if !ok {
+	if fn == nil {
 		return nil, false
 	}
-	resKind := ir.KindVoid
-	if r := f.G.Root().Result; r != nil {
-		resKind = r.Type().Kind
-	}
-	return &program{fn: fn, name: f.Name, params: f.Params, resKind: resKind}, true
+	return newProgram(f, fn), true
 }
 
-// resolve turns a content key into a callable entry point: process memo
-// first, then the artifact store, then a real build. Single-flight
-// under memoMu — concurrent builds of the same key from different temp
-// paths would trip Go's "plugin already loaded" check.
+// lookup serves a content key without building: process memo first,
+// then the artifact store. A stored blob that does not load is corrupt
+// or stale; it is removed and counted, and lookup returns nil as it
+// does for a key it has not seen. The caller holds memoMu.
+func (b *Backend) lookup(key string) runFn {
+	if fn, ok := memo[key]; ok {
+		b.loadhit.Add(1)
+		return fn
+	}
+	if b.Store == nil {
+		return nil
+	}
+	path, ok := b.Store.LoadBlob(key)
+	if !ok {
+		return nil
+	}
+	fn, err := openPlugin(path)
+	if err != nil {
+		os.Remove(path)
+		b.corrupt.Add(1)
+		return nil
+	}
+	b.loadhit.Add(1)
+	memo[key] = fn
+	return fn
+}
+
+// resolve turns a content key into a callable entry point: lookup
+// first, then a real build. Single-flight under memoMu — concurrent
+// builds of the same key from different temp paths would trip Go's
+// "plugin already loaded" check.
 func (b *Backend) resolve(key, src string) (runFn, error) {
 	memoMu.Lock()
 	defer memoMu.Unlock()
-	if fn, ok := memo[key]; ok {
-		b.loadhit.Add(1)
+	if fn := b.lookup(key); fn != nil {
 		return fn, nil
-	}
-	if b.Store != nil {
-		if path, ok := b.Store.LoadBlob(key); ok {
-			fn, err := openPlugin(path)
-			if err == nil {
-				b.loadhit.Add(1)
-				memo[key] = fn
-				return fn, nil
-			}
-			// Corrupt or stale artifact: drop it and rebuild below.
-			os.Remove(path)
-			b.corrupt.Add(1)
-		}
 	}
 	tool, err := b.tool()
 	if err != nil {
@@ -218,6 +211,14 @@ type program struct {
 	name    string
 	params  []ir.Sym
 	resKind ir.Kind
+}
+
+func newProgram(f *ir.Func, fn runFn) *program {
+	resKind := ir.KindVoid
+	if r := f.G.Root().Result; r != nil {
+		resKind = r.Type().Kind
+	}
+	return &program{fn: fn, name: f.Name, params: f.Params, resKind: resKind}
 }
 
 // Run executes the plugin. Calls it cannot serve identically to the

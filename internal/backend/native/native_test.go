@@ -232,6 +232,39 @@ func TestNativeCorruptArtifact(t *testing.T) {
 	}
 }
 
+// TestNativeCompileCachedCorruptArtifact: CompileCached meets a store
+// entry that is not a loadable plugin the way Compile does — it drops
+// the blob and counts it — and then reports the plugin unavailable
+// without building.
+func TestNativeCompileCachedCorruptArtifact(t *testing.T) {
+	be := New()
+	if err := be.Available(); err != nil {
+		t.Skipf("native backend unavailable on this host: %v", err)
+	}
+	f, _ := buildTestKernel(t)
+	src, err := generate(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := contentKey(src)
+	store := dirStore{dir: t.TempDir()}
+	if _, err := store.StoreBlob(key, []byte("not a plugin")); err != nil {
+		t.Fatal(err)
+	}
+	resetMemoForTest()
+	be.Store = store
+	if _, ok := be.CompileCached(f); ok {
+		t.Fatal("CompileCached served a corrupt blob")
+	}
+	got := be.Counters()
+	if got["corrupt"] != 1 || got["build"] != 0 || got["loadhit"] != 0 {
+		t.Fatalf("counters %v, want corrupt 1, build 0, loadhit 0", got)
+	}
+	if _, ok := store.LoadBlob(key); ok {
+		t.Fatal("corrupt blob was not removed from the store")
+	}
+}
+
 // TestNativeRunFallbackSignals pins the per-call fallback conditions:
 // a machine with a cache simulator (or no machine) must route back to
 // the interpreter via ErrFallback rather than running natively.

@@ -7,10 +7,10 @@
 // instruction counts of the kernels on the software SIMD machine.
 //
 // The figures read counts only, and kernelc proves them. A kernel or
-// Java method whose counts kernelc.CountProof admits is evaluated once
-// per suite and count key, and counted without executing
-// (kernelc.Program.Count: the untainted loop, address and branch
-// skeleton, closed-form where affine). Data is executed only where the
+// Java method whose counts kernelc.Program.Proof admits is evaluated
+// once per suite and count key, and counted without executing
+// (kernelc.Program.Count: the loop, address and branch skeleton the
+// proof slices out, closed-form where affine). Data is executed only where the
 // count-only evaluator refuses, or where the memo steps aside: a cache
 // simulator must see every access, and the planner calibrates from the
 // calls it sees. Only then are a point's real inputs built (Figure 7's
@@ -84,7 +84,7 @@ type Suite struct {
 	// Reps is the ScalaMeter-style repetition count; the median
 	// estimate is reported. The model prices every rep, but a
 	// measurement — staged or baseline — whose counts
-	// kernelc.CountProof proves invariant is evaluated once per suite
+	// kernelc.Program.Proof proves invariant is evaluated once per suite
 	// and count key, from proven counts without executing whenever the
 	// count-only evaluator can (it refuses rather than guess, and then
 	// the kernel executes once): later reps, later extrapolated points

@@ -45,9 +45,9 @@ func capSize(n, max int) int {
 // argSet is one leg's arguments in the two forms a measurement reads.
 // Counting reads only the shape: kernelc.CountKey and the count-only
 // evaluator see each argument's kind, its integer and bool values, and
-// each pointer's element type, length and offset, and
-// kernelc.CountProof makes counts and error outcomes independent of the
-// rest. So shape holds zeroed buffers of the real element types and
+// each pointer's element type, length and offset, and the count proof
+// (kernelc.Program.Proof) makes counts and error outcomes independent
+// of the rest. So shape holds zeroed buffers of the real element types and
 // lengths beside the real integer arguments. build returns the real
 // inputs; a leg calls it only to execute, passing the span the build
 // nests under.

@@ -359,8 +359,8 @@ func (h *harness) execute(rec Recipe, k *dsl.Kernel, withNative bool) (kind, det
 	return h.countInvariance(rec, refKernel, refArgs, argSeed, refCounts)
 }
 
-// countInvariance is the count-invariance leg: when kernelc.CountProof
-// admits the graph, counting the first run's call without executing it
+// countInvariance is the count-invariance leg: when the count proof
+// (kernelc.Program.Proof) admits the graph, counting the first run's call without executing it
 // must either refuse or count the identical op stream, and a second
 // argument set — other memory contents, other float values, the same
 // shapes — whose count key matches the first run's must, on the first

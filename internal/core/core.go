@@ -692,7 +692,7 @@ func (kn *Kernel) Verify() *irverify.Result { return kn.art.verify }
 
 // CountKey returns the key under which one invocation's dynamic counts
 // can stand in for another's, and false when they cannot: the graph
-// failed kernelc.CountProof, or args do not match its parameter kinds.
+// failed kernelc.Program.Proof, or args do not match its parameter kinds.
 // The key is the kernel name and ir.Hash of its graph followed by
 // kernelc.CountKey's argument shapes, so two CallValues with equal keys
 // count identical op streams — including the one jni.call — and fail

@@ -69,7 +69,7 @@ func TestCountKeyInvariantAcrossData(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if kernelc.CountProof(f) != "" {
+				if kn.art.prog.Proof() != "" {
 					return // refused: never memoized
 				}
 				admitted++

@@ -16,9 +16,9 @@
 //
 // Count invariance. The harness only needs a baseline execution's
 // dynamic op counts, never its results, and the Java methods' counts do
-// not depend on the data they process. Each tier's program runs
-// kernelc.CountProof over its body (as written and SLP-rewritten), and
-// Method.CountKey names an admitted execution by method, tier and
+// not depend on the data they process. Each tier's program proves its
+// body count-invariant (kernelc.Program.Proof, as written and
+// SLP-rewritten), and Method.CountKey names an admitted execution by method, tier and
 // kernelc.CountKey's argument shapes, so the bench harness evaluates
 // each distinct baseline key once per suite — counted without executing
 // by Method.CountAt whenever kernelc's count-only evaluator can (see

@@ -106,7 +106,7 @@ func (v *VM) Load(f *ir.Func) (*Method, error) {
 // CountKey returns the key under which one execution's dynamic counts at
 // the given tier can be reused (kernelc.CountKey prefixed with the method
 // and tier), and false when they cannot: the tier's body failed
-// kernelc.CountProof, or args do not match the parameter kinds.
+// kernelc.Program.Proof, or args do not match the parameter kinds.
 func (m *Method) CountKey(tier Tier, args []vm.Value) (string, bool) {
 	prog := m.prog(tier)
 	if prog.Proof() != "" {

@@ -1,7 +1,8 @@
 package kernelc
 
-// Count-only evaluation (see the package doc): the skeleton builder,
-// the concrete skeleton evaluator, and the closed form for affine nests.
+// The count proof and count-only evaluation (see the package doc): the
+// backward slice that proves a body and builds its skeleton, the
+// concrete skeleton evaluator, and the closed form for affine nests.
 
 import (
 	"errors"
@@ -22,8 +23,10 @@ func notCounted(format string, a ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrNotCounted}, a...)...)
 }
 
-// Proof returns CountProof's verdict on the program's body, computed
-// once per program: "" when admitted.
+// Proof returns the program's count-invariance verdict, computed once
+// per program: "" when admitted, otherwise the first operand that
+// steers control or addressing with a value read from memory, machine
+// state or a float or vector parameter (see buildCountPlan).
 func (p *Program) Proof() string {
 	p.prepareCount()
 	return p.proof
@@ -31,12 +34,7 @@ func (p *Program) Proof() string {
 
 func (p *Program) prepareCount() {
 	p.countOnce.Do(func() {
-		p.proof = CountProof(p.F)
-		if p.proof != "" {
-			p.refusal = "count proof: " + p.proof
-			return
-		}
-		p.skeleton, p.refusal = buildCountPlan(p)
+		p.skeleton, p.proof, p.refusal = buildCountPlan(p)
 	})
 }
 
@@ -77,8 +75,8 @@ func (p *Program) Count(m *vm.Machine, args ...vm.Value) error {
 			for k, v := range c.counts {
 				m.Counts.Add(k, v)
 			}
-			for _, cd := range p.rootCounts {
-				m.Counts.Add(cd.key, cd.n)
+			for _, cd := range cp.root.counts {
+				m.Counts.Add(cd.Key, cd.N)
 			}
 			return nil
 		}
@@ -98,7 +96,11 @@ type countPlan struct {
 	maxArgs int
 }
 
-type cblock struct{ nodes []*cnode }
+// cblock is one block's skeleton steps and its static count vector.
+type cblock struct {
+	nodes  []*cnode
+	counts []CountDelta
+}
 
 type ckind uint8
 
@@ -145,59 +147,65 @@ type cnode struct {
 	accLive  bool
 	next     cref
 	body     *cblock
-	counts   []countDelta
 	key      string
 	closable bool // no if and no live accumulator anywhere in the nest
 
 	// cIf: args cond; res holds each arm's result when dst >= 0.
-	arms      [2]*cblock
-	armCounts [2][]countDelta
-	res       [2]cref
+	arms [2]*cblock
+	res  [2]cref
 }
 
 // planBuilder derives the skeleton from the schedule Compile lowered.
 type planBuilder struct {
 	p       *Program
-	sched   *ir.Scheduled
-	slots   map[int]int
-	defs    map[int]*ir.Node // kept node by symbol id
+	params  map[int]ir.Sym   // parameter by symbol id
+	defs    map[int]*ir.Node // node by symbol id
 	accOf   map[int]*ir.Node // loop by its accumulator parameter's id
+	slots   map[int]int
 	needed  map[int]bool
 	work    []int
 	maxArgs int
 	nVecs   int
 }
 
-// buildCountPlan returns the program's skeleton, or why it has none.
-func buildCountPlan(p *Program) (*countPlan, string) {
-	b := &planBuilder{p: p, sched: ir.Schedule(p.F), slots: map[int]int{},
-		defs: map[int]*ir.Node{}, accOf: map[int]*ir.Node{}, needed: map[int]bool{}}
+// buildCountPlan is the count-invariance proof and the skeleton builder
+// in one backward slice over the graph. Its sinks are the operands
+// that steer control or addressing (sinkOperands); every value they
+// depend on is needed, through definitions, loop accumulators and if
+// results. The body is admitted (proof "") only if nothing needed is
+// read from memory (an aload, or an intrinsic that readsState) or is a
+// float or vector parameter: then the count stream and the error
+// outcome depend only on the keyed arguments (see CountKey), since the
+// interpreter's scalar ops are total and the errors left are address
+// and stride errors steered by the same needed values. An admitted body
+// gets a skeleton that evaluates exactly the needed values; where the
+// skeleton cannot bound an operand, refusal says why and only Count
+// refuses.
+func buildCountPlan(p *Program) (cp *countPlan, proof, refusal string) {
+	b := &planBuilder{p: p, params: map[int]ir.Sym{}, defs: map[int]*ir.Node{},
+		accOf: map[int]*ir.Node{}, slots: map[int]int{}, needed: map[int]bool{}}
+	for _, prm := range p.F.Params {
+		b.params[prm.ID] = prm
+	}
 	root := p.F.G.Root()
 	b.index(root)
-	if why := b.sinks(root); why != "" {
-		return nil, why
-	}
-	for len(b.work) > 0 {
-		id := b.work[len(b.work)-1]
-		b.work = b.work[:len(b.work)-1]
-		if why := b.pull(id); why != "" {
-			return nil, why
-		}
+	if proof = b.prove(root); proof != "" {
+		return nil, proof, "count proof: " + proof
 	}
 	blk, why := b.block(root)
 	if why != "" {
-		return nil, why
+		return nil, "", why
 	}
-	cp := &countPlan{root: blk}
+	cp = &countPlan{root: blk}
 	for _, prm := range p.F.Params {
 		cp.params = append(cp.params, b.slot(prm))
 	}
 	cp.nSlots, cp.nVecs, cp.maxArgs = len(b.slots), b.nVecs, b.maxArgs
-	return cp, ""
+	return cp, "", ""
 }
 
 func (b *planBuilder) index(blk *ir.Block) {
-	for _, n := range b.sched.Keep[blk] {
+	for _, n := range blk.Nodes {
 		b.defs[n.Sym.ID] = n
 		if n.Def.Op == ir.OpLoop && len(n.Def.Args) == 4 {
 			b.accOf[n.Def.Blocks[0].Params[1].ID] = n
@@ -228,33 +236,28 @@ func ptrArgs(d *ir.Def) (has, onlyFirst bool) {
 	return has, onlyFirst
 }
 
-// sinks marks the operands that steer control or addressing.
-func (b *planBuilder) sinks(blk *ir.Block) string {
-	for _, n := range b.sched.Keep[blk] {
+// prove marks every sink operand needed, in graph order, and drains
+// the slice behind each before the next: what was needed before is
+// already known to be free of data, so the first operand whose slice
+// reaches data is the one reported. It walks every node, the ones the
+// schedule drops as dead included, so the admitted bodies are exactly
+// those no data reaches a sink of anywhere in the graph.
+func (b *planBuilder) prove(blk *ir.Block) string {
+	for _, n := range blk.Nodes {
 		d := n.Def
-		switch {
-		case d.Op == ir.OpLoop:
-			b.need(d.Args[0])
-			b.need(d.Args[1])
-			b.need(d.Args[2])
-		case d.Op == ir.OpIf:
-			b.need(d.Args[0])
-		case d.Op == ir.OpALoad || d.Op == ir.OpAStore:
-			b.need(d.Args[0])
-			b.need(d.Args[1])
-		case ir.IsIntrinsicOp(d.Op):
-			if hasPtr, onlyFirst := ptrArgs(d); hasPtr {
-				acc, ok := vm.AccessOf(d.Op)
-				if !ok || !onlyFirst {
-					return fmt.Sprintf("%s of %s reaches memory through operands the skeleton cannot bound", d.Op, n.Sym)
-				}
-				if acc.Bytes > 0 {
-					b.need(d.Args[0])
+		for _, i := range sinkOperands(d) {
+			b.need(d.Args[i])
+			for len(b.work) > 0 {
+				id := b.work[len(b.work)-1]
+				b.work = b.work[:len(b.work)-1]
+				if src := b.pull(id); src != "" {
+					return fmt.Sprintf("%v (%s operand %d of %s) is data-dependent: %s",
+						d.Args[i], d.Op, i, n.Sym, src)
 				}
 			}
 		}
 		for _, sub := range d.Blocks {
-			if why := b.sinks(sub); why != "" {
+			if why := b.prove(sub); why != "" {
 				return why
 			}
 		}
@@ -262,30 +265,38 @@ func (b *planBuilder) sinks(blk *ir.Block) string {
 	return ""
 }
 
-// pull marks what a needed symbol's value depends on.
+// pull marks what a needed symbol's value depends on, and names the
+// symbol when its value is data: read from memory or machine state, or
+// a parameter the count key leaves out.
 func (b *planBuilder) pull(id int) string {
 	if n, ok := b.accOf[id]; ok {
 		b.need(n.Def.Args[3])
 		b.need(n.Def.Blocks[0].Result)
 		return ""
 	}
+	if prm, ok := b.params[id]; ok {
+		if !keyedKind(prm.Typ.Kind) {
+			return fmt.Sprintf("parameter %s (%v) is not in the count key", prm, prm.Typ)
+		}
+		return ""
+	}
 	n, ok := b.defs[id]
 	if !ok {
-		return "" // a parameter or an induction variable
+		return "" // an induction variable
 	}
 	d := n.Def
 	switch {
 	case d.Op == ir.OpLoop:
-		if len(d.Args) != 4 {
-			return fmt.Sprintf("loop %s has no value, yet steers control", n.Sym)
+		if len(d.Args) == 4 {
+			b.need(d.Blocks[0].Params[1])
 		}
-		b.need(d.Blocks[0].Params[1])
 	case d.Op == ir.OpIf:
+		b.need(d.Args[0])
 		for _, blk := range d.Blocks {
 			b.need(blk.Result)
 		}
 	case d.Op == ir.OpALoad || (ir.IsIntrinsicOp(d.Op) && readsState(d)):
-		return fmt.Sprintf("%s (%s) reads memory or machine state and steers control", n.Sym, d.Op)
+		return fmt.Sprintf("%s (%s) reads memory or machine state", n.Sym, d.Op)
 	default:
 		for _, a := range d.Args {
 			b.need(a)
@@ -323,21 +334,25 @@ func (b *planBuilder) refs(args []ir.Exp) []cref {
 
 // block lowers one block's kept nodes to skeleton steps.
 func (b *planBuilder) block(blk *ir.Block) (*cblock, string) {
-	out := &cblock{}
-	for _, n := range b.sched.Keep[blk] {
+	out := &cblock{counts: b.p.counts[blk]}
+	for _, n := range b.p.sched.Keep[blk] {
 		d := n.Def
 		cn := &cnode{op: d.Op, typ: n.Sym.Typ, dst: -1}
-		acc, mem := vm.AccessOf(d.Op) // sinks vetted every pointer-taking intrinsic
+		acc, mem := vm.AccessOf(d.Op)
+		if ir.IsIntrinsicOp(d.Op) {
+			if hasPtr, onlyFirst := ptrArgs(d); hasPtr && (!mem || !onlyFirst) {
+				return nil, fmt.Sprintf("%s of %s reaches memory through operands the skeleton cannot bound", d.Op, n.Sym)
+			}
+		}
 		switch {
 		case d.Op == ir.OpComment || d.Op == ir.OpParam:
 			continue
 		case d.Op == ir.OpLoop:
 			body := d.Blocks[0]
-			counts, ok := b.p.loopVecs[n.Sym.ID]
-			if !ok {
-				return nil, fmt.Sprintf("loop %s has no compiled count vector", n.Sym)
+			if b.needed[n.Sym.ID] && len(d.Args) != 4 {
+				return nil, fmt.Sprintf("loop %s has no value, yet steers control", n.Sym)
 			}
-			cn.kind, cn.args, cn.counts, cn.key = cLoop, b.refs(d.Args[:3]), counts, loopKeyOf(n.Sym)
+			cn.kind, cn.args, cn.key = cLoop, b.refs(d.Args[:3]), LoopKey(n.Sym.ID)
 			cn.iv = b.slot(body.Params[0])
 			if len(d.Args) == 4 && b.needed[body.Params[1].ID] {
 				cn.accLive, cn.acc, cn.accVec = true, b.slot(body.Params[1]), b.nVecs
@@ -359,7 +374,7 @@ func (b *planBuilder) block(blk *ir.Block) (*cblock, string) {
 				}
 			}
 		case d.Op == ir.OpIf:
-			cn.kind, cn.args, cn.armCounts = cIf, b.refs(d.Args[:1]), b.p.armVecs[n.Sym.ID]
+			cn.kind, cn.args = cIf, b.refs(d.Args[:1])
 			for i, arm := range d.Blocks {
 				var why string
 				if cn.arms[i], why = b.block(arm); why != "" {
@@ -479,7 +494,7 @@ type counting struct {
 	epoch uint32
 	nv    int
 	trips [maxVars]int64
-	pend  []countDelta
+	pend  []CountDelta
 }
 
 // vec returns vector slot i, or nil for a node without one.
@@ -535,8 +550,8 @@ func (c *counting) block(b *cblock) error {
 			if err := c.block(n.arms[arm]); err != nil {
 				return err
 			}
-			for _, cd := range n.armCounts[arm] {
-				c.counts.Add(cd.key, cd.n)
+			for _, cd := range n.arms[arm].counts {
+				c.counts.Add(cd.Key, cd.N)
 			}
 			if n.dst >= 0 {
 				c.regs[n.dst] = c.get(n.res[arm])
@@ -580,8 +595,8 @@ func (c *counting) loop(n *cnode) error {
 	}
 	c.counts.Add(OpLoopIter, iters)
 	c.counts.Add(n.key, iters)
-	for _, cd := range n.counts {
-		c.counts.Add(cd.key, cd.n*iters)
+	for _, cd := range n.body.counts {
+		c.counts.Add(cd.Key, cd.N*iters)
 	}
 	if n.dst >= 0 {
 		c.regs[n.dst] = c.regs[n.acc]
@@ -712,7 +727,7 @@ func (c *counting) closeLoop(n *cnode, start, stride, iters int64) (bool, error)
 		return false, err
 	}
 	for _, cd := range c.pend {
-		c.counts.Add(cd.key, cd.n)
+		c.counts.Add(cd.Key, cd.N)
 	}
 	return true, nil
 }
@@ -760,9 +775,9 @@ func (c *counting) closeInner(n *cnode, p int64) (bool, error) {
 	// Each of the p executions adds the loop's counts once; wrapping
 	// products equal the wrapped sum of p such additions.
 	mult := trips * p
-	c.pend = append(c.pend, countDelta{OpLoopIter, mult}, countDelta{n.key, mult})
-	for _, cd := range n.counts {
-		c.pend = append(c.pend, countDelta{cd.key, cd.n * mult})
+	c.pend = append(c.pend, CountDelta{OpLoopIter, mult}, CountDelta{n.key, mult})
+	for _, cd := range n.body.counts {
+		c.pend = append(c.pend, CountDelta{cd.Key, cd.N * mult})
 	}
 	if trips == 0 {
 		return true, nil

@@ -41,7 +41,11 @@ func TestStagedKernelsAdmitted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		why := kernelc.CountProof(f)
+		p, err := kernelc.Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		why := p.Proof()
 		switch {
 		case must[tg.Name] && why != "":
 			t.Errorf("%s refused: %s", tg.Name, why)

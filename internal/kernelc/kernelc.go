@@ -59,50 +59,56 @@
 //     nodes and runs the same loop driver with an empty loop plan and
 //     no parallel plan.
 //
-// Count invariance. The bench harness only needs an execution's dynamic
-// op counts, never its results, and most kernels' counts do not depend
-// on the data they process. CountProof proves this statically for one
-// body with a forward taint analysis (invariance.go): values read from
-// memory, results of intrinsics that read memory or machine state, and
-// float parameters are tainted; taint flows through definitions, loop
-// accumulators and if results; and a body is admitted only if no
-// tainted value reaches a loop bound or stride, an if condition, an
-// address or index operand, an integer or pointer intrinsic operand, or
-// any operand of a gather or masked intrinsic. CountKey then names an
-// execution of an admitted body by a caller-chosen prefix, pointer
-// shapes (element type, length, offset) and integer/bool argument
-// values — float arguments and memory contents are left out, which the
-// proof makes safe — so executions with equal keys have identical
-// counts and identical error outcomes. Both runtimes key on it: the
-// simulated HotSpot per method and tier (hotspot.Method.CountKey) and
-// NGen per compiled kernel and graph hash (core.Kernel.CountKey); the
-// bench harness evaluates each distinct key once per suite.
-//
-// Count-only evaluation. Program.Count adds to a machine's counter
-// exactly the map Run would add, without executing (count.go). It
-// evaluates only an admitted body's skeleton — the untainted values a
-// loop bound or stride, an if condition, or an address needs, with the
-// interpreter's own scalar semantics — skips the float and vector work,
-// turns every aload, astore and memory intrinsic into a bounds check of
-// its footprint (vm.AccessOf, vector width included), and applies the
-// static count vectors the compiled drivers apply. A loop nest with no
-// if, whose bounds, strides and addresses are exact affine functions of
-// its trip indices and whose inner trip counts do not vary with the
-// outer indices, closes in O(body): counts scale by the trip-count
-// products, and each access is checked at the extremes of its offset
-// over the iteration box, in int64 with every i32 intermediate
-// range-checked, so wraparound cannot hide an out-of-range index. Any
-// other loop iterates the skeleton. Count refuses (ErrNotCounted,
-// counter untouched) rather than guess — on any check it cannot prove,
-// gathers and masked or RNG intrinsics, an attached cache simulator,
-// and any out-of-range access — so the caller executes and the error
-// comes from a real run; only a non-positive stride, which Run reports
-// before any later access, returns Run's exact error.
+// Counting once. Every count is decided once, from one walk of the
+// schedule: StaticCounts gives each block's static count vector (the
+// root, every loop body, every if arm; a scalar load is strided when
+// its index multiplies the innermost loop variable), and the loop and
+// if drivers, Count and the native generator all apply those vectors.
+// The bench harness only needs an execution's dynamic op counts, never
+// its results, and most kernels' counts do not depend on the data they
+// process. One backward slice over the graph (count.go) both proves
+// that and builds what Count evaluates. Its sinks are the operands that
+// steer control or addressing: a loop bound or stride, an if
+// condition, an address or index, an integer or pointer intrinsic
+// operand, and any operand of a gather or masked intrinsic. Everything
+// they depend on, through definitions, loop accumulators and if
+// results, is needed. Program.Proof admits a body when nothing needed
+// is read from memory (an aload, or an intrinsic that reads memory or
+// machine state) or is a float or vector parameter. CountKey then
+// names an execution of an admitted body by a caller-chosen prefix,
+// pointer shapes (element type, length, offset) and integer/bool
+// argument values — float arguments and memory contents are left out,
+// which the proof makes safe — so executions with equal keys have
+// identical counts and identical error outcomes. Both runtimes key on
+// it: the simulated HotSpot per method and tier
+// (hotspot.Method.CountKey) and NGen per compiled kernel and graph hash
+// (core.Kernel.CountKey); the bench harness evaluates each distinct key
+// once per suite, and Program.Count adds to a machine's counter exactly
+// the map Run would add, without executing. Count evaluates the needed
+// values of an admitted body — the skeleton — with the interpreter's
+// own scalar semantics, skips the float and vector work, turns every
+// aload, astore and memory intrinsic into a bounds check of its
+// footprint (vm.AccessOf, vector width included), and applies the
+// static count vectors. A loop nest with no if, whose bounds, strides
+// and addresses are exact affine functions of its trip indices and
+// whose inner trip counts do not vary with the outer indices, closes in
+// O(body): counts scale by the trip-count products, and each access is
+// checked at the extremes of its offset over the iteration box, in
+// int64 with every i32 intermediate range-checked, so wraparound cannot
+// hide an out-of-range index. Any other loop iterates the skeleton.
+// Count refuses (ErrNotCounted, counter untouched) rather than guess —
+// on any check it cannot prove, gathers and masked or RNG intrinsics
+// (operands the skeleton cannot bound; these refuse Count only, not
+// Proof), an attached cache simulator, and any out-of-range access — so
+// the caller executes and the error comes from a real run; only a
+// non-positive stride, which Run reports before any later access,
+// returns Run's exact error.
 package kernelc
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -171,7 +177,6 @@ type Program struct {
 	scratchLen int   // intrinsic-argument scratch, one region per call site
 	params     []int // register slot per parameter
 	ops        []op
-	rootCounts []countDelta // static op counts of the root block
 	result     *argRef
 	fused      int // superinstructions formed
 	hoisted    int // loop-invariant nodes moved to loop entry
@@ -179,15 +184,16 @@ type Program struct {
 	chains     int // fusion chains of length ≥ 3 (load→op→…→store)
 	pool       sync.Pool
 
-	// loopVecs and armVecs keep, per loop and per if (by symbol id), the
-	// static count vectors the compiled drivers apply — a loop's body
-	// vector scaled by its trip count, an if's taken-arm vector — so
-	// Count adds exactly what Run adds.
-	loopVecs map[int][]countDelta
-	armVecs  map[int][2][]countDelta
+	// sched is the schedule the program was lowered from, and counts
+	// every block's static count vector (see StaticCounts): Run, the
+	// loop and if drivers and Count all apply these, so Count adds
+	// exactly what Run adds.
+	sched      *ir.Scheduled
+	counts     map[*ir.Block][]CountDelta
+	rootCounts []CountDelta // counts of the root block, which Run applies
 	// countOnce guards the count-only state built on first use: the
-	// CountProof verdict and, for an admitted body, the skeleton Count
-	// evaluates (see count.go).
+	// count-invariance verdict and, for an admitted body, the skeleton
+	// Count evaluates (see count.go).
 	countOnce sync.Once
 	proof     string
 	skeleton  *countPlan
@@ -281,11 +287,143 @@ type op func(fr *frame) error
 // returned through the consumer, is not copied once more.
 type evalFn func(fr *frame, out *vm.Value) error
 
-// countDelta is one entry of a block's static count vector: executing
-// the block's straight-line ops once adds n to key.
-type countDelta struct {
-	key string
-	n   int64
+// CountDelta is one entry of a block's static count vector: executing
+// the block's straight-line nodes once adds N to Key.
+type CountDelta struct {
+	Key string
+	N   int64
+}
+
+// StaticCounts walks a schedule of f once and returns the static count
+// vector of each of its blocks: the root, every loop body and every if
+// arm, each key once, in first-appearance order. Every kept node counts
+// in its own block, whatever the compiler later does with it (fused,
+// hoisted, strength-reduced), so the interpreter's drivers, Count and
+// the native generator all apply the one vector: the root's once per
+// run, a body's scaled by its loop's trip count, an arm's when taken.
+func StaticCounts(f *ir.Func, sched *ir.Scheduled) map[*ir.Block][]CountDelta {
+	w := &countWalk{f: f, sched: sched, out: map[*ir.Block][]CountDelta{}}
+	w.block(f.G.Root())
+	return w.out
+}
+
+// LoopKey names a loop's per-loop iteration counter, "loop.#<id>",
+// which the cost model reads to attribute a loop-carried chain.
+func LoopKey(id int) string { return "loop.#" + strconv.Itoa(id) }
+
+// countWalk is StaticCounts' state: ivs is the stack of enclosing loop
+// variables, the innermost of which classifies scalar loads.
+type countWalk struct {
+	f     *ir.Func
+	sched *ir.Scheduled
+	ivs   []ir.Sym
+	out   map[*ir.Block][]CountDelta
+}
+
+func (w *countWalk) block(b *ir.Block) {
+	var v []CountDelta
+	add := func(key string) {
+		for i := range v {
+			if v[i].Key == key {
+				v[i].N++
+				return
+			}
+		}
+		v = append(v, CountDelta{key, 1})
+	}
+	for _, n := range w.sched.Keep[b] {
+		d := n.Def
+		switch d.Op {
+		case ir.OpComment, ir.OpParam:
+		case ir.OpLoop:
+			body := d.Blocks[0]
+			w.ivs = append(w.ivs, body.Params[0])
+			w.block(body)
+			w.ivs = w.ivs[:len(w.ivs)-1]
+		case ir.OpIf:
+			w.block(d.Blocks[0])
+			w.block(d.Blocks[1])
+			add(OpBranch)
+		default:
+			add(w.key(d))
+		}
+	}
+	w.out[b] = v
+}
+
+// key picks the op name the cost model prices a simple node as.
+func (w *countWalk) key(d *ir.Def) string {
+	switch d.Op {
+	case ir.OpALoad:
+		if w.strided(d.Args[1]) {
+			return OpScalarLoadStrided
+		}
+		return OpScalarLoad
+	case ir.OpAStore:
+		return OpScalarStore
+	case ir.OpPtrAdd, ir.OpSel:
+		return OpScalarALU
+	case ir.OpConv:
+		return OpScalarConv
+	}
+	if ir.IsIntrinsicOp(d.Op) {
+		return d.Op
+	}
+	t := d.Typ
+	switch d.Op {
+	case ir.OpMul:
+		if t.IsFloat() {
+			return OpScalarFMul
+		}
+		return OpScalarMul
+	case ir.OpDiv, ir.OpRem:
+		if t.IsFloat() {
+			return OpScalarFDiv
+		}
+		return OpScalarDiv
+	case ir.OpAdd, ir.OpSub, ir.OpNeg, ir.OpMin, ir.OpMax:
+		if t.IsFloat() {
+			return OpScalarFP
+		}
+	}
+	return OpScalarALU
+}
+
+// strided reports whether an index expression strides by the innermost
+// loop variable with a multiplicative factor (iv*X appears as a subterm).
+func (w *countWalk) strided(idx ir.Exp) bool {
+	if len(w.ivs) == 0 {
+		return false
+	}
+	iv := w.ivs[len(w.ivs)-1]
+	var walk func(e ir.Exp, depth int) bool
+	walk = func(e ir.Exp, depth int) bool {
+		s, ok := e.(ir.Sym)
+		if !ok || depth > 6 {
+			return false
+		}
+		d, ok := w.f.G.Def(s)
+		if !ok {
+			return false
+		}
+		switch d.Op {
+		case ir.OpMul, ir.OpShl:
+			for _, a := range d.ArgSyms() {
+				if a == iv {
+					return true
+				}
+			}
+			return false
+		case ir.OpAdd, ir.OpSub:
+			for _, a := range d.Args {
+				if walk(a, depth+1) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return walk(idx, 0)
 }
 
 // inline requests that a fused producer's evaluator replace the
@@ -299,12 +437,11 @@ type inline struct {
 // valNode is a compiled simple (non-control) node, held back briefly by
 // compileBlock so the next node may fuse it.
 type valNode struct {
-	eval   evalFn
-	void   bool
-	dst    int
-	counts []countDelta
-	sym    ir.Sym
-	chain  int // fused producers folded into this node
+	eval  evalFn
+	void  bool
+	dst   int
+	sym   ir.Sym
+	chain int // fused producers folded into this node
 }
 
 // asOp finalises a node that was not fused away.
@@ -347,9 +484,6 @@ type compiler struct {
 	sched *ir.Scheduled
 	slots map[int]int // sym id → register slot
 	next  int
-	// loopIVs is the stack of enclosing loop variables; the innermost
-	// drives stride classification of scalar loads.
-	loopIVs []ir.Sym
 	// uses counts, per symbol, every reference from kept nodes' args,
 	// block results and effect annotations; fusion requires exactly one.
 	uses        map[int]int
@@ -372,43 +506,6 @@ type compiler struct {
 	prog *Program
 }
 
-// strided reports whether an index expression strides by the innermost
-// loop variable with a multiplicative factor (iv*X appears as a subterm).
-func (c *compiler) strided(idx ir.Exp) bool {
-	if len(c.loopIVs) == 0 {
-		return false
-	}
-	iv := c.loopIVs[len(c.loopIVs)-1]
-	var walk func(e ir.Exp, depth int) bool
-	walk = func(e ir.Exp, depth int) bool {
-		s, ok := e.(ir.Sym)
-		if !ok || depth > 6 {
-			return false
-		}
-		d, ok := c.f.G.Def(s)
-		if !ok {
-			return false
-		}
-		switch d.Op {
-		case ir.OpMul, ir.OpShl:
-			for _, a := range d.ArgSyms() {
-				if a == iv {
-					return true
-				}
-			}
-			return false
-		case ir.OpAdd, ir.OpSub:
-			for _, a := range d.Args {
-				if walk(a, depth+1) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(idx, 0)
-}
-
 // Compile lowers a staged function to an executable program at the
 // default (fully optimized) tier. Staging errors surface here:
 // intrinsics without executable semantics, unbound symbols, unsupported
@@ -421,20 +518,21 @@ func CompileTier(f *ir.Func, t Tier) (*Program, error) { return compile(f, t, tr
 // compile lowers f at tier t. fuse=false compiles every node on its own,
 // the baseline fusion is diffed against in tests.
 func compile(f *ir.Func, t Tier, fuse bool) (*Program, error) {
-	c := &compiler{f: f, sched: ir.Schedule(f), slots: map[int]int{},
+	sched := ir.Schedule(f)
+	c := &compiler{f: f, sched: sched, slots: map[int]int{},
 		uses: map[int]int{}, fuse: fuse, tier: t, skip: map[int]bool{}}
 	c.countUses(f.G.Root())
-	p := &Program{F: f, loopVecs: map[int][]countDelta{}, armVecs: map[int][2][]countDelta{}}
+	p := &Program{F: f, sched: sched, counts: StaticCounts(f, sched)}
 	c.prog = p
 	for _, prm := range f.Params {
 		p.params = append(p.params, c.slot(prm))
 	}
-	ops, counts, err := c.compileBlock(f.G.Root())
+	ops, err := c.compileBlock(f.G.Root())
 	if err != nil {
 		return nil, fmt.Errorf("kernelc: %s: %w", f.Name, err)
 	}
 	p.ops = ops
-	p.rootCounts = counts
+	p.rootCounts = p.counts[f.G.Root()]
 	if r := f.G.Root().Result; r != nil {
 		ref, err := c.ref(r)
 		if err != nil {
@@ -550,12 +648,11 @@ func fusablePos(d *ir.Def, s ir.Sym) int {
 	return pos
 }
 
-// compileBlock lowers one block's kept nodes to ops plus the block's
-// static count vector. A just-compiled simple node is held pending for
-// one step so the next node may fuse it.
-func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
+// compileBlock lowers one block's kept nodes to ops. A just-compiled
+// simple node is held pending for one step so the next node may fuse
+// it.
+func (c *compiler) compileBlock(b *ir.Block) ([]op, error) {
 	var ops []op
-	var counts []countDelta
 	var pending *valNode
 	flush := func() {
 		if pending != nil {
@@ -563,7 +660,6 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
 				c.chains++
 			}
 			ops = append(ops, pending.asOp())
-			counts = append(counts, pending.counts...)
 			pending = nil
 		}
 	}
@@ -582,24 +678,21 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
 			flush()
 			o, err := c.compileLoop(n)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			ops = append(ops, o)
 		case ir.OpIf:
 			flush()
 			o, err := c.compileIf(n)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			ops = append(ops, o)
-			counts = append(counts, countDelta{OpBranch, 1})
 		default:
 			var inl *inline
-			var prodCounts []countDelta
 			if c.fuse && pending != nil && !pending.void && c.uses[pending.sym.ID] == 1 {
 				if pos := fusablePos(d, pending.sym); pos >= 0 {
 					inl = &inline{pos: pos, eval: pending.eval, chain: pending.chain}
-					prodCounts = pending.counts
 					pending = nil
 					c.fused++
 				}
@@ -607,37 +700,16 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
 			flush()
 			vn, err := c.compileSimple(n, inl)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if inl != nil {
-				vn.counts = append(append([]countDelta{}, prodCounts...), vn.counts...)
 				vn.chain = inl.chain + 1
 			}
 			pending = vn
 		}
 	}
 	flush()
-	return ops, mergeCounts(counts), nil
-}
-
-// mergeCounts folds duplicate keys, preserving first-appearance order.
-func mergeCounts(cds []countDelta) []countDelta {
-	if len(cds) <= 1 {
-		return cds
-	}
-	sums := make(map[string]int64, len(cds))
-	var order []string
-	for _, cd := range cds {
-		if _, ok := sums[cd.key]; !ok {
-			order = append(order, cd.key)
-		}
-		sums[cd.key] += cd.n
-	}
-	out := make([]countDelta, 0, len(order))
-	for _, k := range order {
-		out = append(out, countDelta{k, sums[k]})
-	}
-	return out
+	return ops, nil
 }
 
 func (c *compiler) compileSimple(n *ir.Node, inl *inline) (*valNode, error) {
@@ -682,13 +754,13 @@ func (c *compiler) fusedRefs(args []ir.Exp, inl *inline) ([]argRef, error) {
 	return c.refs(cp)
 }
 
-func (c *compiler) valNode(n *ir.Node, eval evalFn, counts ...countDelta) *valNode {
+func (c *compiler) valNode(n *ir.Node, eval evalFn) *valNode {
 	void := n.Def.Typ == ir.TVoid
 	dst := -1
 	if !void {
 		dst = c.slot(n.Sym)
 	}
-	return &valNode{eval: eval, void: void, dst: dst, counts: counts, sym: n.Sym}
+	return &valNode{eval: eval, void: void, dst: dst, sym: n.Sym}
 }
 
 // compileIntrinsic lowers an intrinsic call. Its arguments are gathered
@@ -738,7 +810,7 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 		*out = v
 		return nil
 	}
-	return c.valNode(n, eval, countDelta{name, 1}), nil
+	return c.valNode(n, eval), nil
 }
 
 func inlineParts(inl *inline) (evalFn, int) {
@@ -784,9 +856,7 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 		c.skip[pn.Sym.ID] = true
 		c.slot(pn.Sym)
 	}
-	c.loopIVs = append(c.loopIVs, body.Params[0])
-	bodyOps, bodyCounts, err := c.compileBlock(body)
-	c.loopIVs = c.loopIVs[:len(c.loopIVs)-1]
+	bodyOps, err := c.compileBlock(body)
 	for _, pn := range plan.hoisted {
 		delete(c.skip, pn.Sym.ID)
 	}
@@ -803,26 +873,20 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 			return nil, err
 		}
 	}
-	// Per-loop iteration counter so the cost model can attribute the
-	// loop-carried dependency chain (see internal/machine). The body's
-	// static count vector is applied once, scaled by the trip count.
-	loopKey := loopKeyOf(n.Sym)
-	hoistedOps, derivedOps, extraCounts, derSlots, err := c.lowerPlan(plan)
+	hoistedOps, derivedOps, derSlots, err := c.lowerPlan(plan)
 	if err != nil {
 		return nil, err
 	}
-	bodyCounts = mergeCounts(append(bodyCounts, extraCounts...))
-	c.prog.loopVecs[n.Sym.ID] = bodyCounts
 	nDer := len(derivedOps)
 	saveOff := c.scratchNext
 	c.scratchNext += 2 * nDer // derived save/step area in the frame arena
 	lc := &loopCode{
 		prog: c.prog, args: args, iv: iv, carried: carried,
 		accSlot: accSlot, accVec: accVec, dst: dst, next: next,
-		bodyOps: bodyOps, bodyCounts: bodyCounts,
+		bodyOps: bodyOps, bodyCounts: c.prog.counts[body],
 		hoistedOps: hoistedOps, derivedOps: derivedOps,
 		derSlots: derSlots, saveOff: saveOff, nDer: nDer,
-		loopKey: loopKey,
+		loopKey: LoopKey(n.Sym.ID),
 	}
 	if !opt {
 		return lc.run, nil
@@ -842,9 +906,6 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	return lc.run, nil
 }
 
-// loopKeyOf names a loop's per-loop iteration counter.
-func loopKeyOf(s ir.Sym) string { return fmt.Sprintf("loop.#%d", s.ID) }
-
 // loopCode is one loop's compiled driver state, shared by the serial
 // loop and the parallel lanes. At TierPlain its plan is empty (no
 // hoisted or derived ops) and par is nil.
@@ -860,21 +921,23 @@ type loopCode struct {
 	bodyOps []op
 	// bodyCounts is the body's static count vector, applied once scaled
 	// by the trip count.
-	bodyCounts []countDelta
+	bodyCounts []CountDelta
 	hoistedOps []op
 	derivedOps []op
 	derSlots   []int
 	saveOff    int // derived save/step area in the frame arena
 	nDer       int
-	loopKey    string
-	par        *parPlan // nil when the loop is statically serial
+	// loopKey is the per-loop iteration counter the cost model reads to
+	// attribute the loop-carried dependency chain (see internal/machine).
+	loopKey string
+	par     *parPlan // nil when the loop is statically serial
 }
 
 // run is the loop driver of both tiers. Hoisted and strength-reduced
 // nodes execute at loop entry (guarded by start < end, so zero-trip
-// loops behave as before); their static counts were merged into
-// bodyCounts, keeping the dynamic count stream identical to the plain
-// tier's.
+// loops behave as before); they stay in the body's block, so
+// bodyCounts counts them once per iteration and the dynamic count
+// stream is identical to the plain tier's.
 // Strength-reduced (derived) nodes are affine i32 functions of the
 // induction variable: their per-stride step is measured once by
 // evaluating the chain at start and start+stride — exact because i32
@@ -1000,7 +1063,7 @@ func (lc *loopCode) addCounts(m *vm.Machine, iters int64) {
 	m.Counts.Add(OpLoopIter, iters)
 	m.Counts.Add(lc.loopKey, iters)
 	for _, cd := range lc.bodyCounts {
-		m.Counts.Add(cd.key, cd.n*iters)
+		m.Counts.Add(cd.Key, cd.N*iters)
 	}
 }
 
@@ -1010,14 +1073,15 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 		return nil, err
 	}
 	thenB, elseB := n.Def.Blocks[0], n.Def.Blocks[1]
-	thenOps, thenCounts, err := c.compileBlock(thenB)
+	thenOps, err := c.compileBlock(thenB)
 	if err != nil {
 		return nil, err
 	}
-	elseOps, elseCounts, err := c.compileBlock(elseB)
+	elseOps, err := c.compileBlock(elseB)
 	if err != nil {
 		return nil, err
 	}
+	thenCounts, elseCounts := c.prog.counts[thenB], c.prog.counts[elseB]
 	var thenRes, elseRes *argRef
 	if thenB.Result != nil {
 		r, err := c.ref(thenB.Result)
@@ -1035,7 +1099,6 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 	}
 	dst := c.slot(n.Sym)
 	void := n.Def.Typ == ir.TVoid
-	c.prog.armVecs[n.Sym.ID] = [2][]countDelta{thenCounts, elseCounts}
 	// The branch op itself is in the parent block's static vector; only
 	// the taken arm's counts are applied here.
 	return func(fr *frame) error {
@@ -1046,7 +1109,7 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 				}
 			}
 			for _, cd := range thenCounts {
-				fr.m.Counts.Add(cd.key, cd.n)
+				fr.m.Counts.Add(cd.Key, cd.N)
 			}
 			if !void && thenRes != nil {
 				fr.regs[dst] = thenRes.get(fr)
@@ -1058,7 +1121,7 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 				}
 			}
 			for _, cd := range elseCounts {
-				fr.m.Counts.Add(cd.key, cd.n)
+				fr.m.Counts.Add(cd.Key, cd.N)
 			}
 			if !void && elseRes != nil {
 				fr.regs[dst] = elseRes.get(fr)
@@ -1074,10 +1137,6 @@ func (c *compiler) compileALoad(n *ir.Node, inl *inline) (*valNode, error) {
 		return nil, err
 	}
 	kind := n.Sym.Typ.Kind
-	costKey := OpScalarLoad
-	if c.strided(n.Def.Args[1]) {
-		costKey = OpScalarLoadStrided
-	}
 	ptrRef, idxRef := args[0], args[1]
 	ie, pos := inlineParts(inl)
 	eval := func(fr *frame, out *vm.Value) error {
@@ -1114,7 +1173,7 @@ func (c *compiler) compileALoad(n *ir.Node, inl *inline) (*valNode, error) {
 		}
 		return nil
 	}
-	return c.valNode(n, eval, countDelta{costKey, 1}), nil
+	return c.valNode(n, eval), nil
 }
 
 func (c *compiler) compileAStore(n *ir.Node, inl *inline) (*valNode, error) {
@@ -1165,7 +1224,7 @@ func (c *compiler) compileAStore(n *ir.Node, inl *inline) (*valNode, error) {
 		}
 		return nil
 	}
-	return c.valNode(n, eval, countDelta{OpScalarStore, 1}), nil
+	return c.valNode(n, eval), nil
 }
 
 func (c *compiler) compilePtrAdd(n *ir.Node, inl *inline) (*valNode, error) {
@@ -1197,7 +1256,7 @@ func (c *compiler) compilePtrAdd(n *ir.Node, inl *inline) (*valNode, error) {
 		out.Off += int(idxRef.get(fr).AsInt())
 		return nil
 	}
-	return c.valNode(n, eval, countDelta{OpScalarALU, 1}), nil
+	return c.valNode(n, eval), nil
 }
 
 func (c *compiler) compileConv(n *ir.Node, inl *inline) (*valNode, error) {
@@ -1219,7 +1278,7 @@ func (c *compiler) compileConv(n *ir.Node, inl *inline) (*valNode, error) {
 		*out = convert(*out, to)
 		return nil
 	}
-	return c.valNode(n, eval, countDelta{OpScalarConv, 1}), nil
+	return c.valNode(n, eval), nil
 }
 
 func (c *compiler) compileSelect(n *ir.Node) (*valNode, error) {
@@ -1236,7 +1295,7 @@ func (c *compiler) compileSelect(n *ir.Node) (*valNode, error) {
 		}
 		return nil
 	}
-	return c.valNode(n, eval, countDelta{OpScalarALU, 1}), nil
+	return c.valNode(n, eval), nil
 }
 
 // convert implements scalar conversions with the target type's wrap
@@ -1318,7 +1377,7 @@ func (p *Program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 		}
 	}
 	for _, cd := range p.rootCounts {
-		m.Counts.Add(cd.key, cd.n)
+		m.Counts.Add(cd.Key, cd.N)
 	}
 	var out vm.Value
 	if p.result != nil {

@@ -21,9 +21,9 @@ package kernelc
 //   - anything else stays in the body.
 //
 // Crucially the pass never changes the dynamic op-count stream: claimed
-// nodes keep their countDelta entries in the body's static vector
-// (scaled by the trip count exactly as before), so the analytical cost
-// model — and every figure derived from it — is unaffected.
+// nodes stay in the body's block, whose static vector (StaticCounts)
+// counts them once per iteration, so the analytical cost model — and
+// every figure derived from it — is unaffected.
 
 import "repro/internal/ir"
 
@@ -152,27 +152,24 @@ func nodeDegree(d *ir.Def, iv ir.Sym, bodyDefined map[int]bool, deg map[int]int)
 }
 
 // lowerPlan compiles the claimed nodes into standalone ops for the loop
-// driver and surfaces their static counts so the caller can merge them
-// back into the body's count vector (claimed nodes still count once per
-// iteration). derSlots are the derived nodes' register slots, in
-// schedule order, for the incremental update.
-func (c *compiler) lowerPlan(plan loopPlan) (hoistedOps, derivedOps []op, counts []countDelta, derSlots []int, err error) {
+// driver. They stay in the body's block, so the body's static count
+// vector still counts them once per iteration. derSlots are the derived
+// nodes' register slots, in schedule order, for the incremental update.
+func (c *compiler) lowerPlan(plan loopPlan) (hoistedOps, derivedOps []op, derSlots []int, err error) {
 	for _, n := range plan.hoisted {
 		vn, cerr := c.compileSimple(n, nil)
 		if cerr != nil {
-			return nil, nil, nil, nil, cerr
+			return nil, nil, nil, cerr
 		}
 		hoistedOps = append(hoistedOps, vn.asOp())
-		counts = append(counts, vn.counts...)
 	}
 	for _, n := range plan.derived {
 		vn, cerr := c.compileSimple(n, nil)
 		if cerr != nil {
-			return nil, nil, nil, nil, cerr
+			return nil, nil, nil, cerr
 		}
 		derivedOps = append(derivedOps, vn.asOp())
-		counts = append(counts, vn.counts...)
 		derSlots = append(derSlots, c.slot(n.Sym))
 	}
-	return hoistedOps, derivedOps, counts, derSlots, nil
+	return hoistedOps, derivedOps, derSlots, nil
 }

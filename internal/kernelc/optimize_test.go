@@ -264,6 +264,8 @@ func TestNegativeDegreeShapes(t *testing.T) {
 // TestOptimizedRunZeroAllocs locks in the zero-alloc hot path: after
 // warm-up, repeated Runs of an optimized program allocate nothing — the
 // frame pool plus the per-frame vector arena absorb all vector traffic.
+// A race build still runs the loop but does not assert the count (see
+// raceEnabled).
 func TestOptimizedRunZeroAllocs(t *testing.T) {
 	k := stageSaxpy(t)
 	p, err := CompileTier(k.F, TierOpt)
@@ -282,7 +284,7 @@ func TestOptimizedRunZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("optimized Run allocates %v times per call, want 0", allocs)
 	}
 }

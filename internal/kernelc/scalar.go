@@ -17,7 +17,6 @@ func (c *compiler) compileScalar(n *ir.Node, inl *inline) (*valNode, error) {
 		return nil, err
 	}
 	t := d.Typ
-	cost := scalarCost(d.Op, t)
 	ie, pos := inlineParts(inl)
 
 	// A fused producer evaluates into this node's own destination, which
@@ -40,7 +39,7 @@ func (c *compiler) compileScalar(n *ir.Node, inl *inline) (*valNode, error) {
 			*out = fn(*out)
 			return nil
 		}
-		return c.valNode(n, eval, countDelta{cost, 1}), nil
+		return c.valNode(n, eval), nil
 	case 2:
 		// Comparisons evaluate at the operand type, not the bool result
 		// type.
@@ -77,7 +76,7 @@ func (c *compiler) compileScalar(n *ir.Node, inl *inline) (*valNode, error) {
 				return nil
 			}
 		}
-		return c.valNode(n, eval, countDelta{cost, 1}), nil
+		return c.valNode(n, eval), nil
 	default:
 		return nil, fmt.Errorf("scalar op %s with %d args", d.Op, len(args))
 	}
@@ -89,29 +88,6 @@ func isCmp(op string) bool {
 		return true
 	}
 	return false
-}
-
-// scalarCost picks the pseudo-op the cost model prices this operation as.
-func scalarCost(op string, t ir.Type) string {
-	switch op {
-	case ir.OpMul:
-		if t.IsFloat() {
-			return OpScalarFMul
-		}
-		return OpScalarMul
-	case ir.OpDiv, ir.OpRem:
-		if t.IsFloat() {
-			return OpScalarFDiv
-		}
-		return OpScalarDiv
-	case ir.OpAdd, ir.OpSub, ir.OpNeg, ir.OpMin, ir.OpMax:
-		if t.IsFloat() {
-			return OpScalarFP
-		}
-		return OpScalarALU
-	default:
-		return OpScalarALU
-	}
 }
 
 func unaryFn(op string, t ir.Type) (func(vm.Value) vm.Value, error) {

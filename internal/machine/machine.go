@@ -13,11 +13,11 @@
 package machine
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/kernelc"
 	"repro/internal/vm"
 )
 
@@ -457,7 +457,7 @@ func (e *Estimator) chainCycles(f *ir.Func, counts vm.Counter) float64 {
 	return e.chainWalk(f.G.Root(), counts)
 }
 
-// loopKey returns the cached "loop.#<id>" counter-key spelling.
+// loopKey returns the cached kernelc.LoopKey spelling.
 func (e *Estimator) loopKey(id int) string {
 	if k, ok := e.loopKeys[id]; ok {
 		return k
@@ -465,7 +465,7 @@ func (e *Estimator) loopKey(id int) string {
 	if e.loopKeys == nil {
 		e.loopKeys = map[int]string{}
 	}
-	k := fmt.Sprintf("loop.#%d", id)
+	k := kernelc.LoopKey(id)
 	e.loopKeys[id] = k
 	return k
 }
