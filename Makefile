@@ -231,7 +231,9 @@ servecheck:
 # figcheck is the reference-output gate: `ngen all` with one sweep worker
 # and with two must each be byte-identical to results/ngen_all.txt (every
 # figure, table and footer, not only the figure tables the bench tests
-# compare). A difference is printed as a diff.
+# compare), and `ngen vet` to results/ngen_vet.txt, which pins the
+# verifier's verdicts and the parallel tier's per-loop reasons. A
+# difference is printed as a diff.
 figcheck:
 	@for j in 1 2; do \
 		out=$$(mktemp); \
@@ -242,7 +244,14 @@ figcheck:
 		fi; \
 		rm -f "$$out"; \
 	done; \
-	echo "figcheck: ngen -j 1 all and -j 2 all byte-identical to results/ngen_all.txt"
+	out=$$(mktemp); \
+	$(GO) run ./cmd/ngen vet >"$$out" || { rm -f "$$out"; exit 1; }; \
+	if ! cmp -s "$$out" results/ngen_vet.txt; then \
+		echo "figcheck: ngen vet differs from results/ngen_vet.txt:"; \
+		diff results/ngen_vet.txt "$$out"; rm -f "$$out"; exit 1; \
+	fi; \
+	rm -f "$$out"; \
+	echo "figcheck: ngen -j 1 all, -j 2 all and ngen vet byte-identical to results/"
 
 # Every internal package must carry a godoc package comment
 # ("// Package <name> ..."), canonically in its doc.go.

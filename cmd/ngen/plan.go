@@ -19,7 +19,6 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/machine"
 	"repro/internal/plan"
 	"repro/internal/vm"
 )
@@ -143,9 +142,10 @@ func planCmd(args []string) error {
 			return err
 		}
 		kernel := kn.Func().Name
-		if nativeErr != nil && (*par <= 1 || !machine.ParallelEligible(kn.Func())) {
-			// No native executable and no lanes: vm/1 is the only
-			// strategy, so the runtime never plans this kernel.
+		if !kn.Planned() {
+			// No native executable, and no lanes or no loop with a
+			// parallel plan: vm/1 is the only strategy, so the runtime
+			// never plans this kernel.
 			fmt.Printf("plan: %s has one admissible strategy (vm/1); not planned\n", kernel)
 			continue
 		}

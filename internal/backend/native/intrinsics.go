@@ -87,17 +87,25 @@ func (g *gen) intrinsic(n *ir.Node) error {
 	name := d.Op
 	id := n.Sym.ID
 	x := vname(n.Sym)
+	// arg returns operand i, or nil past the end of a malformed node's
+	// operands: every reader below refuses nil as not lowerable.
+	arg := func(i int) ir.Exp {
+		if i < len(d.Args) {
+			return d.Args[i]
+		}
+		return nil
+	}
 	vecArg := func(i int) (string, error) {
-		s, ok := d.Args[i].(ir.Sym)
+		s, ok := arg(i).(ir.Sym)
 		if !ok || s.Typ.Kind != ir.KindVec {
-			return "", fmt.Errorf("%s: argument %d is not a vector register", name, i)
+			return "", fmt.Errorf("%s: argument %d of %d is not a vector register", name, i, len(d.Args))
 		}
 		return vname(s), nil
 	}
 	immArg := func(i int) (string, error) {
-		e, err := g.asInt(d.Args[i])
+		e, err := g.asInt(arg(i))
 		if err != nil {
-			return "", err
+			return "", fmt.Errorf("%s: argument %d of %d: %w", name, i, len(d.Args), err)
 		}
 		return fmt.Sprintf("int(%s)", e), nil
 	}
@@ -118,7 +126,7 @@ func (g *gen) intrinsic(n *ir.Node) error {
 	}
 
 	if bytes, ok := loadWidth[name]; ok {
-		ps, err := ptrArg(d.Args[0])
+		ps, err := ptrArg(arg(0))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -129,7 +137,7 @@ func (g *gen) intrinsic(n *ir.Node) error {
 		return nil
 	}
 	if bytes, ok := storeWidth[name]; ok {
-		ps, err := ptrArg(d.Args[0])
+		ps, err := ptrArg(arg(0))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -216,7 +224,7 @@ func (g *gen) intrinsic(n *ir.Node) error {
 
 	switch name {
 	case "_mm256_broadcast_ss":
-		ps, err := ptrArg(d.Args[0])
+		ps, err := ptrArg(arg(0))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -243,7 +251,7 @@ func (g *gen) intrinsic(n *ir.Node) error {
 
 	case "_mm_set1_ps", "_mm256_set1_ps", "_mm512_set1_ps":
 		bits := map[string]int{"_mm_set1_ps": 128, "_mm256_set1_ps": 256, "_mm512_set1_ps": 512}[name]
-		f, err := g.asFloat(d.Args[0])
+		f, err := g.asFloat(arg(0))
 		if err != nil {
 			return err
 		}
@@ -251,21 +259,21 @@ func (g *gen) intrinsic(n *ir.Node) error {
 		return nil
 	case "_mm_set1_pd", "_mm256_set1_pd":
 		bits := map[string]int{"_mm_set1_pd": 128, "_mm256_set1_pd": 256}[name]
-		f, err := g.asFloat(d.Args[0])
+		f, err := g.asFloat(arg(0))
 		if err != nil {
 			return err
 		}
 		emit(fmt.Sprintf("set1pd(%d, %s)", bits, f))
 		return nil
 	case "_mm256_set1_epi8":
-		i, err := g.asInt(d.Args[0])
+		i, err := g.asInt(arg(0))
 		if err != nil {
 			return err
 		}
 		emit(fmt.Sprintf("set1epi8(256, %s)", i))
 		return nil
 	case "_mm256_set1_epi16":
-		i, err := g.asInt(d.Args[0])
+		i, err := g.asInt(arg(0))
 		if err != nil {
 			return err
 		}

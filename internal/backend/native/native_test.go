@@ -314,3 +314,42 @@ func TestNativeFMA32RoundsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestShortOperandNodeIsNotLowerable: an intrinsic node with fewer
+// operands than its emitter reads is malformed. The generator reports
+// it as not lowerable, the reason ngen vet's native pass prints,
+// instead of indexing past the operand list.
+func TestShortOperandNodeIsNotLowerable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  ir.Type
+		nvec int // vector operands staged (the intrinsic reads more)
+	}{
+		{"_mm256_add_ps", ir.TM256, 1},       // binary lane op
+		{"_mm256_fmadd_ps", ir.TM256, 2},     // ternary lane op
+		{"_mm256_srli_epi16", ir.TM256i, 1},  // immediate missing
+		{"_mm256_shuffle_ps", ir.TM256, 2},   // immediate missing
+		{"_mm256_set1_ps", ir.TM256, 0},      // scalar operand missing
+		{"_mm256_broadcast_ss", ir.TM256, 0}, // pointer missing
+		{"_mm256_storeu_ps", ir.TVoid, 0},    // pointer missing
+		{"_mm256_castps256_ps128", ir.TM128, 0},
+	} {
+		k := dsl.NewKernel("short_"+c.name, isa.Haswell.Features)
+		v := k.MM256Set1Ps(k.ConstF32(1))
+		args := make([]ir.Exp, c.nvec)
+		for i := range args {
+			args[i] = v.E
+		}
+		eff := ir.PureEffect
+		if c.typ.Kind == ir.KindVoid {
+			eff = ir.GlobalEffect // kept by the schedule without a result
+		}
+		r := k.Intrinsic(c.name, c.typ, nil, eff, args...)
+		if c.typ.Kind != ir.KindVoid {
+			k.MM256StoreuPs(dsl.Mutable(k, k.ParamF32Ptr()), k.ConstInt(0), dsl.M256{K: k, E: r})
+		}
+		if err := Lowerable(k.F); err == nil {
+			t.Errorf("%s with %d operands: lowerable", c.name, c.nvec)
+		}
+	}
+}

@@ -52,25 +52,21 @@ func (rt *Runtime) estimator() *machine.Estimator {
 }
 
 // choice is what the planner may route one artifact's calls to
-// besides the serial interpreter: a prebuilt native executable, kept
-// apart from the runtime backend's exec so a static runtime sharing
-// the artifact never runs it, and whether any loop may shard across
-// lanes. Both are resolved once per artifact, on its first planned
-// call; hash is the graph hash keying the artifact's plans.
+// besides the serial interpreter and, when a loop has a parallel plan
+// (kernelc.Program.Parallel), its lanes: a prebuilt native executable,
+// kept apart from the runtime backend's exec so a static runtime
+// sharing the artifact never runs it. It is resolved once per
+// artifact, on its first planned call.
 type choice struct {
-	once     sync.Once
-	hash     uint64
-	native   backend.Executable
-	parallel bool
+	once   sync.Once
+	native backend.Executable
 }
 
 // strategies resolves the artifact's choice on first use.
 func (a *artifact) strategies(rt *Runtime) *choice {
 	c := &a.choice
 	c.once.Do(func() {
-		c.hash = ir.Hash(a.f)
 		c.native = rt.cachedNative(a.f)
-		c.parallel = machine.ParallelEligible(a.f)
 	})
 	return c
 }
@@ -99,21 +95,34 @@ func (rt *Runtime) cachedNative(f *ir.Func) backend.Executable {
 	return exe
 }
 
-// run routes one invocation: planner-driven when the runtime plans and
-// the kernel has a choice, the static artifact path otherwise. A
-// kernel whose only admissible strategy is vm/1 — no native executable
-// on hand, and no lanes or no parallel-eligible loop — is never
-// planned: no plan, no probes, no plan file.
+// run routes one invocation: planner-driven when the kernel is
+// planned, the static artifact path otherwise.
 func (kn *Kernel) run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
+	if c := kn.plannedChoice(); c != nil {
+		return kn.runPlanned(m, c, args...)
+	}
+	return kn.art.run(m, args...)
+}
+
+// Planned reports whether the runtime plans this kernel's calls: it has
+// a Planner, and the kernel has a choice — a native executable on hand,
+// or lanes (Workers > 1) and a loop with a parallel plan. A kernel
+// whose only admissible strategy is vm/1 is never planned: no plan, no
+// probes, no plan file.
+func (kn *Kernel) Planned() bool { return kn.plannedChoice() != nil }
+
+// plannedChoice returns the artifact's choice when the kernel is
+// planned, and nil when it is not.
+func (kn *Kernel) plannedChoice() *choice {
 	rt := kn.rt
 	if rt.Planner == nil {
-		return kn.art.run(m, args...)
+		return nil
 	}
 	c := kn.art.strategies(rt)
-	if c.native == nil && !(rt.Machine.Workers > 1 && c.parallel) {
-		return kn.art.run(m, args...)
+	if c.native == nil && !(rt.Machine.Workers > 1 && kn.art.prog.Parallel()) {
+		return nil
 	}
-	return kn.runPlanned(m, c, args...)
+	return c
 }
 
 // runPlanned executes under the planner. A cold (hash, arch, bucket)
@@ -124,7 +133,7 @@ func (kn *Kernel) run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 // probe or the calibrated winner) and report the measured time back.
 func (kn *Kernel) runPlanned(m *vm.Machine, c *choice, args ...vm.Value) (vm.Value, error) {
 	rt := kn.rt
-	key := plan.Key{Hash: c.hash, Arch: rt.Arch.Name, Bucket: plan.Bucket(footprint(args))}
+	key := plan.Key{Hash: kn.art.hash, Arch: rt.Arch.Name, Bucket: plan.Bucket(footprint(args))}
 	d, ok := rt.Planner.Decide(key)
 	if !ok {
 		before := m.Counts.Total()
@@ -156,7 +165,7 @@ func (kn *Kernel) installPlan(key plan.Key, c *choice, deltaOps int64) {
 	if c.native != nil {
 		specs = append(specs, machine.StrategySpec{Backend: "native", Lanes: 1})
 	}
-	if w := rt.Machine.Workers; w > 1 && c.parallel {
+	if w := rt.Machine.Workers; w > 1 && kn.art.prog.Parallel() {
 		specs = append(specs, machine.StrategySpec{Backend: "vm", Lanes: w})
 	}
 	counts := vm.Counter{"ops": deltaOps}

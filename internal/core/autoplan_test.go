@@ -12,12 +12,13 @@ import (
 	_ "repro/internal/backend/native" // the planner's native candidate
 	"repro/internal/dsl"
 	"repro/internal/ir"
+	"repro/internal/kernelc"
 	"repro/internal/plan"
 	"repro/internal/vm"
 )
 
 // plannedRuntime is a planned runtime with a choice for stageDouble:
-// two lanes on its parallel-eligible loop besides serial vm.
+// two lanes on its loop with a parallel plan besides serial vm.
 func plannedRuntime() *Runtime {
 	rt := DefaultRuntime()
 	rt.Machine.Workers = 2
@@ -117,6 +118,40 @@ func TestAutoPlanSkipsKernelsWithoutChoice(t *testing.T) {
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "plan-*.json")); len(files) != 0 {
 		t.Fatalf("plan files written for a kernel without a choice: %v", files)
+	}
+}
+
+// TestPlannedReadsTheCompiledVerdict: without a native executable on
+// hand, a kernel is planned exactly when the runtime has a Planner and
+// lanes and its compiled program has a parallel plan. The plain tier
+// never shards, so it offers no lanes.
+func TestPlannedReadsTheCompiledVerdict(t *testing.T) {
+	for _, c := range []struct {
+		tier    kernelc.Tier
+		workers int
+		want    bool
+	}{
+		{kernelc.TierOpt, 2, true},
+		{kernelc.TierOpt, 1, false},
+		{kernelc.TierPlain, 2, false},
+	} {
+		rt := DefaultRuntime()
+		rt.Opt = c.tier
+		rt.Machine.Workers = c.workers
+		kn, err := rt.Compile(stageDouble(rt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kn.Planned() {
+			t.Fatalf("%v/%d: planned without a Planner", c.tier, c.workers)
+		}
+		rt.EnableAutoPlan()
+		if kn.art.strategies(rt).native != nil {
+			t.Skip("a native executable is on hand: every kernel has a choice")
+		}
+		if kn.Planned() != c.want {
+			t.Errorf("%v/%d: Planned() = %v, want %v", c.tier, c.workers, kn.Planned(), c.want)
+		}
 	}
 }
 

@@ -248,7 +248,10 @@ type cacheKey struct {
 // generated C, and the native compile command. Kernels wrap an artifact
 // together with a runtime, so one artifact serves many machines.
 type artifact struct {
-	f       *ir.Func
+	f *ir.Func
+	// hash is ir.Hash(f), computed once per compile: it keys the
+	// compile cache, the count memo (countKeyPrefix) and the planner.
+	hash    uint64
 	prog    *kernelc.Program
 	source  string
 	command string
@@ -281,7 +284,7 @@ type artifact struct {
 func (a *artifact) countKeyPrefix() string {
 	a.countOnce.Do(func() {
 		if a.prog.Proof() == "" {
-			a.countPrefix = fmt.Sprintf("%s#%016x", a.f.Name, ir.Hash(a.f))
+			a.countPrefix = fmt.Sprintf("%s#%016x", a.f.Name, a.hash)
 		}
 	})
 	return a.countPrefix
@@ -512,15 +515,16 @@ func (rt *Runtime) Compile(k *dsl.Kernel) (*Kernel, error) {
 		return nil, fmt.Errorf("core: %s uses unavailable ISAs:\n  %s",
 			k.Name(), strings.Join(miss, "\n  "))
 	}
+	hash := ir.Hash(k.F)
 	if rt.Cache == nil {
-		art, err := rt.build(k, sp)
+		art, err := rt.build(k, hash, sp)
 		if err != nil {
 			return nil, err
 		}
 		return rt.newKernel(art), nil
 	}
 	key := cacheKey{
-		hash:      ir.Hash(k.F),
+		hash:      hash,
 		name:      k.Name(),
 		arch:      rt.Arch.Name,
 		toolchain: rt.Toolchain.Name + " " + rt.Toolchain.Version,
@@ -565,7 +569,7 @@ func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*a
 			// The backend re-resolves its own artifact here too: with the
 			// disk cache attached as its store, a warm native run loads
 			// the built plugin without touching the toolchain.
-			art, err := rt.lower(k.F, parent)
+			art, err := rt.lower(k.F, key.hash, parent)
 			if err == nil {
 				art.source, art.command, art.verify = ent.Source, ent.Command, ent.Verify
 				return art, nil
@@ -577,7 +581,7 @@ func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*a
 			parent.SetAttr("disk", "miss")
 		}
 	}
-	art, err := rt.build(k, parent)
+	art, err := rt.build(k, key.hash, parent)
 	if err != nil {
 		return nil, err
 	}
@@ -610,7 +614,7 @@ func (rt *Runtime) newKernel(art *artifact) *Kernel {
 }
 
 // build runs the uncached pipeline, one child span per stage.
-func (rt *Runtime) build(k *dsl.Kernel, parent *obs.Span) (*artifact, error) {
+func (rt *Runtime) build(k *dsl.Kernel, hash uint64, parent *obs.Span) (*artifact, error) {
 	fullCompiles.Add(1)
 	sp := parent.Child("irverify.run")
 	res := irverify.Verify(k.F, rt.Arch)
@@ -627,7 +631,7 @@ func (rt *Runtime) build(k *dsl.Kernel, parent *obs.Span) (*artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	art, err := rt.lower(k.F, parent)
+	art, err := rt.lower(k.F, hash, parent)
 	if err != nil {
 		return nil, err
 	}
@@ -654,14 +658,14 @@ func (rt *Runtime) build(k *dsl.Kernel, parent *obs.Span) (*artifact, error) {
 // lower is the half of a compile that a full build and a disk hit
 // share: interpreter lowering at the runtime's tier, then the backend
 // executable.
-func (rt *Runtime) lower(f *ir.Func, parent *obs.Span) (*artifact, error) {
+func (rt *Runtime) lower(f *ir.Func, hash uint64, parent *obs.Span) (*artifact, error) {
 	sp := parent.Child("kernelc.compile")
 	prog, err := kernelc.CompileTier(f, rt.Opt)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	art := &artifact{f: f, prog: prog}
+	art := &artifact{f: f, hash: hash, prog: prog}
 	art.exec, art.fallback = rt.backendCompile(f, parent)
 	return art, nil
 }

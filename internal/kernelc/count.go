@@ -236,14 +236,13 @@ func ptrArgs(d *ir.Def) (has, onlyFirst bool) {
 	return has, onlyFirst
 }
 
-// prove marks every sink operand needed, in graph order, and drains
+// prove marks every sink operand needed, in schedule order, and drains
 // the slice behind each before the next: what was needed before is
 // already known to be free of data, so the first operand whose slice
-// reaches data is the one reported. It walks every node, the ones the
-// schedule drops as dead included, so the admitted bodies are exactly
-// those no data reaches a sink of anywhere in the graph.
+// reaches data is the one reported. It walks the nodes the schedule
+// keeps, the ones Run executes: a dead node steers nothing.
 func (b *planBuilder) prove(blk *ir.Block) string {
-	for _, n := range blk.Nodes {
+	for _, n := range b.p.sched.Keep[blk] {
 		d := n.Def
 		for _, i := range sinkOperands(d) {
 			b.need(d.Args[i])

@@ -269,6 +269,39 @@ func TestCountIteratesIfBodies(t *testing.T) {
 	}
 }
 
+// TestCountAdmitsDeadDataNodes: a node the schedule drops never runs,
+// so it steers nothing. An unused _mm256_set1_epi32(b[i]) would read
+// its integer operand from memory; dead, it leaves the body admitted,
+// and Count adds exactly what Run adds.
+func TestCountAdmitsDeadDataNodes(t *testing.T) {
+	k := dsl.NewKernel("dead_set1", isa.Haswell.Features)
+	a := dsl.Mutable(k, k.ParamI32Ptr())
+	b := k.ParamI32Ptr()
+	n := k.ParamInt()
+	k.For(k.ConstInt(0), n, 1, func(i dsl.Int) {
+		k.MM256Set1Epi32(b.At(i))
+		a.Set(i, a.At(i).Add(k.ConstInt(1)))
+	})
+	for _, tier := range []kernelc.Tier{kernelc.TierOpt, kernelc.TierPlain} {
+		p, err := kernelc.CompileTier(k.F, tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Proof() != "" {
+			t.Fatalf("%v: proof refused a dead node: %s", tier, p.Proof())
+		}
+		for _, size := range []int{0, 5, 64} {
+			build := func() []vm.Value {
+				return []vm.Value{vm.PtrValue(vm.NewBuffer(isa.PrimI32, 64), 0),
+					vm.PtrValue(vm.NewBuffer(isa.PrimI32, 64), 0), vm.IntValue(size)}
+			}
+			if !checkCountMatchesRun(t, fmt.Sprintf("dead_set1 %v n=%d", tier, size), p, build) {
+				t.Errorf("%v n=%d: refused", tier, size)
+			}
+		}
+	}
+}
+
 // randomNest stages a random loop nest over one float array: bounds,
 // strides and indices mix constants, parameters, enclosing induction
 // variables, wrapping multipliers, shifts and non-affine products, with

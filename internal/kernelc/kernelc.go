@@ -182,6 +182,7 @@ type Program struct {
 	hoisted    int // loop-invariant nodes moved to loop entry
 	strength   int // induction-variable nodes reduced to incremental adds
 	chains     int // fusion chains of length ≥ 3 (load→op→…→store)
+	parallel   bool
 	pool       sync.Pool
 
 	// sched is the schedule the program was lowered from, and counts
@@ -211,6 +212,11 @@ func (p *Program) Hoisted() int { return p.hoisted }
 // Strength returns how many affine induction-variable nodes were
 // strength-reduced to one incremental add per iteration.
 func (p *Program) Strength() int { return p.strength }
+
+// Parallel reports whether some loop of the program has a parallel
+// plan: its iterations may shard across worker lanes when the machine
+// grants more than one. A TierPlain program never shards.
+func (p *Program) Parallel() bool { return p.parallel }
 
 // FusedChains returns how many fusion chains collapse three or more
 // nodes (a load→op→…→store superinstruction rather than a pair).
@@ -901,6 +907,7 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	}
 	if pp != nil {
 		lc.par = pp
+		c.prog.parallel = true
 		parEligible.Add(1)
 	}
 	return lc.run, nil

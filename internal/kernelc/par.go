@@ -34,21 +34,23 @@ import (
 )
 
 // parAccess is one probed access: register references resolving the
-// pointer (and element index) at probe time, plus the static byte
-// width (0 = one buffer element, for aload/astore).
+// pointer (and element index) at probe time, plus the static footprint
+// loopdep read from the vm: width bytes at byte offset off·scale, where
+// a zero width or scale stands for the buffer's element size (always,
+// for aload/astore).
 type parAccess struct {
-	ptr    argRef
-	idx    argRef
-	hasIdx bool
-	width  int
-	write  bool
+	ptr          argRef
+	idx          argRef
+	hasIdx       bool
+	width, scale int
+	write        bool
 }
 
 // reduceOp folds per-chunk accumulator partials exactly.
 type reduceOp struct {
 	// fold combines two partials; a vector fold writes its result into
 	// dst, which may alias a.
-	fold func(a, b vm.Value, dst *vm.Vec) vm.Value
+	fold func(m *vm.Machine, a, b vm.Value, dst *vm.Vec) (vm.Value, error)
 	// seed produces a chunk's starting accumulator from the loop's
 	// init value (the op identity, or init itself for idempotent ops).
 	seed func(init vm.Value) vm.Value
@@ -120,7 +122,7 @@ func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
 		if err != nil {
 			return nil, nil
 		}
-		pa := parAccess{ptr: pr, width: a.Bytes, write: a.Write}
+		pa := parAccess{ptr: pr, width: a.Bytes, scale: a.Scale, write: a.Write}
 		if a.Idx != nil {
 			if !mark(a.Idx) {
 				return nil, nil
@@ -168,9 +170,22 @@ func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
 // makeReduce builds the exact fold for a recognized reduction.
 func makeReduce(r *loopdep.Reduction) (*reduceOp, bool) {
 	if r.Vec {
-		fold := vecLaneAdd(r.ElemBits)
-		if fold == nil {
+		add, ok := vm.Lookup(r.Op)
+		if !ok {
 			return nil, false
+		}
+		fold := func(m *vm.Machine, a, b vm.Value, dst *vm.Vec) (vm.Value, error) {
+			// The vm's own lanewise add. Its dst never aliases an
+			// operand, and a may live in dst, so the sum goes through a
+			// scratch register.
+			var sum vm.Vec
+			out, err := add.Fn(m, []vm.Value{a, b}, &sum)
+			if err != nil {
+				return vm.Value{}, err
+			}
+			*dst = sum
+			out.V = dst
+			return out, nil
 		}
 		// Lanes only read the seed: a carried vector is copied into the
 		// lane frame's own slot (ownVec), so one zero register serves
@@ -182,7 +197,7 @@ func makeReduce(r *loopdep.Reduction) (*reduceOp, bool) {
 	if err != nil {
 		return nil, false
 	}
-	fn := func(a, b vm.Value, _ *vm.Vec) vm.Value { return bin(a, b) }
+	fn := func(_ *vm.Machine, a, b vm.Value, _ *vm.Vec) (vm.Value, error) { return bin(a, b), nil }
 	if r.SeedsWithInit() {
 		return &reduceOp{fold: fn, seed: func(init vm.Value) vm.Value { return init }}, true
 	}
@@ -194,46 +209,6 @@ func makeReduce(r *loopdep.Reduction) (*reduceOp, bool) {
 		id = truncInt(r.Typ, 0)
 	}
 	return &reduceOp{fold: fn, seed: func(vm.Value) vm.Value { return id }}, true
-}
-
-// vecLaneAdd adds two vector registers lane by lane at the given
-// element width, over the full 64-byte container (unused upper lanes
-// are zero in both operands, so the extra lanes stay zero). Each lane
-// is read before it is written, so dst may alias a or b.
-func vecLaneAdd(bits int) func(a, b vm.Value, dst *vm.Vec) vm.Value {
-	var add func(a, b, o *vm.Vec)
-	switch bits {
-	case 8:
-		add = func(a, b, o *vm.Vec) {
-			for i := 0; i < 64; i++ {
-				o.SetI8(i, a.I8(i)+b.I8(i))
-			}
-		}
-	case 16:
-		add = func(a, b, o *vm.Vec) {
-			for i := 0; i < 32; i++ {
-				o.SetI16(i, a.I16(i)+b.I16(i))
-			}
-		}
-	case 32:
-		add = func(a, b, o *vm.Vec) {
-			for i := 0; i < 16; i++ {
-				o.SetI32(i, a.I32(i)+b.I32(i))
-			}
-		}
-	case 64:
-		add = func(a, b, o *vm.Vec) {
-			for i := 0; i < 8; i++ {
-				o.SetI64(i, a.I64(i)+b.I64(i))
-			}
-		}
-	default:
-		return nil
-	}
-	return func(a, b vm.Value, dst *vm.Vec) vm.Value {
-		add(a.V, b.V, dst)
-		return vm.Value{Kind: ir.KindVec, V: dst}
-	}
 }
 
 // probeRec is one access's concrete byte geometry, recovered by the
@@ -271,7 +246,11 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 			if a.hasIdx {
 				off += a.idx.get(fr).AsInt()
 			}
-			off *= esz
+			if a.scale != 0 {
+				off *= int64(a.scale)
+			} else {
+				off *= esz
+			}
 			r := &recs[i]
 			switch slot {
 			case 0:
@@ -354,7 +333,10 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	if lc.carried {
 		acc := fr.regs[lc.accSlot]
 		for k := 0; k < chunks; k++ {
-			acc = pp.reduce.fold(acc, partials[k], &fr.vecs[lc.accVec])
+			var err error
+			if acc, err = pp.reduce.fold(fr.m, acc, partials[k], &fr.vecs[lc.accVec]); err != nil {
+				return true, err
+			}
 		}
 		fr.regs[lc.accSlot] = acc
 	}

@@ -378,3 +378,73 @@ func FuzzShardBounds(f *testing.F) {
 		}
 	})
 }
+
+// TestProgramParallel: a program reports a parallel plan exactly when
+// one of its loops got one — an independent elementwise loop at
+// TierOpt; never at TierPlain, which does not shard, and never without
+// a loop.
+func TestProgramParallel(t *testing.T) {
+	f := stageStencil().F
+	for _, c := range []struct {
+		tier Tier
+		want bool
+	}{{TierOpt, true}, {TierPlain, false}} {
+		p, err := CompileTier(f, c.tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Parallel() != c.want {
+			t.Errorf("%v: Parallel() = %v, want %v", c.tier, p.Parallel(), c.want)
+		}
+	}
+	k := dsl.NewKernel("noloop", isa.Haswell.Features)
+	a := dsl.Mutable(k, k.ParamF32Ptr())
+	k.MM256StoreuPs(a, k.ConstInt(0), k.MM256Set1Ps(k.ConstF32(1)))
+	p, err := Compile(k.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Parallel() {
+		t.Fatal("loop-free kernel reports a parallel plan")
+	}
+}
+
+// TestProbeScalesLikeVM: the probe places an intrinsic's window where
+// the vm does, at off·Scale. _mm_store_ss over a byte buffer moves 4
+// bytes at 4·off, so iterations write disjoint windows and the loop
+// shards; sized by the buffer's 1-byte elements instead, the windows
+// would overlap and the loop would fall back.
+func TestProbeScalesLikeVM(t *testing.T) {
+	forcePar(t)
+	k := dsl.NewKernel("par_scale", isa.Haswell.Features)
+	a := dsl.Mutable(k, k.ParamF32Ptr())
+	b := k.ParamF32Ptr()
+	n := k.ParamInt()
+	k.For(k.ConstInt(0), n, 1, func(i dsl.Int) {
+		k.MMStoreSs(a, i, k.MMLoadSs(b, i))
+	})
+	p, err := Compile(k.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 64
+	src := vm.NewBuffer(isa.PrimI8, 4*iters)
+	fillBuffer(src, 5)
+	run := func(m *vm.Machine) []byte {
+		dst := vm.NewBuffer(isa.PrimI8, 4*iters)
+		if _, err := p.Run(m, vm.PtrValue(dst, 0), vm.PtrValue(src, 0), vm.IntValue(iters)); err != nil {
+			t.Fatal(err)
+		}
+		return dst.Data
+	}
+	want := run(vm.NewMachine(isa.Haswell))
+	_, runs0, fb0, _, _ := ParStats()
+	if got := run(parMachine(isa.Haswell, 4)); !bytes.Equal(got, want) {
+		t.Fatal("sharded image diverges from serial")
+	}
+	_, runs1, fb1, _, _ := ParStats()
+	if runs1 == runs0 || fb1 != fb0 {
+		t.Fatalf("byte-buffer _mm_store_ss loop should shard without fallback (runs %d→%d, fallbacks %d→%d)",
+			runs0, runs1, fb0, fb1)
+	}
+}

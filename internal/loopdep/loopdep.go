@@ -10,10 +10,11 @@
 // parallelizes when
 //
 //   - every memory write in the body is a "probed access": the written
-//     address is affine in the loop's own induction variable (the same
-//     degree lattice the strength-reduction pass uses), so the runtime
-//     can evaluate the address chain at three iterations and prove the
-//     per-iteration store windows disjoint;
+//     address is affine in the loop's own induction variable (the degree
+//     lattice of degree.go, which kernelc's strength-reduction pass also
+//     reads), and its footprint is the one the vm states (vm.AccessOf),
+//     so the runtime can evaluate the address chain at three iterations
+//     and prove the per-iteration store windows disjoint;
 //   - every read is a probed access, or falls back to a "free read"
 //     whose root buffer the runtime checks for distinctness from all
 //     written buffers (non-affine gathers, nested read-only blocks);
@@ -35,6 +36,7 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
 // Access is one memory access whose address is affine in the loop's
@@ -50,9 +52,10 @@ type Access struct {
 	// Idx is the element-index expression for aload/astore accesses;
 	// nil for intrinsic accesses, which displace the pointer directly.
 	Idx ir.Exp
-	// Bytes is the access width in bytes (0 for aload/astore, whose
-	// width is the buffer's element size and only known at run time).
-	Bytes int
+	// Bytes and Scale are the intrinsic's footprint (vm.Access): Bytes
+	// bytes at byte offset off·Scale. Both are 0 for aload/astore, and a
+	// zero stands for the buffer's element size, only known at run time.
+	Bytes, Scale int
 	// Write reports whether the access stores.
 	Write bool
 }
@@ -65,8 +68,6 @@ type Reduction struct {
 	Op string
 	// Vec reports whether the reduction runs on a vector register.
 	Vec bool
-	// ElemBits is the vector lane width in bits (vector reductions).
-	ElemBits int
 	// Typ is the accumulator's staged type.
 	Typ ir.Type
 }
@@ -127,9 +128,8 @@ func Analyze(f *ir.Func, loop *ir.Node) Report {
 		rep.Reduce = red
 	}
 
-	// Degree of every body node in the induction variable, using the
-	// same lattice as the strength-reduction pass: 0 invariant, 1
-	// affine, degVariant otherwise.
+	// Degree of every body node in the induction variable (NodeDegree):
+	// 0 invariant, 1 affine, DegVariant otherwise.
 	bodyDefined := make(map[int]bool, len(body.Nodes)+len(body.Params))
 	for _, p := range body.Params {
 		bodyDefined[p.ID] = true
@@ -144,7 +144,7 @@ func Analyze(f *ir.Func, loop *ir.Node) Report {
 		if nd.Op == ir.OpComment || nd.Op == ir.OpParam {
 			continue
 		}
-		deg[n.Sym.ID] = nodeDegree(nd, iv, bodyDefined, deg)
+		deg[n.Sym.ID] = NodeDegree(nd, iv, bodyDefined, deg)
 		e := nd.Effect
 		switch {
 		case e.Kind == ir.Global:
@@ -182,7 +182,7 @@ func Analyze(f *ir.Func, loop *ir.Node) Report {
 // verdict). Writes must probe; reads may fall back.
 func classifyAccess(f *ir.Func, n *ir.Node, iv ir.Sym, bodyDefined map[int]bool, deg map[int]int) (*Access, []ir.Sym, string) {
 	d := n.Def
-	argDeg := func(e ir.Exp) int { return expDegree(e, iv, bodyDefined, deg) }
+	argDeg := func(e ir.Exp) int { return ExpDegree(e, iv, bodyDefined, deg) }
 	freeReads := func() ([]ir.Sym, string) {
 		if len(d.Effect.Writes) > 0 {
 			return nil, ""
@@ -212,17 +212,23 @@ func classifyAccess(f *ir.Func, n *ir.Node, iv ir.Sym, bodyDefined map[int]bool,
 		return &Access{Node: n, Ptr: ptr, Idx: d.Args[1], Write: true}, nil, ""
 	}
 
-	// Intrinsic with memory traffic: width table decides.
-	w, isStore, known := intrinsicSpan(d.Op)
-	if known {
-		ptr, ok := onePtrArg(d)
-		if !ok {
-			return nil, nil, fmt.Sprintf("x%d (%s) has no unique pointer operand", n.Sym.ID, d.Op)
+	// Intrinsic with the footprint the vm states for it (vm.AccessOf):
+	// the pointer is argument 0, and the node's effect says whether it
+	// stores. Bytes zero (prefetch) dereferences nothing.
+	if fp, ok := vm.AccessOf(d.Op); ok && fp.Bytes > 0 {
+		write := len(d.Effect.Writes) > 0
+		var ptr ir.Sym
+		isPtr := false
+		if len(d.Args) > 0 {
+			ptr, isPtr = d.Args[0].(ir.Sym)
+		}
+		if !isPtr || ptr.Typ.Kind != ir.KindPtr {
+			return nil, nil, fmt.Sprintf("x%d (%s) has no pointer operand", n.Sym.ID, d.Op)
 		}
 		if ptrDegree(f, ptr, iv, bodyDefined, deg) <= 1 {
-			return &Access{Node: n, Ptr: ptr, Bytes: w, Write: isStore}, nil, ""
+			return &Access{Node: n, Ptr: ptr, Bytes: fp.Bytes, Scale: fp.Scale, Write: write}, nil, ""
 		}
-		if isStore {
+		if write {
 			return nil, nil, fmt.Sprintf("x%d (%s) stores at a non-affine address", n.Sym.ID, d.Op)
 		}
 		if fr, _ := freeReads(); fr != nil {
@@ -242,7 +248,7 @@ func classifyAccess(f *ir.Func, n *ir.Node, iv ir.Sym, bodyDefined map[int]bool,
 }
 
 // ptrDegree chases a pointer symbol through body-defined ptradd nodes,
-// returning the maximum degree of any displacement step (degVariant on
+// returning the maximum degree of any displacement step (DegVariant on
 // a non-ptradd body definition).
 func ptrDegree(f *ir.Func, ptr ir.Sym, iv ir.Sym, bodyDefined map[int]bool, deg map[int]int) int {
 	out := 0
@@ -253,34 +259,18 @@ func ptrDegree(f *ir.Func, ptr ir.Sym, iv ir.Sym, bodyDefined map[int]bool, deg 
 		}
 		d, ok := f.G.Def(s)
 		if !ok || d.Op != ir.OpPtrAdd {
-			return degVariant
+			return DegVariant
 		}
-		if dg := expDegree(d.Args[1], iv, bodyDefined, deg); dg > out {
+		if dg := ExpDegree(d.Args[1], iv, bodyDefined, deg); dg > out {
 			out = dg
 		}
 		base, ok := d.Args[0].(ir.Sym)
 		if !ok {
-			return degVariant
+			return DegVariant
 		}
 		s = base
 	}
-	return degVariant
-}
-
-func onePtrArg(d *ir.Def) (ir.Sym, bool) {
-	var ptr ir.Sym
-	found := false
-	for _, a := range d.Args {
-		if a.Type().Kind != ir.KindPtr {
-			continue
-		}
-		s, ok := a.(ir.Sym)
-		if !ok || found {
-			return ir.Sym{}, false
-		}
-		ptr, found = s, true
-	}
-	return ptr, found
+	return DegVariant
 }
 
 func dedupSyms(ss []ir.Sym) []ir.Sym {

@@ -10,44 +10,40 @@ import (
 	"repro/internal/vm"
 )
 
-// TestSpanTablesMatchRegistry holds the byte-footprint tables to the
-// live interpreter: every op they name must exist in the vm intrinsic
-// registry (a renamed or removed intrinsic must not linger here with a
-// stale footprint), and the direction encoded by the table must match
-// the mnemonic.
-func TestSpanTablesMatchRegistry(t *testing.T) {
-	for op, w := range loadSpan {
-		if _, ok := vm.Lookup(op); !ok {
-			t.Errorf("loadSpan[%q] names an intrinsic the vm does not implement", op)
+// TestProbesCarryVMFootprint: an intrinsic access is probed with the
+// footprint the vm executes it with (vm.AccessOf, Scale included), and
+// its direction is the node's effect. A prefetch takes a pointer but
+// has no footprint, so its write effect keeps the loop serial.
+func TestProbesCarryVMFootprint(t *testing.T) {
+	k := dsl.NewKernel("dep_footprint", isa.Haswell.Features)
+	a := dsl.Mutable(k, k.ParamF32Ptr())
+	b := k.ParamF32Ptr()
+	n := k.ParamInt()
+	k.For(k.ConstInt(0), n, 8, func(i dsl.Int) {
+		k.MM256StoreuPs(a, i, k.MM256LoaduPs(b, i))
+		k.MMStoreSs(a, i, k.MMLoadSs(b, i))
+	})
+	rep := Analyze(k.F, topLoop(t, k.F))
+	if !rep.OK || len(rep.Probes) != 4 || rep.Writes() != 2 {
+		t.Fatalf("want 4 probes (2 writes), got %+v", rep)
+	}
+	for _, p := range rep.Probes {
+		op := p.Node.Def.Op
+		fp, ok := vm.AccessOf(op)
+		if !ok || p.Bytes != fp.Bytes || p.Scale != fp.Scale {
+			t.Errorf("%s probed as %d bytes at scale %d, the vm states %+v", op, p.Bytes, p.Scale, fp)
 		}
-		if w <= 0 || w > 64 {
-			t.Errorf("loadSpan[%q] = %d bytes is not a plausible SIMD span", op, w)
-		}
-		if strings.Contains(op, "_store") || strings.Contains(op, "_stream_s") {
-			t.Errorf("loadSpan[%q] looks like a store mnemonic", op)
+		if p.Write != strings.Contains(op, "store") {
+			t.Errorf("%s probed with write=%v", op, p.Write)
 		}
 	}
-	for op, w := range storeSpan {
-		if _, ok := vm.Lookup(op); !ok {
-			t.Errorf("storeSpan[%q] names an intrinsic the vm does not implement", op)
-		}
-		if w <= 0 || w > 64 {
-			t.Errorf("storeSpan[%q] = %d bytes is not a plausible SIMD span", op, w)
-		}
-		if !strings.Contains(op, "store") && !strings.Contains(op, "stream") {
-			t.Errorf("storeSpan[%q] does not look like a store mnemonic", op)
-		}
-		if _, dup := loadSpan[op]; dup {
-			t.Errorf("%q appears in both span tables", op)
-		}
-	}
-	for _, op := range []string{"_mm256_loadu_ps", "_mm256_storeu_ps"} {
-		if _, _, known := intrinsicSpan(op); !known {
-			t.Errorf("intrinsicSpan(%q) should be known", op)
-		}
-	}
-	if _, _, known := intrinsicSpan("_mm256_add_ps"); known {
-		t.Error("non-memory intrinsic must not have a span")
+
+	k = dsl.NewKernel("dep_prefetch", isa.Haswell.Features)
+	c := dsl.Mutable(k, k.ParamI8Ptr())
+	n = k.ParamInt()
+	k.For(k.ConstInt(0), n, 1, func(i dsl.Int) { k.MMPrefetch(c, i, 3) })
+	if rep := Analyze(k.F, topLoop(t, k.F)); rep.OK || !strings.Contains(rep.Reason, "unknown footprint") {
+		t.Fatalf("prefetch loop: want a serial verdict naming the unknown footprint, got %+v", rep)
 	}
 }
 

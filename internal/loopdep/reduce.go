@@ -17,17 +17,17 @@ import (
 //   - integer scalar min/max (idempotent: each chunk may be seeded with
 //     the loop's init value without changing the fold);
 //   - lanewise integer vector adds (_mm*_add_epi*), which the paper's
-//     quantized dot kernels use as vector accumulators.
+//     quantized dot kernels use as vector accumulators; the partials
+//     are folded by the vm's own semantic of the same intrinsic.
 //
 // Floating-point accumulators never qualify: re-association changes
 // rounding, and the contract is byte-identical results.
 
-// vecAddBits maps lanewise integer vector add intrinsics to their lane
-// width in bits.
-var vecAddBits = map[string]int{
-	"_mm_add_epi8": 8, "_mm_add_epi16": 16, "_mm_add_epi32": 32, "_mm_add_epi64": 64,
-	"_mm256_add_epi8": 8, "_mm256_add_epi16": 16, "_mm256_add_epi32": 32, "_mm256_add_epi64": 64,
-	"_mm512_add_epi32": 32, "_mm512_add_epi64": 64,
+// vecAdds lists the lanewise integer vector add intrinsics.
+var vecAdds = map[string]bool{
+	"_mm_add_epi8": true, "_mm_add_epi16": true, "_mm_add_epi32": true, "_mm_add_epi64": true,
+	"_mm256_add_epi8": true, "_mm256_add_epi16": true, "_mm256_add_epi32": true, "_mm256_add_epi64": true,
+	"_mm512_add_epi32": true, "_mm512_add_epi64": true,
 }
 
 // reduction recognizes the accumulator update of a ForAcc body. It
@@ -58,12 +58,12 @@ func reduction(f *ir.Func, body *ir.Block) (*Reduction, string) {
 		if user == nil {
 			return nil, "carried value escapes into a nested block"
 		}
-		op, vec, bits, okOp := reduceKind(user.Def, cur)
+		op, vec, okOp := reduceKind(user.Def, cur)
 		if !okOp {
 			return nil, fmt.Sprintf("carried value flows through %s, which is not an exact re-associable reduction", user.Def.Op)
 		}
 		if red.Op == "" {
-			red.Op, red.Vec, red.ElemBits = op, vec, bits
+			red.Op, red.Vec = op, vec
 		} else if red.Op != op {
 			return nil, fmt.Sprintf("mixed operations in reduction chain (%s vs %s)", red.Op, op)
 		}
@@ -112,9 +112,9 @@ func topUser(b *ir.Block, s ir.Sym) *ir.Node {
 
 // reduceKind classifies one chain step: d must combine cur (appearing
 // exactly once) with an iteration-local value under a whitelisted op.
-func reduceKind(d *ir.Def, cur ir.Sym) (op string, vec bool, bits int, ok bool) {
+func reduceKind(d *ir.Def, cur ir.Sym) (op string, vec, ok bool) {
 	if len(d.Args) != 2 || len(d.Blocks) != 0 {
-		return "", false, 0, false
+		return "", false, false
 	}
 	hits := 0
 	for _, a := range d.Args {
@@ -123,19 +123,13 @@ func reduceKind(d *ir.Def, cur ir.Sym) (op string, vec bool, bits int, ok bool) 
 		}
 	}
 	if hits != 1 {
-		return "", false, 0, false
+		return "", false, false
 	}
 	switch d.Op {
 	case ir.OpAdd, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpMin, ir.OpMax:
-		if d.Typ.IsInteger() {
-			return d.Op, false, d.Typ.Bits(), true
-		}
-		return "", false, 0, false
+		return d.Op, false, d.Typ.IsInteger()
 	}
-	if b, isVec := vecAddBits[d.Op]; isVec {
-		return d.Op, true, b, true
-	}
-	return "", false, 0, false
+	return d.Op, true, vecAdds[d.Op]
 }
 
 // SeedsWithInit reports whether chunk partials must be seeded with the
