@@ -81,11 +81,12 @@ benchtest:
 
 # nativediff is the native-backend gate: every registered kernel must be
 # byte-identical (results, memory, dynamic op counts, error text)
-# between the vm interpreter and the plugin-compiled native tier. Hosts
-# that cannot build or load plugins skip with a visible notice instead
-# of failing.
+# between the vm interpreter and the plugin-compiled native tier, and so
+# must every intrinsic the native emitter lowers, applied once each to
+# edge inputs (TestNativeLaneOpsMatchVM). Hosts that cannot build or
+# load plugins skip with a visible notice instead of failing.
 nativediff:
-	@out=$$($(GO) test -count=1 -run 'TestNativeDifferentialAllKernels' -v ./internal/backend/native) \
+	@out=$$($(GO) test -count=1 -run 'TestNativeDifferentialAllKernels|TestNativeLaneOpsMatchVM' -v ./internal/backend/native) \
 		|| { echo "$$out"; exit 1; }; \
 	if echo "$$out" | grep -q -- "--- SKIP"; then \
 		echo "nativediff: SKIPPED on this host:"; \
@@ -93,6 +94,8 @@ nativediff:
 	else \
 		n=$$(echo "$$out" | grep -c -- "--- PASS: TestNativeDifferentialAllKernels/"); \
 		echo "nativediff: $$n kernels byte-identical native vs vm"; \
+		echo "$$out" | grep -q -- "--- PASS: TestNativeLaneOpsMatchVM" \
+			&& echo "nativediff: every lowered intrinsic bit-identical native vs vm"; \
 	fi
 
 # plancheck is the adaptive-planner gate, in three phases. First the

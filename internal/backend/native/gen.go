@@ -29,6 +29,8 @@ func generate(f *ir.Func) (string, error) {
 	sched := ir.Schedule(f)
 	g := &gen{f: f, sched: sched, counts: kernelc.StaticCounts(f, sched)}
 	var b strings.Builder
+	b.WriteString(header)
+	b.WriteString(laneSource)
 	b.WriteString(prelude)
 	b.WriteString("\n// Run executes kernel ")
 	b.WriteString(f.Name)
@@ -120,7 +122,7 @@ func goType(k ir.Kind) string {
 	case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
 		return "uint64"
 	case ir.KindVec:
-		return "vec"
+		return "Vec"
 	default:
 		return "int64"
 	}
@@ -133,10 +135,12 @@ func goInt(v int64) string {
 	return strconv.FormatInt(v, 10)
 }
 
+// goFloat renders a float constant. A Go constant has no NaN payload
+// and no negative zero, so those are rebuilt from their bits.
 func goFloat(v float64) string {
 	switch {
-	case math.IsNaN(v):
-		return "math.NaN()"
+	case math.IsNaN(v) || v == 0 && math.Signbit(v):
+		return fmt.Sprintf("math.Float64frombits(%#x)", math.Float64bits(v))
 	case math.IsInf(v, 1):
 		return "math.Inf(1)"
 	case math.IsInf(v, -1):
@@ -516,25 +520,25 @@ func (g *gen) aload(n *ir.Node) error {
 	x := vname(n.Sym)
 	switch n.Sym.Typ.Kind {
 	case ir.KindF32:
-		g.p("%s := float64(bf32(%s, i%d))", x, pd(ps), id)
+		g.p("%s := float64(f32At(%s, i%d))", x, pd(ps), id)
 	case ir.KindF64:
-		g.p("%s := bf64(%s, i%d)", x, pd(ps), id)
+		g.p("%s := f64At(%s, i%d)", x, pd(ps), id)
 	case ir.KindI8:
-		g.p("%s := bi8(%s, i%d)", x, pd(ps), id)
+		g.p("%s := i8At(%s, i%d)", x, pd(ps), id)
 	case ir.KindU8:
-		g.p("%s := uint64(bu8(%s, i%d))", x, pd(ps), id)
+		g.p("%s := uint64(u8At(%s, i%d))", x, pd(ps), id)
 	case ir.KindI16:
-		g.p("%s := bi16(%s, i%d)", x, pd(ps), id)
+		g.p("%s := i16At(%s, i%d)", x, pd(ps), id)
 	case ir.KindU16:
-		g.p("%s := uint64(bu16(%s, i%d))", x, pd(ps), id)
+		g.p("%s := uint64(u16At(%s, i%d))", x, pd(ps), id)
 	case ir.KindI32:
-		g.p("%s := bi32(%s, i%d)", x, pd(ps), id)
+		g.p("%s := i32At(%s, i%d)", x, pd(ps), id)
 	case ir.KindU32:
-		g.p("%s := uint64(bu32(%s, i%d))", x, pd(ps), id)
+		g.p("%s := uint64(u32At(%s, i%d))", x, pd(ps), id)
 	case ir.KindI64:
-		g.p("%s := bi64(%s, i%d)", x, pd(ps), id)
+		g.p("%s := i64At(%s, i%d)", x, pd(ps), id)
 	case ir.KindU64:
-		g.p("%s := uint64(bi64(%s, i%d))", x, pd(ps), id)
+		g.p("%s := uint64(i64At(%s, i%d))", x, pd(ps), id)
 	default:
 		return fmt.Errorf("aload of unsupported kind %v", n.Sym.Typ)
 	}
@@ -569,9 +573,9 @@ func (g *gen) astore(n *ir.Node) error {
 			return err
 		}
 		if ps.Typ.Elem.Bits() == 32 {
-			g.p("bsetf32(%s, i%d, float32(%s))", pd(ps), id, fe)
+			g.p("setF32At(%s, i%d, float32(%s))", pd(ps), id, fe)
 		} else {
-			g.p("bsetf64(%s, i%d, %s)", pd(ps), id, fe)
+			g.p("setF64At(%s, i%d, %s)", pd(ps), id, fe)
 		}
 	default:
 		ie, err := g.asInt(val)
@@ -580,13 +584,13 @@ func (g *gen) astore(n *ir.Node) error {
 		}
 		switch ps.Typ.Elem.Bits() {
 		case 8:
-			g.p("bset8(%s, i%d, %s)", pd(ps), id, ie)
+			g.p("set8At(%s, i%d, %s)", pd(ps), id, ie)
 		case 16:
-			g.p("bset16(%s, i%d, %s)", pd(ps), id, ie)
+			g.p("set16At(%s, i%d, %s)", pd(ps), id, ie)
 		case 32:
-			g.p("bset32(%s, i%d, %s)", pd(ps), id, ie)
+			g.p("set32At(%s, i%d, %s)", pd(ps), id, ie)
 		default:
-			g.p("bset64(%s, i%d, %s)", pd(ps), id, ie)
+			g.p("set64At(%s, i%d, %s)", pd(ps), id, ie)
 		}
 	}
 	return nil

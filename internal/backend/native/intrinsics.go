@@ -5,389 +5,186 @@ import (
 	"strings"
 
 	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
-// loadWidth / storeWidth give the register width in bytes for the
-// memory intrinsics the registered kernels use. Anything absent from
-// these maps and the switch below is simply not native-lowerable and
-// stays on the vm interpreter — the emitter set grows with the kernel
-// suite, not with the vm's full intrinsic catalogue.
-var loadWidth = map[string]int{
-	"_mm_loadu_ps":       16,
-	"_mm_loadu_pd":       16,
-	"_mm_loadu_si128":    16,
-	"_mm256_loadu_ps":    32,
-	"_mm256_loadu_pd":    32,
-	"_mm256_loadu_si256": 32,
-	"_mm512_loadu_ps":    64,
-	// The vm treats aligned loads identically to unaligned ones (the
-	// simulated machine has no alignment faults), so they share loadv.
-	"_mm_load_ps":    16,
-	"_mm_load_pd":    16,
-	"_mm256_load_ps": 32,
-	"_mm256_load_pd": 32,
+// lowering is how a plugin computes one intrinsic: the lane kernel of
+// vm.LaneSource it calls, the register width it passes, the kinds of
+// the intrinsic's operands in order, and the kind of its result. An
+// empty kernel is a reinterpreting cast: the result is the operand.
+type lowering struct {
+	kernel string
+	bits   int
+	// ops has one byte per operand: 'v' a vector register, passed by
+	// pointer; 'i' an integer immediate (int); 'n' an integer scalar
+	// (int64, vm.Value.AsInt); 'f' a float scalar (float64,
+	// vm.Value.AsFloat); 'p' a pointer, passed as the buffer's bytes
+	// and a byte offset scaled as vm.AccessOf states. A kernel with a
+	// pointer operand returns the vm's bounds error.
+	ops string
+	// res is 'v' for a vector result, written through the kernel's
+	// leading dst; 'f' for a float32 the kernel returns; 0 for none.
+	res byte
 }
 
-var storeWidth = map[string]int{
-	"_mm_storeu_ps":    16,
-	"_mm_storeu_pd":    16,
-	"_mm256_storeu_ps": 32,
-	"_mm256_storeu_pd": 32,
-	"_mm_store_ps":     16,
-	"_mm_store_pd":     16,
-	"_mm256_store_ps":  32,
-	"_mm256_store_pd":  32,
-}
-
-// laneHelper maps a packed-float lane op (stem + precision suffix,
-// prefix stripped) to its prelude helper. Both 128- and 256-bit forms
-// share one helper parameterized on the register width; the bitwise
-// helpers are precision-blind (they run over raw register bytes, as
-// the vm's regBitwise does).
-var laneHelper = map[string]struct {
-	fn    string
-	arity int
-}{
-	"add_ps": {"addps", 2}, "sub_ps": {"subps", 2},
-	"mul_ps": {"mulps", 2}, "div_ps": {"divps", 2},
-	"min_ps": {"minps", 2}, "max_ps": {"maxps", 2},
-	"sqrt_ps": {"sqrtps", 1},
-	"add_pd":  {"addpd", 2}, "sub_pd": {"subpd", 2},
-	"mul_pd": {"mulpd", 2}, "div_pd": {"divpd", 2},
-	"min_pd": {"minpd", 2}, "max_pd": {"maxpd", 2},
-	"sqrt_pd":  {"sqrtpd", 1},
-	"fmadd_ps": {"fmaddps", 3}, "fmsub_ps": {"fmsubps", 3},
-	"fnmadd_ps": {"fnmaddps", 3}, "fnmsub_ps": {"fnmsubps", 3},
-	"fmadd_pd": {"fmaddpd", 3}, "fmsub_pd": {"fmsubpd", 3},
-	"fnmadd_pd": {"fnmaddpd", 3}, "fnmsub_pd": {"fnmsubpd", 3},
-	"and_ps": {"bitand", 2}, "or_ps": {"bitor", 2},
-	"xor_ps": {"bitxor", 2}, "andnot_ps": {"bitandnot", 2},
-	"and_pd": {"bitand", 2}, "or_pd": {"bitor", 2},
-	"xor_pd": {"bitxor", 2}, "andnot_pd": {"bitandnot", 2},
-}
-
-// laneOp resolves an intrinsic name against laneHelper, returning the
-// register width its prefix implies.
-func laneOp(name string) (fn string, arity, bits int, ok bool) {
-	var rest string
-	switch {
-	case strings.HasPrefix(name, "_mm256_"):
-		bits, rest = 256, name[len("_mm256_"):]
-	case strings.HasPrefix(name, "_mm_"):
-		bits, rest = 128, name[len("_mm_"):]
-	default:
-		return "", 0, 0, false
+// lowerings is the set of intrinsics the plugin computes. Anything
+// absent is not native-lowerable and stays on the vm interpreter: the
+// set grows with the kernel suite, not with the vm's full catalogue.
+var lowerings = func() map[string]lowering {
+	t := map[string]lowering{
+		"_mm_loadu_si128":             {"loadBytes", 128, "p", 'v'},
+		"_mm256_loadu_si256":          {"loadBytes", 256, "p", 'v'},
+		"_mm512_loadu_ps":             {"loadBytes", 512, "p", 'v'},
+		"_mm256_broadcast_ss":         {"broadcastSs", 256, "p", 'v'},
+		"_mm512_fmadd_ps":             {"fmaddPs", 512, "vvv", 'v'},
+		"_mm_set1_ps":                 {"set1Ps", 128, "f", 'v'},
+		"_mm256_set1_ps":              {"set1Ps", 256, "f", 'v'},
+		"_mm512_set1_ps":              {"set1Ps", 512, "f", 'v'},
+		"_mm_set1_pd":                 {"set1Pd", 128, "f", 'v'},
+		"_mm256_set1_pd":              {"set1Pd", 256, "f", 'v'},
+		"_mm256_set1_epi8":            {"set1Epi8", 256, "n", 'v'},
+		"_mm256_set1_epi16":           {"set1Epi16", 256, "n", 'v'},
+		"_mm256_setzero_ps":           {"setzero", 256, "", 'v'},
+		"_mm256_setzero_si256":        {"setzero", 256, "", 'v'},
+		"_mm512_setzero_ps":           {"setzero", 512, "", 'v'},
+		"_mm256_and_si256":            {"andBits", 256, "vv", 'v'},
+		"_mm256_or_si256":             {"orBits", 256, "vv", 'v'},
+		"_mm256_cmpeq_epi8":           {"cmpeqEpi8", 256, "vv", 'v'},
+		"_mm256_abs_epi8":             {"absEpi8", 256, "v", 'v'},
+		"_mm256_sign_epi8":            {"signEpi8", 256, "vv", 'v'},
+		"_mm256_add_epi32":            {"addEpi32", 256, "vv", 'v'},
+		"_mm256_madd_epi16":           {"maddEpi16", 256, "vv", 'v'},
+		"_mm256_maddubs_epi16":        {"maddubsEpi16", 256, "vv", 'v'},
+		"_mm256_srli_epi16":           {"srliEpi16", 256, "vi", 'v'},
+		"_mm256_shuffle_epi8":         {"shuffleEpi8", 256, "vv", 'v'},
+		"_mm256_shuffle_ps":           {"shufflePs", 256, "vvi", 'v'},
+		"_mm256_hadd_ps":              {"haddPs", 256, "vv", 'v'},
+		"_mm256_permute2f128_ps":      {"permute2f128Ps", 256, "vvi", 'v'},
+		"_mm256_extractf128_ps":       {"extractf128Ps", 256, "vi", 'v'},
+		"_mm256_unpacklo_ps":          {"unpackloPs", 256, "vv", 'v'},
+		"_mm256_unpackhi_ps":          {"unpackhiPs", 256, "vv", 'v'},
+		"_mm256_broadcastsi128_si256": {"broadcastsi128Si256", 256, "v", 'v'},
+		"_mm256_castps256_ps128":      {"", 256, "v", 'v'},
+		"_mm256_cvtepi32_ps":          {"cvtepi32Ps", 256, "v", 'v'},
+		"_mm256_cvtph_ps":             {"cvtphPs", 256, "v", 'v'},
+		"_mm256_exp_ps":               {"expPs", 256, "v", 'v'},
+		"_mm_cvtss_f32":               {"cvtssF32", 128, "v", 'f'},
+		"_mm512_reduce_add_ps":        {"reduceAddPs", 512, "v", 'f'},
 	}
-	h, ok := laneHelper[rest]
-	return h.fn, h.arity, bits, ok
-}
+	// Packed-float lane ops at both SSE/AVX widths and precisions. The
+	// vm treats aligned loads and stores as unaligned ones (the
+	// simulated machine has no alignment faults), and its bitwise ops
+	// are precision-blind.
+	for _, w := range []struct {
+		pfx  string
+		bits int
+	}{{"_mm_", 128}, {"_mm256_", 256}} {
+		for _, prec := range []string{"ps", "pd"} {
+			sfx := "_" + prec
+			k := strings.ToUpper(prec[:1]) + prec[1:]
+			for _, op := range []string{"add", "sub", "mul", "div", "min", "max"} {
+				t[w.pfx+op+sfx] = lowering{op + k, w.bits, "vv", 'v'}
+			}
+			t[w.pfx+"sqrt"+sfx] = lowering{"sqrt" + k, w.bits, "v", 'v'}
+			for _, op := range []string{"fmadd", "fmsub", "fnmadd", "fnmsub"} {
+				t[w.pfx+op+sfx] = lowering{op + k, w.bits, "vvv", 'v'}
+			}
+			for _, op := range []string{"and", "or", "xor", "andnot"} {
+				t[w.pfx+op+sfx] = lowering{op + "Bits", w.bits, "vv", 'v'}
+			}
+			for _, op := range []string{"load", "loadu"} {
+				t[w.pfx+op+sfx] = lowering{"loadBytes", w.bits, "p", 'v'}
+			}
+			for _, op := range []string{"store", "storeu"} {
+				t[w.pfx+op+sfx] = lowering{"storeBytes", w.bits, "pv", 0}
+			}
+		}
+	}
+	return t
+}()
 
+// intrinsic emits one intrinsic call as a call of its lane kernel.
 func (g *gen) intrinsic(n *ir.Node) error {
 	d := n.Def
 	name := d.Op
+	lw, ok := lowerings[name]
+	if !ok {
+		return fmt.Errorf("intrinsic %s has no native emitter (stays on vm)", name)
+	}
 	id := n.Sym.ID
 	x := vname(n.Sym)
-	// arg returns operand i, or nil past the end of a malformed node's
-	// operands: every reader below refuses nil as not lowerable.
-	arg := func(i int) ir.Exp {
+	var ops []string
+	for i := 0; i < len(lw.ops); i++ {
+		// A malformed node with too few operands reads nil here, which
+		// every kind below refuses as not lowerable.
+		var e ir.Exp
 		if i < len(d.Args) {
-			return d.Args[i]
+			e = d.Args[i]
 		}
+		switch lw.ops[i] {
+		case 'v':
+			s, ok := e.(ir.Sym)
+			if !ok || s.Typ.Kind != ir.KindVec {
+				return fmt.Errorf("%s: argument %d of %d is not a vector register", name, i, len(d.Args))
+			}
+			ops = append(ops, "&"+vname(s))
+		case 'i':
+			v, err := g.asInt(e)
+			if err != nil {
+				return fmt.Errorf("%s: argument %d of %d: %w", name, i, len(d.Args), err)
+			}
+			ops = append(ops, fmt.Sprintf("int(%s)", v))
+		case 'n':
+			v, err := g.asInt(e)
+			if err != nil {
+				return err
+			}
+			ops = append(ops, v)
+		case 'f':
+			v, err := g.asFloat(e)
+			if err != nil {
+				return err
+			}
+			ops = append(ops, v)
+		case 'p':
+			ps, err := ptrArg(e)
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			scale := ps.Typ.Elem.Bits() / 8
+			if a, _ := vm.AccessOf(name); a.Scale != 0 {
+				scale = a.Scale
+			}
+			ops = append(ops, pd(ps), fmt.Sprintf("int(%s)*%d", po(ps), scale))
+		}
+	}
+	if lw.kernel == "" {
+		g.p("%s := %s", x, strings.TrimPrefix(ops[0], "&"))
+		g.p("_ = %s", x)
 		return nil
 	}
-	vecArg := func(i int) (string, error) {
-		s, ok := arg(i).(ir.Sym)
-		if !ok || s.Typ.Kind != ir.KindVec {
-			return "", fmt.Errorf("%s: argument %d of %d is not a vector register", name, i, len(d.Args))
-		}
-		return vname(s), nil
+	ops = append([]string{fmt.Sprint(lw.bits)}, ops...)
+	if lw.res == 'v' {
+		g.p("var %s Vec", x)
+		ops = append([]string{"&" + x}, ops...)
 	}
-	immArg := func(i int) (string, error) {
-		e, err := g.asInt(arg(i))
-		if err != nil {
-			return "", fmt.Errorf("%s: argument %d of %d: %w", name, i, len(d.Args), err)
-		}
-		return fmt.Sprintf("int(%s)", e), nil
-	}
-	// wrapErr emits the interpreter's intrinsic error wrapping: the vm's
-	// runtime error prefixed with the intrinsic name (kernelc then adds
-	// the "kernelc: <kernel>:" outer layer on the host side).
-	wrapErr := func() {
-		g.p("if e%d != nil {", id)
+	call := fmt.Sprintf("%s(%s)", lw.kernel, strings.Join(ops, ", "))
+	switch {
+	case strings.IndexByte(lw.ops, 'p') >= 0:
+		// The interpreter's intrinsic error wrapping: the vm's runtime
+		// error prefixed with the intrinsic name (kernelc then adds the
+		// "kernelc: <kernel>:" outer layer on the host side).
+		g.p("if e%d := %s; e%d != nil {", id, call, id)
 		g.ind++
 		g.p("err = fmt.Errorf(%q, e%d)", name+": %w", id)
 		g.p("return")
 		g.ind--
 		g.p("}")
-	}
-	emit := func(expr string) {
-		g.p("%s := %s", x, expr)
+	case lw.res == 'f':
+		g.p("%s := float64(%s)", x, call)
 		g.p("_ = %s", x)
+	default:
+		g.p("%s", call)
 	}
-
-	if bytes, ok := loadWidth[name]; ok {
-		ps, err := ptrArg(arg(0))
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		es := ps.Typ.Elem.Bits() / 8
-		g.p("%s, e%d := loadv(%s, %d, %s, %d)", x, id, pd(ps), es, po(ps), bytes)
-		wrapErr()
-		g.p("_ = %s", x)
-		return nil
-	}
-	if bytes, ok := storeWidth[name]; ok {
-		ps, err := ptrArg(arg(0))
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		es := ps.Typ.Elem.Bits() / 8
-		v, err := vecArg(1)
-		if err != nil {
-			return err
-		}
-		g.p("e%d := storev(%s, %d, %s, %s, %d)", id, pd(ps), es, po(ps), v, bytes)
-		wrapErr()
-		return nil
-	}
-
-	// Single-vector-arg helpers.
-	un := func(fn string, bits int) error {
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		if bits == 0 {
-			emit(fmt.Sprintf("%s(%s)", fn, a))
-		} else {
-			emit(fmt.Sprintf("%s(%d, %s)", fn, bits, a))
-		}
-		return nil
-	}
-	bin := func(fn string, bits int) error {
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		b, err := vecArg(1)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("%s(%d, %s, %s)", fn, bits, a, b))
-		return nil
-	}
-	binImm := func(fn string, bits int) error {
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		b, err := vecArg(1)
-		if err != nil {
-			return err
-		}
-		imm, err := immArg(2)
-		if err != nil {
-			return err
-		}
-		if bits == 0 {
-			emit(fmt.Sprintf("%s(%s, %s, %s)", fn, a, b, imm))
-		} else {
-			emit(fmt.Sprintf("%s(%d, %s, %s, %s)", fn, bits, a, b, imm))
-		}
-		return nil
-	}
-
-	// Packed-float lane arithmetic, shared across widths and precisions.
-	if fn, arity, bits, ok := laneOp(name); ok {
-		switch arity {
-		case 1:
-			return un(fn, bits)
-		case 2:
-			return bin(fn, bits)
-		default:
-			a, err := vecArg(0)
-			if err != nil {
-				return err
-			}
-			b, err := vecArg(1)
-			if err != nil {
-				return err
-			}
-			c, err := vecArg(2)
-			if err != nil {
-				return err
-			}
-			emit(fmt.Sprintf("%s(%d, %s, %s, %s)", fn, bits, a, b, c))
-			return nil
-		}
-	}
-
-	switch name {
-	case "_mm256_broadcast_ss":
-		ps, err := ptrArg(arg(0))
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		g.p("%s, e%d := bcastss(%s, %s)", x, id, pd(ps), po(ps))
-		wrapErr()
-		g.p("_ = %s", x)
-		return nil
-
-	case "_mm512_fmadd_ps":
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		b, err := vecArg(1)
-		if err != nil {
-			return err
-		}
-		c, err := vecArg(2)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("fmaddps(512, %s, %s, %s)", a, b, c))
-		return nil
-
-	case "_mm_set1_ps", "_mm256_set1_ps", "_mm512_set1_ps":
-		bits := map[string]int{"_mm_set1_ps": 128, "_mm256_set1_ps": 256, "_mm512_set1_ps": 512}[name]
-		f, err := g.asFloat(arg(0))
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("set1ps(%d, %s)", bits, f))
-		return nil
-	case "_mm_set1_pd", "_mm256_set1_pd":
-		bits := map[string]int{"_mm_set1_pd": 128, "_mm256_set1_pd": 256}[name]
-		f, err := g.asFloat(arg(0))
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("set1pd(%d, %s)", bits, f))
-		return nil
-	case "_mm256_set1_epi8":
-		i, err := g.asInt(arg(0))
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("set1epi8(256, %s)", i))
-		return nil
-	case "_mm256_set1_epi16":
-		i, err := g.asInt(arg(0))
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("set1epi16(256, %s)", i))
-		return nil
-
-	case "_mm256_setzero_ps", "_mm256_setzero_si256", "_mm512_setzero_ps":
-		emit("vec{}")
-		return nil
-
-	case "_mm256_and_si256":
-		return bin("bitand", 256)
-	case "_mm256_or_si256":
-		return bin("bitor", 256)
-	case "_mm256_cmpeq_epi8":
-		return bin("cmpeqepi8", 256)
-	case "_mm256_abs_epi8":
-		return un("absepi8", 256)
-	case "_mm256_sign_epi8":
-		return bin("signepi8", 256)
-	case "_mm256_add_epi32":
-		return bin("addepi32", 256)
-	case "_mm256_madd_epi16":
-		return bin("maddepi16", 256)
-	case "_mm256_maddubs_epi16":
-		return bin("maddubsepi16", 256)
-
-	case "_mm256_srli_epi16":
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		imm, err := immArg(1)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("srliepi16(256, %s, %s)", a, imm))
-		return nil
-
-	case "_mm256_shuffle_epi8":
-		return bin("shufepi8", 256)
-	case "_mm256_shuffle_ps":
-		return binImm("shufps", 256)
-	case "_mm256_hadd_ps":
-		return bin("haddps", 256)
-	case "_mm256_permute2f128_ps":
-		return binImm("perm2f128", 0)
-
-	case "_mm256_extractf128_ps":
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		imm, err := immArg(1)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("extractf128(%s, %s)", a, imm))
-		return nil
-
-	case "_mm256_unpacklo_ps":
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		b, err := vecArg(1)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("unpck(256, 4, true, %s, %s)", a, b))
-		return nil
-	case "_mm256_unpackhi_ps":
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		b, err := vecArg(1)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("unpck(256, 4, false, %s, %s)", a, b))
-		return nil
-
-	case "_mm256_broadcastsi128_si256":
-		return un("bsi128", 0)
-	case "_mm256_castps256_ps128":
-		// Reinterpreting cast: the vm passes the full register through.
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		emit(a)
-		return nil
-	case "_mm256_cvtepi32_ps":
-		return un("cvtepi32ps", 256)
-	case "_mm256_cvtph_ps":
-		return un("cvtphps", 0)
-	case "_mm256_exp_ps":
-		return un("expps", 256)
-
-	case "_mm_cvtss_f32":
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("float64(%s.f32(0))", a))
-		return nil
-	case "_mm512_reduce_add_ps":
-		a, err := vecArg(0)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf("reduceaddps(%s)", a))
-		return nil
-	}
-	return fmt.Errorf("intrinsic %s has no native emitter (stays on vm)", name)
+	return nil
 }

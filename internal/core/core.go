@@ -842,7 +842,7 @@ func (kn *Kernel) CallValues(args ...vm.Value) (vm.Value, error) {
 
 // CountValues adds to the runtime machine's counter exactly what
 // CallValues(args...) would count — the one jni.call and the kernel's
-// op stream, on every backend, since the native prelude reproduces the
+// op stream, on every backend, since the native generator emits the
 // vm's count stream — without executing the kernel. It opens no
 // call:<kernel> span and bumps no ngen.kernel.call counter: nothing
 // runs. When the artifact's program cannot prove the counts (see

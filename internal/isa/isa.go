@@ -230,14 +230,18 @@ func (c Category) String() string {
 // Unknown categories map to CatOther (the generator must tolerate new
 // categories in future spec versions).
 func ParseCategory(s string) Category {
-	t := strings.ToLower(strings.TrimSpace(s))
-	for c, name := range categoryNames {
-		if strings.ToLower(name) == t {
-			return c
-		}
-	}
-	return CatOther
+	return categoryByName[strings.ToLower(strings.TrimSpace(s))]
 }
+
+// categoryByName maps each lower-cased category name to its Category;
+// a missing name reads as the zero value, CatOther.
+var categoryByName = func() map[string]Category {
+	m := make(map[string]Category, len(categoryNames))
+	for c, name := range categoryNames {
+		m[strings.ToLower(name)] = c
+	}
+	return m
+}()
 
 // Categories returns all known categories sorted by name, for stable
 // statistics output.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -31,6 +32,29 @@ func TestFamilyRoundTrip(t *testing.T) {
 		got, ok := ParseFamily(f.String())
 		if !ok || got != f {
 			t.Errorf("round trip of %v failed: %v/%v", f, got, ok)
+		}
+	}
+}
+
+// TestCategoryRoundTrip: every category's name parses back to it in
+// any letter case and with surrounding space; anything else is
+// CatOther.
+func TestCategoryRoundTrip(t *testing.T) {
+	cats := Categories()
+	if len(cats) != int(categoryCount) {
+		t.Fatalf("Categories() lists %d categories, want %d", len(cats), categoryCount)
+	}
+	for _, c := range cats {
+		name := c.String()
+		for _, in := range []string{name, strings.ToLower(name), strings.ToUpper(name), " " + name + "\t"} {
+			if got := ParseCategory(in); got != c {
+				t.Errorf("ParseCategory(%q) = %v, want %v", in, got, c)
+			}
+		}
+	}
+	for _, in := range []string{"", "Arithmetics", "Load Store", "Category(3)", "Trig"} {
+		if got := ParseCategory(in); got != CatOther {
+			t.Errorf("ParseCategory(%q) = %v, want Other", in, got)
 		}
 	}
 }

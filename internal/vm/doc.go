@@ -5,4 +5,14 @@
 // analog). The kernel compiler (internal/kernelc) executes staged graphs
 // against this machine; the analytical cost model (internal/machine)
 // converts the machine's dynamic instruction counts into cycle estimates.
+//
+// lane.go is the one source of the lane semantics the native backend
+// shares: the Vec register and its accessors, the buffer byte accessors
+// and bounds check, the f32 FMA rounding, the f16 decoder, saturation,
+// and one kernel per op family the native emitter lowers, from which
+// this package registers every width of those families. Its text
+// (LaneSource) is compiled into every native plugin, so it imports the
+// standard library only, has no init, and uses nothing another file of
+// the package defines. A lane bug is fixed there, once, for both
+// backends.
 package vm

@@ -62,32 +62,3 @@ func roundShift(m uint32, s uint32) uint32 {
 	}
 	return q
 }
-
-// F32FromF16 converts a binary16 bit pattern to float32 exactly (every
-// half value is representable in single precision).
-func F32FromF16(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1F)
-	mant := uint32(h & 0x3FF)
-	switch exp {
-	case 0:
-		if mant == 0 {
-			return math.Float32frombits(sign)
-		}
-		// Subnormal: normalize.
-		e := uint32(127 - 15 + 1)
-		for mant&0x400 == 0 {
-			mant <<= 1
-			e--
-		}
-		mant &= 0x3FF
-		return math.Float32frombits(sign | e<<23 | mant<<13)
-	case 0x1F:
-		if mant == 0 {
-			return math.Float32frombits(sign | 0x7F800000)
-		}
-		return math.Float32frombits(sign | 0x7FC00000 | mant<<13)
-	default:
-		return math.Float32frombits(sign | (exp+127-15)<<23 | mant<<13)
-	}
-}

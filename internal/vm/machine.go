@@ -181,19 +181,6 @@ func (m *Machine) Call(name string, args ...Value) (Value, error) {
 
 func argVec(args []Value, i int) *Vec { return args[i].vec() }
 
-// zero clears dst and returns it, for results that set only some lanes.
-func zero(dst *Vec) *Vec {
-	*dst = Vec{}
-	return dst
-}
-
-// copyTo copies src into dst and returns dst, for results that start
-// from an operand and overwrite some of its lanes.
-func copyTo(dst, src *Vec) *Vec {
-	*dst = *src
-	return dst
-}
-
 func argInt(args []Value, i int) int { return int(args[i].AsInt()) }
 
 func argPtr(args []Value, i int) (*Buffer, int, error) {
@@ -206,3 +193,66 @@ func argPtr(args []Value, i int) (*Buffer, int, error) {
 func vecResult(dst *Vec) (Value, error) { return Value{Kind: ir.KindVec, V: dst}, nil }
 
 func voidResult() (Value, error) { return Value{}, nil }
+
+// --- registering the lane kernels (lane.go) ----------------------------------
+//
+// Each helper installs a kernel at the register width the intrinsic's
+// name implies, reading its operands in order.
+
+func reg1(name string, k func(dst *Vec, bits int, a *Vec)) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		k(dst, bits, argVec(args, 0))
+		return vecResult(dst)
+	})
+}
+
+func reg2(name string, k func(dst *Vec, bits int, a, b *Vec)) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		k(dst, bits, argVec(args, 0), argVec(args, 1))
+		return vecResult(dst)
+	})
+}
+
+func reg3(name string, k func(dst *Vec, bits int, a, b, c *Vec)) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		k(dst, bits, argVec(args, 0), argVec(args, 1), argVec(args, 2))
+		return vecResult(dst)
+	})
+}
+
+func reg1Imm(name string, k func(dst *Vec, bits int, a *Vec, imm int)) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		k(dst, bits, argVec(args, 0), argInt(args, 1))
+		return vecResult(dst)
+	})
+}
+
+func reg2Imm(name string, k func(dst *Vec, bits int, a, b *Vec, imm int)) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		k(dst, bits, argVec(args, 0), argVec(args, 1), argInt(args, 2))
+		return vecResult(dst)
+	})
+}
+
+// regSet1F and regSet1I broadcast a scalar operand, read as AsFloat
+// and AsInt.
+func regSet1F(name string, k func(dst *Vec, bits int, x float64)) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		k(dst, bits, args[0].AsFloat())
+		return vecResult(dst)
+	})
+}
+
+func regSet1I(name string, k func(dst *Vec, bits int, x int64)) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		k(dst, bits, args[0].AsInt())
+		return vecResult(dst)
+	})
+}

@@ -71,13 +71,6 @@ func regBinSD(name string, f func(x, y float64) float64) {
 	})
 }
 
-func regBitwise(name string, f func(x, y byte) byte) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return vecResult(bitwise(dst, bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
 // mask32/mask64 build comparison results (all-ones on true).
 func mask32(t bool) float32 {
 	if t {
@@ -101,7 +94,7 @@ func regCmpF64(name string, f func(x, y float64) bool) {
 	regBinF64(name, func(x, y float64) float64 { return mask64(f(x, y)) })
 }
 
-// fAdd/fSub etc. — shared float kernels.
+// fAdd/fSub etc. — the scalar-lane (ss/sd) float ops.
 func fAdd32(x, y float32) float32 { return x + y }
 func fSub32(x, y float32) float32 { return x - y }
 func fMul32(x, y float32) float32 { return x * y }
@@ -135,28 +128,23 @@ func fMax64(x, y float64) float64 {
 	return x
 }
 
-func bAnd(x, y byte) byte    { return x & y }
-func bOr(x, y byte) byte     { return x | y }
-func bXor(x, y byte) byte    { return x ^ y }
-func bAndNot(x, y byte) byte { return ^x & y } // x is NOT'd, per Intel
-
 func init() {
 	// ---- packed float arithmetic (SSE/SSE2/AVX/AVX-512) ----------------
 	for _, pfx := range []string{"_mm_", "_mm256_", "_mm512_"} {
-		regBinF32(pfx+"add_ps", fAdd32)
-		regBinF32(pfx+"sub_ps", fSub32)
-		regBinF32(pfx+"mul_ps", fMul32)
-		regBinF32(pfx+"div_ps", fDiv32)
-		regBinF32(pfx+"min_ps", fMin32)
-		regBinF32(pfx+"max_ps", fMax32)
-		regBinF64(pfx+"add_pd", fAdd64)
-		regBinF64(pfx+"sub_pd", fSub64)
-		regBinF64(pfx+"mul_pd", fMul64)
-		regBinF64(pfx+"div_pd", fDiv64)
-		regBinF64(pfx+"min_pd", fMin64)
-		regBinF64(pfx+"max_pd", fMax64)
-		regUnF32(pfx+"sqrt_ps", func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
-		regUnF64(pfx+"sqrt_pd", math.Sqrt)
+		reg2(pfx+"add_ps", addPs)
+		reg2(pfx+"sub_ps", subPs)
+		reg2(pfx+"mul_ps", mulPs)
+		reg2(pfx+"div_ps", divPs)
+		reg2(pfx+"min_ps", minPs)
+		reg2(pfx+"max_ps", maxPs)
+		reg2(pfx+"add_pd", addPd)
+		reg2(pfx+"sub_pd", subPd)
+		reg2(pfx+"mul_pd", mulPd)
+		reg2(pfx+"div_pd", divPd)
+		reg2(pfx+"min_pd", minPd)
+		reg2(pfx+"max_pd", maxPd)
+		reg1(pfx+"sqrt_ps", sqrtPs)
+		reg1(pfx+"sqrt_pd", sqrtPd)
 	}
 	regBinSS("_mm_add_ss", fAdd32)
 	regBinSS("_mm_sub_ss", fSub32)
@@ -181,10 +169,10 @@ func init() {
 	// ---- logical on float registers -------------------------------------
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
 		for _, sfx := range []string{"_ps", "_pd"} {
-			regBitwise(pfx+"and"+sfx, bAnd)
-			regBitwise(pfx+"or"+sfx, bOr)
-			regBitwise(pfx+"xor"+sfx, bXor)
-			regBitwise(pfx+"andnot"+sfx, bAndNot)
+			reg2(pfx+"and"+sfx, andBits)
+			reg2(pfx+"or"+sfx, orBits)
+			reg2(pfx+"xor"+sfx, xorBits)
+			reg2(pfx+"andnot"+sfx, andnotBits)
 		}
 	}
 
@@ -265,20 +253,6 @@ func cmpPredicate(imm int) (func(x, y float64) bool, error) {
 // registerHaddFamily installs hadd/hsub/addsub for ps/pd at 128 and 256
 // bits. AVX horizontal ops work within each 128-bit lane independently.
 func registerHaddFamily() {
-	haddPS := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			out := zero(dst)
-			for lane := 0; lane < bits/128; lane++ {
-				o := lane * 4
-				out.SetF32(o+0, a.F32(o+0)+a.F32(o+1))
-				out.SetF32(o+1, a.F32(o+2)+a.F32(o+3))
-				out.SetF32(o+2, b.F32(o+0)+b.F32(o+1))
-				out.SetF32(o+3, b.F32(o+2)+b.F32(o+3))
-			}
-			return vecResult(out)
-		}
-	}
 	hsubPS := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, b := argVec(args, 0), argVec(args, 1)
@@ -317,8 +291,8 @@ func registerHaddFamily() {
 			return vecResult(out)
 		}
 	}
-	register("_mm_hadd_ps", haddPS(128))
-	register("_mm256_hadd_ps", haddPS(256))
+	reg2("_mm_hadd_ps", haddPs)
+	reg2("_mm256_hadd_ps", haddPs)
 	register("_mm_hsub_ps", hsubPS(128))
 	register("_mm256_hsub_ps", hsubPS(256))
 	register("_mm_hadd_pd", haddPD(128))
@@ -360,77 +334,23 @@ func registerHaddFamily() {
 	register("_mm256_addsub_pd", addsubPD(256))
 }
 
-// fma32 is the f32 fused multiply-add, rounded once. The product of
-// two widened f32 operands is exact in f64, so the f64 FMA r rounds
-// once, and narrowing r to f32 could round a second time. That second
-// rounding can only differ from a single one when r sits exactly on an
-// f32 rounding boundary (see f32Boundary); elsewhere no boundary lies
-// between r and the exact sum. There an inexact r is replaced by its
-// round-to-odd value, the f64 neighbour with an odd last bit on the
-// exact sum's side, which narrows correctly because f64 carries more
-// than f32's 24+2 bits.
-func fma32(a, b, c float32) float32 {
-	r := math.FMA(float64(a), float64(b), float64(c))
-	if f32Boundary(math.Float64bits(r)) {
-		r = roundToOdd(r, a, b, c)
-	}
-	return float32(r)
-}
-
-// f32Boundary reports whether the f64 bit pattern bits may lie on an
-// f32 rounding boundary. In the f32 normal range (including the
-// overflow threshold) a boundary is a midpoint between two f32 values:
-// of the 29 bits narrowing drops, the top one is set and the rest are
-// zero. Below it, in the f32 denormal range, narrowing drops more bits
-// and a boundary has all 29 low bits zero; zero itself is exact. An f32
-// value narrows exactly and is not a boundary, so results that land on
-// one stay on the one-compare path.
-func f32Boundary(bits uint64) bool {
-	low := bits & (1<<29 - 1)
-	return low == 1<<28 ||
-		low == 0 && bits&(0x7ff<<52) < (1023-126)<<52 && bits<<1 != 0
-}
-
-// roundToOdd returns r, the f64 rounding of the exact a*b + c, when r
-// is exact, and otherwise the f64 neighbour of the exact sum with an
-// odd last bit. It is fma32's rare path, kept out of line so fma32
-// inlines.
-//
-//go:noinline
-func roundToOdd(r float64, a, b, c float32) float64 {
-	// TwoSum: e is exactly (p + c) - r, p = a*b being exact in f64;
-	// NaN when r is not finite.
-	p := float64(float64(a) * float64(b))
-	bv := r - p
-	e := (p - (r - bv)) + (float64(c) - bv)
-	if e == 0 || e != e {
-		return r
-	}
-	bits := math.Float64bits(r)
-	if (e > 0) == (r > 0) {
-		bits++
-	} else {
-		bits--
-	}
-	return math.Float64frombits(bits)
-}
-
 // registerFMAFamily installs the 24 packed and 8 scalar FMA intrinsics
-// plus the AVX-512 fmadd: fma32 above for f32 lanes, math.FMA for f64.
+// plus the AVX-512 fmadd: the lane kernels for packed lanes, fma32 for
+// the f32 scalar lane and math.FMA for the f64 one.
 func registerFMAFamily() {
-	type variant struct {
-		name string
-		f32  func(a, b, c float32) float32
-		f64  func(a, b, c float64) float64
-	}
-	variants := []variant{
-		{"fmadd", func(a, b, c float32) float32 { return fma32(a, b, c) },
+	variants := []struct {
+		name   string
+		ps, pd func(dst *Vec, bits int, a, b, c *Vec)
+		f32    func(a, b, c float32) float32
+		f64    func(a, b, c float64) float64
+	}{
+		{"fmadd", fmaddPs, fmaddPd, func(a, b, c float32) float32 { return fma32(a, b, c) },
 			func(a, b, c float64) float64 { return math.FMA(a, b, c) }},
-		{"fmsub", func(a, b, c float32) float32 { return fma32(a, b, -c) },
+		{"fmsub", fmsubPs, fmsubPd, func(a, b, c float32) float32 { return fma32(a, b, -c) },
 			func(a, b, c float64) float64 { return math.FMA(a, b, -c) }},
-		{"fnmadd", func(a, b, c float32) float32 { return fma32(-a, b, c) },
+		{"fnmadd", fnmaddPs, fnmaddPd, func(a, b, c float32) float32 { return fma32(-a, b, c) },
 			func(a, b, c float64) float64 { return math.FMA(-a, b, c) }},
-		{"fnmsub", func(a, b, c float32) float32 { return fma32(-a, b, -c) },
+		{"fnmsub", fnmsubPs, fnmsubPd, func(a, b, c float32) float32 { return fma32(-a, b, -c) },
 			func(a, b, c float64) float64 { return math.FMA(-a, b, -c) }},
 	}
 	for _, v := range variants {
@@ -439,23 +359,8 @@ func registerFMAFamily() {
 			if pfx == "_mm512_" && v.name != "fmadd" {
 				continue
 			}
-			bits := widthOf(pfx + "x")
-			register(pfx+v.name+"_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				out := zero(dst)
-				for i := 0; i < bits/32; i++ {
-					out.SetF32(i, v.f32(a.F32(i), b.F32(i), c.F32(i)))
-				}
-				return vecResult(out)
-			})
-			register(pfx+v.name+"_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				out := zero(dst)
-				for i := 0; i < bits/64; i++ {
-					out.SetF64(i, v.f64(a.F64(i), b.F64(i), c.F64(i)))
-				}
-				return vecResult(out)
-			})
+			reg3(pfx+v.name+"_ps", v.ps)
+			reg3(pfx+v.name+"_pd", v.pd)
 		}
 		register("_mm_"+v.name+"_ss", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			out := copyTo(dst, argVec(args, 0))
@@ -539,14 +444,7 @@ func registerFloatConversions() {
 	// int32 ↔ float32, packed.
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
 		bits := widthOf(pfx + "x")
-		register(pfx+"cvtepi32_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			a := argVec(args, 0)
-			out := zero(dst)
-			for i := 0; i < bits/32; i++ {
-				out.SetF32(i, float32(a.I32(i)))
-			}
-			return vecResult(out)
-		})
+		reg1(pfx+"cvtepi32_ps", cvtepi32Ps)
 		register(pfx+"cvtps_epi32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)
 			out := zero(dst)
@@ -607,7 +505,7 @@ func registerFloatConversions() {
 	})
 	// Scalar extraction.
 	register("_mm_cvtss_f32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return F32Value(argVec(args, 0).F32(0)), nil
+		return F32Value(cvtssF32(128, argVec(args, 0))), nil
 	})
 	register("_mm_cvtsd_f64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return F64Value(argVec(args, 0).F64(0)), nil
@@ -638,22 +536,8 @@ func registerFloatConversions() {
 	})
 
 	// FP16C: half-precision packed conversion.
-	register("_mm_cvtph_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a := argVec(args, 0)
-		out := zero(dst)
-		for i := 0; i < 4; i++ {
-			out.SetF32(i, F32FromF16(a.U16(i)))
-		}
-		return vecResult(out)
-	})
-	register("_mm256_cvtph_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a := argVec(args, 0)
-		out := zero(dst)
-		for i := 0; i < 8; i++ {
-			out.SetF32(i, F32FromF16(a.U16(i)))
-		}
-		return vecResult(out)
-	})
+	reg1("_mm_cvtph_ps", cvtphPs)
+	reg1("_mm256_cvtph_ps", cvtphPs)
 	register("_mm_cvtps_ph", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		out := zero(dst)
@@ -705,7 +589,7 @@ func registerSVML() {
 		regUnF64(pfx+"sin_pd", math.Sin)
 		regUnF32(pfx+"cos_ps", un32(math.Cos))
 		regUnF64(pfx+"cos_pd", math.Cos)
-		regUnF32(pfx+"exp_ps", un32(math.Exp))
+		reg1(pfx+"exp_ps", expPs)
 		regUnF64(pfx+"exp_pd", math.Exp)
 		regUnF32(pfx+"log_ps", un32(math.Log))
 		regUnF64(pfx+"log_pd", math.Log)

@@ -113,8 +113,8 @@ func maskI64(t bool) int64 {
 func init() {
 	// ---- add/sub at every element width, 64/128/256 bits ----------------
 	for _, pfx := range []string{"_mm_", "_mm256_", "_mm512_"} {
+		reg2(pfx+"add_epi32", addEpi32)
 		if pfx == "_mm512_" {
-			regBinI32(pfx+"add_epi32", func(x, y int32) int32 { return x + y })
 			regBinI32(pfx+"sub_epi32", func(x, y int32) int32 { return x - y })
 			continue
 		}
@@ -122,7 +122,6 @@ func init() {
 		regBinI8(pfx+"sub_epi8", func(x, y int8) int8 { return x - y })
 		regBinI16(pfx+"add_epi16", func(x, y int16) int16 { return x + y })
 		regBinI16(pfx+"sub_epi16", func(x, y int16) int16 { return x - y })
-		regBinI32(pfx+"add_epi32", func(x, y int32) int32 { return x + y })
 		regBinI32(pfx+"sub_epi32", func(x, y int32) int32 { return x - y })
 		regBinI64(pfx+"add_epi64", func(x, y int64) int64 { return x + y })
 		regBinI64(pfx+"sub_epi64", func(x, y int64) int64 { return x - y })
@@ -138,7 +137,7 @@ func init() {
 		regBinU16(pfx+"subs_epu16", func(x, y uint16) uint16 { return satU16(int(x) - int(y)) })
 
 		// Comparisons.
-		regBinI8(pfx+"cmpeq_epi8", func(x, y int8) int8 { return maskI8(x == y) })
+		reg2(pfx+"cmpeq_epi8", cmpeqEpi8)
 		regBinI8(pfx+"cmpgt_epi8", func(x, y int8) int8 { return maskI8(x > y) })
 		regBinI16(pfx+"cmpeq_epi16", func(x, y int16) int16 { return maskI16(x == y) })
 		regBinI16(pfx+"cmpgt_epi16", func(x, y int16) int16 { return maskI16(x > y) })
@@ -241,12 +240,7 @@ func init() {
 			}
 			return int64(uint16(x) << sh)
 		})
-		regShiftImm(pfx+"srli_epi16", 16, func(x int64, sh uint) int64 {
-			if sh > 15 {
-				return 0
-			}
-			return int64(uint16(x) >> sh)
-		})
+		reg1Imm(pfx+"srli_epi16", srliEpi16)
 		regShiftImm(pfx+"srai_epi16", 16, func(x int64, sh uint) int64 {
 			if sh > 15 {
 				sh = 15
@@ -286,15 +280,15 @@ func init() {
 
 		// madd: pairs of 16-bit products summed into 32-bit lanes.
 		bits := widthOf(pfx + "x")
-		register(pfx+"madd_epi16", maddEpi16(bits))
-		register(pfx+"maddubs_epi16", maddubsEpi16(bits))
+		reg2(pfx+"madd_epi16", maddEpi16)
+		reg2(pfx+"maddubs_epi16", maddubsEpi16)
 		register(pfx+"sad_epu8", sadEpu8(bits))
 
 		// SSSE3/AVX2 sign and abs.
-		regBinI8(pfx+"sign_epi8", signOp8)
+		reg2(pfx+"sign_epi8", signEpi8)
 		regBinI16(pfx+"sign_epi16", signOp16)
 		regBinI32(pfx+"sign_epi32", signOp32)
-		register(pfx+"abs_epi8", absOp(bits, 8))
+		reg1(pfx+"abs_epi8", absEpi8)
 		register(pfx+"abs_epi16", absOp(bits, 16))
 		register(pfx+"abs_epi32", absOp(bits, 32))
 
@@ -333,20 +327,14 @@ func init() {
 	})
 
 	// ---- logical on integer registers -------------------------------------
-	regBitwise("_mm_and_si128", bAnd)
-	regBitwise("_mm_or_si128", bOr)
-	regBitwise("_mm_xor_si128", bXor)
-	regBitwise("_mm_andnot_si128", bAndNot)
-	regBitwise("_mm256_and_si256", bAnd)
-	regBitwise("_mm256_or_si256", bOr)
-	regBitwise("_mm256_xor_si256", bXor)
-	regBitwise("_mm256_andnot_si256", bAndNot)
-	regBitwise("_mm512_and_si512", bAnd)
-	regBitwise("_mm512_or_si512", bOr)
-	regBitwise("_mm_and_si64", bAnd)
-	regBitwise("_mm_or_si64", bOr)
-	regBitwise("_mm_xor_si64", bXor)
-	regBitwise("_mm_andnot_si64", bAndNot)
+	for _, r := range []struct{ pfx, sfx string }{{"_mm_", "_si128"}, {"_mm256_", "_si256"}, {"_mm_", "_si64"}} {
+		reg2(r.pfx+"and"+r.sfx, andBits)
+		reg2(r.pfx+"or"+r.sfx, orBits)
+		reg2(r.pfx+"xor"+r.sfx, xorBits)
+		reg2(r.pfx+"andnot"+r.sfx, andnotBits)
+	}
+	reg2("_mm512_and_si512", andBits)
+	reg2("_mm512_or_si512", orBits)
 
 	// ---- MMX subset ---------------------------------------------------------
 	regBinI8("_mm_add_pi8", func(x, y int8) int8 { return x + y })
@@ -355,7 +343,7 @@ func init() {
 	regBinI16("_mm_sub_pi16", func(x, y int16) int16 { return x - y })
 	regBinI32("_mm_add_pi32", func(x, y int32) int32 { return x + y })
 	regBinI32("_mm_sub_pi32", func(x, y int32) int32 { return x - y })
-	regBinI8("_mm_cmpeq_pi8", func(x, y int8) int8 { return maskI8(x == y) })
+	reg2("_mm_cmpeq_pi8", cmpeqEpi8)
 	regBinI8("_mm_cmpgt_pi8", func(x, y int8) int8 { return maskI8(x > y) })
 	regBinI16("_mm_cmpeq_pi16", func(x, y int16) int16 { return maskI16(x == y) })
 	regBinI16("_mm_cmpgt_pi16", func(x, y int16) int16 { return maskI16(x > y) })
@@ -367,7 +355,10 @@ func init() {
 	regBinI8("_mm_cmplt_epi8", func(x, y int8) int8 { return maskI8(x < y) })
 	regBinI16("_mm_cmplt_epi16", func(x, y int16) int16 { return maskI16(x < y) })
 	regBinI32("_mm_cmplt_epi32", func(x, y int32) int32 { return maskI32(x < y) })
-	register("_mm_madd_pi16", maddEpi16(64))
+	register("_mm_madd_pi16", func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		maddEpi16(dst, 64, argVec(args, 0), argVec(args, 1))
+		return vecResult(dst)
+	})
 	register("_mm_empty", func(m *Machine, args []Value, dst *Vec) (Value, error) { return voidResult() })
 
 	// SSE2/AVX2 movemask.
@@ -407,34 +398,6 @@ func init() {
 	registerPacks()
 }
 
-func maddEpi16(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		out := zero(dst)
-		for i := 0; i < bits/32; i++ {
-			p0 := int32(a.I16(2*i)) * int32(b.I16(2*i))
-			p1 := int32(a.I16(2*i+1)) * int32(b.I16(2*i+1))
-			out.SetI32(i, p0+p1)
-		}
-		return vecResult(out)
-	}
-}
-
-// maddubsEpi16: unsigned a × signed b pairs, saturated 16-bit sums —
-// the core of the 8-bit quantized dot product.
-func maddubsEpi16(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		out := zero(dst)
-		for i := 0; i < bits/16; i++ {
-			p0 := int(a.U8(2*i)) * int(b.I8(2*i))
-			p1 := int(a.U8(2*i+1)) * int(b.I8(2*i+1))
-			out.SetI16(i, satI16(p0+p1))
-		}
-		return vecResult(out)
-	}
-}
-
 func sadEpu8(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
 	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a, b := argVec(args, 0), argVec(args, 1)
@@ -454,16 +417,6 @@ func sadEpu8(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
 	}
 }
 
-func signOp8(x, y int8) int8 {
-	switch {
-	case y < 0:
-		return -x
-	case y == 0:
-		return 0
-	default:
-		return x
-	}
-}
 func signOp16(x, y int16) int16 {
 	switch {
 	case y < 0:
@@ -490,18 +443,6 @@ func signOp32(x, y int32) int32 {
 func absOp(bits, elem int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
 	n := bits / elem
 	switch elem {
-	case 8:
-		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			a, out := argVec(args, 0), zero(dst)
-			for i := 0; i < n; i++ {
-				x := a.I8(i)
-				if x < 0 {
-					x = -x
-				}
-				out.SetI8(i, x)
-			}
-			return vecResult(out)
-		}
 	case 16:
 		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a, out := argVec(args, 0), zero(dst)

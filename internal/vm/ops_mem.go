@@ -41,10 +41,11 @@ func regLoad(name string, bytes int) {
 		if err != nil {
 			return Value{}, err
 		}
-		if err := buf.LoadVec(dst, off, bytes); err != nil {
+		off = off * buf.Prim.Bits() / 8
+		if err := loadBytes(dst, 8*bytes, buf.Data, off); err != nil {
 			return Value{}, err
 		}
-		m.Touch(buf, off*buf.Prim.Bits()/8, bytes)
+		m.Touch(buf, off, bytes)
 		return vecResult(dst)
 	})
 }
@@ -55,10 +56,11 @@ func regStore(name string, bytes int) {
 		if err != nil {
 			return Value{}, err
 		}
-		if err := buf.StoreVec(off, argVec(args, 1), bytes); err != nil {
+		off = off * buf.Prim.Bits() / 8
+		if err := storeBytes(8*bytes, buf.Data, off, argVec(args, 1)); err != nil {
 			return Value{}, err
 		}
-		m.Touch(buf, off*buf.Prim.Bits()/8, bytes)
+		m.Touch(buf, off, bytes)
 		return voidResult()
 	})
 }
@@ -187,15 +189,10 @@ func init() {
 		if err != nil {
 			return Value{}, err
 		}
-		if err := buf.check(off*4, 4); err != nil {
+		if err := broadcastSs(dst, 256, buf.Data, off*4); err != nil {
 			return Value{}, err
 		}
-		x := buf.F32At(off)
-		out := zero(dst)
-		for i := 0; i < 8; i++ {
-			out.SetF32(i, x)
-		}
-		return vecResult(out)
+		return vecResult(dst)
 	})
 	registerAccess("_mm256_broadcast_sd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
@@ -217,7 +214,7 @@ func init() {
 		if err != nil {
 			return Value{}, err
 		}
-		if err := buf.LoadVec(dst, off, 16); err != nil {
+		if err := loadBytes(dst, 128, buf.Data, off*buf.Prim.Bits()/8); err != nil {
 			return Value{}, err
 		}
 		copy(dst.b[16:32], dst.b[:16])

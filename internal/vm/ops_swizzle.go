@@ -17,28 +17,12 @@ func init() {
 	registerMoves()
 }
 
-// unpack interleaves the low (lo=true) or high half of each 128-bit lane.
-func unpack(bits, elemBytes int, lo bool) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-	return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		out := zero(dst)
-		perLane := 16 / elemBytes // elements per 128-bit lane
-		half := perLane / 2
-		for lane := 0; lane < bits/128; lane++ {
-			base := lane * perLane
-			src := base
-			if !lo {
-				src = base + half
-			}
-			for i := 0; i < half; i++ {
-				for k := 0; k < elemBytes; k++ {
-					out.b[(base+2*i)*elemBytes+k] = a.b[(src+i)*elemBytes+k]
-					out.b[(base+2*i+1)*elemBytes+k] = b.b[(src+i)*elemBytes+k]
-				}
-			}
-		}
-		return vecResult(out)
-	}
+// regUnpack installs the lane kernel unpack for elements of eb bytes.
+func regUnpack(name string, bits, eb int, lo bool) {
+	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+		unpack(dst, bits, eb, lo, argVec(args, 0), argVec(args, 1))
+		return vecResult(dst)
+	})
 }
 
 func registerUnpacks() {
@@ -48,43 +32,28 @@ func registerUnpacks() {
 	}
 	families := []u{{"epi8", 1}, {"epi16", 2}, {"epi32", 4}, {"epi64", 8}}
 	for _, f := range families {
-		register("_mm_unpacklo_"+f.name, unpack(128, f.bytes, true))
-		register("_mm_unpackhi_"+f.name, unpack(128, f.bytes, false))
-		register("_mm256_unpacklo_"+f.name, unpack(256, f.bytes, true))
-		register("_mm256_unpackhi_"+f.name, unpack(256, f.bytes, false))
+		regUnpack("_mm_unpacklo_"+f.name, 128, f.bytes, true)
+		regUnpack("_mm_unpackhi_"+f.name, 128, f.bytes, false)
+		regUnpack("_mm256_unpacklo_"+f.name, 256, f.bytes, true)
+		regUnpack("_mm256_unpackhi_"+f.name, 256, f.bytes, false)
 	}
-	register("_mm_unpacklo_ps", unpack(128, 4, true))
-	register("_mm_unpackhi_ps", unpack(128, 4, false))
-	register("_mm256_unpacklo_ps", unpack(256, 4, true))
-	register("_mm256_unpackhi_ps", unpack(256, 4, false))
-	register("_mm_unpacklo_pd", unpack(128, 8, true))
-	register("_mm_unpackhi_pd", unpack(128, 8, false))
-	register("_mm256_unpacklo_pd", unpack(256, 8, true))
-	register("_mm256_unpackhi_pd", unpack(256, 8, false))
-	register("_mm_unpacklo_pi8", unpack(64, 1, true))
-	register("_mm_unpackhi_pi8", unpack(64, 1, false))
+	reg2("_mm_unpacklo_ps", unpackloPs)
+	reg2("_mm_unpackhi_ps", unpackhiPs)
+	reg2("_mm256_unpacklo_ps", unpackloPs)
+	reg2("_mm256_unpackhi_ps", unpackhiPs)
+	regUnpack("_mm_unpacklo_pd", 128, 8, true)
+	regUnpack("_mm_unpackhi_pd", 128, 8, false)
+	regUnpack("_mm256_unpacklo_pd", 256, 8, true)
+	regUnpack("_mm256_unpackhi_pd", 256, 8, false)
+	regUnpack("_mm_unpacklo_pi8", 64, 1, true)
+	regUnpack("_mm_unpackhi_pi8", 64, 1, false)
 }
 
 func registerShuffles() {
 	// _mm_shuffle_ps / _mm256_shuffle_ps: two lanes from a, two from b,
 	// selected by imm8, per 128-bit lane.
-	shufPS := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			imm := argInt(args, 2)
-			out := zero(dst)
-			for lane := 0; lane < bits/128; lane++ {
-				o := lane * 4
-				out.SetF32(o+0, a.F32(o+(imm>>0&3)))
-				out.SetF32(o+1, a.F32(o+(imm>>2&3)))
-				out.SetF32(o+2, b.F32(o+(imm>>4&3)))
-				out.SetF32(o+3, b.F32(o+(imm>>6&3)))
-			}
-			return vecResult(out)
-		}
-	}
-	register("_mm_shuffle_ps", shufPS(128))
-	register("_mm256_shuffle_ps", shufPS(256))
+	reg2Imm("_mm_shuffle_ps", shufflePs)
+	reg2Imm("_mm256_shuffle_ps", shufflePs)
 
 	shufPD := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
@@ -146,27 +115,8 @@ func registerShuffles() {
 	register("_mm256_shufflehi_epi16", shufHiLo(256, true))
 	register("_mm256_shufflelo_epi16", shufHiLo(256, false))
 
-	// pshufb: byte shuffle within each 128-bit lane, high bit zeroes.
-	shufB := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			out := zero(dst)
-			for lane := 0; lane < bits/128; lane++ {
-				o := lane * 16
-				for i := 0; i < 16; i++ {
-					c := b.U8(o + i)
-					if c&0x80 != 0 {
-						out.SetU8(o+i, 0)
-					} else {
-						out.SetU8(o+i, a.U8(o+int(c&0x0F)))
-					}
-				}
-			}
-			return vecResult(out)
-		}
-	}
-	register("_mm_shuffle_epi8", shufB(128))
-	register("_mm256_shuffle_epi8", shufB(256))
+	reg2("_mm_shuffle_epi8", shuffleEpi8)
+	reg2("_mm256_shuffle_epi8", shuffleEpi8)
 
 	// alignr: concatenate each 128-bit lane pair and shift right by imm
 	// bytes.
@@ -195,34 +145,10 @@ func registerShuffles() {
 }
 
 func registerPermutes() {
-	// permute2f128 / permute2x128: select 128-bit halves of a:b by imm.
-	perm2 := func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		imm := argInt(args, 2)
-		out := zero(dst)
-		sel := func(ctrl int) []byte {
-			if ctrl&8 != 0 { // zero flag
-				return make([]byte, 16)
-			}
-			switch ctrl & 3 {
-			case 0:
-				return a.b[0:16]
-			case 1:
-				return a.b[16:32]
-			case 2:
-				return b.b[0:16]
-			default:
-				return b.b[16:32]
-			}
-		}
-		copy(out.b[0:16], sel(imm&0xF))
-		copy(out.b[16:32], sel(imm>>4&0xF))
-		return vecResult(out)
+	for _, n := range []string{"_mm256_permute2f128_ps", "_mm256_permute2f128_pd",
+		"_mm256_permute2f128_si256", "_mm256_permute2x128_si256"} {
+		reg2Imm(n, permute2f128Ps)
 	}
-	register("_mm256_permute2f128_ps", perm2)
-	register("_mm256_permute2f128_pd", perm2)
-	register("_mm256_permute2f128_si256", perm2)
-	register("_mm256_permute2x128_si256", perm2)
 
 	// permute_ps: in-lane permute by imm (like shuffle_epi32 on floats).
 	register("_mm256_permute_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
@@ -386,9 +312,9 @@ func registerByteShifts() {
 }
 
 func registerInsertExtract() {
-	register("_mm256_extractf128_ps", extract128)
-	register("_mm256_extractf128_pd", extract128)
-	register("_mm256_extractf128_si256", extract128)
+	reg1Imm("_mm256_extractf128_ps", extractf128Ps)
+	reg1Imm("_mm256_extractf128_pd", extractf128Ps)
+	reg1Imm("_mm256_extractf128_si256", extractf128Ps)
 	register("_mm256_insertf128_ps", insert128)
 	register("_mm256_insertf128_pd", insert128)
 	register("_mm256_insertf128_si256", insert128)
@@ -418,18 +344,6 @@ func registerInsertExtract() {
 	})
 }
 
-func extract128(m *Machine, args []Value, dst *Vec) (Value, error) {
-	a := argVec(args, 0)
-	imm := argInt(args, 1)
-	out := zero(dst)
-	if imm&1 == 1 {
-		copy(out.b[:16], a.b[16:32])
-	} else {
-		copy(out.b[:16], a.b[:16])
-	}
-	return vecResult(out)
-}
-
 func insert128(m *Machine, args []Value, dst *Vec) (Value, error) {
 	out := copyTo(dst, argVec(args, 0))
 	b := argVec(args, 1)
@@ -442,71 +356,35 @@ func insert128(m *Machine, args []Value, dst *Vec) (Value, error) {
 }
 
 func registerSets() {
-	setzero := func(m *Machine, args []Value, dst *Vec) (Value, error) { return vecResult(zero(dst)) }
 	for _, n := range []string{
 		"_mm_setzero_ps", "_mm_setzero_pd", "_mm_setzero_si128", "_mm_setzero_si64",
 		"_mm256_setzero_ps", "_mm256_setzero_pd", "_mm256_setzero_si256",
 		"_mm512_setzero_ps", "_mm512_setzero_pd", "_mm512_setzero_si512",
 	} {
-		register(n, setzero)
+		register(n, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			setzero(dst, 0)
+			return vecResult(dst)
+		})
 	}
-
-	set1F32 := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			x := float32(args[0].AsFloat())
-			out := zero(dst)
-			for i := 0; i < bits/32; i++ {
-				out.SetF32(i, x)
-			}
-			return vecResult(out)
-		}
+	for _, pfx := range []string{"_mm_", "_mm256_", "_mm512_"} {
+		regSet1F(pfx+"set1_ps", set1Ps)
+		regSet1F(pfx+"set1_pd", set1Pd)
 	}
-	set1F64 := func(bits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			x := args[0].AsFloat()
-			out := zero(dst)
-			for i := 0; i < bits/64; i++ {
-				out.SetF64(i, x)
-			}
-			return vecResult(out)
-		}
+	for _, pfx := range []string{"_mm_", "_mm256_"} {
+		regSet1I(pfx+"set1_epi8", set1Epi8)
+		regSet1I(pfx+"set1_epi16", set1Epi16)
+		regSet1I(pfx+"set1_epi32", set1Epi32)
+		regSet1I(pfx+"set1_epi64x", set1Epi64)
 	}
-	set1Int := func(bits, elemBits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			x := args[0].AsInt()
-			out := zero(dst)
-			for i := 0; i < bits/elemBits; i++ {
-				switch elemBits {
-				case 8:
-					out.SetI8(i, int8(x))
-				case 16:
-					out.SetI16(i, int16(x))
-				case 32:
-					out.SetI32(i, int32(x))
-				default:
-					out.SetI64(i, x)
-				}
-			}
-			return vecResult(out)
-		}
+	// The MMX forms fill a 64-bit register.
+	for name, k := range map[string]func(dst *Vec, bits int, x int64){
+		"_mm_set1_pi8": set1Epi8, "_mm_set1_pi16": set1Epi16, "_mm_set1_pi32": set1Epi32,
+	} {
+		register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, 64, args[0].AsInt())
+			return vecResult(dst)
+		})
 	}
-	register("_mm_set1_ps", set1F32(128))
-	register("_mm256_set1_ps", set1F32(256))
-	register("_mm512_set1_ps", set1F32(512))
-	register("_mm_set1_pd", set1F64(128))
-	register("_mm256_set1_pd", set1F64(256))
-	register("_mm512_set1_pd", set1F64(512))
-	register("_mm_set1_epi8", set1Int(128, 8))
-	register("_mm_set1_epi16", set1Int(128, 16))
-	register("_mm_set1_epi32", set1Int(128, 32))
-	register("_mm_set1_epi64x", set1Int(128, 64))
-	register("_mm256_set1_epi8", set1Int(256, 8))
-	register("_mm256_set1_epi16", set1Int(256, 16))
-	register("_mm256_set1_epi32", set1Int(256, 32))
-	register("_mm256_set1_epi64x", set1Int(256, 64))
-	register("_mm_set1_pi8", set1Int(64, 8))
-	register("_mm_set1_pi16", set1Int(64, 16))
-	register("_mm_set1_pi32", set1Int(64, 32))
 
 	// set_ps takes arguments high-lane first (Intel convention).
 	register("_mm_set_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
@@ -552,13 +430,7 @@ func registerBroadcasts() {
 		}
 		return vecResult(out)
 	})
-	register("_mm256_broadcastsi128_si256", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a := argVec(args, 0)
-		out := zero(dst)
-		copy(out.b[:16], a.b[:16])
-		copy(out.b[16:32], a.b[:16])
-		return vecResult(out)
-	})
+	reg1("_mm256_broadcastsi128_si256", broadcastsi128Si256)
 	bcastInt := func(elemBits int) func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
 			a := argVec(args, 0)

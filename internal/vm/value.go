@@ -2,7 +2,6 @@ package vm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -39,77 +38,39 @@ func NewBuffer(p isa.Prim, n int) *Buffer {
 // Len returns the number of elements.
 func (b *Buffer) Len() int { return len(b.Data) / (b.Prim.Bits() / 8) }
 
-// check bounds-checks a byte range; generated native code would segfault
-// here (Section 3.5: "it is the responsibility of the developer to write
-// valid SIMD code"), the vm reports a structured error instead.
-func (b *Buffer) check(off, n int) error {
-	if off < 0 || off+n > len(b.Data) {
-		return fmt.Errorf("vm: out-of-bounds access [%d,%d) of %d-byte buffer",
-			off, off+n, len(b.Data))
-	}
-	return nil
-}
-
-// LoadVec reads `bytes` bytes at element offset elemOff into dst,
-// zeroing its upper bytes; dst is untouched on error.
-func (b *Buffer) LoadVec(dst *Vec, elemOff, bytes int) error {
-	off := elemOff * b.Prim.Bits() / 8
-	if err := b.check(off, bytes); err != nil {
-		return err
-	}
-	copy(zero(dst).b[:], b.Data[off:off+bytes])
-	return nil
-}
-
-// StoreVec writes the low `bytes` bytes of a register at element offset
-// elemOff.
-func (b *Buffer) StoreVec(elemOff int, v *Vec, bytes int) error {
-	off := elemOff * b.Prim.Bits() / 8
-	if err := b.check(off, bytes); err != nil {
-		return err
-	}
-	copy(b.Data[off:off+bytes], v.b[:bytes])
-	return nil
-}
+// check bounds-checks a byte range (checkBytes).
+func (b *Buffer) check(off, n int) error { return checkBytes(b.Data, off, n) }
 
 // F32At reads element i as float32.
-func (b *Buffer) F32At(i int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b.Data[i*4:]))
-}
+func (b *Buffer) F32At(i int) float32 { return f32At(b.Data, i) }
 
 // SetF32At writes element i as float32.
-func (b *Buffer) SetF32At(i int, v float32) {
-	binary.LittleEndian.PutUint32(b.Data[i*4:], math.Float32bits(v))
-}
+func (b *Buffer) SetF32At(i int, v float32) { setF32At(b.Data, i, v) }
 
 // F64At reads element i as float64.
-func (b *Buffer) F64At(i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b.Data[i*8:]))
-}
+func (b *Buffer) F64At(i int) float64 { return f64At(b.Data, i) }
 
 // SetF64At writes element i as float64.
-func (b *Buffer) SetF64At(i int, v float64) {
-	binary.LittleEndian.PutUint64(b.Data[i*8:], math.Float64bits(v))
-}
+func (b *Buffer) SetF64At(i int, v float64) { setF64At(b.Data, i, v) }
 
 // IntAt reads element i sign- or zero-extended to int64 per the
 // buffer's primitive.
 func (b *Buffer) IntAt(i int) int64 {
 	switch b.Prim {
 	case isa.PrimI8:
-		return int64(int8(b.Data[i]))
+		return i8At(b.Data, i)
 	case isa.PrimU8:
-		return int64(b.Data[i])
+		return u8At(b.Data, i)
 	case isa.PrimI16:
-		return int64(int16(binary.LittleEndian.Uint16(b.Data[i*2:])))
+		return i16At(b.Data, i)
 	case isa.PrimU16:
-		return int64(binary.LittleEndian.Uint16(b.Data[i*2:]))
+		return u16At(b.Data, i)
 	case isa.PrimI32:
-		return int64(int32(binary.LittleEndian.Uint32(b.Data[i*4:])))
+		return i32At(b.Data, i)
 	case isa.PrimU32:
-		return int64(binary.LittleEndian.Uint32(b.Data[i*4:]))
+		return u32At(b.Data, i)
 	case isa.PrimI64, isa.PrimU64:
-		return int64(binary.LittleEndian.Uint64(b.Data[i*8:]))
+		return i64At(b.Data, i)
 	default:
 		panic(fmt.Sprintf("vm: IntAt on %v buffer", b.Prim))
 	}
@@ -119,13 +80,13 @@ func (b *Buffer) IntAt(i int) int64 {
 func (b *Buffer) SetIntAt(i int, v int64) {
 	switch b.Prim {
 	case isa.PrimI8, isa.PrimU8:
-		b.Data[i] = byte(v)
+		set8At(b.Data, i, v)
 	case isa.PrimI16, isa.PrimU16:
-		binary.LittleEndian.PutUint16(b.Data[i*2:], uint16(v))
+		set16At(b.Data, i, v)
 	case isa.PrimI32, isa.PrimU32:
-		binary.LittleEndian.PutUint32(b.Data[i*4:], uint32(v))
+		set32At(b.Data, i, v)
 	case isa.PrimI64, isa.PrimU64:
-		binary.LittleEndian.PutUint64(b.Data[i*8:], uint64(v))
+		set64At(b.Data, i, v)
 	default:
 		panic(fmt.Sprintf("vm: SetIntAt on %v buffer", b.Prim))
 	}
