@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -59,7 +60,8 @@ func laneDecls(t *testing.T, name, src string) (funcs, typs map[string]bool, met
 // TestOneLaneSemantic: the lane semantics have one implementation. The
 // plugin's own prelude defines nothing the lane file defines, every
 // kernel the emitter table calls is a func of the lane file, every
-// intrinsic it lowers is one the vm executes, and the conformance
+// intrinsic it lowers is one the vm binds to that kernel at that width
+// (vm.Lane), and the conformance
 // oracle reads vm registers only through Vec's lane accessors, so it
 // stays independent of the kernels it checks.
 func TestOneLaneSemantic(t *testing.T) {
@@ -94,6 +96,23 @@ func TestOneLaneSemantic(t *testing.T) {
 		}
 		if !vm.Implemented(name) {
 			t.Errorf("%s is lowered but the vm does not implement it", name)
+		}
+		// The table restates the vm's binding record of the intrinsic:
+		// the same kernel at the same width, on the same operand kinds.
+		in, _ := vm.Lookup(name)
+		l := in.Lane
+		if l == nil {
+			t.Errorf("%s is lowered but has no lane binding in the vm", name)
+			continue
+		}
+		kernel := ""
+		if _, cast := l.Kernel.(vm.Cast); !cast {
+			kernel = runtime.FuncForPC(reflect.ValueOf(l.Kernel).Pointer()).Name()
+			kernel = kernel[strings.LastIndexByte(kernel, '.')+1:]
+		}
+		if kernel != lw.kernel || l.Bits != lw.bits || l.Operands() != lw.ops || l.Result() != lw.res {
+			t.Errorf("%s lowers to %s(%d, %q) -> %q, but the vm binds %s(%d, %q) -> %q",
+				name, lw.kernel, lw.bits, lw.ops, lw.res, kernel, l.Bits, l.Operands(), l.Result())
 		}
 	}
 

@@ -458,9 +458,9 @@ func fma32(a, b, c float32) float32 {
 }
 
 // laneArith returns the per-lane semantic of an arithmetic stem, in
-// both precisions. Min/max favour the first operand on ties and NaNs,
-// f64 FMA is math.FMA and f32 FMA rounds once (fma32) — the vm's
-// definitions.
+// both precisions. Min and max follow Intel's operation text, MIN(a, b)
+// = (a < b ? a : b) and MAX(a, b) = (a > b ? a : b), so a NaN or a tie
+// gives b; f64 FMA is math.FMA and f32 FMA rounds once (fma32).
 func laneArith(stemName string) (func(a, b, c float64) float64, func(a, b, c float32) float32, bool) {
 	switch stemName {
 	case "add":
@@ -477,29 +477,29 @@ func laneArith(stemName string) (func(a, b, c float64) float64, func(a, b, c flo
 			func(a, b, _ float32) float32 { return a / b }, true
 	case "min":
 		return func(a, b, _ float64) float64 {
-				if b < a {
-					return b
+				if a < b {
+					return a
 				}
-				return a
+				return b
 			},
 			func(a, b, _ float32) float32 {
-				if b < a {
-					return b
+				if a < b {
+					return a
 				}
-				return a
+				return b
 			}, true
 	case "max":
 		return func(a, b, _ float64) float64 {
-				if b > a {
-					return b
+				if a > b {
+					return a
 				}
-				return a
+				return b
 			},
 			func(a, b, _ float32) float32 {
-				if b > a {
-					return b
+				if a > b {
+					return a
 				}
-				return a
+				return b
 			}, true
 	case "sqrt":
 		return func(a, _, _ float64) float64 { return math.Sqrt(a) },

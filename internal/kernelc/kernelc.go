@@ -24,30 +24,42 @@
 //     collapsing two closure dispatches into one. Fusion composes
 //     transitively into full load→op→…→store chains; FusedChains counts
 //     the chains of length ≥ 3.
-//   - Frame pooling: register frames, intrinsic-argument scratch and
-//     the vector register file are recycled through a sync.Pool, so
-//     steady-state Run does not allocate. Programs are safe to Run
-//     concurrently; each Run owns a private frame. The scratch region
-//     doubles as the per-frame arena: fused intermediates live there and
-//     are overwritten (reset) on every loop iteration instead of being
-//     reallocated.
+//   - Frame pooling: register frames and the vector register file are
+//     recycled through a sync.Pool, so steady-state Run does not
+//     allocate. Programs are safe to Run concurrently; each Run owns a
+//     private frame. Part of the register file is the per-frame arena
+//     (compiler.reserve): fused intermediates, unbound intrinsics'
+//     argument regions and loop save areas live there and are
+//     overwritten on every loop iteration instead of being reallocated.
 //   - The vector register file: a vm.Value refers to its register
-//     instead of holding it, and each intrinsic node owns one slot of
-//     the frame's file, which it passes to vm.Intrinsic.Fn as the
-//     destination of its vector result. A slot is rewritten every time
-//     its node runs, so the drivers copy a vector exactly where it must
-//     outlive that: a loop-carried accumulator (into the loop's own
-//     slot, since the body may read it after producing the next one), a
-//     parallel lane's partial (the lane's next chunk rewrites the slot)
-//     and a vector Run returns (the frame goes back to the pool).
+//     instead of holding it, and each intrinsic node with a vector
+//     result owns one slot of the frame's file, where it writes that
+//     result. A slot is rewritten every time its node runs, so the
+//     drivers copy a vector exactly where it must outlive that: a
+//     loop-carried accumulator (into the loop's own slot, since the
+//     body may read it after producing the next one), a parallel lane's
+//     partial (the lane's next chunk rewrites the slot) and a vector Run
+//     returns (the frame goes back to the pool).
+//   - Lane bindings: an intrinsic whose semantic is one lane kernel
+//     (vm.Lane) is bound to the frame at compile time
+//     (bind.go): each call is one direct call of the kernel on the
+//     registers its operands' Values refer to, or on a buffer's bytes
+//     and offset, writing the node's slot. Constant operands get
+//     registers of their own, a fused pointer add is folded into the
+//     load or store it feeds, and the node's register is written only
+//     when it does not already refer to the slot. The record is the one
+//     vm.Intrinsic.Fn is built from, so the binding and Fn compute the
+//     same thing; intrinsics without a lane kernel gather their operand
+//     Values into an arena region and call Fn.
 //   - Destination passing: every node evaluates into a destination it
 //     is handed (evalFn) instead of returning its value. A node's result
 //     is written into its register, a void node's into the frame's sink,
 //     a pointer add advances the displacement in place, and a fused
-//     producer evaluates straight into an intrinsic consumer's argument
-//     slot or into any other consumer's own destination, which the
-//     consumer then overwrites. Each intrinsic has one semantic,
-//     vm.Intrinsic.Fn, which both tiers and Count execute.
+//     producer evaluates straight into an arena register or argument
+//     slot of an intrinsic consumer, or into any other consumer's own
+//     destination, which the consumer then overwrites. Each intrinsic
+//     has one semantic, its vm.Intrinsic.Fn or the lane kernel that Fn
+//     is built from; both tiers and Count execute it.
 //   - The loop-nest optimizer (TierOpt, see optimize.go): loop-invariant
 //     scalar defs are hoisted out of loop bodies and run once at loop
 //     entry, and affine i32 functions of the induction variable (base +
@@ -171,19 +183,20 @@ func (t Tier) String() string {
 
 // Program is a compiled kernel.
 type Program struct {
-	F          *ir.Func
-	nRegs      int
-	nVecs      int   // vector register file: one slot per intrinsic node and carried loop
-	scratchLen int   // intrinsic-argument scratch, one region per call site
-	params     []int // register slot per parameter
-	ops        []op
-	result     *argRef
-	fused      int // superinstructions formed
-	hoisted    int // loop-invariant nodes moved to loop entry
-	strength   int // induction-variable nodes reduced to incremental adds
-	chains     int // fusion chains of length ≥ 3 (load→op→…→store)
-	parallel   bool
-	pool       sync.Pool
+	F        *ir.Func
+	nRegs    int
+	nVecs    int // vector register file: one slot per intrinsic node and carried loop
+	arenaLen int // registers of the frame arena (see compiler.reserve)
+	consts   []constReg
+	params   []int // register slot per parameter
+	ops      []op
+	result   *argRef
+	fused    int // superinstructions formed
+	hoisted  int // loop-invariant nodes moved to loop entry
+	strength int // induction-variable nodes reduced to incremental adds
+	chains   int // fusion chains of length ≥ 3 (load→op→…→store)
+	parallel bool
+	pool     sync.Pool
 
 	// sched is the schedule the program was lowered from, and counts
 	// every block's static count vector (see StaticCounts): Run, the
@@ -245,7 +258,7 @@ func ResetPoolStats() {
 }
 
 // Vector-arena traffic across all programs: resets counts how many
-// times a loop iteration recycled its frame's scratch arena in place
+// times a loop iteration recycled its frame's arena in place
 // (one per iteration of every loop a program runs, at either tier), slots
 // counts the arena capacity compiled into programs. Both feed the
 // obs gauges vec.arena.resets / vec.arena.slots.
@@ -267,8 +280,10 @@ func ResetArenaStats() {
 }
 
 type frame struct {
-	regs    []vm.Value
-	scratch []vm.Value
+	// regs is the register file: a register per symbol, one per
+	// constant operand of a bound intrinsic (written when the frame is
+	// made), and the arena (see compiler.reserve).
+	regs []vm.Value
 	// vecs is the vector register file. Each intrinsic node owns one
 	// slot and writes its vector result there; a register holding that
 	// result refers to the slot. A slot is rewritten each time its node
@@ -437,7 +452,8 @@ func (w *countWalk) strided(idx ir.Exp) bool {
 type inline struct {
 	pos   int
 	eval  evalFn
-	chain int // producers already folded into this evaluator
+	chain int      // producers already folded into this evaluator
+	addr  []ir.Exp // see valNode.addr
 }
 
 // valNode is a compiled simple (non-control) node, held back briefly by
@@ -448,6 +464,10 @@ type valNode struct {
 	dst   int
 	sym   ir.Sym
 	chain int // fused producers folded into this node
+	// addr, for a pointer add without a fused producer of its own,
+	// holds its pointer and index operands: a bound load or store it
+	// fuses into addresses memory from them directly (see compileLane).
+	addr []ir.Exp
 }
 
 // asOp finalises a node that was not fused away.
@@ -492,10 +512,11 @@ type compiler struct {
 	next  int
 	// uses counts, per symbol, every reference from kept nodes' args,
 	// block results and effect annotations; fusion requires exactly one.
-	uses        map[int]int
-	scratchNext int
-	vecNext     int // next free slot of the vector register file
-	fuse        bool
+	uses    map[int]int
+	arena   int        // registers reserved for the frame arena
+	consts  []constReg // constant operand registers
+	vecNext int        // next free slot of the vector register file
+	fuse    bool
 	// tier is read only by compileLoop: it decides whether a loop gets a
 	// loop plan and a parallel plan.
 	tier     Tier
@@ -548,19 +569,20 @@ func compile(f *ir.Func, t Tier, fuse bool) (*Program, error) {
 	}
 	p.nRegs = c.next
 	p.nVecs = c.vecNext
-	p.scratchLen = c.scratchNext
+	p.arenaLen = c.arena
+	p.consts = c.consts
 	p.fused = c.fused
 	p.hoisted = c.hoisted
 	p.strength = c.strength
 	p.chains = c.chains
-	arenaSlots.Add(int64(p.scratchLen))
+	arenaSlots.Add(int64(p.arenaLen))
 	p.pool.New = func() any {
 		poolNews.Add(1)
-		return &frame{
-			regs:    make([]vm.Value, p.nRegs),
-			scratch: make([]vm.Value, p.scratchLen),
-			vecs:    make([]vm.Vec, p.nVecs),
+		fr := &frame{regs: make([]vm.Value, p.nRegs), vecs: make([]vm.Vec, p.nVecs)}
+		for _, k := range p.consts {
+			fr.regs[k.reg] = k.val
 		}
+		return fr
 	}
 	return p, nil
 }
@@ -586,6 +608,32 @@ func (c *compiler) countUses(b *ir.Block) {
 			c.countUses(blk)
 		}
 	}
+}
+
+// reserve takes n consecutive registers for the frame arena: an
+// unbound intrinsic's argument region, the operand register a fused
+// producer evaluates into, a loop's derived save area. They are
+// rewritten on every loop iteration instead of reallocated.
+func (c *compiler) reserve(n int) int {
+	r := c.next
+	c.next += n
+	c.arena += n
+	return r
+}
+
+// constReg is a register that holds a constant operand.
+type constReg struct {
+	reg int
+	val vm.Value
+}
+
+// constant returns a register holding the constant v. It is written
+// when a frame is made, and nothing writes it after.
+func (c *compiler) constant(v vm.Value) int {
+	r := c.next
+	c.next++
+	c.consts = append(c.consts, constReg{r, v})
+	return r
 }
 
 func (c *compiler) slot(s ir.Sym) int {
@@ -698,7 +746,7 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, error) {
 			var inl *inline
 			if c.fuse && pending != nil && !pending.void && c.uses[pending.sym.ID] == 1 {
 				if pos := fusablePos(d, pending.sym); pos >= 0 {
-					inl = &inline{pos: pos, eval: pending.eval, chain: pending.chain}
+					inl = &inline{pos: pos, eval: pending.eval, chain: pending.chain, addr: pending.addr}
 					pending = nil
 					c.fused++
 				}
@@ -769,17 +817,13 @@ func (c *compiler) valNode(n *ir.Node, eval evalFn) *valNode {
 	return &valNode{eval: eval, void: void, dst: dst, sym: n.Sym}
 }
 
-// compileIntrinsic lowers an intrinsic call. Its arguments are gathered
-// into the frame's scratch arena, a fused producer evaluates straight
-// into its arena slot, and the result is written into the destination.
+// compileIntrinsic lowers an intrinsic call. One with a lane binding is
+// bound to the frame (compileLane). Any other has its arguments gathered
+// into an arena region of the register file, a fused producer
+// evaluating straight into its argument slot, and calls
+// vm.Intrinsic.Fn with the node's vector slot as the destination.
 // Argument gathering is pure register reads, so running the producer
-// after it is the same as running it first. This destination passing is
-// kernelc's own, not a second intrinsic semantic, and it is the only
-// evaluation form because it is measured: with the 56-byte vm.Value,
-// turning it off (value-returning evaluation of intrinsics, scalar loads
-// and pointer adds, without the frame sink) lost 4 of 5 alternating
-// kernels pairs and all 5 serve pairs, median ref_wall_ms +8% on both,
-// on a 2-vCPU x86-64 host.
+// after it is the same as running it first.
 func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 	name := n.Def.Op
 	in, ok := vm.Lookup(name)
@@ -788,19 +832,21 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 		// native toolchain cannot execute it on this machine.
 		return nil, fmt.Errorf("intrinsic %s has no executable semantic in the vm", name)
 	}
+	if in.Lane != nil {
+		return c.compileLane(n, in.Lane, inl)
+	}
 	args, err := c.fusedRefs(n.Def.Args, inl)
 	if err != nil {
 		return nil, err
 	}
-	off := c.scratchNext
-	c.scratchNext += len(args)
 	nArgs := len(args)
+	off := c.reserve(nArgs)
 	vs := c.vecNext
 	c.vecNext++
 	ie, pos := inlineParts(inl)
 	fn := in.Fn
 	eval := func(fr *frame, out *vm.Value) error {
-		vals := fr.scratch[off : off+nArgs]
+		vals := fr.regs[off : off+nArgs]
 		for i := range args {
 			args[i].load(fr, &vals[i])
 		}
@@ -884,8 +930,7 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 		return nil, err
 	}
 	nDer := len(derivedOps)
-	saveOff := c.scratchNext
-	c.scratchNext += 2 * nDer // derived save/step area in the frame arena
+	saveOff := c.reserve(2 * nDer) // derived save/step area in the frame arena
 	lc := &loopCode{
 		prog: c.prog, args: args, iv: iv, carried: carried,
 		accSlot: accSlot, accVec: accVec, dst: dst, next: next,
@@ -978,7 +1023,7 @@ func (lc *loopCode) run(fr *frame) error {
 				}
 			}
 			for j, s := range lc.derSlots {
-				fr.scratch[lc.saveOff+j].I = fr.regs[s].I
+				fr.regs[lc.saveOff+j].I = fr.regs[s].I
 			}
 			fr.regs[lc.iv].I = start + stride
 			for _, o := range lc.derivedOps {
@@ -987,8 +1032,8 @@ func (lc *loopCode) run(fr *frame) error {
 				}
 			}
 			for j, s := range lc.derSlots {
-				fr.scratch[lc.saveOff+lc.nDer+j].I = fr.regs[s].I - fr.scratch[lc.saveOff+j].I
-				fr.regs[s].I = fr.scratch[lc.saveOff+j].I
+				fr.regs[lc.saveOff+lc.nDer+j].I = fr.regs[s].I - fr.regs[lc.saveOff+j].I
+				fr.regs[s].I = fr.regs[lc.saveOff+j].I
 			}
 			fr.regs[lc.iv].I = start
 		}
@@ -1033,7 +1078,7 @@ func (lc *loopCode) span(fr *frame, i0, stride, cnt int64) (int64, error) {
 			fr.regs[lc.iv].I = i
 			for j, s := range lc.derSlots {
 				r := &fr.regs[s]
-				r.I = int64(int32(r.I + fr.scratch[lc.saveOff+lc.nDer+j].I))
+				r.I = int64(int32(r.I + fr.regs[lc.saveOff+lc.nDer+j].I))
 			}
 		}
 		for _, o := range lc.bodyOps {
@@ -1263,7 +1308,11 @@ func (c *compiler) compilePtrAdd(n *ir.Node, inl *inline) (*valNode, error) {
 		out.Off += int(idxRef.get(fr).AsInt())
 		return nil
 	}
-	return c.valNode(n, eval), nil
+	vn := c.valNode(n, eval)
+	if inl == nil {
+		vn.addr = n.Def.Args
+	}
+	return vn, nil
 }
 
 func (c *compiler) compileConv(n *ir.Node, inl *inline) (*valNode, error) {

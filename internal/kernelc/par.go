@@ -277,7 +277,7 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	// Restore entry state for whichever driver runs next.
 	fr.regs[lc.iv].I = start
 	for j, s := range lc.derSlots {
-		fr.regs[s].I = fr.scratch[lc.saveOff+j].I
+		fr.regs[s].I = fr.regs[lc.saveOff+j].I
 	}
 	if !ok || !lc.admit(recs, iters, fr) {
 		return false, nil
@@ -448,10 +448,6 @@ func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, i
 	wfr := p.pool.Get().(*frame)
 	wfr.m = wm
 	copy(wfr.regs, parent.regs)
-	if lc.nDer > 0 {
-		copy(wfr.scratch[lc.saveOff:lc.saveOff+2*lc.nDer],
-			parent.scratch[lc.saveOff:lc.saveOff+2*lc.nDer])
-	}
 	for {
 		k, stolen, ok := nextChunk(ranges, w)
 		if !ok {
@@ -471,8 +467,8 @@ func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, i
 			// Exact jump to iteration k0: serial advances the derived
 			// value by int32(save + t*step) steps, and modular i32
 			// arithmetic lets the chunk start compute it directly.
-			wfr.regs[s].I = int64(int32(parent.scratch[lc.saveOff+j].I +
-				k0*parent.scratch[lc.saveOff+lc.nDer+j].I))
+			wfr.regs[s].I = int64(int32(parent.regs[lc.saveOff+j].I +
+				k0*parent.regs[lc.saveOff+lc.nDer+j].I))
 		}
 		if lc.carried {
 			wfr.regs[lc.accSlot] = seed

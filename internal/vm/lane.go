@@ -128,6 +128,18 @@ func copyTo(dst, src *Vec) *Vec {
 	return dst
 }
 
+// words is the number of 64-bit words in a register of width bits, at
+// most the storage's 8. A loop over words(bits) indexes the storage
+// through word and setWord without bounds checks.
+func words(bits int) int { return min(bits/64, 8) }
+
+// word returns 64-bit word i of v: lanes 8i..8i+7 by byte,
+// little-endian.
+func (v *Vec) word(i int) uint64 { return binary.LittleEndian.Uint64(v.b[8*i:]) }
+
+// setWord stores x into word i of v.
+func (v *Vec) setWord(i int, x uint64) { binary.LittleEndian.PutUint64(v.b[8*i:], x) }
+
 // --- buffer bytes --------------------------------------------------------------
 
 // checkBytes bounds-checks the byte range [off, off+n) of a buffer's
@@ -211,45 +223,12 @@ func broadcastSs(dst *Vec, bits int, d []byte, off int) error {
 
 // --- scalar helpers --------------------------------------------------------------
 
-func satI8(v int) int8 {
-	if v > 127 {
-		return 127
-	}
-	if v < -128 {
-		return -128
-	}
-	return int8(v)
-}
+// The saturating narrowings clamp v to the target's range.
 
-func satI16(v int) int16 {
-	if v > 32767 {
-		return 32767
-	}
-	if v < -32768 {
-		return -32768
-	}
-	return int16(v)
-}
-
-func satU8(v int) uint8 {
-	if v > 255 {
-		return 255
-	}
-	if v < 0 {
-		return 0
-	}
-	return uint8(v)
-}
-
-func satU16(v int) uint16 {
-	if v > 65535 {
-		return 65535
-	}
-	if v < 0 {
-		return 0
-	}
-	return uint16(v)
-}
+func satI8(v int) int8    { return int8(min(max(v, -128), 127)) }
+func satI16(v int) int16  { return int16(min(max(v, -32768), 32767)) }
+func satU8(v int) uint8   { return uint8(min(max(v, 0), 255)) }
+func satU16(v int) uint16 { return uint16(min(max(v, 0), 65535)) }
 
 // F32FromF16 converts a binary16 bit pattern to float32 exactly (every
 // half value is representable in single precision).
@@ -365,16 +344,17 @@ func divPs(dst *Vec, bits int, a, b *Vec) {
 	}
 }
 
-// minPs and maxPs keep a's lane unless b's compares below (above) it,
-// so a tie or a NaN in either lane gives a's lane.
+// minPs and maxPs are Intel's MIN and MAX, a < b ? a : b and
+// a > b ? a : b: a NaN in either lane, or a tie (-0 and +0 included),
+// gives b's lane.
 func minPs(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
 	for i := 0; i < bits/32; i++ {
 		x, y := a.F32(i), b.F32(i)
-		if y < x {
-			x = y
+		if x < y {
+			y = x
 		}
-		dst.SetF32(i, x)
+		dst.SetF32(i, y)
 	}
 }
 
@@ -382,10 +362,10 @@ func maxPs(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
 	for i := 0; i < bits/32; i++ {
 		x, y := a.F32(i), b.F32(i)
-		if y > x {
-			x = y
+		if x > y {
+			y = x
 		}
-		dst.SetF32(i, x)
+		dst.SetF32(i, y)
 	}
 }
 
@@ -428,10 +408,10 @@ func minPd(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
 	for i := 0; i < bits/64; i++ {
 		x, y := a.F64(i), b.F64(i)
-		if y < x {
-			x = y
+		if x < y {
+			y = x
 		}
-		dst.SetF64(i, x)
+		dst.SetF64(i, y)
 	}
 }
 
@@ -439,10 +419,10 @@ func maxPd(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
 	for i := 0; i < bits/64; i++ {
 		x, y := a.F64(i), b.F64(i)
-		if y > x {
-			x = y
+		if x > y {
+			y = x
 		}
-		dst.SetF64(i, x)
+		dst.SetF64(i, y)
 	}
 }
 
@@ -515,33 +495,40 @@ func fnmaddPd(dst *Vec, bits int, a, b, c *Vec) { fmaPd(dst, bits, a, b, c, sign
 func fnmsubPd(dst *Vec, bits int, a, b, c *Vec) { fmaPd(dst, bits, a, b, c, sign64, sign64) }
 
 // --- bitwise (width- and element-type-agnostic) -----------------------------------
+//
+// These and the integer kernels below run word by word: each loop
+// handles 64 bits of lanes per step, without a branch on lane data.
 
 func andBits(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/8; i++ {
-		dst.b[i] = a.b[i] & b.b[i]
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		dst.setWord(i, a.word(i)&b.word(i))
 	}
 }
 
 func orBits(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/8; i++ {
-		dst.b[i] = a.b[i] | b.b[i]
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		dst.setWord(i, a.word(i)|b.word(i))
 	}
 }
 
 func xorBits(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/8; i++ {
-		dst.b[i] = a.b[i] ^ b.b[i]
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		dst.setWord(i, a.word(i)^b.word(i))
 	}
 }
 
 // andnotBits complements the first operand, per Intel.
 func andnotBits(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/8; i++ {
-		dst.b[i] = ^a.b[i] & b.b[i]
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		dst.setWord(i, ^a.word(i)&b.word(i))
 	}
 }
 
@@ -604,15 +591,27 @@ func cmpeqEpi8(dst *Vec, bits int, a, b *Vec) {
 	}
 }
 
+// Byte-lane masks of a word: the low bit and the sign bit of each byte.
+const (
+	lowBits  = 0x0101010101010101
+	signBits = 0x8080808080808080
+)
+
+// addBytes adds the byte lanes of x and y modulo 256, with no carry
+// from one lane into the next.
+func addBytes(x, y uint64) uint64 { return (x&^signBits + y&^signBits) ^ (x^y)&signBits }
+
+// negBytes negates the byte lanes of x where neg holds 1 (^x + 1) and
+// keeps the others; neg holds 0 or 1 in every byte.
+func negBytes(x, neg uint64) uint64 { return addBytes(x^neg*0xFF, neg) }
+
 // absEpi8 wraps: the absolute value of -128 is -128.
 func absEpi8(dst *Vec, bits int, a *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/8; i++ {
-		x := a.I8(i)
-		if x < 0 {
-			x = -x
-		}
-		dst.SetI8(i, x)
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		x := a.word(i)
+		dst.setWord(i, negBytes(x, x>>7&lowBits))
 	}
 }
 
@@ -620,32 +619,34 @@ func absEpi8(dst *Vec, bits int, a *Vec) {
 // negative, zero or positive.
 func signEpi8(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/8; i++ {
-		x, y := a.I8(i), b.I8(i)
-		switch {
-		case y < 0:
-			x = -x
-		case y == 0:
-			x = 0
-		}
-		dst.SetI8(i, x)
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		x, y := a.word(i), b.word(i)
+		// The sign bit of each byte of nz is set where y's byte is not
+		// zero.
+		nz := (y&^signBits + ^uint64(signBits)) | y
+		dst.setWord(i, negBytes(x, y>>7&lowBits)&(nz>>7&lowBits*0xFF))
 	}
 }
 
 func addEpi32(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/32; i++ {
-		dst.SetI32(i, a.I32(i)+b.I32(i))
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		x, y := a.word(i), b.word(i)
+		dst.setWord(i, uint64(uint32(x)+uint32(y))|(x>>32+y>>32)<<32)
 	}
 }
 
-// maddEpi16 sums pairs of 16-bit products into 32-bit lanes.
+// maddEpi16 sums pairs of 16-bit products into 32-bit lanes, wrapping.
 func maddEpi16(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/32; i++ {
-		p0 := int32(a.I16(2*i)) * int32(b.I16(2*i))
-		p1 := int32(a.I16(2*i+1)) * int32(b.I16(2*i+1))
-		dst.SetI32(i, p0+p1)
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		x, y := a.word(i), b.word(i)
+		lo := int32(int16(x))*int32(int16(y)) + int32(int16(x>>16))*int32(int16(y>>16))
+		hi := int32(int16(x>>32))*int32(int16(y>>32)) + int32(int16(x>>48))*int32(int16(y>>48))
+		dst.setWord(i, uint64(uint32(lo))|uint64(uint32(hi))<<32)
 	}
 }
 
@@ -653,11 +654,18 @@ func maddEpi16(dst *Vec, bits int, a, b *Vec) {
 // saturated 16-bit lanes: the core of the 8-bit quantized dot product.
 func maddubsEpi16(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for i := 0; i < bits/16; i++ {
-		p0 := int(a.U8(2*i)) * int(b.I8(2*i))
-		p1 := int(a.U8(2*i+1)) * int(b.I8(2*i+1))
-		dst.SetI16(i, satI16(p0+p1))
+	n := words(bits)
+	for i := 0; i < n; i++ {
+		x, y := a.word(i), b.word(i)
+		dst.setWord(i, maddubs(x, y, 0)|maddubs(x, y, 16)|maddubs(x, y, 32)|maddubs(x, y, 48))
 	}
+}
+
+// maddubs is the 16-bit lane of maddubsEpi16 at bit j of the words x
+// (unsigned bytes) and y (signed bytes), in place.
+func maddubs(x, y uint64, j uint) uint64 {
+	p := int(uint8(x>>j))*int(int8(y>>j)) + int(uint8(x>>(j+8)))*int(int8(y>>(j+8)))
+	return uint64(uint16(satI16(p))) << j
 }
 
 // srliEpi16 shifts each 16-bit lane right, zero-filling; a count past
@@ -668,8 +676,10 @@ func srliEpi16(dst *Vec, bits int, a *Vec, imm int) {
 	if sh > 15 {
 		return
 	}
-	for i := 0; i < bits/16; i++ {
-		dst.SetU16(i, a.U16(i)>>sh)
+	n := words(bits)
+	keep := uint64(0xFFFF) >> sh * 0x0001000100010001 // the bits no neighbour shifts in
+	for i := 0; i < n; i++ {
+		dst.setWord(i, a.word(i)>>sh&keep)
 	}
 }
 
@@ -679,12 +689,11 @@ func srliEpi16(dst *Vec, bits int, a *Vec, imm int) {
 // a control byte with its high bit set zeroes the result byte.
 func shuffleEpi8(dst *Vec, bits int, a, b *Vec) {
 	*dst = Vec{}
-	for lane := 0; lane < bits/128; lane++ {
-		o := lane * 16
-		for i := 0; i < 16; i++ {
-			if c := b.b[o+i]; c&0x80 == 0 {
-				dst.b[o+i] = a.b[o+int(c&0x0F)]
-			}
+	n := min(bits/128, 4)
+	for l := 0; l < n; l++ {
+		src, ctl, out := lane128(a, l), lane128(b, l), lane128(dst, l)
+		for i, c := range ctl {
+			out[i] = src[c&0x0F] &^ byte(int8(c)>>7)
 		}
 	}
 }
@@ -741,27 +750,62 @@ func extractf128Ps(dst *Vec, bits int, a *Vec, imm int) {
 	*lane128(dst, 0) = *lane128(a, imm&1)
 }
 
-// unpack interleaves the low (lo) or high half of each 128-bit lane of
-// a and b, element by element of eb bytes.
+// unpack interleaves the elements, eb bytes each, of the low (lo) or
+// high half of each 128-bit lane of a and b, a's element first. A
+// 64-bit register (the MMX forms) is a lane of its own.
 func unpack(dst *Vec, bits, eb int, lo bool, a, b *Vec) {
 	*dst = Vec{}
-	perLane := 16 / eb // elements per 128-bit lane
-	half := perLane / 2
-	for lane := 0; lane < bits/128; lane++ {
-		base := lane * perLane
-		src := base
-		if !lo {
-			src = base + half
-		}
-		for i := 0; i < half; i++ {
-			copy(dst.b[(base+2*i)*eb:(base+2*i+1)*eb], a.b[(src+i)*eb:])
-			copy(dst.b[(base+2*i+1)*eb:(base+2*i+2)*eb], b.b[(src+i)*eb:])
+	h := 0 // the source half's word in a 128-bit lane, or its 32 bits in a 64-bit one
+	if !lo {
+		h = 1
+	}
+	if bits == 64 {
+		sh := 32 * h
+		dst.setWord(0, zip(uint32(a.word(0)>>sh), uint32(b.word(0)>>sh), eb))
+		return
+	}
+	n, o := min(bits/128, 4), 8*(h&1) // h&1 bounds o for the compiler
+	for l := 0; l < n; l++ {
+		x := binary.LittleEndian.Uint64(lane128(a, l)[o:])
+		y := binary.LittleEndian.Uint64(lane128(b, l)[o:])
+		out := lane128(dst, l)
+		if eb == 8 {
+			binary.LittleEndian.PutUint64(out[:], x)
+			binary.LittleEndian.PutUint64(out[8:], y)
+		} else {
+			binary.LittleEndian.PutUint64(out[:], zip(uint32(x), uint32(y), eb))
+			binary.LittleEndian.PutUint64(out[8:], zip(uint32(x>>32), uint32(y>>32), eb))
 		}
 	}
 }
 
-func unpackloPs(dst *Vec, bits int, a, b *Vec) { unpack(dst, bits, 4, true, a, b) }
-func unpackhiPs(dst *Vec, bits int, a, b *Vec) { unpack(dst, bits, 4, false, a, b) }
+// zip interleaves the elements, eb bytes each (1, 2 or 4), of x and y,
+// x's first.
+func zip(x, y uint32, eb int) uint64 {
+	return spread(x, eb) | spread(y, eb)<<(8*eb)
+}
+
+// spread moves the elements of x, eb bytes each, into every other
+// eb-byte slot of a word, lowest first.
+func spread(x uint32, eb int) uint64 {
+	w := uint64(x)
+	if eb < 4 {
+		w = (w | w<<16) & 0x0000FFFF0000FFFF
+	}
+	if eb < 2 {
+		w = (w | w<<8) & 0x00FF00FF00FF00FF
+	}
+	return w
+}
+
+func unpackloEpi8(dst *Vec, bits int, a, b *Vec)  { unpack(dst, bits, 1, true, a, b) }
+func unpackhiEpi8(dst *Vec, bits int, a, b *Vec)  { unpack(dst, bits, 1, false, a, b) }
+func unpackloEpi16(dst *Vec, bits int, a, b *Vec) { unpack(dst, bits, 2, true, a, b) }
+func unpackhiEpi16(dst *Vec, bits int, a, b *Vec) { unpack(dst, bits, 2, false, a, b) }
+func unpackloPs(dst *Vec, bits int, a, b *Vec)    { unpack(dst, bits, 4, true, a, b) }
+func unpackhiPs(dst *Vec, bits int, a, b *Vec)    { unpack(dst, bits, 4, false, a, b) }
+func unpackloPd(dst *Vec, bits int, a, b *Vec)    { unpack(dst, bits, 8, true, a, b) }
+func unpackhiPd(dst *Vec, bits int, a, b *Vec)    { unpack(dst, bits, 8, false, a, b) }
 
 // broadcastsi128Si256 copies the low 128 bits of a into both halves.
 func broadcastsi128Si256(dst *Vec, bits int, a *Vec) {

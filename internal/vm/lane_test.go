@@ -46,3 +46,38 @@ func TestLaneFileStandsAlone(t *testing.T) {
 		t.Fatalf("lane.go does not type-check on its own: %v", err)
 	}
 }
+
+// BenchmarkLaneKernels times the word-wide lane kernels at 256 bits,
+// the width the library kernels run them at, on random lanes
+// (go test -run xxx -bench LaneKernels ./internal/vm).
+func BenchmarkLaneKernels(b *testing.B) {
+	var x, y Vec
+	rng := NewXorshift(1)
+	for i := range x.b {
+		x.b[i], y.b[i] = byte(rng.Next32()), byte(rng.Next32())
+	}
+	for _, k := range []struct {
+		name string
+		run  func(dst *Vec)
+	}{
+		{"signEpi8", func(d *Vec) { signEpi8(d, 256, &x, &y) }},
+		{"absEpi8", func(d *Vec) { absEpi8(d, 256, &x) }},
+		{"maddubsEpi16", func(d *Vec) { maddubsEpi16(d, 256, &x, &y) }},
+		{"maddEpi16", func(d *Vec) { maddEpi16(d, 256, &x, &y) }},
+		{"addEpi32", func(d *Vec) { addEpi32(d, 256, &x, &y) }},
+		{"shuffleEpi8", func(d *Vec) { shuffleEpi8(d, 256, &x, &y) }},
+		{"andBits", func(d *Vec) { andBits(d, 256, &x, &y) }},
+		{"orBits", func(d *Vec) { orBits(d, 256, &x, &y) }},
+		{"xorBits", func(d *Vec) { xorBits(d, 256, &x, &y) }},
+		{"andnotBits", func(d *Vec) { andnotBits(d, 256, &x, &y) }},
+		{"unpackloPs", func(d *Vec) { unpackloPs(d, 256, &x, &y) }},
+		{"srliEpi16", func(d *Vec) { srliEpi16(d, 256, &x, 4) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			var dst Vec
+			for i := 0; i < b.N; i++ {
+				k.run(&dst)
+			}
+		})
+	}
+}

@@ -126,6 +126,9 @@ type Intrinsic struct {
 	// Scalar results are returned by value, and void intrinsics return
 	// the zero Value; neither touches dst.
 	Fn func(m *Machine, args []Value, dst *Vec) (Value, error)
+	// Lane is the binding record of an intrinsic whose semantic is one
+	// lane.go kernel, and nil for any other. Fn is derived from it.
+	Lane *Lane
 }
 
 var registry = map[string]Intrinsic{}
@@ -133,10 +136,14 @@ var registry = map[string]Intrinsic{}
 // register installs a semantic; duplicate registration is a programming
 // error caught at init.
 func register(name string, fn func(m *Machine, args []Value, dst *Vec) (Value, error)) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("vm: duplicate intrinsic semantic %s", name))
+	install(Intrinsic{Name: name, Fn: fn})
+}
+
+func install(in Intrinsic) {
+	if _, dup := registry[in.Name]; dup {
+		panic(fmt.Sprintf("vm: duplicate intrinsic semantic %s", in.Name))
 	}
-	registry[name] = Intrinsic{Name: name, Fn: fn}
+	registry[in.Name] = in
 }
 
 // Lookup finds an intrinsic's executable semantic.
@@ -179,7 +186,7 @@ func (m *Machine) Call(name string, args ...Value) (Value, error) {
 
 // --- argument helpers used by the semantics files ---------------------------
 
-func argVec(args []Value, i int) *Vec { return args[i].vec() }
+func argVec(args []Value, i int) *Vec { return args[i].Reg() }
 
 func argInt(args []Value, i int) int { return int(args[i].AsInt()) }
 
@@ -194,65 +201,215 @@ func vecResult(dst *Vec) (Value, error) { return Value{Kind: ir.KindVec, V: dst}
 
 func voidResult() (Value, error) { return Value{}, nil }
 
-// --- registering the lane kernels (lane.go) ----------------------------------
-//
-// Each helper installs a kernel at the register width the intrinsic's
-// name implies, reading its operands in order.
+// --- lane bindings -------------------------------------------------------------
 
-func reg1(name string, k func(dst *Vec, bits int, a *Vec)) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		k(dst, bits, argVec(args, 0))
-		return vecResult(dst)
-	})
+// The kernel shapes a binding holds. A kernel writes a vector result
+// through dst at the register width bits; the operands follow, each of
+// one kind: a register (*Vec), an immediate (int) or an integer scalar
+// (int64), both read with Value.AsInt, a float scalar (float64,
+// Value.AsFloat), or a pointer, passed as the buffer's bytes and a byte
+// offset. Cast is the reinterpretation, which runs no kernel: its
+// result is its operand's register.
+type (
+	Kernel0     func(dst *Vec, bits int)
+	Kernel1     func(dst *Vec, bits int, a *Vec)
+	Kernel2     func(dst *Vec, bits int, a, b *Vec)
+	Kernel3     func(dst *Vec, bits int, a, b, c *Vec)
+	Kernel1Imm  func(dst *Vec, bits int, a *Vec, imm int)
+	Kernel2Imm  func(dst *Vec, bits int, a, b *Vec, imm int)
+	KernelSetF  func(dst *Vec, bits int, x float64)
+	KernelSetI  func(dst *Vec, bits int, x int64)
+	KernelLoad  func(dst *Vec, bits int, d []byte, off int) error
+	KernelStore func(bits int, d []byte, off int, a *Vec) error
+	KernelF32   func(bits int, a *Vec) float32
+	Cast        struct{}
+)
+
+// Lane is the binding record of an intrinsic whose semantic is one
+// lane.go kernel: the kernel, the register width it runs at and, for a
+// kernel with a pointer operand, the footprint. The kernel's type
+// states the kinds of the operands and of the result (Operands,
+// Result). The record is the intrinsic's one description: Fn is built
+// from it, and kernelc calls the kernel straight on its frame's
+// registers from the same record.
+type Lane struct {
+	Kernel any // one of the kernel shapes above
+	Bits   int
+	Access Access
 }
 
-func reg2(name string, k func(dst *Vec, bits int, a, b *Vec)) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		k(dst, bits, argVec(args, 0), argVec(args, 1))
-		return vecResult(dst)
-	})
+// Operands returns the kinds of the kernel's operands in order, one
+// byte each: 'v' a register, 'i' an immediate, 'n' an integer scalar,
+// 'f' a float scalar, 'p' a pointer.
+func (l *Lane) Operands() string {
+	switch l.Kernel.(type) {
+	case Kernel0:
+		return ""
+	case Kernel1, KernelF32, Cast:
+		return "v"
+	case Kernel2:
+		return "vv"
+	case Kernel3:
+		return "vvv"
+	case Kernel1Imm:
+		return "vi"
+	case Kernel2Imm:
+		return "vvi"
+	case KernelSetF:
+		return "f"
+	case KernelSetI:
+		return "n"
+	case KernelLoad:
+		return "p"
+	case KernelStore:
+		return "pv"
+	}
+	panic(fmt.Sprintf("vm: lane kernel of type %T", l.Kernel))
 }
 
-func reg3(name string, k func(dst *Vec, bits int, a, b, c *Vec)) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		k(dst, bits, argVec(args, 0), argVec(args, 1), argVec(args, 2))
-		return vecResult(dst)
-	})
+// Result returns the kind of the result: 'v' a register (for a Cast,
+// the operand's own), 'f' a float32 scalar, 0 none.
+func (l *Lane) Result() byte {
+	switch l.Kernel.(type) {
+	case KernelStore:
+		return 0
+	case KernelF32:
+		return 'f'
+	}
+	return 'v'
 }
 
-func reg1Imm(name string, k func(dst *Vec, bits int, a *Vec, imm int)) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		k(dst, bits, argVec(args, 0), argInt(args, 1))
-		return vecResult(dst)
-	})
+// Load runs a KernelLoad binding: it loads into dst through the
+// pointer to element off of buf (nil when the operand is not a
+// pointer) and routes the access through the cache simulator.
+func (l *Lane) Load(m *Machine, dst *Vec, buf *Buffer, off int) error {
+	off, err := l.offset(buf, off)
+	if err != nil {
+		return err
+	}
+	if err := l.Kernel.(KernelLoad)(dst, l.Bits, buf.Data, off); err != nil {
+		return err
+	}
+	m.Touch(buf, off, l.Access.Bytes)
+	return nil
 }
 
-func reg2Imm(name string, k func(dst *Vec, bits int, a, b *Vec, imm int)) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		k(dst, bits, argVec(args, 0), argVec(args, 1), argInt(args, 2))
-		return vecResult(dst)
-	})
+// Store runs a KernelStore binding: it stores a through the pointer to
+// element off of buf and routes the access through the cache
+// simulator.
+func (l *Lane) Store(m *Machine, buf *Buffer, off int, a *Vec) error {
+	off, err := l.offset(buf, off)
+	if err != nil {
+		return err
+	}
+	if err := l.Kernel.(KernelStore)(l.Bits, buf.Data, off, a); err != nil {
+		return err
+	}
+	m.Touch(buf, off, l.Access.Bytes)
+	return nil
 }
 
-// regSet1F and regSet1I broadcast a scalar operand, read as AsFloat
-// and AsInt.
-func regSet1F(name string, k func(dst *Vec, bits int, x float64)) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		k(dst, bits, args[0].AsFloat())
-		return vecResult(dst)
-	})
+// offset is the byte offset of element off of buf, scaled as Access
+// states.
+func (l *Lane) offset(buf *Buffer, off int) (int, error) {
+	if buf == nil {
+		return 0, fmt.Errorf("vm: argument 0 is not a pointer")
+	}
+	scale := l.Access.Scale
+	if scale == 0 {
+		scale = buf.Prim.Bits() / 8
+	}
+	return off * scale, nil
 }
 
-func regSet1I(name string, k func(dst *Vec, bits int, x int64)) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		k(dst, bits, args[0].AsInt())
-		return vecResult(dst)
-	})
+// fn derives the intrinsic's Fn from the record.
+func (l *Lane) fn() func(m *Machine, args []Value, dst *Vec) (Value, error) {
+	bits := l.Bits
+	switch k := l.Kernel.(type) {
+	case Kernel0:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits)
+			return vecResult(dst)
+		}
+	case Kernel1:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits, argVec(args, 0))
+			return vecResult(dst)
+		}
+	case Kernel2:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits, argVec(args, 0), argVec(args, 1))
+			return vecResult(dst)
+		}
+	case Kernel3:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits, argVec(args, 0), argVec(args, 1), argVec(args, 2))
+			return vecResult(dst)
+		}
+	case Kernel1Imm:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits, argVec(args, 0), argInt(args, 1))
+			return vecResult(dst)
+		}
+	case Kernel2Imm:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits, argVec(args, 0), argVec(args, 1), argInt(args, 2))
+			return vecResult(dst)
+		}
+	case KernelSetF:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits, args[0].AsFloat())
+			return vecResult(dst)
+		}
+	case KernelSetI:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			k(dst, bits, args[0].AsInt())
+			return vecResult(dst)
+		}
+	case KernelLoad:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			if err := l.Load(m, dst, args[0].Mem, args[0].Off); err != nil {
+				return Value{}, err
+			}
+			return vecResult(dst)
+		}
+	case KernelStore:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			if err := l.Store(m, args[0].Mem, args[0].Off, argVec(args, 1)); err != nil {
+				return Value{}, err
+			}
+			return voidResult()
+		}
+	case KernelF32:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			return F32Value(k(bits, argVec(args, 0))), nil
+		}
+	case Cast:
+		return func(m *Machine, args []Value, dst *Vec) (Value, error) {
+			return vecResult(argVec(args, 0))
+		}
+	}
+	panic(fmt.Sprintf("vm: lane kernel of type %T", l.Kernel))
 }
+
+// bindAt installs name as a binding of kernel k at width bits.
+func bindAt(name string, bits int, k any) { bindLane(name, Lane{Kernel: k, Bits: bits}) }
+
+func bindLane(name string, l Lane) {
+	install(Intrinsic{Name: name, Fn: l.fn(), Lane: &l})
+	if l.Access.Bytes != 0 {
+		accessRegistry[name] = l.Access
+	}
+}
+
+// The reg helpers bind a kernel at the register width the intrinsic's
+// name implies.
+
+func reg0(name string, k Kernel0)        { bindAt(name, widthOf(name), k) }
+func reg1(name string, k Kernel1)        { bindAt(name, widthOf(name), k) }
+func reg2(name string, k Kernel2)        { bindAt(name, widthOf(name), k) }
+func reg3(name string, k Kernel3)        { bindAt(name, widthOf(name), k) }
+func reg1Imm(name string, k Kernel1Imm)  { bindAt(name, widthOf(name), k) }
+func reg2Imm(name string, k Kernel2Imm)  { bindAt(name, widthOf(name), k) }
+func regSet1F(name string, k KernelSetF) { bindAt(name, widthOf(name), k) }
+func regSet1I(name string, k KernelSetI) { bindAt(name, widthOf(name), k) }

@@ -94,38 +94,39 @@ func regCmpF64(name string, f func(x, y float64) bool) {
 	regBinF64(name, func(x, y float64) float64 { return mask64(f(x, y)) })
 }
 
-// fAdd/fSub etc. — the scalar-lane (ss/sd) float ops.
+// fAdd/fSub etc. — the scalar-lane (ss/sd) float ops. Min and max are
+// Intel's, as minPs and maxPs: a NaN or a tie gives y.
 func fAdd32(x, y float32) float32 { return x + y }
 func fSub32(x, y float32) float32 { return x - y }
 func fMul32(x, y float32) float32 { return x * y }
 func fDiv32(x, y float32) float32 { return x / y }
 func fMin32(x, y float32) float32 {
-	if y < x {
-		return y
+	if x < y {
+		return x
 	}
-	return x
+	return y
 }
 func fMax32(x, y float32) float32 {
-	if y > x {
-		return y
+	if x > y {
+		return x
 	}
-	return x
+	return y
 }
 func fAdd64(x, y float64) float64 { return x + y }
 func fSub64(x, y float64) float64 { return x - y }
 func fMul64(x, y float64) float64 { return x * y }
 func fDiv64(x, y float64) float64 { return x / y }
 func fMin64(x, y float64) float64 {
-	if y < x {
-		return y
+	if x < y {
+		return x
 	}
-	return x
+	return y
 }
 func fMax64(x, y float64) float64 {
-	if y > x {
-		return y
+	if x > y {
+		return x
 	}
-	return x
+	return y
 }
 
 func init() {
@@ -504,9 +505,7 @@ func registerFloatConversions() {
 		return vecResult(out)
 	})
 	// Scalar extraction.
-	register("_mm_cvtss_f32", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		return F32Value(cvtssF32(128, argVec(args, 0))), nil
-	})
+	bindAt("_mm_cvtss_f32", 128, KernelF32(cvtssF32))
 	register("_mm_cvtsd_f64", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		return F64Value(argVec(args, 0).F64(0)), nil
 	})
@@ -562,9 +561,7 @@ func registerFloatConversions() {
 		"_mm256_castsi256_ps", "_mm256_castps256_ps128", "_mm256_castpd256_pd128",
 		"_mm256_castsi256_si128",
 	} {
-		register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			return vecResult(argVec(args, 0))
-		})
+		bindAt(name, widthOf(name), Cast{})
 	}
 	// Widening casts zero the upper half (the Intel docs say undefined;
 	// zeroing is the common hardware behaviour).

@@ -327,11 +327,14 @@ func init() {
 	})
 
 	// ---- logical on integer registers -------------------------------------
-	for _, r := range []struct{ pfx, sfx string }{{"_mm_", "_si128"}, {"_mm256_", "_si256"}, {"_mm_", "_si64"}} {
-		reg2(r.pfx+"and"+r.sfx, andBits)
-		reg2(r.pfx+"or"+r.sfx, orBits)
-		reg2(r.pfx+"xor"+r.sfx, xorBits)
-		reg2(r.pfx+"andnot"+r.sfx, andnotBits)
+	for _, r := range []struct {
+		pfx, sfx string
+		bits     int
+	}{{"_mm_", "_si128", 128}, {"_mm256_", "_si256", 256}, {"_mm_", "_si64", 64}} {
+		bindAt(r.pfx+"and"+r.sfx, r.bits, Kernel2(andBits))
+		bindAt(r.pfx+"or"+r.sfx, r.bits, Kernel2(orBits))
+		bindAt(r.pfx+"xor"+r.sfx, r.bits, Kernel2(xorBits))
+		bindAt(r.pfx+"andnot"+r.sfx, r.bits, Kernel2(andnotBits))
 	}
 	reg2("_mm512_and_si512", andBits)
 	reg2("_mm512_or_si512", orBits)

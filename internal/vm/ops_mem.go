@@ -36,33 +36,11 @@ func registerAccess(name string, a Access, fn func(m *Machine, args []Value, dst
 }
 
 func regLoad(name string, bytes int) {
-	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		buf, off, err := argPtr(args, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		off = off * buf.Prim.Bits() / 8
-		if err := loadBytes(dst, 8*bytes, buf.Data, off); err != nil {
-			return Value{}, err
-		}
-		m.Touch(buf, off, bytes)
-		return vecResult(dst)
-	})
+	bindLane(name, Lane{Kernel: KernelLoad(loadBytes), Bits: 8 * bytes, Access: Access{Bytes: bytes}})
 }
 
 func regStore(name string, bytes int) {
-	registerAccess(name, Access{Bytes: bytes}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		buf, off, err := argPtr(args, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		off = off * buf.Prim.Bits() / 8
-		if err := storeBytes(8*bytes, buf.Data, off, argVec(args, 1)); err != nil {
-			return Value{}, err
-		}
-		m.Touch(buf, off, bytes)
-		return voidResult()
-	})
+	bindLane(name, Lane{Kernel: KernelStore(storeBytes), Bits: 8 * bytes, Access: Access{Bytes: bytes}})
 }
 
 func init() {
@@ -184,16 +162,7 @@ func init() {
 	})
 
 	// Memory broadcasts.
-	registerAccess("_mm256_broadcast_ss", Access{Bytes: 4, Scale: 4}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		buf, off, err := argPtr(args, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		if err := broadcastSs(dst, 256, buf.Data, off*4); err != nil {
-			return Value{}, err
-		}
-		return vecResult(dst)
-	})
+	bindLane("_mm256_broadcast_ss", Lane{Kernel: KernelLoad(broadcastSs), Bits: 256, Access: Access{Bytes: 4, Scale: 4}})
 	registerAccess("_mm256_broadcast_sd", Access{Bytes: 8, Scale: 8}, func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {

@@ -154,14 +154,7 @@ func init() {
 	})
 
 	// AVX-512 reductions and masks.
-	register("_mm512_reduce_add_ps", func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		a := argVec(args, 0)
-		var sum float32
-		for i := 0; i < 16; i++ {
-			sum += a.F32(i)
-		}
-		return F32Value(sum), nil
-	})
+	bindAt("_mm512_reduce_add_ps", 512, KernelF32(reduceAddPs))
 	register("_mm512_reduce_add_pd", func(m *Machine, args []Value, dst *Vec) (Value, error) {
 		a := argVec(args, 0)
 		var sum float64

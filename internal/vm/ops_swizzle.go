@@ -17,36 +17,24 @@ func init() {
 	registerMoves()
 }
 
-// regUnpack installs the lane kernel unpack for elements of eb bytes.
-func regUnpack(name string, bits, eb int, lo bool) {
-	register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-		unpack(dst, bits, eb, lo, argVec(args, 0), argVec(args, 1))
-		return vecResult(dst)
-	})
-}
-
 func registerUnpacks() {
-	type u struct {
-		name  string
-		bytes int
+	// The ps and pd forms move 4- and 8-byte elements, as the epi32 and
+	// epi64 forms do.
+	for _, f := range []struct {
+		sfx    string
+		lo, hi Kernel2
+	}{
+		{"epi8", unpackloEpi8, unpackhiEpi8}, {"epi16", unpackloEpi16, unpackhiEpi16},
+		{"epi32", unpackloPs, unpackhiPs}, {"epi64", unpackloPd, unpackhiPd},
+		{"ps", unpackloPs, unpackhiPs}, {"pd", unpackloPd, unpackhiPd},
+	} {
+		for _, pfx := range []string{"_mm_", "_mm256_"} {
+			reg2(pfx+"unpacklo_"+f.sfx, f.lo)
+			reg2(pfx+"unpackhi_"+f.sfx, f.hi)
+		}
 	}
-	families := []u{{"epi8", 1}, {"epi16", 2}, {"epi32", 4}, {"epi64", 8}}
-	for _, f := range families {
-		regUnpack("_mm_unpacklo_"+f.name, 128, f.bytes, true)
-		regUnpack("_mm_unpackhi_"+f.name, 128, f.bytes, false)
-		regUnpack("_mm256_unpacklo_"+f.name, 256, f.bytes, true)
-		regUnpack("_mm256_unpackhi_"+f.name, 256, f.bytes, false)
-	}
-	reg2("_mm_unpacklo_ps", unpackloPs)
-	reg2("_mm_unpackhi_ps", unpackhiPs)
-	reg2("_mm256_unpacklo_ps", unpackloPs)
-	reg2("_mm256_unpackhi_ps", unpackhiPs)
-	regUnpack("_mm_unpacklo_pd", 128, 8, true)
-	regUnpack("_mm_unpackhi_pd", 128, 8, false)
-	regUnpack("_mm256_unpacklo_pd", 256, 8, true)
-	regUnpack("_mm256_unpackhi_pd", 256, 8, false)
-	regUnpack("_mm_unpacklo_pi8", 64, 1, true)
-	regUnpack("_mm_unpackhi_pi8", 64, 1, false)
+	bindAt("_mm_unpacklo_pi8", 64, Kernel2(unpackloEpi8))
+	bindAt("_mm_unpackhi_pi8", 64, Kernel2(unpackhiEpi8))
 }
 
 func registerShuffles() {
@@ -361,10 +349,7 @@ func registerSets() {
 		"_mm256_setzero_ps", "_mm256_setzero_pd", "_mm256_setzero_si256",
 		"_mm512_setzero_ps", "_mm512_setzero_pd", "_mm512_setzero_si512",
 	} {
-		register(n, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			setzero(dst, 0)
-			return vecResult(dst)
-		})
+		reg0(n, setzero)
 	}
 	for _, pfx := range []string{"_mm_", "_mm256_", "_mm512_"} {
 		regSet1F(pfx+"set1_ps", set1Ps)
@@ -377,13 +362,10 @@ func registerSets() {
 		regSet1I(pfx+"set1_epi64x", set1Epi64)
 	}
 	// The MMX forms fill a 64-bit register.
-	for name, k := range map[string]func(dst *Vec, bits int, x int64){
+	for name, k := range map[string]KernelSetI{
 		"_mm_set1_pi8": set1Epi8, "_mm_set1_pi16": set1Epi16, "_mm_set1_pi32": set1Epi32,
 	} {
-		register(name, func(m *Machine, args []Value, dst *Vec) (Value, error) {
-			k(dst, 64, args[0].AsInt())
-			return vecResult(dst)
-		})
+		bindAt(name, 64, k)
 	}
 
 	// set_ps takes arguments high-lane first (Intel convention).

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ir"
@@ -90,6 +91,95 @@ func TestUnpackEpi32Lanes(t *testing.T) {
 	for i, w := range want {
 		if out.V.I32(i) != w {
 			t.Errorf("unpacklo_epi32 lane %d = %d, want %d", i, out.V.I32(i), w)
+		}
+	}
+}
+
+// TestUnpackMMXInterleavesHalves: the 64-bit forms interleave the low
+// (high) four bytes of a 64-bit register, Intel's example for
+// _mm_unpacklo_pi8 being [1..8], [9..16] → 1 9 2 10 3 11 4 12.
+func TestUnpackMMXInterleavesHalves(t *testing.T) {
+	var a, b Vec
+	for i := 0; i < 8; i++ {
+		a.SetU8(i, uint8(1+i))
+		b.SetU8(i, uint8(9+i))
+	}
+	// Bytes past the 64-bit register must be ignored.
+	a.SetU8(8, 0xEE)
+	b.SetU8(8, 0xEE)
+	for name, want := range map[string][8]uint8{
+		"_mm_unpacklo_pi8": {1, 9, 2, 10, 3, 11, 4, 12},
+		"_mm_unpackhi_pi8": {5, 13, 6, 14, 7, 15, 8, 16},
+	} {
+		out := call(t, name, VecValue(a), VecValue(b))
+		var w Vec
+		for i, x := range want {
+			w.SetU8(i, x)
+		}
+		if *out.V != w {
+			t.Errorf("%s = %v, want %v", name, out.V, &w)
+		}
+	}
+}
+
+// TestMinMaxFollowIntel holds the float min and max, packed and
+// scalar, at every width, to Intel's MIN(a, b) = (a < b ? a : b) and
+// MAX(a, b) = (a > b ? a : b): a NaN in either position, or a tie of
+// +0 and -0, gives b's lane, bit for bit.
+func TestMinMaxFollowIntel(t *testing.T) {
+	// Payloads in the top mantissa bits survive narrowing to f32.
+	nan1, nan2 := math.Float64frombits(0x7FF8000020000000), math.Float64frombits(0x7FF8000040000000)
+	negZero := math.Copysign(0, -1)
+	cases := []struct{ a, b, min, max float64 }{
+		{1, 2, 1, 2},
+		{2, 1, 1, 2},
+		{nan1, 1, 1, 1},
+		{1, nan1, nan1, nan1},
+		{nan1, nan2, nan2, nan2},
+		{0, negZero, negZero, negZero},
+		{negZero, 0, 0, 0},
+	}
+	for _, name := range []string{
+		"_mm_min_ps", "_mm256_min_ps", "_mm512_min_ps", "_mm_min_pd", "_mm256_min_pd", "_mm512_min_pd",
+		"_mm_max_ps", "_mm256_max_ps", "_mm512_max_ps", "_mm_max_pd", "_mm256_max_pd", "_mm512_max_pd",
+		"_mm_min_ss", "_mm_max_ss", "_mm_min_sd", "_mm_max_sd",
+	} {
+		width, op, elem := refShape(name)
+		f32 := elem == "ps" || elem == "ss"
+		lanes := width / 8
+		if f32 {
+			lanes = width / 4
+		}
+		if elem == "ss" || elem == "sd" {
+			lanes = 1
+		}
+		for _, c := range cases {
+			var a, b Vec
+			for i := 0; i < lanes; i++ {
+				if f32 {
+					a.SetF32(i, float32(c.a))
+					b.SetF32(i, float32(c.b))
+				} else {
+					a.SetF64(i, c.a)
+					b.SetF64(i, c.b)
+				}
+			}
+			want := c.min
+			if op == "max" {
+				want = c.max
+			}
+			out := call(t, name, VecValue(a), VecValue(b))
+			for i := 0; i < lanes; i++ {
+				var got, w uint64
+				if f32 {
+					got, w = uint64(out.V.U32(i)), uint64(math.Float32bits(float32(want)))
+				} else {
+					got, w = out.V.U64(i), math.Float64bits(want)
+				}
+				if got != w {
+					t.Errorf("%s(%v, %v) lane %d = %#x, want %#x", name, c.a, c.b, i, got, w)
+				}
+			}
 		}
 	}
 }

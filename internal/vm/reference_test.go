@@ -10,13 +10,55 @@ import (
 	"repro/internal/isa"
 )
 
-// intoOps is the hot set: the packed f32/f64/i32 arithmetic, FMA,
+// intoOps returns the hot set: the packed f32/f64/i32 arithmetic, FMA,
 // float-register bitwise and plain load/store intrinsics that the
-// figure kernels execute most, and that kernelc's opt tier evaluates
-// into frame-owned destinations. The tests below hold each one's Fn to
-// a lane-by-lane scalar model written without the vm's map*/bitwise
-// combinators.
-var intoOps = []string{
+// figure kernels execute most, and, at every width the vm registers
+// them, the intrinsics of the word-wide lane kernels (see laneOps).
+// The tests below hold each one's Fn to a lane-by-lane scalar model
+// written from Intel's operation text, without the vm's combinators or
+// lane kernels. It reads the registry, which the init functions fill,
+// so it is a function and not a package variable.
+func intoOps() []string {
+	return append(hotOps[:len(hotOps):len(hotOps)], laneOps()...)
+}
+
+// laneOps lists every registered intrinsic whose lane kernel runs word
+// by word: sign_epi8, abs_epi8, maddubs_epi16, madd_epi16, shuffle_epi8,
+// srli_epi16, the unpacks and the bitwise ops not already in hotOps.
+func laneOps() []string {
+	hot := map[string]bool{}
+	for _, n := range hotOps {
+		hot[n] = true
+	}
+	var out []string
+	for _, n := range ImplementedNames() {
+		if in, _ := Lookup(n); in.Lane == nil || hot[n] {
+			continue
+		}
+		if _, op, elem := refShape(n); isRefLane(op, elem) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// isRefLane reports whether op and elem name an intrinsic of a
+// word-wide lane kernel.
+func isRefLane(op, elem string) bool {
+	switch op {
+	case "and", "or", "xor", "andnot", "unpacklo", "unpackhi":
+		return true
+	case "sign", "abs", "shuffle":
+		return elem == "epi8"
+	case "madd", "srli":
+		return elem == "epi16"
+	case "maddubs":
+		return true
+	}
+	return false
+}
+
+var hotOps = []string{
 	"_mm_add_ps", "_mm_sub_ps", "_mm_mul_ps", "_mm_div_ps", "_mm_min_ps", "_mm_max_ps",
 	"_mm_add_pd", "_mm_sub_pd", "_mm_mul_pd", "_mm_div_pd", "_mm_min_pd", "_mm_max_pd",
 	"_mm_fmadd_ps", "_mm_fmadd_pd",
@@ -50,7 +92,8 @@ var intoOps = []string{
 
 // refShape splits an intrinsic name into register width in bytes, the
 // operation and the element suffix: "_mm256_fmadd_ps" → 32, "fmadd",
-// "ps"; "_mm_stream_load_si128" → 16, "stream_load", "si128".
+// "ps"; "_mm_stream_load_si128" → 16, "stream_load", "si128"; the MMX
+// forms ("_mm_unpacklo_pi8", "_mm_and_si64") are 8 bytes wide.
 func refShape(name string) (width int, op, elem string) {
 	rest := strings.TrimPrefix(name, "_mm")
 	width = 16
@@ -63,7 +106,11 @@ func refShape(name string) (width int, op, elem string) {
 		rest = rest[1:]
 	}
 	i := strings.LastIndexByte(rest, '_')
-	return width, rest[:i], rest[i+1:]
+	op, elem = rest[:i], rest[i+1:]
+	if elem == "pi8" || elem == "si64" {
+		width = 8
+	}
+	return width, op, elem
 }
 
 func isRefLoad(op string) bool {
@@ -113,20 +160,20 @@ func refFMA(a, b, c float64, single bool) float64 {
 	return f
 }
 
-// refMin and refMax are the vm's float min/max rule: the first operand
-// unless the second compares strictly less (greater).
-func refMin(x, y float64) float64 {
-	if y < x {
-		return y
+// refMin and refMax are Intel's MIN(a, b) = (a < b ? a : b) and
+// MAX(a, b) = (a > b ? a : b): a NaN or a tie gives the second operand.
+func refMin(a, b float64) float64 {
+	if a < b {
+		return a
 	}
-	return x
+	return b
 }
 
-func refMax(x, y float64) float64 {
-	if y > x {
-		return y
+func refMax(a, b float64) float64 {
+	if a > b {
+		return a
 	}
-	return x
+	return b
 }
 
 func refF(op string, x, y, z float64, single bool) float64 {
@@ -195,6 +242,9 @@ func scalarRef(t *testing.T, name string, args []Value, mem []byte) Value {
 		copy(mem[off:off+width], src)
 		return Value{}
 	}
+	if isRefLane(op, elem) {
+		return VecValue(refLane(op, elem, width, args))
+	}
 	a, b := args[0].V, args[1].V
 	var c Vec
 	if op == "fmadd" {
@@ -231,6 +281,79 @@ func scalarRef(t *testing.T, name string, args []Value, mem []byte) Value {
 	return VecValue(out)
 }
 
+// refLane is the scalar model of a word-wide lane kernel's intrinsic,
+// lane by lane as Intel's operation text states it; width is in bytes.
+func refLane(op, elem string, width int, args []Value) Vec {
+	a := *args[0].V
+	var out Vec
+	switch op {
+	case "abs": // dst[i] := ABS(a[i])
+		for i := 0; i < width; i++ {
+			x := int(a.I8(i))
+			if x < 0 {
+				x = -x
+			}
+			out.SetU8(i, uint8(x))
+		}
+		return out
+	case "srli": // IF imm8 > 15: 0 ELSE ZeroExtend16(a[i] >> imm8)
+		imm := args[1].AsInt()
+		for i := 0; i < width/2; i++ {
+			if imm <= 15 {
+				out.SetU16(i, a.U16(i)>>imm)
+			}
+		}
+		return out
+	}
+	b := *args[1].V
+	switch op {
+	case "and", "or", "xor", "andnot":
+		return refBitwise(op, width, a, b)
+	case "sign": // b < 0: -a; b == 0: 0; else a
+		for i := 0; i < width; i++ {
+			x, y := int(a.I8(i)), int(b.I8(i))
+			switch {
+			case y < 0:
+				out.SetU8(i, uint8(-x))
+			case y > 0:
+				out.SetU8(i, uint8(x))
+			}
+		}
+	case "maddubs": // Saturate16(a[2i+1]*b[2i+1] + a[2i]*b[2i]), a unsigned, b signed
+		for i := 0; i < width/2; i++ {
+			p := int(a.U8(2*i+1))*int(b.I8(2*i+1)) + int(a.U8(2*i))*int(b.I8(2*i))
+			out.SetI16(i, int16(max(-32768, min(32767, p))))
+		}
+	case "madd": // SignExtend32(a[2i+1]*b[2i+1]) + SignExtend32(a[2i]*b[2i])
+		for i := 0; i < width/4; i++ {
+			p := int64(a.I16(2*i+1))*int64(b.I16(2*i+1)) + int64(a.I16(2*i))*int64(b.I16(2*i))
+			out.SetU32(i, uint32(p))
+		}
+	case "shuffle": // per 128-bit lane: b[j] bit 7 ? 0 : a[lane + b[j] & 15]
+		for j := 0; j < width; j++ {
+			if c := b.U8(j); c&0x80 == 0 {
+				out.SetU8(j, a.U8(j&^15+int(c&15)))
+			}
+		}
+	case "unpacklo", "unpackhi": // per lane, interleave a's and b's elements of the lane's low (high) half
+		size := map[string]int{"epi8": 1, "pi8": 1, "epi16": 2, "epi32": 4, "ps": 4, "epi64": 8, "pd": 8}[elem]
+		lane := min(width, 16)
+		for l := 0; l < width; l += lane {
+			src := l
+			if op == "unpackhi" {
+				src += lane / 2
+			}
+			for e := 0; e < lane/2/size; e++ {
+				for k := 0; k < size; k++ {
+					out.SetU8(l+2*e*size+k, a.U8(src+e*size+k))
+					out.SetU8(l+(2*e+1)*size+k, b.U8(src+e*size+k))
+				}
+			}
+		}
+	}
+	return out
+}
+
 func refBitwise(op string, width int, a, b Vec) Vec {
 	var out Vec
 	for i := 0; i < width; i++ {
@@ -262,7 +385,7 @@ func sameRefResult(name string, got, want Value) bool {
 		return true
 	}
 	width, op, elem := refShape(name)
-	if isRefLoad(op) || isRefStore(op) || elem == "epi32" {
+	if isRefLoad(op) || isRefStore(op) || isRefLane(op, elem) || elem == "epi32" {
 		return false
 	}
 	for i := width; i < 64; i++ {
@@ -294,8 +417,9 @@ func sameRefResult(name string, got, want Value) bool {
 // refArgs builds the argument list for a hot-set intrinsic from a
 // 64-byte pattern: fused-multiply-adds take three registers (the
 // pattern rotated), loads a pointer at element off into a buffer
-// filled from the pattern, stores that pointer plus a register,
-// everything else two registers.
+// filled from the pattern, stores that pointer plus a register, abs
+// one register, srli a register and an immediate byte (the pattern's
+// first), everything else two registers.
 func refArgs(name string, p [64]byte, off int) ([]Value, *Buffer) {
 	vec := func(rot int) Value {
 		var q [64]byte
@@ -317,6 +441,10 @@ func refArgs(name string, p [64]byte, off int) ([]Value, *Buffer) {
 		return []Value{PtrValue(b, off)}, b
 	case op == "fmadd":
 		return []Value{vec(0), vec(1), vec(2)}, nil
+	case op == "abs":
+		return []Value{vec(0)}, nil
+	case op == "srli":
+		return []Value{vec(0), IntValue(int(p[0]))}, nil
 	default:
 		return []Value{vec(0), vec(1)}, nil
 	}
@@ -355,7 +483,7 @@ func checkAgainstRef(t *testing.T, name string, p [64]byte, off int) {
 // scalar model on deterministic register contents and pointer offsets:
 // same result Value, same bytes in memory.
 func TestIntoOpsMatchReference(t *testing.T) {
-	for _, name := range intoOps {
+	for _, name := range intoOps() {
 		t.Run(name, func(t *testing.T) {
 			if in, ok := Lookup(name); !ok || in.Fn == nil {
 				t.Fatalf("%s not registered", name)
@@ -367,6 +495,16 @@ func TestIntoOpsMatchReference(t *testing.T) {
 				}
 				checkAgainstRef(t, name, p, int(seed))
 			}
+			// Random bytes reach the integer edges (saturating sums, the
+			// sign byte -128, pshufb's zeroing bit) the ramps above miss.
+			rng := NewXorshift(uint64(len(name)))
+			for k := 0; k < 32; k++ {
+				var p [64]byte
+				for i := range p {
+					p[i] = byte(rng.Next32())
+				}
+				checkAgainstRef(t, name, p, k%8)
+			}
 		})
 	}
 }
@@ -377,10 +515,11 @@ func TestIntoOpsMatchReference(t *testing.T) {
 func FuzzIntoOpsAgree(f *testing.F) {
 	f.Add(uint16(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint16(7), bytes.Repeat([]byte{0xff}, 64))
+	ops := intoOps()
 	f.Fuzz(func(t *testing.T, pick uint16, raw []byte) {
 		var p [64]byte
 		copy(p[:], raw)
-		checkAgainstRef(t, intoOps[int(pick)%len(intoOps)], p, int(pick)%8)
+		checkAgainstRef(t, ops[int(pick)%len(ops)], p, int(pick)%8)
 	})
 }
 

@@ -310,8 +310,10 @@ func PtrValue(b *Buffer, off int) Value {
 // Value's register, so the shared value stays zero.
 var zeroVec Vec
 
-// vec returns the register V refers to, or zeroVec when V is nil.
-func (v *Value) vec() *Vec {
+// Reg returns the register V refers to, or zeroVec, an all-zero
+// register, when V is nil: a value that holds no register reads as
+// zero lanes.
+func (v *Value) Reg() *Vec {
 	if v.V != nil {
 		return v.V
 	}
@@ -356,7 +358,7 @@ func (v Value) AsFloat() float64 {
 // pattern (NaN payloads included), pointers by displacement plus the
 // pointed-to bytes — the comparison the differential harnesses use.
 func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind || v.I != o.I || v.U != o.U || v.B != o.B || *v.vec() != *o.vec() {
+	if v.Kind != o.Kind || v.I != o.I || v.U != o.U || v.B != o.B || *v.Reg() != *o.Reg() {
 		return false
 	}
 	if math.Float64bits(v.F) != math.Float64bits(o.F) {
