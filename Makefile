@@ -83,10 +83,11 @@ benchtest:
 # byte-identical (results, memory, dynamic op counts, error text)
 # between the vm interpreter and the plugin-compiled native tier, and so
 # must every intrinsic the native emitter lowers, applied once each to
-# edge inputs (TestNativeLaneOpsMatchVM). Hosts that cannot build or
-# load plugins skip with a visible notice instead of failing.
+# edge inputs (TestNativeLaneOpsMatchVM), and a steady-state native call
+# must allocate nothing (TestNativeRunZeroAllocs). Hosts that cannot
+# build or load plugins skip with a visible notice instead of failing.
 nativediff:
-	@out=$$($(GO) test -count=1 -run 'TestNativeDifferentialAllKernels|TestNativeLaneOpsMatchVM' -v ./internal/backend/native) \
+	@out=$$($(GO) test -count=1 -run 'TestNativeDifferentialAllKernels|TestNativeLaneOpsMatchVM|TestNativeRunZeroAllocs' -v ./internal/backend/native) \
 		|| { echo "$$out"; exit 1; }; \
 	if echo "$$out" | grep -q -- "--- SKIP"; then \
 		echo "nativediff: SKIPPED on this host:"; \
@@ -96,6 +97,8 @@ nativediff:
 		echo "nativediff: $$n kernels byte-identical native vs vm"; \
 		echo "$$out" | grep -q -- "--- PASS: TestNativeLaneOpsMatchVM" \
 			&& echo "nativediff: every lowered intrinsic bit-identical native vs vm"; \
+		echo "$$out" | grep -q -- "--- PASS: TestNativeRunZeroAllocs" \
+			&& echo "nativediff: a steady-state native call allocates nothing"; \
 	fi
 
 # plancheck is the adaptive-planner gate, in three phases. First the

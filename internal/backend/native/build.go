@@ -11,12 +11,16 @@ import (
 	"sync"
 )
 
-// runFn is the plugin entry point's shape: flattened arguments in,
-// boxed result + dynamic count vector + error out. Counts accumulated
-// so far are returned even when err is non-nil (the host merges them
-// before inspecting the error, matching the interpreter's partial-count
-// behavior on mid-kernel faults).
-type runFn func(args []any) (any, map[string]int64, error)
+// runFn is the plugin entry point's shape, typed and stdlib-only. A
+// pointer argument passes as its buffer's bytes in bufs and its element
+// displacement as a word; a scalar argument passes as one raw 64-bit
+// word (an int64's two's complement, a float64's bits, a bool as 0 or
+// 1), in parameter order, and so does the result. The plugin adds its
+// counts into cnt and hit, dense over the kernel's count table
+// (kernelc.CountTable): it leaves there what it counted before an
+// error too, and the host flushes them either way, matching the
+// interpreter's partial counts on a mid-kernel fault.
+type runFn func(bufs [][]byte, words []uint64, cnt []int64, hit []bool) (uint64, error)
 
 // contentKey fingerprints generated source together with the toolchain
 // that will compile it: same source + same Go version/OS/arch → same
@@ -60,7 +64,7 @@ func openPlugin(path string) (runFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn, ok := sym.(func([]any) (any, map[string]int64, error))
+	fn, ok := sym.(func([][]byte, []uint64, []int64, []bool) (uint64, error))
 	if !ok {
 		return nil, fmt.Errorf("native: plugin Run has wrong type %T", sym)
 	}

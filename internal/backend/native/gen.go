@@ -3,7 +3,6 @@ package native
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -13,90 +12,127 @@ import (
 )
 
 // generate specializes a staged function into standalone Go plugin
-// source. The walk mirrors kernelc's compile pass over the same
-// ir.Schedule: identical node order, identical error strings, and the
-// static count vectors kernelc.StaticCounts gives the interpreter
-// (flushed per block, scaled by trip counts), so the plugin's results,
-// memory writes, and dynamic op counts are byte-identical to the
-// interpreter at every tier. (The plain and optimized interpreter tiers
-// already agree on all observables — the optimizer differential suite
-// pins that — so one generated form matches both.)
+// source, and returns the count table the source adds into. The walk
+// mirrors kernelc's compile pass over the same ir.Schedule: identical
+// node order, identical error strings, and the interpreter's count
+// table (kernelc.CountTable: each block's vector applied where the
+// interpreter applies it, a loop's trip vector scaled by its trip
+// count), so the plugin's results, memory writes, and dynamic op counts
+// are byte-identical to the interpreter at every tier. (The plain and
+// optimized interpreter tiers already agree on all observables — the
+// optimizer differential suite pins that — so one generated form
+// matches both.)
 //
 // A non-nil error means the function is not native-lowerable; the error
 // text is the reason reported by ngen vet's "native" pass and by the
 // runtime's fallback notice.
-func generate(f *ir.Func) (string, error) {
+func generate(f *ir.Func) (string, *kernelc.CountTable, error) {
 	sched := ir.Schedule(f)
-	g := &gen{f: f, sched: sched, counts: kernelc.StaticCounts(f, sched)}
+	g := &gen{f: f, sched: sched, table: kernelc.NewCountTable(f, sched)}
 	var b strings.Builder
 	b.WriteString(header)
 	b.WriteString(laneSource)
 	b.WriteString(prelude)
 	b.WriteString("\n// Run executes kernel ")
 	b.WriteString(f.Name)
-	b.WriteString(".\nfunc Run(args []any) (res any, cnt map[string]int64, err error) {\n")
+	b.WriteString(".\nfunc Run(bufs [][]byte, words []uint64, cnt []int64, hit []bool) (res uint64, err error) {\n")
 	g.ind = 1
-	g.p("cnt = map[string]int64{}")
-	slot := 0
+	nb, nw := 0, 0
 	for _, prm := range f.Params {
 		switch prm.Typ.Kind {
 		case ir.KindPtr:
 			if !supportedElem(prm.Typ.Elem) {
-				return "", fmt.Errorf("parameter %s: unsupported element type %v", prm, prm.Typ.Elem)
+				return "", nil, fmt.Errorf("parameter %s: unsupported element type %v", prm, prm.Typ.Elem)
 			}
-			g.p("%s := args[%d].([]byte)", pd(prm), slot)
-			g.p("%s := args[%d].(int64)", po(prm), slot+1)
+			g.p("%s := bufs[%d]", pd(prm), nb)
+			g.p("%s := int64(words[%d])", po(prm), nw)
 			g.p("_ = %s", pd(prm))
 			g.p("_ = %s", po(prm))
-			slot += 2
+			nb++
 		case ir.KindVec:
-			return "", fmt.Errorf("parameter %s: vector-typed parameters are not lowerable", prm)
+			return "", nil, fmt.Errorf("parameter %s: vector-typed parameters are not lowerable", prm)
 		case ir.KindVoid:
-			return "", fmt.Errorf("parameter %s: void parameter", prm)
+			return "", nil, fmt.Errorf("parameter %s: void parameter", prm)
 		default:
-			g.p("%s := args[%d].(%s)", vname(prm), slot, goType(prm.Typ.Kind))
+			g.p("%s := %s", vname(prm), fromWord(prm.Typ.Kind, fmt.Sprintf("words[%d]", nw)))
 			g.p("_ = %s", vname(prm))
-			slot++
 		}
+		nw++
 	}
 	root := f.G.Root()
 	if r := root.Result; r != nil {
 		switch r.Type().Kind {
 		case ir.KindPtr, ir.KindVec:
-			return "", fmt.Errorf("result type %v is not lowerable", r.Type())
+			return "", nil, fmt.Errorf("result type %v is not lowerable", r.Type())
 		}
 	}
 	if err := g.block(root); err != nil {
-		return "", err
+		return "", nil, err
 	}
-	g.flush(root, "")
+	g.flush(g.table.Block(root), "")
 	if r := root.Result; r != nil {
 		e, err := g.scalarExpr(r)
 		if err != nil {
-			return "", fmt.Errorf("result: %w", err)
+			return "", nil, fmt.Errorf("result: %w", err)
 		}
-		g.p("res = %s", e)
+		if r.Type().Kind == ir.KindBool {
+			g.p("if %s {", e)
+			g.ind++
+			g.p("res = 1")
+			g.ind--
+			g.p("}")
+		} else {
+			g.p("res = %s", toWord(r.Type().Kind, e))
+		}
 	}
 	g.p("return")
 	b.WriteString(g.b.String())
 	b.WriteString("}\n")
-	return b.String(), nil
+	return b.String(), g.table, nil
+}
+
+// fromWord renders the generated-code value of a scalar of kind k that
+// crosses the plugin ABI as the 64-bit word w (see runFn).
+func fromWord(k ir.Kind, w string) string {
+	switch goType(k) {
+	case "bool":
+		return w + " != 0"
+	case "float64":
+		return "math.Float64frombits(" + w + ")"
+	case "uint64":
+		return w
+	default:
+		return "int64(" + w + ")"
+	}
+}
+
+// toWord renders the word a non-bool scalar expression e of kind k
+// crosses the plugin ABI as.
+func toWord(k ir.Kind, e string) string {
+	switch goType(k) {
+	case "float64":
+		return "math.Float64bits(" + e + ")"
+	case "uint64":
+		return e
+	default:
+		return "uint64(" + e + ")"
+	}
 }
 
 // Lowerable reports whether the native backend can lower the function;
 // a non-nil error carries the human-readable reason. It is the check
 // ngen vet's "native" pass surfaces.
 func Lowerable(f *ir.Func) error {
-	_, err := generate(f)
+	_, _, err := generate(f)
 	return err
 }
 
 type gen struct {
-	f      *ir.Func
-	sched  *ir.Scheduled
-	counts map[*ir.Block][]kernelc.CountDelta
-	b      strings.Builder
-	ind    int
+	f     *ir.Func
+	sched *ir.Scheduled
+	table *kernelc.CountTable
+	b     strings.Builder
+	ind   int
 }
 
 func (g *gen) p(format string, args ...any) {
@@ -275,18 +311,17 @@ func trunc(k ir.Kind, inner string) string {
 
 // --- statics ----------------------------------------------------------------
 
-// flush emits a block's static count vector (kernelc.StaticCounts),
-// optionally scaled by a trip-count variable. Keys are sorted for
-// deterministic source (the build cache keys on the generated text).
-func (g *gen) flush(b *ir.Block, scale string) {
-	counts := append([]kernelc.CountDelta(nil), g.counts[b]...)
-	sort.Slice(counts, func(i, j int) bool { return counts[i].Key < counts[j].Key })
-	for _, cd := range counts {
+// flush emits the adds of a vector over the count table, optionally
+// scaled by a trip-count variable, into the dense cnt and hit the host
+// hands in (see runFn).
+func (g *gen) flush(v []kernelc.SlotCount, scale string) {
+	for _, sc := range v {
 		if scale == "" {
-			g.p("cnt[%q] += %s", cd.Key, goInt(cd.N))
+			g.p("cnt[%d] += %s", sc.Slot, goInt(sc.N))
 		} else {
-			g.p("cnt[%q] += %s * %s", cd.Key, goInt(cd.N), scale)
+			g.p("cnt[%d] += %s * %s", sc.Slot, goInt(sc.N), scale)
 		}
+		g.p("hit[%d] = true", sc.Slot)
 	}
 }
 
@@ -429,13 +464,11 @@ func (g *gen) loop(n *ir.Node) error {
 	g.ind--
 	g.p("}")
 	// The loop's dynamic count contribution, exactly as the interpreter
-	// flushes it once the loop completes: iteration pseudo-op, per-loop
-	// attribution key, and the body's static vector scaled by the trip
-	// count. A body error returns before reaching this point, matching
-	// the interpreter's mid-loop error behavior.
-	g.p("cnt[%q] += it%d", kernelc.OpLoopIter, id)
-	g.p("cnt[%q] += it%d", kernelc.LoopKey(id), id)
-	g.flush(body, fmt.Sprintf("it%d", id))
+	// adds it once the loop completes: its trip vector (iteration
+	// pseudo-op, per-loop attribution key, the body's static vector)
+	// scaled by the trip count. A body error returns before reaching
+	// this point, matching the interpreter's mid-loop error behavior.
+	g.flush(g.table.Trip(n), fmt.Sprintf("it%d", id))
 	if carried {
 		g.declare(n.Sym)
 		if err := g.assign(n.Sym, body.Params[1]); err != nil {
@@ -462,7 +495,7 @@ func (g *gen) ifStmt(n *ir.Node) error {
 	if err := g.block(thenB); err != nil {
 		return err
 	}
-	g.flush(thenB, "")
+	g.flush(g.table.Block(thenB), "")
 	if !void && thenB.Result != nil {
 		if err := g.assign(n.Sym, thenB.Result); err != nil {
 			return err
@@ -474,7 +507,7 @@ func (g *gen) ifStmt(n *ir.Node) error {
 	if err := g.block(elseB); err != nil {
 		return err
 	}
-	g.flush(elseB, "")
+	g.flush(g.table.Block(elseB), "")
 	if !void && elseB.Result != nil {
 		if err := g.assign(n.Sym, elseB.Result); err != nil {
 			return err

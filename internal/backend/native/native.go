@@ -17,14 +17,17 @@ package native
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/backend"
 	"repro/internal/cgen"
 	"repro/internal/ir"
+	"repro/internal/kernelc"
 	"repro/internal/vm"
 )
 
@@ -98,7 +101,7 @@ func (b *Backend) tool() (string, error) {
 // to identical observables), so every interpreter tier shares one
 // plugin.
 func (b *Backend) Compile(f *ir.Func) (backend.Executable, error) {
-	src, err := generate(f)
+	src, table, err := generate(f)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +109,7 @@ func (b *Backend) Compile(f *ir.Func) (backend.Executable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newProgram(f, fn), nil
+	return newProgram(f, fn, table), nil
 }
 
 // CompileCached serves a compile only when the plugin is already built:
@@ -119,7 +122,7 @@ func (b *Backend) CompileCached(f *ir.Func) (backend.Executable, bool) {
 	if b.Available() != nil {
 		return nil, false
 	}
-	src, err := generate(f)
+	src, table, err := generate(f)
 	if err != nil {
 		return nil, false
 	}
@@ -129,7 +132,7 @@ func (b *Backend) CompileCached(f *ir.Func) (backend.Executable, bool) {
 	if fn == nil {
 		return nil, false
 	}
-	return newProgram(f, fn), true
+	return newProgram(f, fn, table), true
 }
 
 // lookup serves a content key without building: process memo first,
@@ -203,22 +206,47 @@ func (b *Backend) resolve(key, src string) (runFn, error) {
 	return fn, nil
 }
 
-// program is one compiled kernel: the host-side wrapper that marshals
-// vm.Values across the plugin ABI and reconstructs the interpreter's
-// exact observable behavior.
+// program is one compiled kernel: the host-side wrapper that passes
+// vm.Values across the typed plugin ABI (runFn) and reconstructs the
+// interpreter's exact observable behavior.
 type program struct {
 	fn      runFn
 	name    string
 	params  []ir.Sym
 	resKind ir.Kind
+	table   *kernelc.CountTable
+	// pool holds the calls' crossings, so a steady-state call allocates
+	// nothing and concurrent calls each hold their own.
+	pool sync.Pool
 }
 
-func newProgram(f *ir.Func, fn runFn) *program {
+// crossing is one call's plugin arguments and the dense counts the
+// plugin adds into (see runFn). A pooled crossing's counts are clear
+// and its bufs hold no buffer.
+type crossing struct {
+	bufs  [][]byte
+	words []uint64
+	cnt   []int64
+	hit   []bool
+}
+
+func newProgram(f *ir.Func, fn runFn, t *kernelc.CountTable) *program {
 	resKind := ir.KindVoid
 	if r := f.G.Root().Result; r != nil {
 		resKind = r.Type().Kind
 	}
-	return &program{fn: fn, name: f.Name, params: f.Params, resKind: resKind}
+	p := &program{fn: fn, name: f.Name, params: f.Params, resKind: resKind, table: t}
+	nb := 0
+	for _, prm := range f.Params {
+		if prm.Typ.Kind == ir.KindPtr {
+			nb++
+		}
+	}
+	p.pool.New = func() any {
+		return &crossing{bufs: make([][]byte, nb), words: make([]uint64, len(f.Params)),
+			cnt: make([]int64, len(t.Keys)), hit: make([]bool, len(t.Keys))}
+	}
+	return p
 }
 
 // Run executes the plugin. Calls it cannot serve identically to the
@@ -233,34 +261,17 @@ func (p *program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	if len(args) != len(p.params) {
 		return vm.Value{}, fmt.Errorf("kernelc: %s: got %d arguments, want %d", p.name, len(args), len(p.params))
 	}
-	flat := make([]any, 0, len(p.params)+2)
-	for i, prm := range p.params {
-		a := args[i]
-		if prm.Typ.Kind == ir.KindPtr {
-			if a.Mem == nil || a.Mem.Prim != prm.Typ.Elem {
-				return vm.Value{}, backend.ErrFallback
-			}
-			flat = append(flat, a.Mem.Data, int64(a.Off))
-			continue
-		}
-		if a.Kind != prm.Typ.Kind {
-			return vm.Value{}, backend.ErrFallback
-		}
-		switch prm.Typ.Kind {
-		case ir.KindBool:
-			flat = append(flat, a.B)
-		case ir.KindF32, ir.KindF64:
-			flat = append(flat, a.F)
-		case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
-			flat = append(flat, a.U)
-		default:
-			flat = append(flat, a.I)
-		}
+	c := p.pool.Get().(*crossing)
+	if !c.fill(p.params, args) {
+		p.release(c)
+		return vm.Value{}, backend.ErrFallback
 	}
-	res, cnts, err := p.fn(flat)
-	// Partial counts are merged even on error, exactly like the
-	// interpreter's already-flushed loop counts on a mid-kernel fault.
-	m.Counts.Merge(vm.Counter(cnts))
+	res, err := p.fn(c.bufs, c.words, c.cnt, c.hit)
+	// Partial counts are flushed even on error, exactly like the
+	// interpreter's counts of the loops completed before a mid-kernel
+	// fault.
+	p.table.Flush(m.Counts, c.cnt, c.hit)
+	p.release(c)
 	if err != nil {
 		return vm.Value{}, fmt.Errorf("kernelc: %s: %w", p.name, err)
 	}
@@ -268,12 +279,56 @@ func (p *program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	case ir.KindVoid:
 		return vm.Value{}, nil
 	case ir.KindBool:
-		return vm.Value{Kind: ir.KindBool, B: res.(bool)}, nil
+		return vm.Value{Kind: ir.KindBool, B: res != 0}, nil
 	case ir.KindF32, ir.KindF64:
-		return vm.Value{Kind: p.resKind, F: res.(float64)}, nil
+		return vm.Value{Kind: p.resKind, F: math.Float64frombits(res)}, nil
 	case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
-		return vm.Value{Kind: p.resKind, U: res.(uint64)}, nil
+		return vm.Value{Kind: p.resKind, U: res}, nil
 	default:
-		return vm.Value{Kind: p.resKind, I: res.(int64)}, nil
+		return vm.Value{Kind: p.resKind, I: int64(res)}, nil
 	}
+}
+
+// fill lays the arguments out as the plugin reads them: a pointer as
+// its buffer's bytes and its displacement word, a scalar as one word.
+// It reports false for an argument whose kind or element type is not
+// the parameter's, which the plugin cannot serve.
+func (c *crossing) fill(params []ir.Sym, args []vm.Value) bool {
+	nb := 0
+	for i, prm := range params {
+		a := &args[i]
+		if prm.Typ.Kind == ir.KindPtr {
+			if a.Mem == nil || a.Mem.Prim != prm.Typ.Elem {
+				return false
+			}
+			c.bufs[nb] = a.Mem.Data
+			c.words[i] = uint64(int64(a.Off))
+			nb++
+			continue
+		}
+		if a.Kind != prm.Typ.Kind {
+			return false
+		}
+		switch prm.Typ.Kind {
+		case ir.KindBool:
+			c.words[i] = 0
+			if a.B {
+				c.words[i] = 1
+			}
+		case ir.KindF32, ir.KindF64:
+			c.words[i] = math.Float64bits(a.F)
+		case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
+			c.words[i] = a.U
+		default:
+			c.words[i] = uint64(a.I)
+		}
+	}
+	return true
+}
+
+// release returns a crossing to the pool without the buffers it
+// referred to.
+func (p *program) release(c *crossing) {
+	clear(c.bufs)
+	p.pool.Put(c)
 }

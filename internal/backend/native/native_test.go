@@ -208,7 +208,7 @@ func TestNativeCorruptArtifact(t *testing.T) {
 		t.Skipf("native backend unavailable on this host: %v", err)
 	}
 	f, _ := buildTestKernel(t)
-	src, err := generate(f)
+	src, _, err := generate(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestNativeCompileCachedCorruptArtifact(t *testing.T) {
 		t.Skipf("native backend unavailable on this host: %v", err)
 	}
 	f, _ := buildTestKernel(t)
-	src, err := generate(f)
+	src, _, err := generate(f)
 	if err != nil {
 		t.Fatal(err)
 	}

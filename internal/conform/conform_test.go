@@ -404,3 +404,23 @@ func TestOracleFMA32RoundsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCountsDiffIsKeyExact: a zero-valued key present on one side only
+// is a divergence either way round, so conform guards the zero-trip
+// loops' keys a run's counter must keep.
+func TestCountsDiffIsKeyExact(t *testing.T) {
+	zero := vm.Counter{"scalar.loop": 4, "loop.#7": 0}
+	none := vm.Counter{"scalar.loop": 4}
+	if d := countsDiff(zero, none); d != "loop.#7: 0 vs absent" {
+		t.Errorf("countsDiff(zero, none) = %q", d)
+	}
+	if d := countsDiff(none, zero); d != "loop.#7: absent vs 0" {
+		t.Errorf("countsDiff(none, zero) = %q", d)
+	}
+	if d := countsDiff(zero, zero.Clone()); d != "" {
+		t.Errorf("countsDiff of equal counters = %q", d)
+	}
+	if d := countsDiff(none, vm.Counter{"scalar.loop": 5}); d != "scalar.loop: 4 vs 5" {
+		t.Errorf("countsDiff of differing counts = %q", d)
+	}
+}

@@ -434,16 +434,19 @@ func firstDiff(a, b []byte) int {
 }
 
 // countsDiff describes the first discrepancy between two op-counter
-// maps, or "" when they are identical.
+// maps, or "" when they are identical: the same keys, a zero-valued
+// key included, each with the same count.
 func countsDiff(a, b vm.Counter) string {
 	for _, op := range a.Ops() {
-		if a[op] != b[op] {
-			return fmt.Sprintf("%s: %d vs %d", op, a[op], b[op])
+		if n, ok := b[op]; !ok {
+			return fmt.Sprintf("%s: %d vs absent", op, a[op])
+		} else if a[op] != n {
+			return fmt.Sprintf("%s: %d vs %d", op, a[op], n)
 		}
 	}
 	for _, op := range b.Ops() {
 		if _, ok := a[op]; !ok {
-			return fmt.Sprintf("%s: 0 vs %d", op, b[op])
+			return fmt.Sprintf("%s: absent vs %d", op, b[op])
 		}
 	}
 	return ""

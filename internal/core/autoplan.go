@@ -129,8 +129,9 @@ func (kn *Kernel) plannedChoice() *choice {
 // key runs the default strategy, prices every admissible candidate
 // from that run's op-count delta, and folds its timing in as the first
 // probe — exploration is amortized over real invocations, never extra
-// runs. Known keys execute whatever Decide returns (a calibration
-// probe or the calibrated winner) and report the measured time back.
+// runs. Known keys execute whatever Decide returns; a calibration
+// probe reports its measured time back, while the calibrated winner
+// runs untimed, since Observe ignores a calibrated plan.
 func (kn *Kernel) runPlanned(m *vm.Machine, c *choice, args ...vm.Value) (vm.Value, error) {
 	rt := kn.rt
 	key := plan.Key{Hash: kn.art.hash, Arch: rt.Arch.Name, Bucket: plan.Bucket(footprint(args))}
@@ -146,6 +147,9 @@ func (kn *Kernel) runPlanned(m *vm.Machine, c *choice, args ...vm.Value) (vm.Val
 		kn.installPlan(key, c, m.Counts.Total()-before)
 		rt.Planner.Observe(key, defaultSpec, float64(elapsed.Nanoseconds()))
 		return out, nil
+	}
+	if !d.Probe {
+		return kn.execStrategy(m, c, d.Spec, args)
 	}
 	start := time.Now()
 	out, err := kn.execStrategy(m, c, d.Spec, args)

@@ -67,17 +67,13 @@ func (p *Program) Count(m *vm.Machine, args ...vm.Value) error {
 	if err == nil {
 		c := &counting{m: m, regs: make([]vm.Value, cp.nSlots),
 			vecs: make([]vm.Vec, cp.nVecs), vals: make([]vm.Value, cp.maxArgs),
-			counts: vm.Counter{}}
+			counts: make(countRegs, len(p.table.Keys))}
 		for i, slot := range cp.params {
 			c.regs[slot] = args[i]
 		}
 		if err = c.block(cp.root); err == nil {
-			for k, v := range c.counts {
-				m.Counts.Add(k, v)
-			}
-			for _, cd := range cp.root.counts {
-				m.Counts.Add(cd.Key, cd.N)
-			}
+			c.counts.add(cp.root.counts, 1)
+			p.table.flush(m.Counts, c.counts)
 			return nil
 		}
 	}
@@ -99,7 +95,7 @@ type countPlan struct {
 // cblock is one block's skeleton steps and its static count vector.
 type cblock struct {
 	nodes  []*cnode
-	counts []CountDelta
+	counts []SlotCount
 }
 
 type ckind uint8
@@ -147,8 +143,9 @@ type cnode struct {
 	accLive  bool
 	next     cref
 	body     *cblock
-	key      string
-	closable bool // no if and no live accumulator anywhere in the nest
+	key      string      // the loop's attribution key, for refusals
+	trip     []SlotCount // see CountTable.Trip
+	closable bool        // no if and no live accumulator anywhere in the nest
 
 	// cIf: args cond; res holds each arm's result when dst >= 0.
 	arms [2]*cblock
@@ -333,7 +330,7 @@ func (b *planBuilder) refs(args []ir.Exp) []cref {
 
 // block lowers one block's kept nodes to skeleton steps.
 func (b *planBuilder) block(blk *ir.Block) (*cblock, string) {
-	out := &cblock{counts: b.p.counts[blk]}
+	out := &cblock{counts: b.p.table.Block(blk)}
 	for _, n := range b.p.sched.Keep[blk] {
 		d := n.Def
 		cn := &cnode{op: d.Op, typ: n.Sym.Typ, dst: -1}
@@ -352,6 +349,7 @@ func (b *planBuilder) block(blk *ir.Block) (*cblock, string) {
 				return nil, fmt.Sprintf("loop %s has no value, yet steers control", n.Sym)
 			}
 			cn.kind, cn.args, cn.key = cLoop, b.refs(d.Args[:3]), LoopKey(n.Sym.ID)
+			cn.trip = b.p.table.Trip(n)
 			cn.iv = b.slot(body.Params[0])
 			if len(d.Args) == 4 && b.needed[body.Params[1].ID] {
 				cn.accLive, cn.acc, cn.accVec = true, b.slot(body.Params[1]), b.nVecs
@@ -483,7 +481,7 @@ type counting struct {
 	regs   []vm.Value
 	vecs   []vm.Vec   // vector register file (see frame.vecs)
 	vals   []vm.Value // argument scratch
-	counts vm.Counter // applied to m.Counts only on success
+	counts countRegs  // flushed to m.Counts only on success
 
 	// Closed-form state: the symbolic registers written in the current
 	// region (sdef[slot] == epoch), the region's trip counts, and the
@@ -493,7 +491,14 @@ type counting struct {
 	epoch uint32
 	nv    int
 	trips [maxVars]int64
-	pend  []CountDelta
+	pend  []pendTrip
+}
+
+// pendTrip is a trip vector a closed-form region will apply, scaled by
+// k.
+type pendTrip struct {
+	v []SlotCount
+	k int64
 }
 
 // vec returns vector slot i, or nil for a node without one.
@@ -549,9 +554,7 @@ func (c *counting) block(b *cblock) error {
 			if err := c.block(n.arms[arm]); err != nil {
 				return err
 			}
-			for _, cd := range n.arms[arm].counts {
-				c.counts.Add(cd.Key, cd.N)
-			}
+			c.counts.add(n.arms[arm].counts, 1)
 			if n.dst >= 0 {
 				c.regs[n.dst] = c.get(n.res[arm])
 			}
@@ -592,11 +595,7 @@ func (c *counting) loop(n *cnode) error {
 			c.regs[n.acc] = ownVec(c.get(n.next), &c.vecs[n.accVec])
 		}
 	}
-	c.counts.Add(OpLoopIter, iters)
-	c.counts.Add(n.key, iters)
-	for _, cd := range n.body.counts {
-		c.counts.Add(cd.Key, cd.N*iters)
-	}
+	c.counts.add(n.trip, iters)
 	if n.dst >= 0 {
 		c.regs[n.dst] = c.regs[n.acc]
 	}
@@ -725,8 +724,8 @@ func (c *counting) closeLoop(n *cnode, start, stride, iters int64) (bool, error)
 	if !ok || err != nil {
 		return false, err
 	}
-	for _, cd := range c.pend {
-		c.counts.Add(cd.Key, cd.N)
+	for _, pt := range c.pend {
+		c.counts.add(pt.v, pt.k)
 	}
 	return true, nil
 }
@@ -774,10 +773,7 @@ func (c *counting) closeInner(n *cnode, p int64) (bool, error) {
 	// Each of the p executions adds the loop's counts once; wrapping
 	// products equal the wrapped sum of p such additions.
 	mult := trips * p
-	c.pend = append(c.pend, CountDelta{OpLoopIter, mult}, CountDelta{n.key, mult})
-	for _, cd := range n.body.counts {
-		c.pend = append(c.pend, CountDelta{cd.Key, cd.N * mult})
-	}
+	c.pend = append(c.pend, pendTrip{n.trip, mult})
 	if trips == 0 {
 		return true, nil
 	}

@@ -74,12 +74,22 @@
 // Counting once. Every count is decided once, from one walk of the
 // schedule: StaticCounts gives each block's static count vector (the
 // root, every loop body, every if arm; a scalar load is strided when
-// its index multiplies the innermost loop variable), and the loop and
-// if drivers, Count and the native generator all apply those vectors.
-// The bench harness only needs an execution's dynamic op counts, never
-// its results, and most kernels' counts do not depend on the data they
-// process. One backward slice over the graph (count.go) both proves
-// that and builds what Count evaluates. Its sinks are the operands that
+// its index multiplies the innermost loop variable). The program's one
+// count table (CountTable, table.go) numbers the distinct keys of
+// those vectors and of every loop's iteration and attribution keys,
+// and states each vector as (slot, N) pairs. The loop and if drivers,
+// Count and the native generator all add those vectors into dense
+// counts by slot — a frame's count registers, a Count call's, a plugin
+// call's []int64 — and one flush per call adds each touched slot to
+// the machine's counter, on success and on error alike (a zero-trip
+// loop's keys arrive at zero; a fault leaves the counts of the loops
+// and arms completed before it). Parallel lanes count in their own
+// frames, which the parent sums after the join, and a read of the
+// counter mid-run (_rdtsc) flushes first. The bench harness only needs
+// an execution's dynamic op counts, never its results, and most
+// kernels' counts do not depend on the data they process. One backward
+// slice over the graph (count.go) both proves that and builds what
+// Count evaluates. Its sinks are the operands that
 // steer control or addressing: a loop bound or stride, an if
 // condition, an address or index, an integer or pointer intrinsic
 // operand, and any operand of a gather or masked intrinsic. Everything
@@ -198,13 +208,12 @@ type Program struct {
 	parallel bool
 	pool     sync.Pool
 
-	// sched is the schedule the program was lowered from, and counts
-	// every block's static count vector (see StaticCounts): Run, the
-	// loop and if drivers and Count all apply these, so Count adds
-	// exactly what Run adds.
+	// sched is the schedule the program was lowered from, and table its
+	// count table (see CountTable): Run, the loop and if drivers and
+	// Count all apply its vectors, so Count adds exactly what Run adds.
 	sched      *ir.Scheduled
-	counts     map[*ir.Block][]CountDelta
-	rootCounts []CountDelta // counts of the root block, which Run applies
+	table      *CountTable
+	rootCounts []SlotCount // the root block's vector, which Run applies
 	// countOnce guards the count-only state built on first use: the
 	// count-invariance verdict and, for an admitted body, the skeleton
 	// Count evaluates (see count.go).
@@ -297,6 +306,10 @@ type frame struct {
 	// sink is the destination of void nodes (stores): they and the
 	// producers fused into them write here, and nothing reads it after.
 	sink vm.Value
+	// counts are the frame's count registers, the tail of regs: the
+	// run's counts over the program's count table, until Run flushes
+	// them into the machine's counter.
+	counts countRegs
 }
 
 type op func(fr *frame) error
@@ -549,7 +562,7 @@ func compile(f *ir.Func, t Tier, fuse bool) (*Program, error) {
 	c := &compiler{f: f, sched: sched, slots: map[int]int{},
 		uses: map[int]int{}, fuse: fuse, tier: t, skip: map[int]bool{}}
 	c.countUses(f.G.Root())
-	p := &Program{F: f, sched: sched, counts: StaticCounts(f, sched)}
+	p := &Program{F: f, sched: sched, table: NewCountTable(f, sched)}
 	c.prog = p
 	for _, prm := range f.Params {
 		p.params = append(p.params, c.slot(prm))
@@ -559,7 +572,7 @@ func compile(f *ir.Func, t Tier, fuse bool) (*Program, error) {
 		return nil, fmt.Errorf("kernelc: %s: %w", f.Name, err)
 	}
 	p.ops = ops
-	p.rootCounts = p.counts[f.G.Root()]
+	p.rootCounts = p.table.Block(f.G.Root())
 	if r := f.G.Root().Result; r != nil {
 		ref, err := c.ref(r)
 		if err != nil {
@@ -567,7 +580,7 @@ func compile(f *ir.Func, t Tier, fuse bool) (*Program, error) {
 		}
 		p.result = &ref
 	}
-	p.nRegs = c.next
+	p.nRegs = c.next + len(p.table.Keys) // the count registers come last
 	p.nVecs = c.vecNext
 	p.arenaLen = c.arena
 	p.consts = c.consts
@@ -579,6 +592,7 @@ func compile(f *ir.Func, t Tier, fuse bool) (*Program, error) {
 	p.pool.New = func() any {
 		poolNews.Add(1)
 		fr := &frame{regs: make([]vm.Value, p.nRegs), vecs: make([]vm.Vec, p.nVecs)}
+		fr.counts = fr.regs[p.nRegs-len(p.table.Keys):]
 		for _, k := range p.consts {
 			fr.regs[k.reg] = k.val
 		}
@@ -845,7 +859,15 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 	c.vecNext++
 	ie, pos := inlineParts(inl)
 	fn := in.Fn
+	// An intrinsic without operands reads machine state, and _rdtsc
+	// reads the counter: the counts the run has made so far go there
+	// first.
+	table := c.prog.table
+	readsCounts := nArgs == 0
 	eval := func(fr *frame, out *vm.Value) error {
+		if readsCounts {
+			table.flush(fr.m.Counts, fr.counts)
+		}
 		vals := fr.regs[off : off+nArgs]
 		for i := range args {
 			args[i].load(fr, &vals[i])
@@ -934,10 +956,9 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	lc := &loopCode{
 		prog: c.prog, args: args, iv: iv, carried: carried,
 		accSlot: accSlot, accVec: accVec, dst: dst, next: next,
-		bodyOps: bodyOps, bodyCounts: c.prog.counts[body],
+		bodyOps: bodyOps, trip: c.prog.table.Trip(n),
 		hoistedOps: hoistedOps, derivedOps: derivedOps,
 		derSlots: derSlots, saveOff: saveOff, nDer: nDer,
-		loopKey: LoopKey(n.Sym.ID),
 	}
 	if !opt {
 		return lc.run, nil
@@ -971,24 +992,21 @@ type loopCode struct {
 	dst     int
 	next    argRef
 	bodyOps []op
-	// bodyCounts is the body's static count vector, applied once scaled
-	// by the trip count.
-	bodyCounts []CountDelta
+	// trip is the loop's trip vector (CountTable.Trip), applied once
+	// scaled by the trip count.
+	trip       []SlotCount
 	hoistedOps []op
 	derivedOps []op
 	derSlots   []int
 	saveOff    int // derived save/step area in the frame arena
 	nDer       int
-	// loopKey is the per-loop iteration counter the cost model reads to
-	// attribute the loop-carried dependency chain (see internal/machine).
-	loopKey string
-	par     *parPlan // nil when the loop is statically serial
+	par        *parPlan // nil when the loop is statically serial
 }
 
 // run is the loop driver of both tiers. Hoisted and strength-reduced
 // nodes execute at loop entry (guarded by start < end, so zero-trip
-// loops behave as before); they stay in the body's block, so
-// bodyCounts counts them once per iteration and the dynamic count
+// loops behave as before); they stay in the body's block, so the trip
+// vector counts them once per iteration and the dynamic count
 // stream is identical to the plain tier's.
 // Strength-reduced (derived) nodes are affine i32 functions of the
 // induction variable: their per-stride step is measured once by
@@ -1059,7 +1077,7 @@ func (lc *loopCode) run(fr *frame) error {
 	if err != nil {
 		return err
 	}
-	lc.addCounts(fr.m, iters)
+	fr.counts.add(lc.trip, iters)
 	if lc.carried {
 		fr.regs[lc.dst] = fr.regs[lc.accSlot]
 	}
@@ -1108,17 +1126,6 @@ func ownVec(v vm.Value, slot *vm.Vec) vm.Value {
 	return v
 }
 
-// addCounts applies the loop's contribution to the dynamic op stream:
-// one iteration count, the per-loop attribution key, and the body's
-// static vector scaled by the trip count.
-func (lc *loopCode) addCounts(m *vm.Machine, iters int64) {
-	m.Counts.Add(OpLoopIter, iters)
-	m.Counts.Add(lc.loopKey, iters)
-	for _, cd := range lc.bodyCounts {
-		m.Counts.Add(cd.Key, cd.N*iters)
-	}
-}
-
 func (c *compiler) compileIf(n *ir.Node) (op, error) {
 	cond, err := c.ref(n.Def.Args[0])
 	if err != nil {
@@ -1133,7 +1140,7 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 	if err != nil {
 		return nil, err
 	}
-	thenCounts, elseCounts := c.prog.counts[thenB], c.prog.counts[elseB]
+	thenCounts, elseCounts := c.prog.table.Block(thenB), c.prog.table.Block(elseB)
 	var thenRes, elseRes *argRef
 	if thenB.Result != nil {
 		r, err := c.ref(thenB.Result)
@@ -1160,9 +1167,7 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 					return err
 				}
 			}
-			for _, cd := range thenCounts {
-				fr.m.Counts.Add(cd.Key, cd.N)
-			}
+			fr.counts.add(thenCounts, 1)
 			if !void && thenRes != nil {
 				fr.regs[dst] = thenRes.get(fr)
 			}
@@ -1172,9 +1177,7 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 					return err
 				}
 			}
-			for _, cd := range elseCounts {
-				fr.m.Counts.Add(cd.Key, cd.N)
-			}
+			fr.counts.add(elseCounts, 1)
 			if !void && elseRes != nil {
 				fr.regs[dst] = elseRes.get(fr)
 			}
@@ -1414,7 +1417,9 @@ func truncInt(to ir.Type, raw int64) vm.Value {
 // Run executes the program on machine m with the given arguments (one
 // per staged parameter, arrays as vm pointer values). Frames come from a
 // pool, so steady-state execution allocates nothing; concurrent Runs of
-// one Program are safe (each holds a private frame).
+// one Program are safe (each holds a private frame). The run's counts
+// reach m.Counts once, at the end: on an error, the partial counts of
+// the loops and if arms that completed before it.
 func (p *Program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	if len(args) != len(p.params) {
 		return vm.Value{}, fmt.Errorf("kernelc: %s: got %d arguments, want %d",
@@ -1428,13 +1433,13 @@ func (p *Program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	}
 	for _, o := range p.ops {
 		if err := o(fr); err != nil {
+			p.table.flush(m.Counts, fr.counts)
 			releaseFrame(p, fr)
 			return vm.Value{}, fmt.Errorf("kernelc: %s: %w", p.F.Name, err)
 		}
 	}
-	for _, cd := range p.rootCounts {
-		m.Counts.Add(cd.Key, cd.N)
-	}
+	fr.counts.add(p.rootCounts, 1)
+	p.table.flush(m.Counts, fr.counts)
 	var out vm.Value
 	if p.result != nil {
 		out = p.result.get(fr)

@@ -17,13 +17,14 @@ package kernelc
 // same result value, the same memory image, and the same dynamic
 // op-counter map as the serial driver, byte for byte. Worker lanes run
 // on private machines (fresh counter, fresh RNG, no cache simulator,
-// Workers=0 so nested loops stay serial) and their counters are merged
-// after the join; reduction partials are folded in ascending chunk
-// order with the same scalar/lane arithmetic the body uses. On error
-// the first-erroring iteration's error is returned (every chunk runs to
-// its own completion, so the lowest erroring chunk is deterministic),
-// but sibling chunks may already have stored past the serial error
-// point — error-path memory images are the one documented divergence.
+// Workers=0 so nested loops stay serial) and count into their own
+// frames' count registers, which the parent frame sums after the join;
+// reduction partials are folded in ascending chunk order with the same
+// scalar/lane arithmetic the body uses. On error the first-erroring
+// iteration's error is returned (every chunk runs to its own
+// completion, so the lowest erroring chunk is deterministic), but
+// sibling chunks may already have stored past the serial error point —
+// error-path memory images are the one documented divergence.
 
 import (
 	"sync"
@@ -301,23 +302,25 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 		seed = pp.reduce.seed(fr.regs[lc.accSlot])
 	}
 	errs := make([]error, chunks)
-	wms := make([]*vm.Machine, workers)
+	wfrs := make([]*frame, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lane := w
 		wg.Add(1)
 		dispatch(func() {
 			defer wg.Done()
-			lc.lane(fr, lane, ranges, chunkSize, iters, start, stride, seed, partials, partialVecs, errs, wms)
+			lc.lane(fr, lane, ranges, chunkSize, iters, start, stride, seed, partials, partialVecs, errs, wfrs)
 		})
 	}
 	wg.Wait()
-	// Lane counters merge after the join; map addition commutes, so the
-	// merged totals equal the serial stream regardless of who ran what.
-	for _, wm := range wms {
-		if wm != nil {
-			fr.m.Counts.Merge(wm.Counts)
-		}
+	// The lanes' counts join the parent's after the join; addition
+	// commutes, so the sums equal the serial stream regardless of who
+	// ran what. A lane machine's own counter holds only what a lane
+	// flushed before reading it (_rdtsc).
+	for _, wfr := range wfrs {
+		fr.counts.absorb(wfr.counts)
+		fr.m.Counts.Merge(wfr.m.Counts)
+		releaseFrame(lc.prog, wfr)
 	}
 	parRuns.Add(1)
 	parChunks.Add(int64(chunks))
@@ -329,7 +332,7 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 			return true, errs[k]
 		}
 	}
-	lc.addCounts(fr.m, iters)
+	fr.counts.add(lc.trip, iters)
 	if lc.carried {
 		acc := fr.regs[lc.accSlot]
 		for k := 0; k < chunks; k++ {
@@ -438,16 +441,17 @@ func (lc *loopCode) admit(recs []probeRec, iters int64, fr *frame) bool {
 // lane executes chunks on one worker: a pooled frame seeded from the
 // parent's entry-state registers, a private machine, and the shared
 // chunk queues. Completed iterations feed the frame's arena tally even
-// on error, so ArenaStats never undercounts.
+// on error, so ArenaStats never undercounts. The frame, which holds the
+// lane's counts, goes to wfrs[w]; the parent releases it after the
+// join.
 func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, iters, start, stride int64,
-	seed vm.Value, partials []vm.Value, partialVecs []vm.Vec, errs []error, wms []*vm.Machine) {
+	seed vm.Value, partials []vm.Value, partialVecs []vm.Vec, errs []error, wfrs []*frame) {
 	p := lc.prog
-	wm := parent.m.Worker()
-	wms[w] = wm
 	poolGets.Add(1)
 	wfr := p.pool.Get().(*frame)
-	wfr.m = wm
-	copy(wfr.regs, parent.regs)
+	wfr.m = parent.m.Worker()
+	wfrs[w] = wfr
+	copy(wfr.regs, parent.regs[:len(parent.regs)-len(parent.counts)])
 	for {
 		k, stolen, ok := nextChunk(ranges, w)
 		if !ok {
@@ -485,5 +489,4 @@ func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, i
 			partials[k] = ownVec(wfr.regs[lc.accSlot], &partialVecs[k])
 		}
 	}
-	releaseFrame(p, wfr)
 }

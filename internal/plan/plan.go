@@ -239,10 +239,9 @@ func (p *Planner) Install(key Key, kernel string, costs []machine.StrategyCost) 
 	p.installs.Add(1)
 }
 
-// Observe folds one timed invocation into the plan. While the plan is
-// calibrating this is a probe result; afterwards it keeps smoothing
-// the incumbent's estimate (drift tracking — in memory only, the
-// persisted plan never changes).
+// Observe folds one timed probe into a calibrating plan. A calibrated
+// plan is final and Observe leaves it as it is, so callers need not
+// time the calls Decide serves without a probe.
 func (p *Planner) Observe(key Key, spec machine.StrategySpec, ns float64) {
 	if ns <= 0 {
 		return

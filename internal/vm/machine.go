@@ -47,8 +47,10 @@ func NewMachine(arch *isa.Microarch) *Machine {
 
 // Worker derives a lane-private machine for one shard of a parallel
 // loop: same architecture, fresh deterministic RNG, an empty counter
-// the scheduler merges after the join, no cache simulator, and a zero
-// worker budget so nested loops inside the shard stay serial.
+// (a lane counts into its frame, and flushes here only before a read
+// of the counter) that the scheduler merges after the join, no cache
+// simulator, and a zero worker budget so nested loops inside the shard
+// stay serial.
 func (m *Machine) Worker() *Machine {
 	return NewMachine(m.Arch)
 }

@@ -88,6 +88,7 @@ func init() {
 		if err := buf.check(off*4, 4); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off*4, 4)
 		out := zero(dst)
 		out.SetF32(0, buf.F32At(off))
 		return vecResult(out)
@@ -100,6 +101,7 @@ func init() {
 		if err := buf.check(off*4, 4); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off*4, 4)
 		buf.SetF32At(off, argVec(args, 1).F32(0))
 		return voidResult()
 	})
@@ -111,6 +113,7 @@ func init() {
 		if err := buf.check(off*4, 4); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off*4, 4)
 		x := buf.F32At(off)
 		out := zero(dst)
 		for i := 0; i < 4; i++ {
@@ -126,6 +129,7 @@ func init() {
 		if err := buf.check(off*4, 16); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off*4, 16)
 		x := argVec(args, 1).F32(0)
 		for i := 0; i < 4; i++ {
 			buf.SetF32At(off+i, x)
@@ -140,6 +144,7 @@ func init() {
 		if err := buf.check(off*8, 16); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off*8, 16)
 		x := argVec(args, 1).F64(0)
 		for i := 0; i < 2; i++ {
 			buf.SetF64At(off+i, x)
@@ -154,6 +159,7 @@ func init() {
 		if err := buf.check(off*8, 8); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off*8, 8)
 		x := buf.F64At(off)
 		out := zero(dst)
 		out.SetF64(0, x)
@@ -171,6 +177,7 @@ func init() {
 		if err := buf.check(off*8, 8); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off*8, 8)
 		x := buf.F64At(off)
 		out := zero(dst)
 		for i := 0; i < 4; i++ {
@@ -183,9 +190,11 @@ func init() {
 		if err != nil {
 			return Value{}, err
 		}
-		if err := loadBytes(dst, 128, buf.Data, off*buf.Prim.Bits()/8); err != nil {
+		off *= buf.Prim.Bits() / 8
+		if err := loadBytes(dst, 128, buf.Data, off); err != nil {
 			return Value{}, err
 		}
+		m.Touch(buf, off, 16)
 		copy(dst.b[16:32], dst.b[:16])
 		return vecResult(dst)
 	}
