@@ -16,7 +16,18 @@
 //     reports anything else as ErrCorrupt.
 //   - Dir.Sweep, one byte-budget eviction in least-recently-modified
 //     order over the files whose names match a pattern; Dir.Touch moves
-//     a file to the recent end.
+//     a file to the recent end. A Dir keeps a byte ledger per pattern:
+//     the bytes the pattern's last scan left, plus the bytes of every
+//     matching Put since that scan began. Sweep returns at once while
+//     the ledger is within the budget, and scans (list, stat, remove
+//     the oldest) only when it is not, and on the pattern's first
+//     Sweep after OpenDir, which counts what earlier processes left.
+//     The ledger may over-count (an overwrite, a removal) but never
+//     misses this Dir's own Puts, so with one writer Sweep evicts
+//     exactly what a scan on every call would. Files written by
+//     another process, by another Dir on the same root, or by a bare
+//     WriteFile are not in the ledger: they are counted at this Dir's
+//     next scan.
 //   - Dir, one corruption counter per directory: files that fail Open
 //     or their consumer's identity check are removed and counted.
 //

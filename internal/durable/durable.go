@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -83,14 +84,31 @@ func Open(raw []byte, v any) error {
 type Dir struct {
 	root    string
 	corrupt atomic.Int64
+	scans   atomic.Int64 // directory scans Sweep ran, for tests
+
+	mu      sync.Mutex
+	ledgers map[string]*ledger // by Sweep pattern
 }
+
+// ledger bounds from above the bytes of one Sweep pattern's files that
+// this Dir can know of: what the pattern's last scan left, plus every
+// matching Put since that scan began. Guarded by Dir.mu.
+type ledger struct {
+	written int64 // bytes of matching Puts, ever
+	left    int64 // bytes the last scan left
+	mark    int64 // written as the last scan began
+	scanned bool
+}
+
+// bound is the ledger's upper bound on the pattern's bytes.
+func (l *ledger) bound() int64 { return l.left + l.written - l.mark }
 
 // OpenDir opens the directory at root, creating it if needed.
 func OpenDir(root string) (*Dir, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
 	}
-	return &Dir{root: root}, nil
+	return &Dir{root: root, ledgers: map[string]*ledger{}}, nil
 }
 
 // Root returns the directory's path.
@@ -105,7 +123,17 @@ func (d *Dir) Put(name string, v any) error {
 	if err != nil {
 		return err
 	}
-	return WriteFile(d.Path(name), raw)
+	if err := WriteFile(d.Path(name), raw); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	for pattern, l := range d.ledgers {
+		if ok, _ := filepath.Match(pattern, name); ok {
+			l.written += int64(len(raw))
+		}
+	}
+	d.mu.Unlock()
+	return nil
 }
 
 // Get loads the sealed file name into v and reports whether it did. A
@@ -163,13 +191,46 @@ func (d *Dir) Names(pattern string) ([]string, error) {
 
 // Sweep removes the least recently modified files matching pattern
 // until those left total at most budget bytes, and returns how many it
-// removed. Concurrent sweeps and writes on one directory are safe: a
-// file another sweep removed first counts as gone, so two sweeps do not
+// removed. It scans the directory only when the pattern's ledger says
+// the budget may be crossed, and always on the pattern's first Sweep;
+// a file another process wrote is counted at the next scan.
+// Concurrent sweeps and writes on one directory are safe: a file
+// another sweep removed first counts as gone, so two sweeps do not
 // together evict more than one would.
 func (d *Dir) Sweep(pattern string, budget int64) int {
-	names, err := d.Names(pattern)
+	d.mu.Lock()
+	l := d.ledgers[pattern]
+	if l == nil {
+		l = &ledger{}
+		d.ledgers[pattern] = l
+	}
+	if l.scanned && l.bound() <= budget {
+		d.mu.Unlock()
+		return 0
+	}
+	// A Put that lands after this mark is added on top of the scan,
+	// so one the scan also sees is counted twice, never missed.
+	mark := l.written
+	d.mu.Unlock()
+
+	removed, left, err := d.scan(pattern, budget)
 	if err != nil {
 		return 0
+	}
+	d.mu.Lock()
+	l.left, l.mark, l.scanned = left, mark, true
+	d.mu.Unlock()
+	return removed
+}
+
+// scan is one full sweep: list and stat the files matching pattern,
+// remove the least recently modified until the rest total at most
+// budget, and return how many it removed and the bytes left.
+func (d *Dir) scan(pattern string, budget int64) (int, int64, error) {
+	d.scans.Add(1)
+	names, err := d.Names(pattern)
+	if err != nil {
+		return 0, 0, err
 	}
 	type file struct {
 		name  string
@@ -200,5 +261,5 @@ func (d *Dir) Sweep(pattern string, budget int64) int {
 			total -= f.size
 		}
 	}
-	return removed
+	return removed, total, nil
 }

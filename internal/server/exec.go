@@ -111,10 +111,22 @@ func randSlice(n int, seed uint64) []float32 {
 	return out
 }
 
+// hexF32s renders each float's bits as 8 lower-case hex digits, the
+// bytes fmt's "%08x" gives, into one shared backing string.
 func hexF32s(xs []float32) []string {
-	out := make([]string, len(xs))
+	const digits = "0123456789abcdef"
+	buf := make([]byte, 8*len(xs))
 	for i, x := range xs {
-		out[i] = fmt.Sprintf("%08x", math.Float32bits(x))
+		u := math.Float32bits(x)
+		for j := 8*i + 7; j >= 8*i; j-- {
+			buf[j] = digits[u&0xf]
+			u >>= 4
+		}
+	}
+	all := string(buf)
+	out := make([]string, len(xs))
+	for i := range out {
+		out[i] = all[8*i : 8*i+8]
 	}
 	return out
 }

@@ -99,3 +99,49 @@ func TestScalarAndBroadcastAccessesTouchTheCache(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherPdTouchesTheCache: _mm256_i32gather_pd routes each lane's
+// 8-byte read through the cache simulator, like the 32-bit gathers.
+// Two lanes share a line, so a fresh hierarchy sees four line accesses,
+// three of them misses.
+func TestGatherPdTouchesTheCache(t *testing.T) {
+	in, _ := Lookup("_mm256_i32gather_pd")
+	buf := NewBuffer(isa.PrimF64, 64)
+	var vindex Vec
+	idx := []int32{0, 17, 18, 40}
+	for i, x := range idx {
+		vindex.SetI32(i, x)
+	}
+	accesses := int64(0)
+	lines := map[uint64]bool{}
+	for _, x := range idx {
+		start := buf.Base + uint64(x)*8
+		for l := start / 64; l <= (start+7)/64; l++ {
+			accesses++
+			lines[l] = true
+		}
+	}
+	if accesses != 4 || len(lines) != 3 {
+		t.Fatalf("indices cover %d line accesses on %d lines, want 4 on 3", accesses, len(lines))
+	}
+	m := NewMachine(isa.Haswell)
+	m.Cache = cachesim.NewHaswellHierarchy()
+	args := []Value{PtrValue(buf, 0), VecValue(vindex), IntValue(8)}
+	if _, err := in.Fn(m, args, new(Vec)); err != nil {
+		t.Fatal(err)
+	}
+	l1 := m.Cache.L1
+	if got := l1.Hits + l1.Misses; got != accesses {
+		t.Errorf("%d line accesses, the four lanes cover %d", got, accesses)
+	}
+	if l1.Misses != int64(len(lines)) {
+		t.Errorf("%d L1 misses, the four lanes touch %d distinct lines", l1.Misses, len(lines))
+	}
+	var bytes int64
+	for _, b := range m.Cache.BytesFrom() {
+		bytes += b
+	}
+	if bytes != 64*accesses {
+		t.Errorf("%d bytes served, want %d", bytes, 64*accesses)
+	}
+}

@@ -293,6 +293,7 @@ func init() {
 			if err := buf.check(byteOff, 8); err != nil {
 				return Value{}, err
 			}
+			m.Touch(buf, byteOff, 8)
 			copy(out.b[i*8:(i+1)*8], buf.Data[byteOff:byteOff+8])
 		}
 		return vecResult(out)
